@@ -5,7 +5,7 @@ The package splits into layers that mirror the hardware it models:
     quant      bit-packed weights, popcount dot products, exact
                batchnorm folding into integer thresholds
     kernels    streaming stages with minimal line buffers
-    engine     the FIFO graph, execution drivers, cycle model
+    engine     the FIFO graph, its sweep driver, cycle model
     netdesc    the network description language and parameter blobs
     resources  memory accounting and device partitioning
     oracle     dense reference implementation for verification

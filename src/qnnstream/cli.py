@@ -148,7 +148,7 @@ def cmd_run(args) -> int:
     image = _load_image(args, net)
     cfg = _model_config(args)
     graph = build_graph(net, params)
-    result = run(graph, image, cfg, workers=args.workers)
+    result = run(graph, image, cfg)
     if args.format == "json":
         _print_json({
             "class": result.top_class,
@@ -164,9 +164,11 @@ def cmd_run(args) -> int:
 
 def cmd_estimate(args) -> int:
     net = _load_net(args)
-    clocks = []
-    for tok in str(args.clock_mhz).split(","):
-        clocks.append(float(tok))
+    try:
+        clocks = [float(tok) for tok in args.clock_mhz.split(",")]
+    except ValueError:
+        raise QnnError("--clock-mhz wants a number or a comma list of "
+                       "numbers, got %r" % args.clock_mhz)
     entries = []
     for clock in clocks:
         cfg = ModelConfig(cin_mode=args.cin_mode, stall_model=args.stall_model,
@@ -275,7 +277,6 @@ def build_parser() -> _Parser:
     _add_params_flags(p_run)
     _add_image_flags(p_run)
     _add_model_flags(p_run)
-    p_run.add_argument("--workers", type=int, default=0)
     p_run.add_argument("--format", choices=("human", "json"), default="human")
     p_run.set_defaults(func=cmd_run)
 

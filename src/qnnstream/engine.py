@@ -3,9 +3,9 @@
 Stages talk only through bounded FIFOs, so any schedule that respects
 FIFO order computes the same streams (the graph is a Kahn network: one
 producer and one consumer per edge, consumption order fixed by stage
-state). The engine exploits that: the default driver sweeps stages
-round-robin, an optional threaded driver runs them on workers, and both
-must produce identical outputs and identical cycle reports.
+state). The engine exploits that: its driver sweeps stages round-robin
+until every stage is done, and any other schedule would produce the
+same outputs and the same cycle reports.
 
 Cycle numbers never come from wall time. Stages count structural events
 (elements ingested, pads injected, compute halts, ingest depth at first
@@ -24,7 +24,7 @@ partition-transparent reading, while chained matches how a fused
 hardware pipeline actually backpressures.
 """
 
-import threading
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -60,7 +60,8 @@ class ModelConfig:
             raise QnnError("cin_mode must be pixel or element")
         if self.stall_model not in ("chained", "isolated"):
             raise QnnError("stall_model must be chained or isolated")
-        if self.clock_mhz <= 0 or self.c_mac < 1 or self.link_gbps <= 0:
+        finite = math.isfinite(self.clock_mhz) and math.isfinite(self.link_gbps)
+        if not finite or self.clock_mhz <= 0 or self.c_mac < 1 or self.link_gbps <= 0:
             raise QnnError("bad model configuration")
 
 
@@ -73,65 +74,52 @@ class Fifo:
     number of elements. Occupancy can never exceed capacity.
     """
 
-    def __init__(self, capacity: int, element_bits: int, kind: str, name: str,
-                 skip_edge: bool = False, src: int = -1, dst: int = -1):
+    def __init__(self, capacity: int, name: str):
         if capacity < 1:
             raise ShapeError("fifo capacity must be >= 1")
         self.capacity = capacity
-        self.element_bits = element_bits
-        self.kind = kind
         self.name = name
-        self.skip_edge = skip_edge
-        self.src = src
-        self.dst = dst
         self.chunks = deque()
         self.head = 0
         self.occ = 0
         self.pushed = 0
         self.popped = 0
         self.max_occ = 0
-        self.lock = threading.Lock()
 
     @property
     def avail(self) -> int:
         return self.occ
 
-    @property
-    def free(self) -> int:
-        return self.capacity - self.occ
-
     def push(self, arr) -> int:
-        with self.lock:
-            take = min(self.capacity - self.occ, len(arr))
-            if take:
-                self.chunks.append(arr[:take] if take < len(arr) else arr)
-                self.occ += take
-                self.pushed += take
-                if self.occ > self.max_occ:
-                    self.max_occ = self.occ
-            return take
+        take = min(self.capacity - self.occ, len(arr))
+        if take:
+            self.chunks.append(arr[:take] if take < len(arr) else arr)
+            self.occ += take
+            self.pushed += take
+            if self.occ > self.max_occ:
+                self.max_occ = self.occ
+        return take
 
     def pop(self, want: int) -> np.ndarray:
-        with self.lock:
-            want = min(want, self.occ)
-            if not want:
-                return _EMPTY
-            parts = []
-            need = want
-            while need:
-                first = self.chunks[0]
-                take = min(need, len(first) - self.head)
-                parts.append(first[self.head:self.head + take])
-                self.head += take
-                need -= take
-                if self.head == len(first):
-                    self.chunks.popleft()
-                    self.head = 0
-            self.occ -= want
-            self.popped += want
-            if len(parts) == 1:
-                return parts[0]
-            return np.concatenate(parts)
+        want = min(want, self.occ)
+        if not want:
+            return _EMPTY
+        parts = []
+        need = want
+        while need:
+            first = self.chunks[0]
+            take = min(need, len(first) - self.head)
+            parts.append(first[self.head:self.head + take])
+            self.head += take
+            need -= take
+            if self.head == len(first):
+                self.chunks.popleft()
+                self.head = 0
+        self.occ -= want
+        self.popped += want
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts)
 
 
 _EMPTY = np.empty(0, dtype=np.int32)
@@ -145,7 +133,6 @@ class _Source:
         self.fifo = fifo
         self.pos = 0
         self.name = "source"
-        self.pending = ()
 
     def step(self) -> bool:
         if self.pos >= len(self.data):
@@ -168,7 +155,6 @@ class _Sink:
         self.got = []
         self.count = 0
         self.name = "sink"
-        self.pending = ()
 
     def step(self) -> bool:
         chunk = self.fifo.pop(self.expected - self.count)
@@ -206,8 +192,7 @@ class StageGraph:
 
 def _stage_for(plan, layer_params):
     if plan.kind in ("conv", "firstconv"):
-        key = {"main": "main", "a": "a", "b": "b"}[plan.role]
-        cp = layer_params.convs.get(key)
+        cp = layer_params.convs.get(plan.role)
         if cp is None:
             raise ParamsError("missing weights for stage %s" % plan.name)
         cls = FirstConvStage if plan.kind == "firstconv" else ConvStage
@@ -318,23 +303,17 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
         return shape.w * shape.c
 
     fifos = []
-    in_shape = net.input_shape
-    source_fifo = Fifo(regular_cap(in_shape), in_shape.bits, in_shape.kind,
-                       "source->%s" % plans[0].name, dst=0)
+    source_fifo = Fifo(regular_cap(net.input_shape), "source->%s" % plans[0].name)
     fifos.append(source_fifo)
     stages[0].in_fifo = source_fifo
     for src, dst, shape, is_skip in plan_edges(plans):
         p, q = plans[dst], plans[src]
-        if p.kind == "join" and is_skip and q.index == p.skip_src:
-            cap = skip_capacity(plans, p)
-        else:
-            cap = regular_cap(shape)
-        fifo = Fifo(cap, shape.bits, shape.kind,
-                    "%s->%s" % (q.name, p.name), skip_edge=is_skip,
-                    src=src, dst=dst)
+        into_skip = p.kind == "join" and is_skip and q.index == p.skip_src
+        cap = skip_capacity(plans, p) if into_skip else regular_cap(shape)
+        fifo = Fifo(cap, "%s->%s" % (q.name, p.name))
         fifos.append(fifo)
         consumer = stages[dst]
-        if p.kind == "join" and is_skip and q.index == p.skip_src:
+        if into_skip:
             consumer.skip_fifo = fifo
         else:
             consumer.in_fifo = fifo
@@ -344,16 +323,14 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
             producer.skip_out_fifo = fifo
         else:
             producer.out_fifo = fifo
-    out_shape = net.output_shape
-    sink_fifo = Fifo(regular_cap(out_shape), out_shape.bits, out_shape.kind,
-                     "%s->sink" % plans[-1].name, src=len(plans) - 1)
+    sink_fifo = Fifo(regular_cap(net.output_shape), "%s->sink" % plans[-1].name)
     fifos.append(sink_fifo)
     stages[-1].out_fifo = sink_fifo
     return StageGraph(net, plans, stages, fifos, source_fifo, sink_fifo)
 
 
 # ---------------------------------------------------------------------------
-# execution drivers
+# execution driver
 
 def _drive_sweep(tasks):
     while True:
@@ -370,89 +347,6 @@ def _drive_sweep(tasks):
             return
         if not progressed:
             raise DeadlockError(unfinished)
-
-
-def _drive_threaded(tasks, workers: int):
-    """Parallel sweeps with a stop-the-world quiescence check.
-
-    Workers sweep the task list with per-stage trylocks. A single
-    fruitless sweep proves nothing: progress at one stage can re-enable
-    an earlier stage through freed FIFO space, and another worker may be
-    mid-step. So termination is decided only when every worker is idle
-    at once; the last one to go idle has exclusive access (the rest are
-    parked in cond.wait) and replays serial sweeps until they settle.
-    """
-    for t in tasks:
-        t._lock = threading.Lock()
-    state = {"idle": 0, "done": False, "error": None}
-    cond = threading.Condition()
-
-    def serial_verdict():
-        # exclusive: every other worker is parked inside cond.wait
-        while True:
-            progressed = False
-            unfinished = []
-            for t in tasks:
-                if t.finished:
-                    continue
-                if t.step():
-                    progressed = True
-                if not t.finished:
-                    unfinished.append(t.name)
-            if not unfinished:
-                state["done"] = True
-                return
-            if not progressed:
-                state["error"] = DeadlockError(unfinished)
-                return
-            # the pipe moved once the sweeps stopped racing; hand the
-            # remainder back to the pool
-
-    def loop():
-        while True:
-            progressed = False
-            for t in tasks:
-                if t.finished:
-                    continue
-                if not t._lock.acquire(blocking=False):
-                    continue
-                try:
-                    if t.step():
-                        progressed = True
-                finally:
-                    t._lock.release()
-            with cond:
-                if state["done"] or state["error"]:
-                    return
-                if progressed:
-                    if state["idle"]:
-                        state["idle"] = 0
-                        cond.notify_all()
-                    continue
-                if all(t.finished for t in tasks):
-                    state["done"] = True
-                    cond.notify_all()
-                    return
-                state["idle"] += 1
-                if state["idle"] == workers:
-                    serial_verdict()
-                    state["idle"] = 0
-                    cond.notify_all()
-                    if state["done"] or state["error"]:
-                        return
-                    continue
-                cond.wait_for(lambda: state["done"] or state["error"]
-                              or state["idle"] == 0)
-                if state["done"] or state["error"]:
-                    return
-
-    threads = [threading.Thread(target=loop) for _ in range(workers)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    if state["error"]:
-        raise state["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +513,13 @@ class RunResult:
 
 
 def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None,
-        partition=None, workers: int = None) -> RunResult:
+        partition=None) -> RunResult:
     """Execute the pipeline on one input frame.
 
     image is H x W x C, row major, channel fastest, which is already the
     depth-first stream order. The cycle report is assembled from the
-    structural counters the stages collect, so repeated runs and
-    different worker counts give identical reports.
+    structural counters the stages collect, so repeated runs give
+    identical reports.
     """
     cfg = cfg or ModelConfig()
     ish = graph.net.input_shape
@@ -641,10 +535,7 @@ def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None,
     source = _Source(flat, graph.source_fifo)
     sink = _Sink(graph.sink_fifo, graph.net.output_shape.elements)
     tasks = [source] + list(graph.stages) + [sink]
-    if workers and workers > 1:
-        _drive_threaded(tasks, workers)
-    else:
-        _drive_sweep(tasks)
+    _drive_sweep(tasks)
     for fifo in graph.fifos:
         if fifo.occ != 0 or fifo.pushed != fifo.popped:
             raise QnnError("conservation violated on %s" % fifo.name)

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BufferEvictionError, ShapeError
-from .quant import check_accum_array, pack_bit_array
-
-ACCUM_BITS = 16
+from .quant import ACCUM_BITS, check_accum_array, packed_dot
 
 
 @dataclass(frozen=True)
@@ -114,6 +112,19 @@ def apply_threshold_matrix(accs: np.ndarray, mat: np.ndarray, inv: np.ndarray):
     ge = (accs[:, None] >= mat).sum(axis=1)
     le = (accs[:, None] <= mat).sum(axis=1)
     return np.where(inv, le, ge).astype(np.int32)
+
+
+def activation(thresholds):
+    """The epilogue of a conv or fc stage, as a function of its accumulators.
+
+    With per-channel thresholds it is the fused batchnorm + activation and
+    emits codes; without, the accumulators pass on as range-checked 16-bit
+    values.
+    """
+    if thresholds is None:
+        return lambda accs: check_accum_array(accs, ACCUM_BITS).astype(np.int32)
+    mat, inv = build_threshold_matrix(thresholds)
+    return lambda accs: apply_threshold_matrix(accs, mat, inv)
 
 
 class Stage:
@@ -281,33 +292,12 @@ class ConvStage(WindowedStage):
                          pad_value=0, first_compute=weights.out_ch,
                          buffer_capacity=buffer_capacity)
         self.weights = weights
-        self.n = in_shape.bits
-        self.fused = thresholds is not None
-        if self.fused:
-            self.thr_mat, self.thr_inv = build_threshold_matrix(thresholds)
-
-    def _dot_all(self, window: np.ndarray) -> np.ndarray:
-        planes = []
-        pops = []
-        for b in range(self.n):
-            plane = pack_bit_array((window >> b) & 1)
-            planes.append(plane)
-            pops.append(plane.bit_count())
-        accs = np.empty(self.weights.out_ch, dtype=np.int64)
-        for o, entry in enumerate(self.weights.entries):
-            acc = 0
-            for b in range(self.n):
-                acc += (2 * (entry & planes[b]).bit_count() - pops[b]) << b
-            accs[o] = acc
-        return accs
+        self.activate = activation(thresholds)
 
     def _compute(self, window):
-        accs = self._dot_all(window)
+        accs = packed_dot(self.weights.entries, window, self.in_shape.bits)
         self.compute_cycles += self.weights.out_ch
-        if self.fused:
-            return apply_threshold_matrix(accs, self.thr_mat, self.thr_inv)
-        check_accum_array(accs, ACCUM_BITS)
-        return accs.astype(np.int32)
+        return self.activate(accs)
 
 
 class FirstConvStage(WindowedStage):
@@ -329,19 +319,13 @@ class FirstConvStage(WindowedStage):
                          pad_value=0, first_compute=weights.out_ch,
                          buffer_capacity=buffer_capacity)
         self.weights = weights
-        signed = weights.to_signed()  # (K, K, I, O)
-        self.w_mat = np.moveaxis(signed, 3, 0).reshape(weights.out_ch, -1).astype(np.int64)
-        self.fused = thresholds is not None
-        if self.fused:
-            self.thr_mat, self.thr_inv = build_threshold_matrix(thresholds)
+        self.w_mat = weights.signed_matrix()
+        self.activate = activation(thresholds)
 
     def _compute(self, window):
         accs = self.w_mat @ window.astype(np.int64)
         self.compute_cycles += self.weights.out_ch
-        if self.fused:
-            return apply_threshold_matrix(accs, self.thr_mat, self.thr_inv)
-        check_accum_array(accs, ACCUM_BITS)
-        return accs.astype(np.int32)
+        return self.activate(accs)
 
 
 class MaxPoolStage(WindowedStage):
@@ -415,11 +399,8 @@ class ResidualJoinStage(Stage):
             skip = self.skip_fifo.pop(avail).astype(np.int64)
             sums = check_accum_array(reg + skip, ACCUM_BITS)
             chans = (self.el_done + np.arange(avail)) % self.in_shape.c
-            codes = np.where(
-                self.thr_inv[chans],
-                (sums[:, None] <= self.thr_mat[chans]).sum(axis=1),
-                (sums[:, None] >= self.thr_mat[chans]).sum(axis=1),
-            ).astype(np.int32)
+            codes = apply_threshold_matrix(sums, self.thr_mat[chans],
+                                           self.thr_inv[chans])
             self.el_done += avail
             self.real_el += avail
             self._emit(self.skip_out_fifo, sums.astype(np.int32))
@@ -534,35 +515,15 @@ class FcStage(Stage):
             raise ShapeError("%s: weights expect %d inputs, stream has %d"
                              % (name, weights.in_ch, in_shape.elements))
         self.weights = weights
-        self.fused = thresholds is not None
-        if self.fused:
-            self.thr_mat, self.thr_inv = build_threshold_matrix(thresholds)
+        self.activate = activation(thresholds)
         self.flat = np.empty(in_shape.elements, dtype=np.int32)
         self.el_done = 0
-        if in_shape.kind == "code":
-            self.n = in_shape.bits
-            self.w_mat = None
-        else:
-            self.n = None
-            signed = weights.to_signed()  # (1, 1, I, O)
-            self.w_mat = signed.reshape(weights.in_ch, weights.out_ch).T.astype(np.int64)
+        self.w_mat = None if in_shape.kind == "code" else weights.signed_matrix()
 
     def _accumulate(self) -> np.ndarray:
-        if self.w_mat is not None:
-            return self.w_mat @ self.flat.astype(np.int64)
-        planes = []
-        pops = []
-        for b in range(self.n):
-            plane = pack_bit_array((self.flat >> b) & 1)
-            planes.append(plane)
-            pops.append(plane.bit_count())
-        accs = np.empty(self.weights.out_ch, dtype=np.int64)
-        for o, entry in enumerate(self.weights.entries):
-            acc = 0
-            for b in range(self.n):
-                acc += (2 * (entry & planes[b]).bit_count() - pops[b]) << b
-            accs[o] = acc
-        return accs
+        if self.w_mat is None:
+            return packed_dot(self.weights.entries, self.flat, self.in_shape.bits)
+        return self.w_mat @ self.flat.astype(np.int64)
 
     def step(self) -> bool:
         progressed = self._flush()
@@ -580,12 +541,7 @@ class FcStage(Stage):
         if not self.ingest_done:
             accs = self._accumulate()
             self.compute_cycles += self.weights.out_ch
-            if self.fused:
-                out = apply_threshold_matrix(accs, self.thr_mat, self.thr_inv)
-            else:
-                check_accum_array(accs, ACCUM_BITS)
-                out = accs.astype(np.int32)
-            self._emit(self.out_fifo, out)
+            self._emit(self.out_fifo, self.activate(accs))
             self.ingest_done = True
             self._flush()
             progressed = True

@@ -25,6 +25,7 @@ channel outer, then row, column, channel fastest) followed by the
 gamma, mean, inv_std, bias arrays. Weights are binarized on load.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import NetdescError, ParamsError, ShapeError
 from .kernels import StreamShape
-from .quant import BnParams, WeightBlock, fold_batchnorm
+from .quant import ACCUM_BITS, BnParams, WeightBlock, fold_batchnorm
 
 DEFAULT_ACT_BITS = 2
 PARAMS_MAGIC = b"QNNP"
@@ -109,8 +110,8 @@ def _float_field(kv, key, line_no):
         val = float(kv[key])
     except ValueError:
         raise NetdescError("key %r wants a number, got %r" % (key, kv[key]), line_no)
-    if not val > 0:
-        raise NetdescError("key %r must be positive" % key, line_no)
+    if not (val > 0 and math.isfinite(val)):
+        raise NetdescError("key %r must be positive and finite" % key, line_no)
     return val
 
 
@@ -245,13 +246,13 @@ def _layer_out_shape(layer: LayerSpec, cur: StreamShape) -> StreamShape:
         oh, ow = spatial(cur.h, cur.w, layer.k, layer.s, layer.p)
         if layer.fused:
             return StreamShape(oh, ow, layer.o, "code", layer.act_bits)
-        return StreamShape(oh, ow, layer.o, "accum", 16)
+        return StreamShape(oh, ow, layer.o, "accum", ACCUM_BITS)
     if layer.kind == "maxpool":
         oh, ow = spatial(cur.h, cur.w, layer.k, layer.s, layer.p)
         return StreamShape(oh, ow, cur.c, cur.kind, cur.bits)
     if layer.kind == "avgpool":
         oh, ow = spatial(cur.h, cur.w, layer.k, layer.s, layer.p)
-        return StreamShape(oh, ow, cur.c, "accum", 16)
+        return StreamShape(oh, ow, cur.c, "accum", ACCUM_BITS)
     if layer.kind == "resblock":
         if cur.kind != "code":
             raise ShapeError("resblock needs an activation-code input")
@@ -267,7 +268,7 @@ def _layer_out_shape(layer: LayerSpec, cur: StreamShape) -> StreamShape:
     if layer.kind == "fc":
         if layer.fused:
             return StreamShape(1, 1, layer.o, "code", layer.act_bits)
-        return StreamShape(1, 1, layer.o, "accum", 16)
+        return StreamShape(1, 1, layer.o, "accum", ACCUM_BITS)
     raise ShapeError("unknown layer kind %r" % layer.kind)
 
 
@@ -329,15 +330,10 @@ class StagePlan:
     main_src: int = -1  # plan index feeding the main input, -1 = network source
     skip_src: int = None  # joins: plan feeding the skip input
     skip_shape: StreamShape = None  # tee/join: shape of the emitted skip stream
-    emits_skip: bool = False
 
     @property
     def out_ch(self) -> int:
         return self.out_shape.c
-
-    @property
-    def is_conv(self) -> bool:
-        return self.kind in ("firstconv", "conv", "fc")
 
 
 def expand_layers(net: NetworkSpec):
@@ -391,12 +387,13 @@ def expand_layers(net: NetworkSpec):
         elif layer.kind == "resblock":
             block_no += 1
             bname = "block%d" % block_no
-            mid = StreamShape(layer.out_shape.h, layer.out_shape.w, layer.o, "accum", 16)
+            mid = StreamShape(layer.out_shape.h, layer.out_shape.w, layer.o,
+                              "accum", ACCUM_BITS)
             if skip_provider is None:
-                wide_in = StreamShape(cur.h, cur.w, cur.c, "accum", 16)
+                wide_in = StreamShape(cur.h, cur.w, cur.c, "accum", ACCUM_BITS)
                 tee = add(name=bname + "_tee", kind="tee",
                           in_shape=cur, out_shape=cur, layer_index=li, role="tee",
-                          main_src=prev, skip_shape=wide_in, emits_skip=True)
+                          main_src=prev, skip_shape=wide_in)
                 prev = tee.index
                 skip_provider = (tee.index, wide_in)
             conv_a = add(name=bname + "_a", kind="conv",
@@ -421,12 +418,6 @@ def expand_layers(net: NetworkSpec):
                          main_src=join.index)
             prev = conv_b.index
             skip_provider = (join.index, mid)
-    for plan in plans:
-        if plan.kind == "join":
-            src = plans[plan.skip_src]
-            while src.kind == "subsample":
-                src = plans[src.main_src]
-            src.emits_skip = True
     return plans
 
 
@@ -610,8 +601,8 @@ def load_params(blob: bytes, net: NetworkSpec):
         raise ParamsError("parameter blob too short for its d header")
     d_header = rest[:layer_count]
     payload = rest[layer_count:]
-    if np.isnan(payload).any() or np.isnan(d_header).any():
-        raise ParamsError("parameter blob contains NaN")
+    if not (np.isfinite(payload).all() and np.isfinite(d_header).all()):
+        raise ParamsError("parameter blob contains NaN or infinity")
     reader = _Reader(payload)
     out = []
     for li, layer in enumerate(net.layers):

@@ -19,10 +19,6 @@ from .errors import AccumOverflowError, QuantizationError, ShapeError
 ACCUM_BITS = 16
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def pack_bits(bits) -> int:
     """Pack an iterable of 0/1 values into an int, index 0 = LSB."""
     value = 0
@@ -36,43 +32,6 @@ def pack_bit_array(bits: np.ndarray) -> int:
     # packbits gives little-endian bytes when bitorder matches int.from_bytes
     packed = np.packbits(bits.astype(np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
-
-
-@dataclass(frozen=True)
-class ActCode:
-    """An n-bit activation level, an unsigned code in [0, 2**n - 1]."""
-
-    code: int
-    n: int = 2
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise QuantizationError("activation bit-width must be >= 1")
-        if not 0 <= self.code < (1 << self.n):
-            raise QuantizationError(
-                "code %d out of range for %d-bit activation" % (self.code, self.n)
-            )
-
-
-@dataclass(frozen=True)
-class Accum:
-    """A signed accumulator value with an explicit bit-width."""
-
-    value: int
-    width: int = ACCUM_BITS
-
-    def __post_init__(self):
-        check_accum(self.value, self.width)
-
-
-def check_accum(value: int, width: int = ACCUM_BITS) -> int:
-    lo = -(1 << (width - 1))
-    hi = (1 << (width - 1)) - 1
-    if not lo <= value <= hi:
-        raise AccumOverflowError(
-            "value %d does not fit a signed %d-bit accumulator" % (value, width)
-        )
-    return value
 
 
 def check_accum_array(values: np.ndarray, width: int = ACCUM_BITS) -> np.ndarray:
@@ -126,20 +85,16 @@ class WeightBlock:
         entries = tuple(pack_bit_array(row) for row in flat)
         return cls(k=k, in_ch=in_ch, out_ch=out_ch, entries=entries)
 
-    def to_signed(self) -> np.ndarray:
-        """Unpack back to a K x K x I x O tensor of +1 / -1 (int8)."""
+    def signed_matrix(self) -> np.ndarray:
+        """Unpack to an (out_ch, entry_bits) int64 matrix of +1 / -1, one
+        row per entry, columns in the entry's flat index order."""
         span = self.entry_bits
         nbytes = (span + 7) // 8
-        rows = np.empty((self.out_ch, span), dtype=np.int8)
+        rows = np.empty((self.out_ch, span), dtype=np.int64)
         for o, e in enumerate(self.entries):
             raw = np.frombuffer(e.to_bytes(nbytes, "little"), dtype=np.uint8)
             rows[o] = np.unpackbits(raw, bitorder="little")[:span]
-        signed = rows * 2 - 1
-        return np.moveaxis(signed.reshape(self.out_ch, self.k, self.k, self.in_ch), 0, 3)
-
-
-def binarize_weights(raw: np.ndarray) -> WeightBlock:
-    return WeightBlock.from_float(raw)
+        return rows * 2 - 1
 
 
 def plane_dot(weights: int, plane: int, length: int) -> int:
@@ -151,7 +106,7 @@ def plane_dot(weights: int, plane: int, length: int) -> int:
         raise ShapeError("packed operands must be nonnegative")
     if weights.bit_length() > length or plane.bit_length() > length:
         raise ShapeError("operand longer than declared length %d" % length)
-    return 2 * popcount(weights & plane) - popcount(plane)
+    return 2 * (weights & plane).bit_count() - plane.bit_count()
 
 
 def codes_to_planes(codes, n: int):
@@ -179,6 +134,28 @@ def quantized_dot(weights: int, codes, length: int, n: int) -> int:
     for b, plane in enumerate(codes_to_planes(codes, n)):
         total += plane_dot(weights, plane, length) << b
     return total
+
+
+def packed_dot(entries, codes: np.ndarray, n: int) -> np.ndarray:
+    """quantized_dot of every packed weight entry against one code vector.
+
+    The codes are split into n packed bit planes once; each entry then
+    meets each plane in one AND + popcount, and the planes combine by
+    shift-add. This is the datapath of every binarized conv and fc stage.
+    """
+    planes = []
+    pops = []
+    for b in range(n):
+        plane = pack_bit_array((codes >> b) & 1)
+        planes.append(plane)
+        pops.append(plane.bit_count())
+    accs = np.empty(len(entries), dtype=np.int64)
+    for o, entry in enumerate(entries):
+        acc = 0
+        for b in range(n):
+            acc += (2 * (entry & planes[b]).bit_count() - pops[b]) << b
+        accs[o] = acc
+    return accs
 
 
 @dataclass(frozen=True)

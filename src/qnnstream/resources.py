@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .engine import (
     ModelConfig,
     Partition,
+    _ceil_div,
     plan_edges,
     simulate_partition,
     skip_store_elements,
@@ -37,10 +38,6 @@ CACHE_DEPTH_GRANULE = 512
 M20K_DEPTH = 512
 M20K_WIDTH = 40
 M20K_BITS = M20K_DEPTH * M20K_WIDTH
-
-
-def _ceil_div(a, b):
-    return -(-a // b)
 
 
 @dataclass(frozen=True)

@@ -125,14 +125,14 @@ def drive_stage(stage, in_data, skip_data=None):
     Returns (main output, skip output or None) as int64 arrays.
     """
     big = max(len(in_data), 1) * 8 + 64
-    stage.in_fifo = Fifo(big, 32, "code", "in")
-    stage.out_fifo = Fifo(big, 32, "code", "out")
+    stage.in_fifo = Fifo(big, "in")
+    stage.out_fifo = Fifo(big, "out")
     stage.in_fifo.push(np.asarray(in_data, dtype=np.int32))
     if skip_data is not None:
-        stage.skip_fifo = Fifo(big, 32, "accum", "skip-in")
+        stage.skip_fifo = Fifo(big, "skip-in")
         stage.skip_fifo.push(np.asarray(skip_data, dtype=np.int32))
     if hasattr(stage, "skip_out_fifo"):
-        stage.skip_out_fifo = Fifo(big, 32, "accum", "skip-out")
+        stage.skip_out_fifo = Fifo(big, "skip-out")
     while not stage.finished:
         if not stage.step():
             raise AssertionError("stage %s made no progress" % stage.name)

@@ -50,16 +50,3 @@ def test_joins_never_starved(builtin_case):
     assert all(j.stalled_on_skip == 0 for j in joins)
     for f in graph.fifos:
         assert f.max_occ <= f.capacity
-
-
-def test_threaded_run_matches_serial():
-    net = BUILTIN_BUILDERS["vgg"]()
-    rng = np.random.default_rng(SEEDS["vgg"])
-    params = load_params(random_params(net, rng), net)
-    ish = net.input_shape
-    img = rng.integers(0, 1 << ish.bits, size=(ish.h, ish.w, ish.c),
-                       dtype=np.uint8)
-    serial = run(build_graph(net, params), img, ModelConfig())
-    threaded = run(build_graph(net, params), img, ModelConfig(), workers=4)
-    assert np.array_equal(threaded.output, serial.output)
-    assert threaded.report == serial.report

@@ -69,15 +69,6 @@ def test_run_image_file_matches_seed(net_file, tmp_path, capsys):
     assert capsys.readouterr().out == seeded
 
 
-def test_run_workers_identical(net_file, capsys):
-    argv = ["run", "--net", net_file, "--random-params", "3",
-            "--random-image", "4", "--format", "json"]
-    assert main(argv) == 0
-    serial = capsys.readouterr().out
-    assert main(argv + ["--workers", "3"]) == 0
-    assert capsys.readouterr().out == serial
-
-
 # ---------------------------------------------------------------------------
 # estimate
 
@@ -164,6 +155,13 @@ def test_net_and_builtin_conflict(net_file, capsys):
 
 def test_neither_net_nor_builtin(capsys):
     assert main(["estimate"]) == 1
+
+
+@pytest.mark.parametrize("clock", ["abc", "nan"])
+def test_estimate_bad_clock_exits_1(clock, capsys):
+    rc = main(["estimate", "--builtin", "resnet18", "--clock-mhz", clock])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_params_flag_conflict(net_file, capsys):

@@ -120,6 +120,11 @@ def test_model_config_validation():
         ModelConfig(clock_mhz=0)
     with pytest.raises(QnnError):
         ModelConfig(c_mac=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(QnnError):
+            ModelConfig(clock_mhz=bad)
+        with pytest.raises(QnnError):
+            ModelConfig(link_gbps=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +141,6 @@ def test_run_validates_input(res_case):
         run(build_graph(net, params), bad, ModelConfig())
 
 
-def test_workers_deterministic(res_case):
-    net, params, img = res_case
-    base = run(build_graph(net, params), img, ModelConfig())
-    for workers in (1, 2, 4):
-        res = run(build_graph(net, params), img, ModelConfig(),
-                  workers=workers)
-        assert np.array_equal(res.output, base.output)
-        assert res.report == base.report
-
-
 def test_fifo_conservation(res_case):
     net, params, img = res_case
     graph = build_graph(net, params)
@@ -155,12 +150,17 @@ def test_fifo_conservation(res_case):
         assert f.pushed == f.popped
 
 
-def test_tiny_fifo_capacity_same_output(res_case):
+@pytest.mark.parametrize("capacity", [1, 2, 3, 7, None],
+                         ids=["1", "2", "3", "7", "default"])
+def test_tiny_fifo_capacity_same_output(res_case, capacity):
+    # any capacity >= 1 only changes the schedule; a second default-sized
+    # run also pins that repeated runs agree
     net, params, img = res_case
     base = run(build_graph(net, params), img, ModelConfig())
-    tiny = run(build_graph(net, params, fifo_capacity=1), img, ModelConfig())
-    assert np.array_equal(tiny.output, base.output)
-    assert tiny.report == base.report
+    other = run(build_graph(net, params, fifo_capacity=capacity), img,
+                ModelConfig())
+    assert np.array_equal(other.output, base.output)
+    assert other.report == base.report
 
 
 def test_skip_fifo_never_starves_join(res_case):

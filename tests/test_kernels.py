@@ -283,9 +283,9 @@ def test_two_output_stage_does_not_serialize():
     # skip consumer lags still has to keep feeding the compute path
     shape = StreamShape(1, 4, 1, "code", 2)
     stage = TeeWidenStage("tee", shape)
-    stage.in_fifo = Fifo(8, 2, "code", "in")
-    stage.out_fifo = Fifo(8, 2, "code", "out")
-    stage.skip_out_fifo = Fifo(1, 16, "accum", "skip")
+    stage.in_fifo = Fifo(8, "in")
+    stage.out_fifo = Fifo(8, "out")
+    stage.skip_out_fifo = Fifo(1, "skip")
     stage.in_fifo.push(np.array([1, 2, 3, 0], dtype=np.int32))
     while stage.step():
         pass

@@ -76,6 +76,8 @@ def test_emit_roundtrip_random(rng):
     ("input 4 4 4 2\nresblock o=2 s=1 d=1 proj\n", 2, "shrink"),
     ("input 4 4 1 2\nconv k=1 s=1 p=0 o=1 act=none\nconv k=1 s=1 p=0 o=1"
      " d=1 act=1\n", 3, "accum"),
+    ("input 4 4 1 2\nconv k=1 s=1 p=0 o=1 d=inf\n", 2, "finite"),
+    ("input 4 4 1 2\nresblock o=1 s=1 d=nan\n", 2, "positive"),
     ("", 1, "empty"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, frag):
@@ -197,10 +199,11 @@ def test_blob_error_paths(rng):
     with pytest.raises(ParamsError, match="d"):
         load_params(bytes(bad), net)
 
-    bad = bytearray(blob)
-    bad[-4:] = np.float32("nan").tobytes()
-    with pytest.raises(ParamsError, match="NaN"):
-        load_params(bytes(bad), net)
+    for value in ("nan", "inf", "-inf"):
+        bad = bytearray(blob)
+        bad[-4:] = np.float32(value).tobytes()
+        with pytest.raises(ParamsError, match="NaN"):
+            load_params(bytes(bad), net)
 
 
 def test_blob_rejects_degenerate_bn(rng):

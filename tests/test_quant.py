@@ -5,23 +5,19 @@ from hypothesis import given, settings, assume, strategies as st
 from qnnstream.errors import AccumOverflowError, QuantizationError, ShapeError
 from qnnstream.quant import (
     ACCUM_BITS,
-    Accum,
-    ActCode,
     BnParams,
     BnQuantizer,
     ThresholdSet,
     WeightBlock,
     apply_threshold,
     batchnorm,
-    binarize_weights,
-    check_accum,
     check_accum_array,
     codes_to_planes,
     fold_batchnorm,
     pack_bit_array,
     pack_bits,
+    packed_dot,
     plane_dot,
-    popcount,
     quantize_reference,
     quantized_dot,
 )
@@ -31,8 +27,10 @@ from qnnstream.quant import (
 # packing primitives
 
 def test_popcount_matches_bin():
+    # against all-ones weights a plane's dot product is its popcount
+    ones = (1 << 64) - 1
     for x in [0, 1, 2, 3, 255, 1 << 40, (1 << 64) - 1]:
-        assert popcount(x) == bin(x).count("1")
+        assert plane_dot(ones, x, 64) == bin(x).count("1")
 
 
 def test_pack_bits_lsb_first():
@@ -51,33 +49,20 @@ def test_pack_bit_array_matches_pack_bits(rng):
 # value types
 
 def test_act_code_range():
-    ActCode(3, 2)
-    ActCode(0, 1)
+    codes_to_planes([3, 0], 2)
+    codes_to_planes([0, 1], 1)
     with pytest.raises(QuantizationError):
-        ActCode(4, 2)
+        codes_to_planes([4], 2)
     with pytest.raises(QuantizationError):
-        ActCode(-1, 2)
-    with pytest.raises(QuantizationError):
-        ActCode(0, 0)
-
-
-def test_accum_bounds():
-    Accum(32767)
-    Accum(-32768)
-    with pytest.raises(AccumOverflowError):
-        Accum(32768)
-    with pytest.raises(AccumOverflowError):
-        Accum(-32769)
-    assert check_accum(5) == 5
-    with pytest.raises(AccumOverflowError):
-        check_accum(1 << 20)
+        codes_to_planes([-1], 2)
 
 
 def test_check_accum_array():
     ok = np.array([32767, -32768, 0])
     assert check_accum_array(ok) is ok
-    with pytest.raises(AccumOverflowError):
-        check_accum_array(np.array([0, 32768]))
+    for bad in (32768, -32769, 1 << 20):
+        with pytest.raises(AccumOverflowError):
+            check_accum_array(np.array([0, bad]))
     check_accum_array(np.array([], dtype=np.int64))
 
 
@@ -88,15 +73,16 @@ def test_weight_block_roundtrip(rng):
     raw = rng.standard_normal((3, 3, 4, 5)).astype(np.float32)
     wb = WeightBlock.from_float(raw)
     assert wb.k == 3 and wb.in_ch == 4 and wb.out_ch == 5
-    signed = wb.to_signed()
-    assert signed.shape == raw.shape
-    assert np.array_equal(signed, np.where(raw >= 0, 1, -1))
+    signed = wb.signed_matrix()
+    assert signed.dtype == np.int64 and signed.shape == (5, 3 * 3 * 4)
+    expect = np.moveaxis(np.where(raw >= 0, 1, -1), 3, 0).reshape(5, -1)
+    assert np.array_equal(signed, expect)
 
 
 def test_weight_block_zero_is_plus_one():
     raw = np.zeros((1, 1, 2, 1), dtype=np.float32)
-    wb = binarize_weights(raw)
-    assert np.array_equal(wb.to_signed().reshape(-1), [1, 1])
+    wb = WeightBlock.from_float(raw)
+    assert np.array_equal(wb.signed_matrix().reshape(-1), [1, 1])
 
 
 def test_weight_block_entry_layout():
@@ -149,14 +135,20 @@ def test_codes_to_planes_reconstructs():
 
 
 def test_quantized_dot_matches_signed_dot(rng):
+    # packed_dot, the stages' kernel, must agree with the scalar reference
+    # on every entry, including entries longer than one 64-bit word
     for _ in range(50):
-        length = int(rng.integers(1, 40))
+        length = int(rng.integers(1, 200))
         n = int(rng.integers(1, 4))
-        w = int(rng.integers(0, 1 << length)) if length < 63 else \
-            pack_bit_array(rng.integers(0, 2, length))
+        entries = tuple(pack_bit_array(rng.integers(0, 2, length))
+                        for _ in range(3))
         codes = rng.integers(0, 1 << n, length)
-        signs = np.array([2 * ((w >> j) & 1) - 1 for j in range(length)])
-        assert quantized_dot(w, codes.tolist(), length, n) == int(signs @ codes)
+        kernel = packed_dot(entries, codes, n)
+        assert kernel.dtype == np.int64
+        for w, got in zip(entries, kernel):
+            signs = np.array([2 * ((w >> j) & 1) - 1 for j in range(length)])
+            assert quantized_dot(w, codes.tolist(), length, n) == int(signs @ codes)
+            assert got == int(signs @ codes)
 
 
 def test_quantized_dot_length_check():

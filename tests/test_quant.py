@@ -57,6 +57,15 @@ def test_act_code_range():
         codes_to_planes([-1], 2)
 
 
+def test_accum_bounds():
+    # the 16-bit accumulator range, value by value
+    for good in (32767, -32768, 5):
+        check_accum_array(np.array([good]))
+    for bad in (32768, -32769, 1 << 20):
+        with pytest.raises(AccumOverflowError):
+            check_accum_array(np.array([bad]))
+
+
 def test_check_accum_array():
     ok = np.array([32767, -32768, 0])
     assert check_accum_array(ok) is ok

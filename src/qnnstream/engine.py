@@ -39,7 +39,6 @@ from .kernels import (
     MaxPoolStage,
     ResidualJoinStage,
     SkipDownsampleStage,
-    Stage,
     TeeWidenStage,
     line_buffer_capacity,
 )
@@ -52,7 +51,6 @@ class ModelConfig:
     stall_model: str = "chained"  # chained | isolated
     c_mac: int = 1
     clock_mhz: float = 105.0
-    link_fill_cycles: int = 0
     link_gbps: float = 2.0
 
     def __post_init__(self):
@@ -85,10 +83,6 @@ class Fifo:
         self.pushed = 0
         self.popped = 0
         self.max_occ = 0
-
-    @property
-    def avail(self) -> int:
-        return self.occ
 
     def push(self, arr) -> int:
         take = min(self.capacity - self.occ, len(arr))
@@ -183,12 +177,6 @@ class StageGraph:
         self.source_fifo = source_fifo
         self.sink_fifo = sink_fifo
 
-    def stage(self, name: str) -> Stage:
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
 
 def _stage_for(plan, layer_params):
     if plan.kind in ("conv", "firstconv"):
@@ -222,6 +210,11 @@ def _stage_for(plan, layer_params):
     raise QnnError("unknown stage kind %r" % plan.kind)
 
 
+def _window_fill(plan) -> int:
+    """Elements a windowed stage ingests before its first window fires."""
+    return line_buffer_capacity(plan.in_shape.c, plan.in_shape.w + 2 * plan.p, plan.k)
+
+
 def skip_store_elements(plans, join_plan) -> int:
     """Provisioned skip store size for a residual join, in elements.
 
@@ -231,9 +224,7 @@ def skip_store_elements(plans, join_plan) -> int:
     Holds whenever the two convolutions between fork and join keep the
     usual half-window padding and the stream rate does not grow.
     """
-    conv_a = plans[join_plan.main_src]
-    return line_buffer_capacity(conv_a.in_shape.c,
-                                conv_a.in_shape.w + 2 * conv_a.p, conv_a.k)
+    return _window_fill(plans[join_plan.main_src])
 
 
 def skip_capacity(plans, join_plan) -> int:
@@ -248,15 +239,10 @@ def skip_capacity(plans, join_plan) -> int:
     store size is kept as a floor.
     """
     conv_a = plans[join_plan.main_src]
-
-    def fill_els(plan):
-        wp = plan.in_shape.w + 2 * plan.p
-        return ((plan.k - 1) * wp + plan.k) * plan.in_shape.c
-
-    need = fill_els(conv_a) + 2 * conv_a.in_shape.w * conv_a.in_shape.c
+    need = _window_fill(conv_a) + 2 * conv_a.in_shape.w * conv_a.in_shape.c
     prev = plans[conv_a.main_src] if conv_a.main_src >= 0 else None
     if prev is not None and prev.kind == "conv":
-        need += fill_els(prev)
+        need += _window_fill(prev)
     out_els = conv_a.out_shape.elements
     bound = -(-need * out_els // conv_a.in_shape.elements)
     total = out_els + 2 * conv_a.out_shape.w * conv_a.out_shape.c
@@ -288,9 +274,11 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
 
     Regular FIFOs default to one scan line of elements; fifo_capacity
     overrides them (any value >= 1 preserves outputs, only schedules
-    change). Skip FIFOs always use the sizing rule: the same element
-    count as the line buffer of the block's first convolution, which is
-    exactly what makes the adder never wait on the skip side.
+    change). The FIFO into a join's skip input always takes
+    skip_capacity, which covers the fork's whole run-ahead across the
+    block and so keeps the adder from waiting on the skip side. That is
+    larger than the provisioned store of skip_store_elements (1.4 to 2.9
+    times on resnet18's joins); at the store size alone joins can stall.
     """
     plans = expand_layers(net)
     if params is None or len(params) != len(net.layers):
@@ -404,7 +392,7 @@ def analytic_counters(plans):
             pad_el = (hp * wp - ish.h * ish.w) * ish.c
             is_conv = p.kind in ("conv", "firstconv")
             compute = p.out_shape.pixels * p.out_ch if is_conv else 0
-            fill_el = ((p.k - 1) * wp + p.k) * ish.c
+            fill_el = _window_fill(p)
             first = p.out_ch if is_conv else 0
         elif p.kind == "fc":
             pad_el = 0
@@ -463,16 +451,15 @@ def assemble_report(counters, cfg: ModelConfig, partition=None) -> CycleReport:
         computes.append(c.compute * cfg.c_mac)
     busy = [iu + comp for iu, comp in zip(in_units, computes)]
     ranges = partition.ranges if partition is not None else ((0, n - 1),)
-    n_links = len(ranges) - 1
     if cfg.stall_model == "isolated":
-        total = max(busy) + sum(fills) + n_links * cfg.link_fill_cycles
+        total = max(busy) + sum(fills)
     else:
         spans = []
         for a, b in ranges:
             span = in_units[a] + sum(pad_units[i] for i in range(a + 1, b + 1)) \
                 + sum(computes[i] for i in range(a, b + 1))
             spans.append(span)
-        total = max(spans) + n_links * cfg.link_fill_cycles
+        total = max(spans)
     if total < max(busy):
         raise QnnError("cycle model inconsistency: total below busiest stage")
     bottleneck = counters[int(np.argmax(busy))].name

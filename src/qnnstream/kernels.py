@@ -7,12 +7,14 @@ element that has already been evicted is a hard fault, which is how the
 buffer sizing formula is validated.
 
 Stages are driven by an external scheduler through step(). A step makes
-as much progress as the attached FIFOs allow and never blocks. All cycle
-counters are structural (functions of shapes and the trigger rule alone),
-so they do not depend on scheduling order.
+as much progress as the attached FIFOs allow and never blocks. The step
+loop is written once, in Stage; each stage kind supplies _advance(),
+which consumes one unit of input (a pixel, or a chunk of elements) and
+emits what that unit completes. All cycle counters are structural
+(functions of shapes and the trigger rule alone), so they do not depend
+on scheduling order.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,13 +130,22 @@ def activation(thresholds):
 
 
 class Stage:
-    """Base class: counters, pending-output bookkeeping, emission.
+    """Base class: the step loop, counters, pending output.
 
-    Pending output is queued per destination FIFO. A stage with two
-    outputs (a join feeding both the skip chain and the next conv) must
-    not let a momentarily full skip FIFO hold up codes bound elsewhere:
-    the codes are what ultimately drain that skip FIFO, so serializing
-    the two would deadlock. Order is still preserved per FIFO.
+    step() is the one step loop. It offers any pending output to its
+    FIFOs, then calls _advance() until that returns False (the input is
+    not there), output is left pending (a FIFO is full) or the whole
+    input is ingested. It never blocks. Each stage kind supplies only
+    _advance(): consume one unit of input (a pixel, or a chunk of
+    elements), emit what that unit completes, and say whether it moved.
+
+    _advance() runs only when nothing is pending and emits at most one
+    array per FIFO, so pending output is one array per destination FIFO.
+    A stage with two outputs (a join feeding both the skip chain and the
+    next conv) must not let a momentarily full skip FIFO hold up codes
+    bound elsewhere: the codes are what ultimately drain that skip FIFO,
+    so serializing the two would deadlock. Order is still preserved per
+    FIFO.
     """
 
     def __init__(self, name: str, kind: str, in_shape, out_shape, first_compute: int = 0):
@@ -152,7 +163,7 @@ class Stage:
         self.compute_cycles = 0
         self.fill_el = None  # elements ingested when the first output appeared
         self.ingest_done = False
-        self.pending = {}  # fifo -> deque of [array, offset]
+        self.pending = {}  # fifo -> the part of an emitted array it has not taken
 
     def _fill_value(self) -> int:
         return self.real_el + self.pad_el
@@ -160,44 +171,46 @@ class Stage:
     def _emit(self, fifo, arr: np.ndarray):
         if self.fill_el is None:
             self.fill_el = self._fill_value()
-        if fifo is None:
-            return
-        self.pending.setdefault(fifo, deque()).append([arr, 0])
+        if fifo is not None:
+            self.pending[fifo] = arr
 
     def _flush(self) -> bool:
         progressed = False
-        for fifo, queue in self.pending.items():
-            while queue:
-                slot = queue[0]
-                taken = fifo.push(slot[0][slot[1]:])
-                if taken:
-                    progressed = True
-                    slot[1] += taken
-                if slot[1] < len(slot[0]):
-                    break
-                queue.popleft()
+        for fifo, arr in list(self.pending.items()):
+            taken = fifo.push(arr)
+            if taken == len(arr):
+                del self.pending[fifo]
+            elif taken:
+                self.pending[fifo] = arr[taken:]
+            progressed = progressed or taken > 0
         return progressed
 
     @property
-    def has_pending(self) -> bool:
-        return any(self.pending.values())
-
-    @property
     def finished(self) -> bool:
-        return self.ingest_done and not self.has_pending
+        return self.ingest_done and not self.pending
+
+    def _advance(self) -> bool:
+        raise NotImplementedError
 
     def step(self) -> bool:
-        raise NotImplementedError
+        progressed = self._flush() if self.pending else False
+        while not (self.pending or self.ingest_done):
+            if not self._advance():
+                break
+            progressed = True
+            if self.pending:
+                self._flush()
+        return progressed
 
 
 class WindowedStage(Stage):
     """Common machinery for stages that slide a K x K window.
 
-    The ingest cursor walks the padded coordinate grid in scan order.
-    Pad positions inject pad_value without consuming input; they still
-    cost one input unit, since the real stream is halted while the pad
-    element is fed in. After each completed pixel the trigger rule fires
-    at most one output position.
+    The ingest cursor walks the padded coordinate grid in scan order, one
+    pixel per _advance. Pad positions inject pad_value without consuming
+    input; they still cost one input unit, since the real stream is
+    halted while the pad element is fed in. After each completed pixel
+    the trigger rule fires at most one output position.
     """
 
     def __init__(self, name, kind, in_shape, out_shape, k, s, p,
@@ -221,7 +234,7 @@ class WindowedStage(Stage):
         self.lbuf = LineBuffer(buffer_capacity, name=name)
         self.pad_chunk = np.full(c, pad_value, dtype=np.int32)
         self.cursor = 0  # padded pixel index
-        self.partial_have = 0
+        self.total_px = self.hp * self.wp
         # window gather pattern relative to the top-left element
         rows = (np.arange(k) * self.wp)[:, None] + np.arange(k)[None, :]
         self.win_offsets = (rows.reshape(-1, 1) * c + np.arange(c)[None, :]).reshape(-1)
@@ -238,38 +251,26 @@ class WindowedStage(Stage):
         window = self.lbuf.gather(base + self.win_offsets)
         self._emit(self.out_fifo, self._compute(window))
 
-    def step(self) -> bool:
-        progressed = self._flush()
-        if self.has_pending:
-            return progressed
-        c = self.in_shape.c
-        total_px = self.hp * self.wp
-        while self.cursor < total_px:
-            pr, pc = divmod(self.cursor, self.wp)
-            in_pad = (pr < self.p or pr >= self.p + self.in_shape.h
-                      or pc < self.p or pc >= self.p + self.in_shape.w)
-            if in_pad:
-                self.lbuf.push(self.pad_chunk)
-                self.pad_el += c
-            else:
-                got = self.in_fifo.pop(c - self.partial_have)
-                if len(got):
-                    self.lbuf.push(got)
-                    self.partial_have += len(got)
-                    self.real_el += len(got)
-                    progressed = True
-                if self.partial_have < c:
-                    return progressed
-                self.partial_have = 0
-            progressed = True
-            self.cursor += 1
-            self._fire(pr, pc)
-            if self.has_pending:
-                self._flush()
-                if self.has_pending:
-                    return progressed
-        self.ingest_done = True
-        return progressed
+    def _advance(self) -> bool:
+        pr, pc = divmod(self.cursor, self.wp)
+        p = self.p
+        if pr < p or pr >= p + self.in_shape.h or pc < p or pc >= p + self.in_shape.w:
+            self.lbuf.push(self.pad_chunk)
+            self.pad_el += len(self.pad_chunk)
+        else:
+            if not self.in_fifo.occ:
+                return False
+            c = self.in_shape.c
+            have = self.real_el % c
+            got = self.in_fifo.pop(c - have)
+            self.lbuf.push(got)
+            self.real_el += len(got)
+            if have + len(got) < c:
+                return True
+        self.cursor += 1
+        self.ingest_done = self.cursor == self.total_px
+        self._fire(pr, pc)
+        return True
 
 
 class ConvStage(WindowedStage):
@@ -358,7 +359,26 @@ class AvgPoolStage(WindowedStage):
         return rounded.astype(np.int32)
 
 
-class ResidualJoinStage(Stage):
+class ElementwiseStage(Stage):
+    """Base for stages that map their input element by element.
+
+    Any chunk of input can be consumed and passed on at once, so an
+    output exists as soon as the first element is in.
+    """
+
+    def __init__(self, name, kind, in_shape, out_shape):
+        super().__init__(name, kind, in_shape, out_shape)
+        self.el_total = in_shape.elements
+
+    def _fill_value(self) -> int:
+        return 1
+
+    def _ingested(self, n: int):
+        self.real_el += n
+        self.ingest_done = self.real_el == self.el_total
+
+
+class ResidualJoinStage(ElementwiseStage):
     """Elementwise 16-bit sum of the regular path and the skip path.
 
     The sum is split two ways: raw accumulators continue down the skip
@@ -375,45 +395,26 @@ class ResidualJoinStage(Stage):
         self.skip_fifo = None
         self.skip_out_fifo = None
         self.thr_mat, self.thr_inv = build_threshold_matrix(thresholds)
-        self.el_total = shape.elements
-        self.el_done = 0
         self.stalled_on_skip = 0
 
-    def _fill_value(self):
-        # elementwise: the first output exists once the first pair is in
-        return self._chunk_base + 1
-
-    def step(self) -> bool:
-        progressed = self._flush()
-        if self.has_pending:
-            return progressed
-        while self.el_done < self.el_total:
-            want = self.el_total - self.el_done
-            avail = min(self.in_fifo.avail, self.skip_fifo.avail, want)
-            if avail == 0:
-                if self.in_fifo.avail and not self.skip_fifo.avail:
-                    self.stalled_on_skip += 1
-                return progressed
-            self._chunk_base = self.el_done
-            reg = self.in_fifo.pop(avail).astype(np.int64)
-            skip = self.skip_fifo.pop(avail).astype(np.int64)
-            sums = check_accum_array(reg + skip, ACCUM_BITS)
-            chans = (self.el_done + np.arange(avail)) % self.in_shape.c
-            codes = apply_threshold_matrix(sums, self.thr_mat[chans],
-                                           self.thr_inv[chans])
-            self.el_done += avail
-            self.real_el += avail
-            self._emit(self.skip_out_fifo, sums.astype(np.int32))
-            self._emit(self.out_fifo, codes)
-            progressed = True
-            self._flush()
-            if self.has_pending:
-                return progressed
-        self.ingest_done = True
-        return progressed
+    def _advance(self) -> bool:
+        n = min(self.in_fifo.occ, self.skip_fifo.occ, self.el_total - self.real_el)
+        if not n:
+            if self.in_fifo.occ:
+                self.stalled_on_skip += 1
+            return False
+        reg = self.in_fifo.pop(n).astype(np.int64)
+        skip = self.skip_fifo.pop(n).astype(np.int64)
+        sums = check_accum_array(reg + skip, ACCUM_BITS)
+        chans = (self.real_el + np.arange(n)) % self.in_shape.c
+        codes = apply_threshold_matrix(sums, self.thr_mat[chans], self.thr_inv[chans])
+        self._ingested(n)
+        self._emit(self.skip_out_fifo, sums.astype(np.int32))
+        self._emit(self.out_fifo, codes)
+        return True
 
 
-class TeeWidenStage(Stage):
+class TeeWidenStage(ElementwiseStage):
     """Splits a code stream at the start of a residual run.
 
     Codes pass through unchanged on the regular path; the same values,
@@ -423,34 +424,18 @@ class TeeWidenStage(Stage):
     def __init__(self, name, shape):
         super().__init__(name, "tee", shape, shape)
         self.skip_out_fifo = None
-        self.el_total = shape.elements
-        self.el_done = 0
 
-    def _fill_value(self):
-        return self._chunk_base + 1
-
-    def step(self) -> bool:
-        progressed = self._flush()
-        if self.has_pending:
-            return progressed
-        while self.el_done < self.el_total:
-            self._chunk_base = self.el_done
-            got = self.in_fifo.pop(self.el_total - self.el_done)
-            if not len(got):
-                return progressed
-            self.el_done += len(got)
-            self.real_el += len(got)
-            self._emit(self.skip_out_fifo, got.copy())
-            self._emit(self.out_fifo, got)
-            progressed = True
-            self._flush()
-            if self.has_pending:
-                return progressed
-        self.ingest_done = True
-        return progressed
+    def _advance(self) -> bool:
+        got = self.in_fifo.pop(self.el_total - self.real_el)
+        if not len(got):
+            return False
+        self._ingested(len(got))
+        self._emit(self.skip_out_fifo, got.copy())
+        self._emit(self.out_fifo, got)
+        return True
 
 
-class SkipDownsampleStage(Stage):
+class SkipDownsampleStage(ElementwiseStage):
     """Adapts a skip stream across a shape change, parameter free.
 
     Keeps every stride-th pixel and zero fills the new channels. The
@@ -465,39 +450,21 @@ class SkipDownsampleStage(Stage):
         if (in_shape.h - 1) // s + 1 != out_shape.h or (in_shape.w - 1) // s + 1 != out_shape.w:
             raise ShapeError("%s: subsample shapes do not compose" % name)
         self.s = s
-        self.el_total = in_shape.elements
-        self.el_done = 0
-        self.extra = out_shape.c - in_shape.c
+        self.zero_fill = np.zeros(out_shape.c - in_shape.c, dtype=np.int32)
 
-    def _fill_value(self):
-        return self._chunk_base + 1
-
-    def step(self) -> bool:
-        progressed = self._flush()
-        if self.has_pending:
-            return progressed
+    def _advance(self) -> bool:
         c = self.in_shape.c
-        w = self.in_shape.w
-        while self.el_done < self.el_total:
-            px = self.el_done // c
-            have = self.el_done % c
-            self._chunk_base = self.el_done
-            got = self.in_fifo.pop(c - have)
-            if not len(got):
-                return progressed
-            self.el_done += len(got)
-            self.real_el += len(got)
-            progressed = True
-            r, col = divmod(px, w)
-            if r % self.s == 0 and col % self.s == 0:
-                self._emit(self.out_fifo, got)
-                if have + len(got) == c and self.extra:
-                    self._emit(self.out_fifo, np.zeros(self.extra, dtype=np.int32))
-                self._flush()
-                if self.has_pending:
-                    return progressed
-        self.ingest_done = True
-        return progressed
+        px, have = divmod(self.real_el, c)
+        got = self.in_fifo.pop(c - have)
+        if not len(got):
+            return False
+        self._ingested(len(got))
+        r, col = divmod(px, self.in_shape.w)
+        if r % self.s == 0 and col % self.s == 0:
+            if have + len(got) == c and len(self.zero_fill):
+                got = np.concatenate([got, self.zero_fill])
+            self._emit(self.out_fifo, got)
+        return True
 
 
 class FcStage(Stage):
@@ -517,7 +484,6 @@ class FcStage(Stage):
         self.weights = weights
         self.activate = activation(thresholds)
         self.flat = np.empty(in_shape.elements, dtype=np.int32)
-        self.el_done = 0
         self.w_mat = None if in_shape.kind == "code" else weights.signed_matrix()
 
     def _accumulate(self) -> np.ndarray:
@@ -525,24 +491,14 @@ class FcStage(Stage):
             return packed_dot(self.weights.entries, self.flat, self.in_shape.bits)
         return self.w_mat @ self.flat.astype(np.int64)
 
-    def step(self) -> bool:
-        progressed = self._flush()
-        if self.has_pending:
-            return progressed
-        total = self.in_shape.elements
-        while self.el_done < total:
-            got = self.in_fifo.pop(total - self.el_done)
-            if not len(got):
-                return progressed
-            self.flat[self.el_done:self.el_done + len(got)] = got
-            self.el_done += len(got)
-            self.real_el += len(got)
-            progressed = True
-        if not self.ingest_done:
-            accs = self._accumulate()
+    def _advance(self) -> bool:
+        got = self.in_fifo.pop(len(self.flat) - self.real_el)
+        if not len(got):
+            return False
+        self.flat[self.real_el:self.real_el + len(got)] = got
+        self.real_el += len(got)
+        if self.real_el == len(self.flat):
             self.compute_cycles += self.weights.out_ch
-            self._emit(self.out_fifo, self.activate(accs))
+            self._emit(self.out_fifo, self.activate(self._accumulate()))
             self.ingest_done = True
-            self._flush()
-            progressed = True
-        return progressed
+        return True

@@ -110,8 +110,12 @@ def _float_field(kv, key, line_no):
         val = float(kv[key])
     except ValueError:
         raise NetdescError("key %r wants a number, got %r" % (key, kv[key]), line_no)
-    if not (val > 0 and math.isfinite(val)):
-        raise NetdescError("key %r must be positive and finite" % key, line_no)
+    # parameter blobs carry it as float32, which must not round to 0 or inf
+    with np.errstate(over="ignore"):
+        as_f32 = float(np.float32(val))
+    if not (as_f32 > 0 and math.isfinite(as_f32)):
+        raise NetdescError("key %r must be positive and finite as a float32, got %r"
+                           % (key, kv[key]), line_no)
     return val
 
 
@@ -503,39 +507,41 @@ class LayerParams:
     join_thresholds: list = None
 
 
-def _conv_weight_shape(layer: LayerSpec, which: str = "main"):
-    cur = layer.in_shape
-    if layer.kind == "conv":
-        return (layer.k, layer.k, cur.c, layer.o)
-    if layer.kind == "fc":
-        return (1, 1, cur.elements, layer.o)
+def blob_layout(layer: LayerSpec):
+    """The tensors a layer stores in a parameter blob, in blob order.
+
+    A list of (key, shape): weights are (K, K, I, O) and batchnorm arrays
+    (4, O) as gamma, mean, inv_std, bias. The keys are the ones
+    save_params takes; parameterless layers give an empty list.
+    """
+    cur, o = layer.in_shape, layer.o
+    if layer.kind in ("conv", "fc"):
+        k, i = (layer.k, cur.c) if layer.kind == "conv" else (1, cur.elements)
+        return [("weights", (k, k, i, o))] + ([("bn", (4, o))] if layer.fused else [])
     if layer.kind == "resblock":
-        if which == "a":
-            return (3, 3, cur.c, layer.o)
-        return (3, 3, layer.o, layer.o)
-    raise ShapeError("layer has no weights")
+        return [("weights_a", (3, 3, cur.c, o)), ("bn_join", (4, o)),
+                ("weights_b", (3, 3, o, o)), ("bn_b", (4, o))]
+    return []
+
+
+def _is_weights(shape) -> bool:
+    return len(shape) == 4
+
+
+def _quantizes(layout) -> bool:
+    """A layer carries d exactly when it stores batchnorm arrays."""
+    return any(not _is_weights(shape) for _, shape in layout)
 
 
 def layer_param_counts(layer: LayerSpec):
     """(weight floats, batchnorm floats) this layer occupies in a blob."""
-    if layer.kind == "conv" or layer.kind == "fc":
-        shape = _conv_weight_shape(layer)
-        w = int(np.prod(shape))
-        return w, 4 * layer.o if layer.fused else 0
-    if layer.kind == "resblock":
-        wa = int(np.prod(_conv_weight_shape(layer, "a")))
-        wb = int(np.prod(_conv_weight_shape(layer, "b")))
-        return wa + wb, 8 * layer.o
-    return 0, 0
+    sizes = [(_is_weights(shape), int(np.prod(shape))) for _, shape in blob_layout(layer)]
+    return (sum(n for w, n in sizes if w), sum(n for w, n in sizes if not w))
 
 
 def param_census(net: NetworkSpec):
     """Total f32 payload count the blob must carry after the header."""
-    total = 0
-    for layer in net.layers:
-        w, b = layer_param_counts(layer)
-        total += w + b
-    return total
+    return sum(sum(layer_param_counts(layer)) for layer in net.layers)
 
 
 class _Reader:
@@ -553,11 +559,9 @@ class _Reader:
         return out
 
 
-def _bn_list(arr: np.ndarray, o: int, layer_no: int):
-    gamma, mean, inv_std, bias = (arr[j * o:(j + 1) * o] for j in range(4))
+def _bn_list(arr: np.ndarray, layer_no: int):
     out = []
-    for ch in range(o):
-        g, m, i, b = float(gamma[ch]), float(mean[ch]), float(inv_std[ch]), float(bias[ch])
+    for ch, (g, m, i, b) in enumerate(arr.T.tolist()):
         if g * i == 0:
             raise ParamsError("layer %d channel %d: gamma * inv_std is zero"
                               % (layer_no, ch))
@@ -565,15 +569,10 @@ def _bn_list(arr: np.ndarray, o: int, layer_no: int):
     return out
 
 
-def _read_conv(reader, layer, which, layer_no, d, n, fused):
-    shape = _conv_weight_shape(layer, which)
-    flat = reader.take(int(np.prod(shape)))
-    # stored in cache order: O outer, (row, col, channel) inner
-    o = shape[3]
-    raw = np.moveaxis(flat.reshape(o, shape[0], shape[1], shape[2]), 0, 3)
+def _conv_params(raw, bn, layer_no, d, n):
     cp = ConvParams(raw_weights=raw, weights=WeightBlock.from_float(raw))
-    if fused:
-        cp.bn = _bn_list(reader.take(4 * o), o, layer_no)
+    if bn is not None:
+        cp.bn = _bn_list(bn, layer_no)
         cp.thresholds = [fold_batchnorm(p, d, n) for p in cp.bn]
     return cp
 
@@ -607,26 +606,33 @@ def load_params(blob: bytes, net: NetworkSpec):
     out = []
     for li, layer in enumerate(net.layers):
         d_blob = float(d_header[li])
-        quantizing = layer.kind in ("conv", "fc", "resblock") and layer.fused \
-            or layer.kind == "resblock"
-        if not quantizing:
+        layout = blob_layout(layer)
+        if not _quantizes(layout):
             if d_blob != 0.0:
                 raise ParamsError("layer %d carries d=%r but has no quantizer"
                                   % (li, d_blob))
         elif d_blob != float(np.float32(layer.d)):
             raise ParamsError("layer %d: blob d %r disagrees with description d %r"
                               % (li, d_blob, layer.d))
+        t = {}
+        for key, shape in layout:
+            flat = reader.take(int(np.prod(shape)))
+            if _is_weights(shape):
+                # stored in cache order: O outer, (row, col, channel) inner
+                t[key] = np.moveaxis(flat.reshape(shape[3], *shape[:3]), 0, 3)
+            else:
+                t[key] = flat.reshape(shape)
         lp = LayerParams(d=d_blob)
         if layer.kind in ("conv", "fc"):
-            lp.convs["main"] = _read_conv(reader, layer, "main", li, d_blob,
-                                          layer.act_bits, layer.fused)
+            lp.convs["main"] = _conv_params(t["weights"], t.get("bn"), li,
+                                            d_blob, layer.act_bits)
         elif layer.kind == "resblock":
-            lp.convs["a"] = _read_conv(reader, layer, "a", li, 0.0, 0, False)
-            lp.join_bn = _bn_list(reader.take(4 * layer.o), layer.o, li)
+            lp.convs["a"] = _conv_params(t["weights_a"], None, li, 0.0, 0)
+            lp.join_bn = _bn_list(t["bn_join"], li)
             lp.join_thresholds = [fold_batchnorm(p, d_blob, layer.act_bits)
                                   for p in lp.join_bn]
-            lp.convs["b"] = _read_conv(reader, layer, "b", li, d_blob,
-                                       layer.act_bits, True)
+            lp.convs["b"] = _conv_params(t["weights_b"], t["bn_b"], li,
+                                         d_blob, layer.act_bits)
         out.append(lp)
     if reader.pos != len(payload):
         raise ParamsError("parameter blob too long: %d floats left over"
@@ -637,46 +643,29 @@ def load_params(blob: bytes, net: NetworkSpec):
 def save_params(net: NetworkSpec, arrays) -> bytes:
     """Serialize per-layer float arrays into a blob.
 
-    arrays is aligned with net.layers; parameterless layers take None.
-    Conv and fc entries are dicts {"weights": (K,K,I,O), "bn": (4,O)};
-    resblocks use {"weights_a", "bn_join", "weights_b", "bn_b"}.
+    arrays is aligned with net.layers; parameterless layers take None,
+    the others a dict holding every key of the layer's blob_layout.
     """
     chunks = [struct.pack("<4sII", PARAMS_MAGIC, PARAMS_VERSION, len(net.layers))]
     d_header = np.zeros(len(net.layers), dtype="<f4")
     payload = []
-
-    def put_weights(w, shape):
-        w = np.asarray(w, dtype=np.float32)
-        if w.shape != shape:
-            raise ParamsError("weight array %r does not match %r" % (w.shape, shape))
-        payload.append(np.moveaxis(w, 3, 0).reshape(-1).astype("<f4"))
-
-    def put_bn(bn, o):
-        bn = np.asarray(bn, dtype=np.float32)
-        if bn.shape != (4, o):
-            raise ParamsError("bn array %r does not match (4, %d)" % (bn.shape, o))
-        payload.append(bn.reshape(-1).astype("<f4"))
-
     for li, (layer, entry) in enumerate(zip(net.layers, arrays)):
-        w_count, _ = layer_param_counts(layer)
-        if w_count == 0:
+        layout = blob_layout(layer)
+        if not layout:
             if entry is not None:
                 raise ParamsError("layer %d takes no parameters" % li)
             continue
         if entry is None:
             raise ParamsError("layer %d needs parameters" % li)
-        if layer.kind in ("conv", "fc"):
-            if layer.fused:
-                d_header[li] = np.float32(layer.d)
-            put_weights(entry["weights"], _conv_weight_shape(layer))
-            if layer.fused:
-                put_bn(entry["bn"], layer.o)
-        elif layer.kind == "resblock":
+        if _quantizes(layout):
             d_header[li] = np.float32(layer.d)
-            put_weights(entry["weights_a"], _conv_weight_shape(layer, "a"))
-            put_bn(entry["bn_join"], layer.o)
-            put_weights(entry["weights_b"], _conv_weight_shape(layer, "b"))
-            put_bn(entry["bn_b"], layer.o)
+        for key, shape in layout:
+            arr = np.asarray(entry[key], dtype=np.float32)
+            if arr.shape != shape:
+                raise ParamsError("%s array %r does not match %r" % (key, arr.shape, shape))
+            if _is_weights(shape):
+                arr = np.moveaxis(arr, 3, 0)
+            payload.append(arr.reshape(-1).astype("<f4"))
     chunks.append(d_header.tobytes())
     chunks.extend(arr.tobytes() for arr in payload)
     return b"".join(chunks)
@@ -698,30 +687,24 @@ def random_params(net: NetworkSpec, rng) -> bytes:
     """A well-scaled random parameter blob for testing and demos."""
     arrays = []
     for layer in net.layers:
-        w_count, _ = layer_param_counts(layer)
-        if w_count == 0:
+        layout = blob_layout(layer)
+        if not layout:
             arrays.append(None)
             continue
         cur = layer.in_shape
         # accum streams hold pooled code values in practice, not full 16-bit
         vmax = 7 if cur.kind == "accum" else (1 << cur.bits) - 1
-        if layer.kind in ("conv", "fc"):
-            shape = _conv_weight_shape(layer)
-            entry = {"weights": rng.normal(0, 1, shape).astype(np.float32)}
-            if layer.fused:
+        entry = {}
+        for key, shape in layout:
+            if _is_weights(shape):
+                entry[key] = rng.normal(0, 1, shape).astype(np.float32)
                 fan = shape[0] * shape[1] * shape[2]
-                entry["bn"] = _random_bn(rng, layer.o, fan, vmax, layer.d, layer.act_bits)
-            arrays.append(entry)
-        elif layer.kind == "resblock":
-            sa = _conv_weight_shape(layer, "a")
-            sb = _conv_weight_shape(layer, "b")
-            fan_a = sa[0] * sa[1] * sa[2]
-            fan_b = sb[0] * sb[1] * sb[2]
-            arrays.append({
-                "weights_a": rng.normal(0, 1, sa).astype(np.float32),
-                "bn_join": _random_bn(rng, layer.o, fan_a + 1, vmax, layer.d, layer.act_bits),
-                "weights_b": rng.normal(0, 1, sb).astype(np.float32),
-                "bn_b": _random_bn(rng, layer.o, fan_b, (1 << layer.act_bits) - 1,
-                                   layer.d, layer.act_bits),
-            })
+                if key == "weights_b":  # a resblock's conv b reads the join's codes
+                    vmax = (1 << layer.act_bits) - 1
+            else:
+                # the join sums one more term, the skip value
+                fan_in = fan + 1 if key == "bn_join" else fan
+                entry[key] = _random_bn(rng, layer.o, fan_in, vmax, layer.d,
+                                        layer.act_bits)
+        arrays.append(entry)
     return save_params(net, arrays)

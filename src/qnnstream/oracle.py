@@ -143,11 +143,9 @@ def dense_infer(net, params, image: np.ndarray) -> np.ndarray:
             cp = lp.convs["main"]
             flat = x.reshape(-1)
             w_mat = _signs(cp.raw_weights).reshape(flat.size, layer.o)
-            y = flat @ w_mat
+            y = (flat @ w_mat).reshape(1, 1, layer.o)
             if layer.fused:
-                x = np.array([BnQuantizer(bn, lp.d, layer.act_bits).quantize(int(v))
-                              for bn, v in zip(cp.bn, y)], dtype=np.int64)
+                x = quantize_dense(y, cp.bn, lp.d, layer.act_bits)
             else:
                 x = check_accum_array(y, ACCUM_BITS)
-            x = x.reshape(1, 1, layer.o)
     return x.reshape(-1).astype(np.int64)

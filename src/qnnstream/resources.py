@@ -76,18 +76,13 @@ def stage_resources(plans):
         ish = p.in_shape
         if p.kind in ("conv", "firstconv"):
             w_used, w_bits, m20k = _cache(p.out_ch, p.k * p.k * ish.c)
-            if p.fused:
-                bn_bits = p.out_ch * 64
-                m20k += 2 * _ceil_div(p.out_ch, M20K_DEPTH)
         elif p.kind == "fc":
             w_used, w_bits, m20k = _cache(p.out_ch, ish.elements)
-            if p.fused:
-                bn_bits = p.out_ch * 64
-                m20k += 2 * _ceil_div(p.out_ch, M20K_DEPTH)
         elif p.kind == "join":
-            bn_bits = p.out_ch * 64
-            m20k = 2 * _ceil_div(p.out_ch, M20K_DEPTH)
             skip_bits = skip_store_elements(plans, p) * 16
+        if p.fused or p.kind == "join":
+            bn_bits = p.out_ch * 64
+            m20k += 2 * _ceil_div(p.out_ch, M20K_DEPTH)
         if p.kind in ("conv", "firstconv", "maxpool", "avgpool"):
             cap = line_buffer_capacity(ish.c, ish.w + 2 * p.p, p.k)
             buf_bits = cap * ish.bits

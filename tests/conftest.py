@@ -119,29 +119,42 @@ def random_image(rng, net):
                         dtype=np.uint8)
 
 
-def drive_stage(stage, in_data, skip_data=None):
-    """Run one stage to completion against ample FIFOs.
+def drive_stage(stage, in_data, skip_data=None, capacity=None):
+    """Run one stage to completion.
 
-    Returns (main output, skip output or None) as int64 arrays.
+    Without a capacity every FIFO is ample and the whole input is queued
+    before the first step. With one, every FIFO has that capacity, input
+    is fed step by step and outputs are drained between steps, so the
+    stage runs its partial-progress paths. Returns (main output, skip
+    output or None) as int64 arrays.
     """
-    big = max(len(in_data), 1) * 8 + 64
-    stage.in_fifo = Fifo(big, "in")
-    stage.out_fifo = Fifo(big, "out")
-    stage.in_fifo.push(np.asarray(in_data, dtype=np.int32))
+    cap = capacity or max(len(in_data), 1) * 8 + 64
+    feeds = [("in_fifo", np.asarray(in_data, dtype=np.int32))]
     if skip_data is not None:
-        stage.skip_fifo = Fifo(big, "skip-in")
-        stage.skip_fifo.push(np.asarray(skip_data, dtype=np.int32))
+        feeds.append(("skip_fifo", np.asarray(skip_data, dtype=np.int32)))
+    outputs = {"out_fifo": []}
     if hasattr(stage, "skip_out_fifo"):
-        stage.skip_out_fifo = Fifo(big, "skip-out")
+        outputs["skip_out_fifo"] = []
+    for attr in [a for a, _ in feeds] + list(outputs):
+        setattr(stage, attr, Fifo(cap, attr))
+    fed = [0] * len(feeds)
     while not stage.finished:
-        if not stage.step():
+        moved = False
+        for i, (attr, data) in enumerate(feeds):
+            took = getattr(stage, attr).push(data[fed[i]:])
+            fed[i] += took
+            moved = moved or took > 0
+        moved = stage.step() or moved
+        for attr, got in outputs.items():
+            fifo = getattr(stage, attr)
+            if fifo.occ:
+                got.append(fifo.pop(fifo.occ))
+                moved = True
+        if not moved:
             raise AssertionError("stage %s made no progress" % stage.name)
-    out = stage.out_fifo.pop(stage.out_fifo.avail).astype(np.int64)
-    skip_out = None
-    if getattr(stage, "skip_out_fifo", None) is not None:
-        skip_out = stage.skip_out_fifo.pop(
-            stage.skip_out_fifo.avail).astype(np.int64)
-    return out, skip_out
+    joined = {a: np.concatenate(got or [np.empty(0)]).astype(np.int64)
+              for a, got in outputs.items()}
+    return joined["out_fifo"], joined.get("skip_out_fifo")
 
 
 @pytest.fixture

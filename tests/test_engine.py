@@ -215,17 +215,6 @@ def test_isolated_total_is_partition_transparent(res_case):
         assert split.total_cycles == whole.total_cycles
 
 
-def test_chained_total_counts_link_fill(res_case):
-    net, params, img = res_case
-    plans = expand_layers(net)
-    n = len(plans)
-    part = Partition(((0, 2), (3, n - 1)))
-    base = estimate_cycles(net, ModelConfig(), partition=part)
-    filled = estimate_cycles(net, ModelConfig(link_fill_cycles=7),
-                             partition=part)
-    assert filled.total_cycles == base.total_cycles + 7
-
-
 def test_link_bandwidth_frozen_two_bit():
     # 2-bit pixel stream at 105 MHz crossing a device boundary
     net, _ = _load("input 6 6 2 2\nconv k=3 s=1 p=1 o=3 d=1.0 act=2\n"

@@ -56,6 +56,16 @@ def _out_hw(h, w, k, s, p):
     return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
 
 
+def _drive(make_stage, in_data, skip_data=None):
+    """Run fresh stages from make_stage with ample FIFOs and with FIFOs of
+    capacity 1; both schedules must give the same output streams."""
+    ample = drive_stage(make_stage(), in_data, skip_data)
+    tight = drive_stage(make_stage(), in_data, skip_data, capacity=1)
+    for a, b in zip(ample, tight):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    return ample
+
+
 # ---------------------------------------------------------------------------
 # buffer sizing
 
@@ -128,24 +138,25 @@ def _conv_case(rng, k, s, p, fused=True):
         d = float(rng.uniform(0.5, 4.0))
         bns = _random_bn(rng, o)
         out_shape = StreamShape(oh, ow, o, "code", 2)
-        stage = ConvStage("cv", in_shape, out_shape,
-                          WeightBlock.from_float(raw), s, p,
-                          thresholds=_thresholds(bns, d, 2))
+        thresholds = _thresholds(bns, d, 2)
         ref = quantize_dense(dense_conv(x, raw, s, p), bns, d, 2)
     else:
         out_shape = StreamShape(oh, ow, o, "accum", 16)
-        stage = ConvStage("cv", in_shape, out_shape,
-                          WeightBlock.from_float(raw), s, p)
+        thresholds = None
         ref = dense_conv(x, raw, s, p)
-    return stage, x, ref
+
+    def make():
+        return ConvStage("cv", in_shape, out_shape, WeightBlock.from_float(raw),
+                         s, p, thresholds=thresholds)
+    return make, x, ref
 
 
 @pytest.mark.parametrize("k,s,p", [(1, 1, 0), (3, 1, 1), (3, 2, 1),
                                    (5, 2, 0), (7, 1, 3), (11, 4, 3)])
 def test_conv_stage_matches_dense(rng, k, s, p):
     for fused in (True, False):
-        stage, x, ref = _conv_case(rng, k, s, p, fused)
-        out, _ = drive_stage(stage, x.reshape(-1))
+        make, x, ref = _conv_case(rng, k, s, p, fused)
+        out, _ = _drive(make, x.reshape(-1))
         assert np.array_equal(out, ref.reshape(-1))
 
 
@@ -158,20 +169,19 @@ def test_first_conv_stage_matches_dense(rng):
         raw = rng.standard_normal((k, k, c, o)).astype(np.float32)
         bns = _random_bn(rng, o)
         oh, ow = _out_hw(h, w, k, s, p)
-        stage = FirstConvStage("fc0", StreamShape(h, w, c, "u8", 8),
-                               StreamShape(oh, ow, o, "code", 2),
-                               WeightBlock.from_float(raw), s, p,
-                               thresholds=_thresholds(bns, 2.0, 2))
-        out, _ = drive_stage(stage, x.reshape(-1))
+        out, _ = _drive(lambda: FirstConvStage(
+            "fc0", StreamShape(h, w, c, "u8", 8), StreamShape(oh, ow, o, "code", 2),
+            WeightBlock.from_float(raw), s, p, thresholds=_thresholds(bns, 2.0, 2)),
+            x.reshape(-1))
         ref = quantize_dense(dense_conv(x, raw, s, p), bns, 2.0, 2)
         assert np.array_equal(out, ref.reshape(-1))
 
 
 def test_maxpool_frozen_values():
     x = np.arange(1, 17).reshape(4, 4, 1)
-    stage = MaxPoolStage("mp", StreamShape(4, 4, 1, "code", 3),
-                         StreamShape(2, 2, 1, "code", 3), 2, 2)
-    out, _ = drive_stage(stage, x.reshape(-1))
+    out, _ = _drive(lambda: MaxPoolStage("mp", StreamShape(4, 4, 1, "code", 3),
+                                         StreamShape(2, 2, 1, "code", 3), 2, 2),
+                    x.reshape(-1))
     assert out.tolist() == [6, 8, 14, 16]
 
 
@@ -181,20 +191,19 @@ def test_maxpool_matches_dense(rng):
         h, w = int(rng.integers(k + 1, 9)), int(rng.integers(k + 1, 9))
         x = rng.integers(0, 8, size=(h, w, c))
         oh, ow = _out_hw(h, w, k, s, p)
-        stage = MaxPoolStage("mp", StreamShape(h, w, c, "code", 3),
-                             StreamShape(oh, ow, c, "code", 3), k, s, p)
-        out, _ = drive_stage(stage, x.reshape(-1))
+        out, _ = _drive(lambda: MaxPoolStage("mp", StreamShape(h, w, c, "code", 3),
+                                             StreamShape(oh, ow, c, "code", 3), k, s, p),
+                        x.reshape(-1))
         assert np.array_equal(out, dense_maxpool(x, k, s, p).reshape(-1))
 
 
 def test_avgpool_rounds_half_away_from_zero():
-    stage = AvgPoolStage("ap", StreamShape(2, 2, 1, "accum", 16),
-                         StreamShape(1, 1, 1, "accum", 16), 2, 2)
-    out, _ = drive_stage(stage, np.array([1, 2, 3, 4]))
+    def make():
+        return AvgPoolStage("ap", StreamShape(2, 2, 1, "accum", 16),
+                            StreamShape(1, 1, 1, "accum", 16), 2, 2)
+    out, _ = _drive(make, np.array([1, 2, 3, 4]))
     assert out.tolist() == [3]  # 10/4 = 2.5 rounds up
-    stage = AvgPoolStage("ap", StreamShape(2, 2, 1, "accum", 16),
-                         StreamShape(1, 1, 1, "accum", 16), 2, 2)
-    out, _ = drive_stage(stage, np.array([-1, -2, -3, -4]))
+    out, _ = _drive(make, np.array([-1, -2, -3, -4]))
     assert out.tolist() == [-3]  # -2.5 rounds away from zero
 
 
@@ -205,9 +214,9 @@ def test_avgpool_matches_dense(rng):
         w = int(rng.integers(max(2, k - 2 * p), k + 5))
         x = rng.integers(-40, 40, size=(h, w, c))
         oh, ow = _out_hw(h, w, k, s, p)
-        stage = AvgPoolStage("ap", StreamShape(h, w, c, "accum", 16),
-                             StreamShape(oh, ow, c, "accum", 16), k, s, p)
-        out, _ = drive_stage(stage, x.reshape(-1))
+        out, _ = _drive(lambda: AvgPoolStage("ap", StreamShape(h, w, c, "accum", 16),
+                                             StreamShape(oh, ow, c, "accum", 16), k, s, p),
+                        x.reshape(-1))
         assert np.array_equal(out, dense_avgpool(x, k, s, p).reshape(-1))
 
 
@@ -249,9 +258,9 @@ def test_join_adds_and_requantizes(rng):
     d = 1.9
     accs = rng.integers(-300, 300, size=(3, 3, o))
     skip = rng.integers(-300, 300, size=(3, 3, o))
-    stage = ResidualJoinStage("jn", shape, _thresholds(bns, d, n), n)
-    out, skip_out = drive_stage(stage, accs.reshape(-1),
-                                skip_data=skip.reshape(-1))
+    out, skip_out = _drive(
+        lambda: ResidualJoinStage("jn", shape, _thresholds(bns, d, n), n),
+        accs.reshape(-1), skip_data=skip.reshape(-1))
     total = accs + skip
     assert np.array_equal(skip_out, total.reshape(-1))
     assert np.array_equal(out, quantize_dense(total, bns, d, n).reshape(-1))
@@ -260,21 +269,21 @@ def test_join_adds_and_requantizes(rng):
 def test_tee_duplicates_codes(rng):
     shape = StreamShape(2, 3, 2, "code", 2)
     x = rng.integers(0, 4, size=12)
-    stage = TeeWidenStage("tee", shape)
-    out, skip_out = drive_stage(stage, x)
+    out, skip_out = _drive(lambda: TeeWidenStage("tee", shape), x)
     assert np.array_equal(out, x)
     assert np.array_equal(skip_out, x)
 
 
 def test_skip_downsample_matches_dense(rng):
-    for s, o in ((2, 3), (1, 5), (2, 2)):
-        c = 2
+    # at capacity 1 a kept pixel arrives element by element, so its last
+    # element and the zero fill leave together
+    for s, c, o in ((2, 2, 3), (1, 2, 5), (2, 2, 2), (2, 3, 7)):
         h = w = 4
         x = rng.integers(-100, 100, size=(h, w, c))
         oh = (h - 1) // s + 1
-        stage = SkipDownsampleStage("ss", StreamShape(h, w, c, "accum", 16),
-                                    StreamShape(oh, oh, o, "accum", 16), s)
-        out, _ = drive_stage(stage, x.reshape(-1))
+        out, _ = _drive(lambda: SkipDownsampleStage(
+            "ss", StreamShape(h, w, c, "accum", 16),
+            StreamShape(oh, oh, o, "accum", 16), s), x.reshape(-1))
         assert np.array_equal(out, dense_skip_adapt(x, s, o).reshape(-1))
 
 
@@ -289,13 +298,13 @@ def test_two_output_stage_does_not_serialize():
     stage.in_fifo.push(np.array([1, 2, 3, 0], dtype=np.int32))
     while stage.step():
         pass
-    assert stage.out_fifo.avail == 4  # codes all through
-    assert stage.skip_out_fifo.avail == 1  # skip blocked at capacity
+    assert stage.out_fifo.occ == 4  # codes all through
+    assert stage.skip_out_fifo.occ == 1  # skip blocked at capacity
     assert not stage.finished
     assert stage.skip_out_fifo.pop(1).tolist() == [1]
     while stage.step():
         pass
-    assert stage.skip_out_fifo.avail == 1
+    assert stage.skip_out_fifo.occ == 1
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +318,15 @@ def test_fc_stage_matches_dense(rng):
     signs = np.where(raw >= 0, 1, -1).reshape(h * w * c, o)
     in_shape = StreamShape(h, w, c, "code", n)
 
-    stage = FcStage("fc", in_shape, StreamShape(1, 1, o, "accum", 16),
-                    WeightBlock.from_float(raw))
-    out, _ = drive_stage(stage, x.reshape(-1))
+    out, _ = _drive(lambda: FcStage("fc", in_shape, StreamShape(1, 1, o, "accum", 16),
+                                    WeightBlock.from_float(raw)), x.reshape(-1))
     assert np.array_equal(out, x.reshape(-1) @ signs)
 
     bns = _random_bn(rng, o)
-    stage = FcStage("fc", in_shape, StreamShape(1, 1, o, "code", n),
-                    WeightBlock.from_float(raw),
-                    thresholds=_thresholds(bns, 1.3, n))
-    out, _ = drive_stage(stage, x.reshape(-1))
+    out, _ = _drive(lambda: FcStage("fc", in_shape, StreamShape(1, 1, o, "code", n),
+                                    WeightBlock.from_float(raw),
+                                    thresholds=_thresholds(bns, 1.3, n)),
+                    x.reshape(-1))
     ref = quantize_dense((x.reshape(-1) @ signs).reshape(1, 1, o), bns, 1.3, n)
     assert np.array_equal(out, ref.reshape(-1))
 
@@ -329,8 +337,7 @@ def test_fc_on_accum_stream(rng):
     x = rng.integers(-7, 8, size=(1, 1, c))
     raw = rng.standard_normal((1, 1, c, 3)).astype(np.float32)
     signs = np.where(raw >= 0, 1, -1).reshape(c, 3)
-    stage = FcStage("fc", StreamShape(1, 1, c, "accum", 16),
-                    StreamShape(1, 1, 3, "accum", 16),
-                    WeightBlock.from_float(raw))
-    out, _ = drive_stage(stage, x.reshape(-1))
+    out, _ = _drive(lambda: FcStage("fc", StreamShape(1, 1, c, "accum", 16),
+                                    StreamShape(1, 1, 3, "accum", 16),
+                                    WeightBlock.from_float(raw)), x.reshape(-1))
     assert np.array_equal(out, x.reshape(-1) @ signs)

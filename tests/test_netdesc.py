@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -78,8 +80,13 @@ def test_emit_roundtrip_random(rng):
      " d=1 act=1\n", 3, "accum"),
     ("input 4 4 1 2\nconv k=1 s=1 p=0 o=1 d=inf\n", 2, "finite"),
     ("input 4 4 1 2\nresblock o=1 s=1 d=nan\n", 2, "positive"),
+    # blobs store d as float32: it must neither overflow nor round to 0
+    ("input 4 4 1 2\nconv k=1 s=1 p=0 o=1 d=1e300\n", 2, "finite"),
+    ("input 4 4 1 2\nfc o=1 d=3.5e38\n", 2, "finite"),
+    ("input 4 4 1 2\nresblock o=1 s=1 d=1e-46\n", 2, "positive"),
     ("", 1, "empty"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_parse_errors_carry_line_numbers(text, line, frag):
     with pytest.raises(NetdescError) as e:
         parse_netdesc(text)
@@ -175,6 +182,21 @@ def test_blob_length_and_roundtrip(rng):
         else:
             arrays.append(None)
     assert save_params(net, arrays) == blob
+
+
+# sha256 of random_params(builtin, default_rng(0)); seeded test corpora
+# depend on its draw order, so a change here changes every one of them
+RANDOM_PARAMS_SHA256 = {
+    "resnet18": "5819bdd625b0d1b1a254a7fc09968cc096a1a669f71cc26a6098894caebe65d9",
+    "alexnet": "2a2aeb396bd472cb476a09f597927acd3babe65a92e0ad2a028da8bb6136a935",
+    "vgg": "edb66d8f75372e920fc8fdea7af0b14707cd111ac8d28fca5540a0e02553e246",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_PARAMS_SHA256))
+def test_random_params_bytes_pinned(name):
+    blob = random_params(BUILTIN_BUILDERS[name](), np.random.default_rng(0))
+    assert hashlib.sha256(blob).hexdigest() == RANDOM_PARAMS_SHA256[name]
 
 
 def test_blob_error_paths(rng):

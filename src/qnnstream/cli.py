@@ -103,6 +103,9 @@ def _load_image(args, net):
         if not args.image_dims:
             raise QnnError("--image needs --image-dims H W C")
         h, w, c = args.image_dims
+        if (h, w, c) != (ish.h, ish.w, ish.c):
+            raise QnnError("--image-dims %d %d %d do not match the network "
+                           "input %d %d %d" % (h, w, c, ish.h, ish.w, ish.c))
         with open(args.image, "rb") as fh:
             data = np.frombuffer(fh.read(), dtype=np.uint8)
         if data.size != h * w * c:

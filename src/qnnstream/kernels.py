@@ -9,10 +9,13 @@ buffer sizing formula is validated.
 Stages are driven by an external scheduler through step(). A step makes
 as much progress as the attached FIFOs allow and never blocks. The step
 loop is written once, in Stage; each stage kind supplies _advance(),
-which consumes one unit of input (a pixel, or a chunk of elements) and
-emits what that unit completes. All cycle counters are structural
-(functions of shapes and the trigger rule alone), so they do not depend
-on scheduling order.
+which consumes one unit of input and emits what that unit completes.
+For a windowed stage the unit is a run of pixels inside one padded row,
+as many as the input FIFO holds: the run is written to the line buffer
+at once, and every window it completes is gathered and computed as one
+batch. Other stages take a chunk of elements. All cycle counters are
+structural (functions of shapes and the trigger rule alone), so they do
+not depend on scheduling order or on how input is batched.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BufferEvictionError, ShapeError
-from .quant import ACCUM_BITS, check_accum_array, packed_dot
+from .quant import ACCUM_BITS, check_accum_array, popcount_dot
 
 
 @dataclass(frozen=True)
@@ -63,33 +66,55 @@ class LineBuffer:
     """Ring buffer over the most recent elements of a depth-first stream.
 
     Elements are addressed by their absolute position in the stream, so a
-    stale read (older than capacity) is detected instead of silently
-    returning overwritten data.
+    stale read is detected instead of silently returning overwritten
+    data. capacity is the sized buffer: a window may only be read if
+    each of its elements lies within capacity of the element that
+    completed it. The ring may carry slack beyond that, so that windows
+    completed early in a batch are still there when the batch is read;
+    the slack never makes a window readable that capacity would evict.
     """
 
-    def __init__(self, capacity: int, name: str = "linebuffer"):
+    def __init__(self, capacity: int, name: str = "linebuffer", slack: int = 0):
         if capacity < 1:
             raise ShapeError("line buffer capacity must be >= 1")
         self.capacity = capacity
         self.name = name
-        self.ring = np.zeros(capacity, dtype=np.int32)
+        self.ring = np.zeros(capacity + slack, dtype=np.int32)
         self.total = 0
 
     def push(self, arr: np.ndarray):
         n = len(arr)
-        idx = (self.total + np.arange(n)) % self.capacity
-        self.ring[idx] = arr
+        size = len(self.ring)
+        if n > size:  # only the newest elements survive
+            self.total += n - size
+            arr = arr[n - size:]
+            n = size
+        start = self.total % size
+        end = start + n
+        if end <= size:
+            self.ring[start:end] = arr
+        else:
+            self.ring[start:] = arr[:size - start]
+            self.ring[:end - size] = arr[size - start:]
         self.total += n
 
-    def gather(self, abs_idx: np.ndarray) -> np.ndarray:
-        lo = int(abs_idx.min())
-        if lo < self.total - self.capacity:
+    def gather(self, idx: np.ndarray) -> np.ndarray:
+        """Read windows by absolute element index.
+
+        idx is one window, or one window per row; every window has the
+        same offset pattern, its oldest element first and the element
+        that completed it last, and rows are in completion order.
+        """
+        first = idx if idx.ndim == 1 else idx[0]
+        oldest = int(first[0])
+        if int(first[-1]) - oldest >= self.capacity or \
+                oldest < self.total - len(self.ring):
             raise BufferEvictionError(
                 "%s: element %d already evicted (capacity %d, ingested %d)"
-                % (self.name, lo, self.capacity, self.total))
-        if int(abs_idx.max()) >= self.total:
+                % (self.name, oldest, self.capacity, self.total))
+        if int(idx.flat[-1]) >= self.total:
             raise ShapeError("%s: read past ingested elements" % self.name)
-        return self.ring[abs_idx % self.capacity]
+        return self.ring[idx % len(self.ring)]
 
 
 def build_threshold_matrix(threshold_sets):
@@ -110,9 +135,13 @@ def build_threshold_matrix(threshold_sets):
 
 
 def apply_threshold_matrix(accs: np.ndarray, mat: np.ndarray, inv: np.ndarray):
-    # count of thresholds <= a, or >= a for inverted channels (ties go up)
-    ge = (accs[:, None] >= mat).sum(axis=1)
-    le = (accs[:, None] <= mat).sum(axis=1)
+    """Codes for accumulators whose last axis runs along the rows of mat.
+
+    The code is the count of thresholds <= a, or >= a for inverted
+    channels (ties go up).
+    """
+    ge = (accs[..., None] >= mat).sum(axis=-1)
+    le = (accs[..., None] <= mat).sum(axis=-1)
     return np.where(inv, le, ge).astype(np.int32)
 
 
@@ -136,7 +165,7 @@ class Stage:
     FIFOs, then calls _advance() until that returns False (the input is
     not there), output is left pending (a FIFO is full) or the whole
     input is ingested. It never blocks. Each stage kind supplies only
-    _advance(): consume one unit of input (a pixel, or a chunk of
+    _advance(): consume one unit of input (a run of pixels, or a chunk of
     elements), emit what that unit completes, and say whether it moved.
 
     _advance() runs only when nothing is pending and emits at most one
@@ -206,11 +235,16 @@ class Stage:
 class WindowedStage(Stage):
     """Common machinery for stages that slide a K x K window.
 
-    The ingest cursor walks the padded coordinate grid in scan order, one
-    pixel per _advance. Pad positions inject pad_value without consuming
-    input; they still cost one input unit, since the real stream is
-    halted while the pad element is fed in. After each completed pixel
-    the trigger rule fires at most one output position.
+    The ingest cursor walks the padded coordinate grid in scan order. The
+    unit of an _advance is a run of pixels inside one padded row: it
+    starts at the cursor and ends at the end of the row or where the
+    input FIFO runs dry. Pad positions inject pad_value without consuming
+    input; they still cost one input unit each, since the real stream is
+    halted while the pad element is fed in. A run is one FIFO pop, one
+    line-buffer write, one gather of every window whose bottom-right
+    pixel the run completed (the trigger rule), one _compute over those
+    windows and one emitted array. All counters are those of a
+    pixel-at-a-time walk: fill_el is taken at the first window fired.
     """
 
     def __init__(self, name, kind, in_shape, out_shape, k, s, p,
@@ -231,45 +265,62 @@ class WindowedStage(Stage):
         c = in_shape.c
         if buffer_capacity is None:
             buffer_capacity = line_buffer_capacity(c, self.wp, k)
-        self.lbuf = LineBuffer(buffer_capacity, name=name)
-        self.pad_chunk = np.full(c, pad_value, dtype=np.int32)
+        # one padded row of slack holds a run's earliest windows until the
+        # run is read
+        self.lbuf = LineBuffer(buffer_capacity, name=name, slack=self.wp * c)
+        self.pad_row = np.full(self.wp * c, pad_value, dtype=np.int32)
         self.cursor = 0  # padded pixel index
         self.total_px = self.hp * self.wp
         # window gather pattern relative to the top-left element
         rows = (np.arange(k) * self.wp)[:, None] + np.arange(k)[None, :]
         self.win_offsets = (rows.reshape(-1, 1) * c + np.arange(c)[None, :]).reshape(-1)
 
-    def _compute(self, window: np.ndarray) -> np.ndarray:
+    def _compute(self, windows: np.ndarray) -> np.ndarray:
+        """(N, K*K*C) windows -> (N, out channels) outputs."""
         raise NotImplementedError
 
-    def _fire(self, pr: int, pc: int):
-        r0 = pr - (self.k - 1)
-        c0 = pc - (self.k - 1)
-        if r0 < 0 or c0 < 0 or r0 % self.s or c0 % self.s:
+    def _fire(self, pr: int, done_from: int, done_to: int):
+        """Fire the windows whose bottom-right pixel is in padded row pr,
+        columns done_from .. done_to - 1."""
+        k, s = self.k, self.s
+        r0 = pr - (k - 1)
+        if r0 < 0 or r0 % s:
             return
-        base = (r0 * self.wp + c0) * self.in_shape.c
-        window = self.lbuf.gather(base + self.win_offsets)
-        self._emit(self.out_fifo, self._compute(window))
+        lo = -(-max(done_from - (k - 1), 0) // s) * s
+        cols = np.arange(lo, done_to - (k - 1), s)
+        if not len(cols):
+            return
+        if self.fill_el is None:
+            self.fill_el = (pr * self.wp + lo + k) * self.in_shape.c
+        bases = (r0 * self.wp + cols) * self.in_shape.c
+        windows = self.lbuf.gather(bases[:, None] + self.win_offsets)
+        self._emit(self.out_fifo, self._compute(windows).reshape(-1))
 
     def _advance(self) -> bool:
-        pr, pc = divmod(self.cursor, self.wp)
-        p = self.p
-        if pr < p or pr >= p + self.in_shape.h or pc < p or pc >= p + self.in_shape.w:
-            self.lbuf.push(self.pad_chunk)
-            self.pad_el += len(self.pad_chunk)
-        else:
+        c, p, wp = self.in_shape.c, self.p, self.wp
+        pr, pc = divmod(self.cursor, wp)
+        if p <= pr < p + self.in_shape.h:
             if not self.in_fifo.occ:
                 return False
-            c = self.in_shape.c
-            have = self.real_el % c
-            got = self.in_fifo.pop(c - have)
-            self.lbuf.push(got)
+            left = max(p - pc, 0)
+            want = (p + self.in_shape.w - pc - left) * c - self.real_el % c
+            run = got = self.in_fifo.pop(want)
+            right = p if len(got) == want else 0
+            if left or right:
+                run = np.concatenate((self.pad_row[:left * c], got,
+                                      self.pad_row[:right * c]))
             self.real_el += len(got)
-            if have + len(got) < c:
-                return True
-        self.cursor += 1
+            self.pad_el += (left + right) * c
+        else:
+            run = self.pad_row[pc * c:]
+            self.pad_el += len(run)
+        self.lbuf.push(run)
+        self.cursor = (self.real_el + self.pad_el) // c
+        done_to = self.cursor - pr * wp
+        if done_to == pc:
+            return True  # the run ended inside a pixel
         self.ingest_done = self.cursor == self.total_px
-        self._fire(pr, pc)
+        self._fire(pr, pc, done_to)
         return True
 
 
@@ -277,9 +328,10 @@ class ConvStage(WindowedStage):
     """Binarized convolution over activation codes.
 
     Per valid position the input halts for out_ch compute cycles, one
-    output channel per cycle. The dot products run on packed bit planes:
-    the window codes are split into n planes and each plane is combined
-    with the packed weights by AND + popcount.
+    output channel per cycle. The dot products run on packed bit planes
+    (quant.popcount_dot): the weights are packed into 64-bit words once,
+    the window codes of a run into n bit planes of words, and each plane
+    meets each weight row by AND + popcount.
     """
 
     def __init__(self, name, in_shape, out_shape, weights, s, p,
@@ -293,11 +345,12 @@ class ConvStage(WindowedStage):
                          pad_value=0, first_compute=weights.out_ch,
                          buffer_capacity=buffer_capacity)
         self.weights = weights
+        self.words = weights.words()
         self.activate = activation(thresholds)
 
-    def _compute(self, window):
-        accs = packed_dot(self.weights.entries, window, self.in_shape.bits)
-        self.compute_cycles += self.weights.out_ch
+    def _compute(self, windows):
+        accs = popcount_dot(self.words, windows, self.in_shape.bits)
+        self.compute_cycles += len(windows) * self.weights.out_ch
         return self.activate(accs)
 
 
@@ -305,8 +358,8 @@ class FirstConvStage(WindowedStage):
     """High precision first layer: 8-bit pixels under +/-1 weights.
 
     Accumulation is plain signed add/subtract, expressed as an integer
-    matrix-vector product. Internal accumulators are wider than 16 bits;
-    only values that cross an accumulator stream are range checked.
+    matrix product. Internal accumulators are wider than 16 bits; only
+    values that cross an accumulator stream are range checked.
     """
 
     def __init__(self, name, in_shape, out_shape, weights, s, p,
@@ -323,9 +376,9 @@ class FirstConvStage(WindowedStage):
         self.w_mat = weights.signed_matrix()
         self.activate = activation(thresholds)
 
-    def _compute(self, window):
-        accs = self.w_mat @ window.astype(np.int64)
-        self.compute_cycles += self.weights.out_ch
+    def _compute(self, windows):
+        accs = windows.astype(np.int64) @ self.w_mat.T
+        self.compute_cycles += len(windows) * self.weights.out_ch
         return self.activate(accs)
 
 
@@ -337,8 +390,8 @@ class MaxPoolStage(WindowedStage):
         super().__init__(name, "maxpool", in_shape, out_shape, k, s, p,
                          pad_value=0, buffer_capacity=buffer_capacity)
 
-    def _compute(self, window):
-        return window.reshape(self.k * self.k, -1).max(axis=0)
+    def _compute(self, windows):
+        return windows.reshape(len(windows), self.k * self.k, -1).max(axis=1)
 
 
 class AvgPoolStage(WindowedStage):
@@ -352,9 +405,9 @@ class AvgPoolStage(WindowedStage):
         super().__init__(name, "avgpool", in_shape, out_shape, k, s, p,
                          pad_value=0, buffer_capacity=buffer_capacity)
 
-    def _compute(self, window):
-        sums = window.reshape(self.k * self.k, -1).astype(np.int64).sum(axis=0)
+    def _compute(self, windows):
         m = self.k * self.k
+        sums = windows.reshape(len(windows), m, -1).sum(axis=1, dtype=np.int64)
         rounded = np.sign(sums) * ((2 * np.abs(sums) + m) // (2 * m))
         return rounded.astype(np.int32)
 
@@ -484,11 +537,14 @@ class FcStage(Stage):
         self.weights = weights
         self.activate = activation(thresholds)
         self.flat = np.empty(in_shape.elements, dtype=np.int32)
-        self.w_mat = None if in_shape.kind == "code" else weights.signed_matrix()
+        if in_shape.kind == "code":
+            self.words = weights.words()
+        else:
+            self.w_mat = weights.signed_matrix()
 
     def _accumulate(self) -> np.ndarray:
-        if self.w_mat is None:
-            return packed_dot(self.weights.entries, self.flat, self.in_shape.bits)
+        if self.in_shape.kind == "code":
+            return popcount_dot(self.words, self.flat[None], self.in_shape.bits)[0]
         return self.w_mat @ self.flat.astype(np.int64)
 
     def _advance(self) -> bool:

@@ -5,6 +5,14 @@ batchnorm parameters into integer threshold activations. Everything here
 is pure and exact: thresholds are derived with rational arithmetic so the
 integer decision procedure agrees with the mathematical definition on
 every integer accumulator value, not just away from boundaries.
+
+The stages' dot product kernel is popcount_dot. It holds the weights as
+an (out_ch, words) uint64 matrix, packed once per stage, splits a batch
+of code vectors into n bit planes packed into the same words, and takes
+every plane against every weight row with one AND + np.bitwise_count
+over the whole batch; the planes combine by shift-add. plane_dot,
+codes_to_planes and quantized_dot are the scalar references it is
+tested against.
 """
 
 import math
@@ -85,16 +93,19 @@ class WeightBlock:
         entries = tuple(pack_bit_array(row) for row in flat)
         return cls(k=k, in_ch=in_ch, out_ch=out_ch, entries=entries)
 
+    def words(self) -> np.ndarray:
+        """The entries as an (out_ch, words) uint64 matrix in the layout
+        of pack_words, the operand of popcount_dot."""
+        nbytes = -(-self.entry_bits // 64) * 8
+        buf = b"".join(e.to_bytes(nbytes, "little") for e in self.entries)
+        return np.frombuffer(buf, dtype="<u8").reshape(self.out_ch, -1)
+
     def signed_matrix(self) -> np.ndarray:
         """Unpack to an (out_ch, entry_bits) int64 matrix of +1 / -1, one
         row per entry, columns in the entry's flat index order."""
-        span = self.entry_bits
-        nbytes = (span + 7) // 8
-        rows = np.empty((self.out_ch, span), dtype=np.int64)
-        for o, e in enumerate(self.entries):
-            raw = np.frombuffer(e.to_bytes(nbytes, "little"), dtype=np.uint8)
-            rows[o] = np.unpackbits(raw, bitorder="little")[:span]
-        return rows * 2 - 1
+        bits = np.unpackbits(self.words().view(np.uint8), axis=1,
+                             count=self.entry_bits, bitorder="little")
+        return bits.astype(np.int64) * 2 - 1
 
 
 def plane_dot(weights: int, plane: int, length: int) -> int:
@@ -136,26 +147,42 @@ def quantized_dot(weights: int, codes, length: int, n: int) -> int:
     return total
 
 
-def packed_dot(entries, codes: np.ndarray, n: int) -> np.ndarray:
-    """quantized_dot of every packed weight entry against one code vector.
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 values along the last axis into uint64 words.
 
-    The codes are split into n packed bit planes once; each entry then
-    meets each plane in one AND + popcount, and the planes combine by
-    shift-add. This is the datapath of every binarized conv and fc stage.
+    Value j of a row lands in word j // 64 at bit j % 64, the layout of
+    pack_bit_array cut into 64-bit words; the last word is zero filled.
     """
-    planes = []
-    pops = []
-    for b in range(n):
-        plane = pack_bit_array((codes >> b) & 1)
-        planes.append(plane)
-        pops.append(plane.bit_count())
-    accs = np.empty(len(entries), dtype=np.int64)
-    for o, entry in enumerate(entries):
-        acc = 0
-        for b in range(n):
-            acc += (2 * (entry & planes[b]).bit_count() - pops[b]) << b
-        accs[o] = acc
-    return accs
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    nbytes = -(-bits.shape[-1] // 64) * 8
+    if packed.shape[-1] < nbytes:
+        full = np.zeros(packed.shape[:-1] + (nbytes,), dtype=np.uint8)
+        full[..., :packed.shape[-1]] = packed
+        packed = full
+    return packed.view("<u8")
+
+
+# plane b of a code is its bit b, for every bit of an int32 code
+_PLANE_MASKS = (1 << np.arange(31, dtype=np.int32))[:, None, None]
+_PLANE_WEIGHTS = 2 << np.arange(31, dtype=np.int64)
+
+
+def popcount_dot(weights: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
+    """quantized_dot of every packed weight row against every row of codes.
+
+    weights is WeightBlock.words(), (out_ch, words) uint64; codes is
+    (N, length) with n-bit values. Returns (N, out_ch) int64. Each bit
+    plane of the codes is packed into words like the weights and meets
+    every weight row in one AND + popcount, all planes, rows and output
+    channels at once. With plane_dot = 2 * popcount(w & b) - popcount(b)
+    the shift-add over planes is 2 * sum_b 2**b * popcount(w & plane_b)
+    minus the sum of the codes. This is the datapath of every binarized
+    conv and fc stage.
+    """
+    planes = pack_words((codes & _PLANE_MASKS[:n]) != 0)  # (n, N, words)
+    hits = np.bitwise_count(planes[:, :, None, :] & weights).sum(axis=-1, dtype=np.int64)
+    acc = (_PLANE_WEIGHTS[:n] @ hits.reshape(n, -1)).reshape(hits.shape[1:])
+    return acc - codes.sum(axis=-1, dtype=np.int64)[:, None]
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,21 @@ def test_image_size_mismatch(net_file, tmp_path, capsys):
                "--image", str(path), "--image-dims", "8", "8", "3"])
     assert rc == 1
     assert "dims say" in capsys.readouterr().err
+    # dims that agree with the file but not with the network, and dims
+    # that are not positive, fail before any engine or oracle runs
+    small = tmp_path / "small.raw"
+    small.write_bytes(b"\x00" * 3)
+    empty = tmp_path / "empty.raw"
+    empty.write_bytes(b"")
+    for argv in (["compare", "--builtin", "vgg", "--random-params", "1",
+                  "--image", str(small), "--image-dims", "1", "1", "3"],
+                 ["run", "--builtin", "vgg", "--random-params", "1",
+                  "--image", str(small), "--image-dims", "1", "1", "3"],
+                 ["run", "--net", net_file, "--random-params", "1",
+                  "--image", str(empty), "--image-dims", "-1", "-1", "0"]):
+        rc = main(argv)
+        assert rc == 1
+        assert "do not match the network input" in capsys.readouterr().err
 
 
 def test_missing_net_file(capsys):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import random_image, random_net
 from qnnstream.engine import (
     ModelConfig,
     Partition,

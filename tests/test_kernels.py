@@ -58,11 +58,15 @@ def _out_hw(h, w, k, s, p):
 
 def _drive(make_stage, in_data, skip_data=None):
     """Run fresh stages from make_stage with ample FIFOs and with FIFOs of
-    capacity 1; both schedules must give the same output streams."""
-    ample = drive_stage(make_stage(), in_data, skip_data)
-    tight = drive_stage(make_stage(), in_data, skip_data, capacity=1)
+    capacity 1; both schedules must give the same output streams and the
+    same structural counters."""
+    roomy, narrow = make_stage(), make_stage()
+    ample = drive_stage(roomy, in_data, skip_data)
+    tight = drive_stage(narrow, in_data, skip_data, capacity=1)
     for a, b in zip(ample, tight):
         assert (a is None and b is None) or np.array_equal(a, b)
+    for counter in ("real_el", "pad_el", "compute_cycles", "fill_el"):
+        assert getattr(roomy, counter) == getattr(narrow, counter), counter
     return ample
 
 
@@ -97,6 +101,19 @@ def test_line_buffer_gather_and_eviction():
         lb.gather(np.array([6]))
     with pytest.raises(ShapeError):
         LineBuffer(0)
+    # a batch of windows, one per row, read from a ring with slack: the
+    # ring position of element 10 wraps to the front
+    lb = LineBuffer(4, "t", slack=3)
+    lb.push(np.arange(5, dtype=np.int32))
+    lb.push(np.arange(5, 12, dtype=np.int32))
+    got = lb.gather(np.array([[5, 6, 7], [8, 9, 10], [9, 10, 11]]))
+    assert got.tolist() == [[5, 6, 7], [8, 9, 10], [9, 10, 11]]
+    # a window wider than capacity faults even though the ring holds it
+    with pytest.raises(BufferEvictionError):
+        lb.gather(np.array([[6, 7, 8, 9, 10]]))
+    # the first window is late: its elements have left the ring
+    with pytest.raises(BufferEvictionError):
+        lb.gather(np.array([[3, 4], [10, 11]]))
 
 
 def test_threshold_matrix_matches_scalar(rng):

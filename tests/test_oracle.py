@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qnnstream.errors import AccumOverflowError
-from qnnstream.netdesc import load_params, parse_netdesc, random_params
+from qnnstream.netdesc import load_params, parse_netdesc
 from qnnstream.oracle import (
     dense_avgpool,
     dense_conv,

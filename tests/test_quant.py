@@ -16,8 +16,8 @@ from qnnstream.quant import (
     fold_batchnorm,
     pack_bit_array,
     pack_bits,
-    packed_dot,
     plane_dot,
+    popcount_dot,
     quantize_reference,
     quantized_dot,
 )
@@ -144,20 +144,28 @@ def test_codes_to_planes_reconstructs():
 
 
 def test_quantized_dot_matches_signed_dot(rng):
-    # packed_dot, the stages' kernel, must agree with the scalar reference
-    # on every entry, including entries longer than one 64-bit word
-    for _ in range(50):
-        length = int(rng.integers(1, 200))
-        n = int(rng.integers(1, 4))
-        entries = tuple(pack_bit_array(rng.integers(0, 2, length))
-                        for _ in range(3))
-        codes = rng.integers(0, 1 << n, length)
-        kernel = packed_dot(entries, codes, n)
-        assert kernel.dtype == np.int64
-        for w, got in zip(entries, kernel):
-            signs = np.array([2 * ((w >> j) & 1) - 1 for j in range(length)])
-            assert quantized_dot(w, codes.tolist(), length, n) == int(signs @ codes)
-            assert got == int(signs @ codes)
+    # popcount_dot, the stages' kernel, must agree with the scalar reference
+    # on every (window, entry) pair, for lengths on both sides of 64-bit
+    # word boundaries and for all-zero and all-max codes
+    for length in (1, 63, 64, 65, 128, 199, 4608):
+        for n in (1, 2, 3):
+            entries = tuple(pack_bit_array(rng.integers(0, 2, length))
+                            for _ in range(3))
+            wb = WeightBlock(k=1, in_ch=length, out_ch=3, entries=entries)
+            signs = np.array([[2 * ((w >> j) & 1) - 1 for j in range(length)]
+                              for w in entries])
+            for batch in (1, 7):
+                codes = rng.integers(0, 1 << n, (batch, length))
+                codes[0] = 0
+                codes[-1] = (1 << n) - 1
+                got = popcount_dot(wb.words(), codes, n)
+                assert got.dtype == np.int64
+                assert got.shape == (batch, 3)
+                assert np.array_equal(got, codes @ signs.T)
+                if length <= 199:
+                    for row, want in zip(codes, got):
+                        for w, value in zip(entries, want):
+                            assert quantized_dot(w, row.tolist(), length, n) == value
 
 
 def test_quantized_dot_length_check():

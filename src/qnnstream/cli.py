@@ -119,10 +119,9 @@ def _load_image(args, net):
                         dtype=np.uint8)
 
 
-def _model_config(args, link_gbps: float = 2.0) -> ModelConfig:
+def _model_config(args) -> ModelConfig:
     return ModelConfig(cin_mode=args.cin_mode, stall_model=args.stall_model,
-                       c_mac=args.c_mac, clock_mhz=args.clock_mhz,
-                       link_gbps=link_gbps)
+                       c_mac=args.c_mac, clock_mhz=args.clock_mhz)
 
 
 def _print_json(obj):
@@ -172,14 +171,14 @@ def cmd_estimate(args) -> int:
     except ValueError:
         raise QnnError("--clock-mhz wants a number or a comma list of "
                        "numbers, got %r" % args.clock_mhz)
-    entries = []
+    reports = []
     for clock in clocks:
         cfg = ModelConfig(cin_mode=args.cin_mode, stall_model=args.stall_model,
                           c_mac=args.c_mac, clock_mhz=clock)
         report = estimate_cycles(net, cfg)
         delta = (report.total_cycles - CALIBRATION_TARGET_CYCLES) \
             / CALIBRATION_TARGET_CYCLES * 100.0
-        entries.append((report, delta))
+        reports.append((report, delta))
     if args.format == "json":
         _print_json({"estimates": [{
             "clock_mhz": r.clock_mhz,
@@ -188,9 +187,9 @@ def cmd_estimate(args) -> int:
             "wall_ms": r.wall_ms,
             "reference_cycles": CALIBRATION_TARGET_CYCLES,
             "delta_pct": d,
-        } for r, d in entries]})
+        } for r, d in reports]})
     else:
-        for report, delta in entries:
+        for report, delta in reports:
             _print_report_human(report)
             print("reference %d cycles, delta %+.2f%%"
                   % (CALIBRATION_TARGET_CYCLES, delta))
@@ -200,7 +199,7 @@ def cmd_estimate(args) -> int:
 def cmd_partition(args) -> int:
     net = _load_net(args)
     budget = DeviceBudget(name="custom", m20k=args.budget_m20k,
-                          ff=args.budget_ff, alm=STRATIX_V_5SGSD8.alm)
+                          ff=args.budget_ff)
     cfg = ModelConfig(clock_mhz=args.clock_mhz, link_gbps=args.link_gbps)
     placement = partition_network(net, budget, max_devices=args.max_devices,
                                   cfg=cfg)
@@ -242,9 +241,9 @@ def _corrupt_first_weight(params):
             cp = lp.convs.get(key)
             if cp is None:
                 continue
-            wb = cp.weights
-            entries = (wb.entries[0] ^ 1,) + wb.entries[1:]
-            cp.weights = replace(wb, entries=entries)
+            words = cp.weights.words.copy()
+            words[0, 0] ^= np.uint64(1)
+            cp.weights = replace(cp.weights, words=words)
             return
     raise QnnError("network has no weights to corrupt")
 
@@ -257,7 +256,7 @@ def cmd_compare(args) -> int:
     if args.corrupt_weight:
         _corrupt_first_weight(params)
     graph = build_graph(net, params)
-    result = run(graph, image, _model_config(args))
+    result = run(graph, image)
     same = result.output.shape == reference.shape \
         and bool(np.array_equal(result.output, reference))
     if same:
@@ -310,7 +309,6 @@ def build_parser() -> _Parser:
     _add_net_flags(p_cmp)
     _add_params_flags(p_cmp)
     _add_image_flags(p_cmp)
-    _add_model_flags(p_cmp)
     p_cmp.add_argument("--corrupt-weight", action="store_true",
                        help=argparse.SUPPRESS)
     p_cmp.set_defaults(func=cmd_compare)

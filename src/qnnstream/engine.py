@@ -559,8 +559,20 @@ def validate_partition(partition: Partition, n_stages: int):
 @dataclass(frozen=True)
 class LinkTraffic:
     edge: str
-    element_bits: int
     required_mbps: float
+
+
+def edge_loads(plans, clock_mhz: float):
+    """Link load of every stream edge: (src, dst, Mbps, the cuts it loads).
+
+    Pixels cross at one element per cycle peak, so a stream needs its
+    element bits x clock. Cut t is the link between plan t - 1 and plan
+    t. The daisy chain routes an edge (src, dst), src < dst, over every
+    link between its ends: it loads cut t iff src < t <= dst, wherever
+    the other cuts fall.
+    """
+    return [(src, dst, shape.bits * clock_mhz, range(src + 1, dst + 1))
+            for src, dst, shape, _ in plan_edges(plans)]
 
 
 @dataclass(frozen=True)
@@ -582,30 +594,20 @@ class PartitionReport:
 def simulate_partition(net, partition: Partition, cfg: ModelConfig = None) -> PartitionReport:
     """Check every device-to-device link against its bandwidth budget.
 
-    Pixels cross at one element per cycle peak, so a stream needs
-    element_bits x clock. An edge whose producer and consumer sit on
-    non-adjacent devices loads every link in between (daisy chain).
+    Link i, between device i and i + 1, is the cut before the first
+    stage of device i + 1 and carries every edge_loads stream that loads
+    that cut.
     """
     cfg = cfg or ModelConfig()
     plans = expand_layers(net)
     validate_partition(partition, len(plans))
-    device_of = {}
-    for dev, (a, b) in enumerate(partition.ranges):
-        for i in range(a, b + 1):
-            device_of[i] = dev
-    per_link = [[] for _ in range(partition.devices - 1)]
-    for src, dst, shape, _ in plan_edges(plans):
-        d_src, d_dst = device_of[src], device_of[dst]
-        if d_src == d_dst:
-            continue
-        if d_src > d_dst:
-            raise PartitionError("edge %s->%s runs against the daisy chain"
-                                 % (plans[src].name, plans[dst].name))
-        mbps = shape.bits * cfg.clock_mhz
-        t = LinkTraffic(edge="%s->%s" % (plans[src].name, plans[dst].name),
-                        element_bits=shape.bits, required_mbps=mbps)
-        for link in range(d_src, d_dst):
-            per_link[link].append(t)
+    cuts = [a for a, _ in partition.ranges[1:]]
+    per_link = [[] for _ in cuts]
+    for src, dst, mbps, spanned in edge_loads(plans, cfg.clock_mhz):
+        for link, cut in enumerate(cuts):
+            if cut in spanned:
+                edge = "%s->%s" % (plans[src].name, plans[dst].name)
+                per_link[link].append(LinkTraffic(edge=edge, required_mbps=mbps))
     capacity = cfg.link_gbps * 1000.0
     links = []
     all_ok = True

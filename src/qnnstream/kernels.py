@@ -118,31 +118,27 @@ class LineBuffer:
 
 
 def build_threshold_matrix(threshold_sets):
-    """Stack per-channel ThresholdSets into arrays for vectorized activation.
+    """Stack per-channel ThresholdSets into sign-folded rows.
 
-    Threshold magnitudes can exceed int64 when gamma * inv_std is tiny;
-    clamping to +/-2**62 preserves every comparison against accumulator
-    values, which are far smaller.
+    Returns (mat, sign): the code for accumulator a on channel j is the
+    count of values in mat[j] that are <= sign[j] * a. An inverted
+    channel counts the thresholds >= a, so its row holds them negated
+    with sign -1 (v >= a iff -v <= -a); ties go up either way. Threshold
+    magnitudes can exceed int64 when gamma * inv_std is tiny; clamping
+    to +/-2**62 preserves every comparison against accumulator values,
+    which are far smaller.
     """
     clamp = 1 << 62
-    m = len(threshold_sets[0].values)
-    mat = np.empty((len(threshold_sets), m), dtype=np.int64)
-    inv = np.empty(len(threshold_sets), dtype=bool)
-    for row, ts in enumerate(threshold_sets):
-        mat[row] = [min(max(v, -clamp), clamp) for v in ts.values]
-        inv[row] = ts.inverted
-    return mat, inv
+    sign = np.array([-1 if ts.inverted else 1 for ts in threshold_sets], dtype=np.int64)
+    mat = np.array([[min(max(v, -clamp), clamp) for v in ts.values]
+                    for ts in threshold_sets], dtype=np.int64)
+    return mat * sign[:, None], sign
 
 
-def apply_threshold_matrix(accs: np.ndarray, mat: np.ndarray, inv: np.ndarray):
-    """Codes for accumulators whose last axis runs along the rows of mat.
-
-    The code is the count of thresholds <= a, or >= a for inverted
-    channels (ties go up).
-    """
-    ge = (accs[..., None] >= mat).sum(axis=-1)
-    le = (accs[..., None] <= mat).sum(axis=-1)
-    return np.where(inv, le, ge).astype(np.int32)
+def apply_threshold_matrix(accs: np.ndarray, mat: np.ndarray, sign: np.ndarray):
+    """Codes for accumulators whose last axis runs along the rows of mat,
+    one comparison per threshold."""
+    return ((accs * sign)[..., None] >= mat).sum(axis=-1, dtype=np.int32)
 
 
 def activation(thresholds):
@@ -154,8 +150,8 @@ def activation(thresholds):
     """
     if thresholds is None:
         return lambda accs: check_accum_array(accs, ACCUM_BITS).astype(np.int32)
-    mat, inv = build_threshold_matrix(thresholds)
-    return lambda accs: apply_threshold_matrix(accs, mat, inv)
+    mat, sign = build_threshold_matrix(thresholds)
+    return lambda accs: apply_threshold_matrix(accs, mat, sign)
 
 
 class Stage:
@@ -329,9 +325,10 @@ class ConvStage(WindowedStage):
 
     Per valid position the input halts for out_ch compute cycles, one
     output channel per cycle. The dot products run on packed bit planes
-    (quant.popcount_dot): the weights are packed into 64-bit words once,
-    the window codes of a run into n bit planes of words, and each plane
-    meets each weight row by AND + popcount.
+    (quant.popcount_dot): the weights are already packed into 64-bit
+    words (WeightBlock.words), the window codes of a run into n bit
+    planes of words, and each plane meets each weight row by AND +
+    popcount.
     """
 
     def __init__(self, name, in_shape, out_shape, weights, s, p,
@@ -345,11 +342,10 @@ class ConvStage(WindowedStage):
                          pad_value=0, first_compute=weights.out_ch,
                          buffer_capacity=buffer_capacity)
         self.weights = weights
-        self.words = weights.words()
         self.activate = activation(thresholds)
 
     def _compute(self, windows):
-        accs = popcount_dot(self.words, windows, self.in_shape.bits)
+        accs = popcount_dot(self.weights.words, windows, self.in_shape.bits)
         self.compute_cycles += len(windows) * self.weights.out_ch
         return self.activate(accs)
 
@@ -447,7 +443,7 @@ class ResidualJoinStage(ElementwiseStage):
         super().__init__(name, "join", shape, out_shape)
         self.skip_fifo = None
         self.skip_out_fifo = None
-        self.thr_mat, self.thr_inv = build_threshold_matrix(thresholds)
+        self.thr_mat, self.thr_sign = build_threshold_matrix(thresholds)
         self.stalled_on_skip = 0
 
     def _advance(self) -> bool:
@@ -460,7 +456,7 @@ class ResidualJoinStage(ElementwiseStage):
         skip = self.skip_fifo.pop(n).astype(np.int64)
         sums = check_accum_array(reg + skip, ACCUM_BITS)
         chans = (self.real_el + np.arange(n)) % self.in_shape.c
-        codes = apply_threshold_matrix(sums, self.thr_mat[chans], self.thr_inv[chans])
+        codes = apply_threshold_matrix(sums, self.thr_mat[chans], self.thr_sign[chans])
         self._ingested(n)
         self._emit(self.skip_out_fifo, sums.astype(np.int32))
         self._emit(self.out_fifo, codes)
@@ -537,14 +533,12 @@ class FcStage(Stage):
         self.weights = weights
         self.activate = activation(thresholds)
         self.flat = np.empty(in_shape.elements, dtype=np.int32)
-        if in_shape.kind == "code":
-            self.words = weights.words()
-        else:
+        if in_shape.kind != "code":
             self.w_mat = weights.signed_matrix()
 
     def _accumulate(self) -> np.ndarray:
         if self.in_shape.kind == "code":
-            return popcount_dot(self.words, self.flat[None], self.in_shape.bits)[0]
+            return popcount_dot(self.weights.words, self.flat[None], self.in_shape.bits)[0]
         return self.w_mat @ self.flat.astype(np.int64)
 
     def _advance(self) -> bool:

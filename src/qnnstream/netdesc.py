@@ -330,7 +330,6 @@ class StagePlan:
     p: int = 0
     fused: bool = False
     act_bits: int = 0
-    d: float = 0.0
     main_src: int = -1  # plan index feeding the main input, -1 = network source
     skip_src: int = None  # joins: plan feeding the skip input
     skip_shape: StreamShape = None  # tee/join: shape of the emitted skip stream
@@ -374,8 +373,7 @@ def expand_layers(net: NetworkSpec):
             plan = add(name=conv_name("conv"), kind=kind,
                        in_shape=cur, out_shape=layer.out_shape, layer_index=li,
                        role="main", k=layer.k, s=layer.s, p=layer.p,
-                       fused=layer.fused, act_bits=layer.act_bits, d=layer.d,
-                       main_src=prev)
+                       fused=layer.fused, act_bits=layer.act_bits, main_src=prev)
             prev = plan.index
         elif layer.kind in ("maxpool", "avgpool"):
             plan = add(name=conv_name("pool"), kind=layer.kind,
@@ -385,8 +383,7 @@ def expand_layers(net: NetworkSpec):
         elif layer.kind == "fc":
             plan = add(name=conv_name("fc"), kind="fc",
                        in_shape=cur, out_shape=layer.out_shape, layer_index=li,
-                       fused=layer.fused, act_bits=layer.act_bits, d=layer.d,
-                       main_src=prev)
+                       fused=layer.fused, act_bits=layer.act_bits, main_src=prev)
             prev = plan.index
         elif layer.kind == "resblock":
             block_no += 1
@@ -413,13 +410,11 @@ def expand_layers(net: NetworkSpec):
                        in_shape=mid,
                        out_shape=StreamShape(mid.h, mid.w, mid.c, "code", layer.act_bits),
                        layer_index=li, role="join", act_bits=layer.act_bits,
-                       d=layer.d, main_src=conv_a.index, skip_src=src_idx,
-                       skip_shape=mid)
+                       main_src=conv_a.index, skip_src=src_idx, skip_shape=mid)
             conv_b = add(name=bname + "_b", kind="conv",
                          in_shape=join.out_shape, out_shape=layer.out_shape,
                          layer_index=li, role="b", k=3, s=1, p=1,
-                         fused=True, act_bits=layer.act_bits, d=layer.d,
-                         main_src=join.index)
+                         fused=True, act_bits=layer.act_bits, main_src=join.index)
             prev = conv_b.index
             skip_provider = (join.index, mid)
     return plans
@@ -595,6 +590,9 @@ def load_params(blob: bytes, net: NetworkSpec):
     if layer_count != len(net.layers):
         raise ParamsError("blob describes %d layers, network has %d"
                           % (layer_count, len(net.layers)))
+    if (len(blob) - head) % 4:
+        raise ParamsError("parameter blob holds %d bytes after its header, "
+                          "not a whole number of float32 values" % (len(blob) - head))
     rest = np.frombuffer(blob, dtype="<f4", offset=head)
     if len(rest) < layer_count:
         raise ParamsError("parameter blob too short for its d header")

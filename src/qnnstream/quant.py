@@ -6,16 +6,16 @@ is pure and exact: thresholds are derived with rational arithmetic so the
 integer decision procedure agrees with the mathematical definition on
 every integer accumulator value, not just away from boundaries.
 
-The stages' dot product kernel is popcount_dot. It holds the weights as
-an (out_ch, words) uint64 matrix, packed once per stage, splits a batch
-of code vectors into n bit planes packed into the same words, and takes
+The stages' dot product kernel is popcount_dot. It takes the weights as
+WeightBlock.words, the (out_ch, words) uint64 matrix that is their only
+packed form, built once when the parameters load. It splits a batch of
+code vectors into n bit planes packed into the same words, and takes
 every plane against every weight row with one AND + np.bitwise_count
 over the whole batch; the planes combine by shift-add. plane_dot,
 codes_to_planes and quantized_dot are the scalar references it is
 tested against.
 """
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,21 +25,6 @@ import numpy as np
 from .errors import AccumOverflowError, QuantizationError, ShapeError
 
 ACCUM_BITS = 16
-
-
-def pack_bits(bits) -> int:
-    """Pack an iterable of 0/1 values into an int, index 0 = LSB."""
-    value = 0
-    for j, b in enumerate(bits):
-        if b:
-            value |= 1 << j
-    return value
-
-
-def pack_bit_array(bits: np.ndarray) -> int:
-    # packbits gives little-endian bytes when bitorder matches int.from_bytes
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 def check_accum_array(values: np.ndarray, width: int = ACCUM_BITS) -> np.ndarray:
@@ -57,23 +42,29 @@ def check_accum_array(values: np.ndarray, width: int = ACCUM_BITS) -> np.ndarray
 class WeightBlock:
     """Bit-packed 1-bit weights for one layer, laid out like the weight cache.
 
-    One packed entry per output channel; entry bit j holds the weight for
-    flat index j = (row * k + col) * in_ch + ch, channel fastest. Bit 1
-    encodes +1, bit 0 encodes -1.
+    words holds one row of uint64 words per output channel, the layout of
+    pack_words and the operand of popcount_dot: bit j of a row (bit
+    j % 64 of word j // 64) holds the weight for flat index
+    j = (row * k + col) * in_ch + ch, channel fastest, and the bits past
+    k * k * in_ch are zero. Bit 1 encodes +1, bit 0 encodes -1.
     """
 
     k: int
     in_ch: int
     out_ch: int
-    entries: tuple
+    words: np.ndarray
 
     def __post_init__(self):
-        if len(self.entries) != self.out_ch:
-            raise ShapeError("expected %d entries, got %d" % (self.out_ch, len(self.entries)))
-        span = self.entry_bits
-        for e in self.entries:
-            if e < 0 or e.bit_length() > span:
-                raise ShapeError("entry does not fit %d bits" % span)
+        shape = (self.out_ch, -(-self.entry_bits // 64))
+        w = self.words
+        if not isinstance(w, np.ndarray) or w.dtype != np.uint64 \
+                or w.shape != shape or not w.flags.c_contiguous:
+            raise ShapeError("weights must be a C-contiguous %d x %d uint64 matrix"
+                             % shape)
+        tail = self.entry_bits % 64
+        if tail and (w[:, -1] >> np.uint64(tail)).any():
+            raise ShapeError("weight row has bits set past its %d weights"
+                             % self.entry_bits)
 
     @property
     def entry_bits(self) -> int:
@@ -87,23 +78,14 @@ class WeightBlock:
         k, k2, in_ch, out_ch = raw.shape
         if k != k2:
             raise ShapeError("filter window must be square, got %d x %d" % (k, k2))
-        ones = raw >= 0
-        # (K, K, I, O) -> (O, K*K*I) with channel fastest inside each entry
-        flat = np.moveaxis(ones, 3, 0).reshape(out_ch, k * k * in_ch)
-        entries = tuple(pack_bit_array(row) for row in flat)
-        return cls(k=k, in_ch=in_ch, out_ch=out_ch, entries=entries)
-
-    def words(self) -> np.ndarray:
-        """The entries as an (out_ch, words) uint64 matrix in the layout
-        of pack_words, the operand of popcount_dot."""
-        nbytes = -(-self.entry_bits // 64) * 8
-        buf = b"".join(e.to_bytes(nbytes, "little") for e in self.entries)
-        return np.frombuffer(buf, dtype="<u8").reshape(self.out_ch, -1)
+        # (K, K, I, O) -> (O, K*K*I) with channel fastest inside each row
+        flat = np.moveaxis(raw >= 0, 3, 0).reshape(out_ch, k * k * in_ch)
+        return cls(k=k, in_ch=in_ch, out_ch=out_ch, words=pack_words(flat))
 
     def signed_matrix(self) -> np.ndarray:
         """Unpack to an (out_ch, entry_bits) int64 matrix of +1 / -1, one
-        row per entry, columns in the entry's flat index order."""
-        bits = np.unpackbits(self.words().view(np.uint8), axis=1,
+        row per output channel, columns in flat index order."""
+        bits = np.unpackbits(self.words.view(np.uint8), axis=1,
                              count=self.entry_bits, bitorder="little")
         return bits.astype(np.int64) * 2 - 1
 
@@ -148,18 +130,18 @@ def quantized_dot(weights: int, codes, length: int, n: int) -> int:
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
-    """Pack 0/1 values along the last axis into uint64 words.
+    """Pack 0/1 values along the last axis into C-contiguous uint64 words.
 
-    Value j of a row lands in word j // 64 at bit j % 64, the layout of
-    pack_bit_array cut into 64-bit words; the last word is zero filled.
+    Value j of a row lands in word j // 64 at bit j % 64, so a row read
+    as one little-endian integer has bit j set for value j; the last
+    word is zero filled.
     """
     packed = np.packbits(bits, axis=-1, bitorder="little")
-    nbytes = -(-bits.shape[-1] // 64) * 8
-    if packed.shape[-1] < nbytes:
-        full = np.zeros(packed.shape[:-1] + (nbytes,), dtype=np.uint8)
-        full[..., :packed.shape[-1]] = packed
-        packed = full
-    return packed.view("<u8")
+    # a fresh zeroed buffer: packbits of a strided view may itself be
+    # strided, and view() needs the bytes of a row to be contiguous
+    full = np.zeros(packed.shape[:-1] + (-(-bits.shape[-1] // 64) * 8,), dtype=np.uint8)
+    full[..., :packed.shape[-1]] = packed
+    return full.view("<u8")
 
 
 # plane b of a code is its bit b, for every bit of an int32 code
@@ -170,7 +152,7 @@ _PLANE_WEIGHTS = 2 << np.arange(31, dtype=np.int64)
 def popcount_dot(weights: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
     """quantized_dot of every packed weight row against every row of codes.
 
-    weights is WeightBlock.words(), (out_ch, words) uint64; codes is
+    weights is WeightBlock.words, (out_ch, words) uint64; codes is
     (N, length) with n-bit values. Returns (N, out_ch) int64. Each bit
     plane of the codes is packed into words like the weights and meets
     every weight row in one AND + popcount, all planes, rows and output
@@ -222,15 +204,13 @@ class ThresholdSet:
     values holds integer thresholds in ascending order. With inverted
     False the code for accumulator a is the count of values <= a; with
     inverted True the comparison direction flips (negative gamma * inv_std).
-    The real thresholds tau + alpha * step are strictly monotone; their
+    The real thresholds of fold_batchnorm are strictly monotone; their
     integer roundings in values may repeat when |step| < 1.
     """
 
     values: tuple
     inverted: bool
     n: int
-    tau: float
-    step: float
 
     def __post_init__(self):
         if len(self.values) != (1 << self.n) - 1:
@@ -249,20 +229,11 @@ def _floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def _lossy_float(x: Fraction) -> float:
-    """Informational float view of an exact rational; saturates instead
-    of raising when a near-zero scale pushes it past the float range."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
 def fold_batchnorm(p: BnParams, d: float, n: int) -> ThresholdSet:
     """Fold batchnorm into integer activation thresholds.
 
-    tau = mean - bias / (gamma * inv_std), step = d / (gamma * inv_std),
-    real thresholds t_alpha = tau + alpha * step for alpha = 1 .. 2**n - 1.
+    t0 = mean - bias / (gamma * inv_std), step = d / (gamma * inv_std),
+    real thresholds t_alpha = t0 + alpha * step for alpha = 1 .. 2**n - 1.
     Rounding to integers keeps the decision exact on integer accumulators:
     ceil for an ascending ladder (t <= a iff ceil(t) <= a), floor for a
     descending one (a <= t iff a <= floor(t)).
@@ -274,17 +245,16 @@ def fold_batchnorm(p: BnParams, d: float, n: int) -> ThresholdSet:
     gi = Fraction(p.gamma) * Fraction(p.inv_std)
     if gi == 0:
         raise QuantizationError("degenerate channel: gamma * inv_std is zero")
-    tau = Fraction(p.mean) - Fraction(p.bias) / gi
+    t0 = Fraction(p.mean) - Fraction(p.bias) / gi
     step = Fraction(d) / gi
-    reals = [tau + alpha * step for alpha in range(1, 1 << n)]
+    reals = [t0 + alpha * step for alpha in range(1, 1 << n)]
     if gi > 0:
         values = tuple(_ceil_frac(t) for t in reals)
         inverted = False
     else:
         values = tuple(_floor_frac(t) for t in reversed(reals))
         inverted = True
-    return ThresholdSet(values=values, inverted=inverted, n=n,
-                        tau=_lossy_float(tau), step=_lossy_float(step))
+    return ThresholdSet(values=values, inverted=inverted, n=n)
 
 
 def apply_threshold(a: int, ts: ThresholdSet) -> int:

@@ -2,7 +2,7 @@
 
 Every stage is charged for the storage it would occupy in hardware:
 
-  weight cache   one row of k*k*in_ch single-bit entries per output
+  weight cache   one row of k*k*in_ch single-bit weights per output
                  channel, depth rounded up to the cache granule of 512
                  rows, held in M20K block RAM (512 deep x 40 wide)
   bn cache       four 16 bit words per output channel, also block RAM
@@ -26,12 +26,12 @@ from .engine import (
     ModelConfig,
     Partition,
     _ceil_div,
-    plan_edges,
+    _window_fill,
+    edge_loads,
     simulate_partition,
     skip_store_elements,
 )
 from .errors import PartitionError
-from .kernels import line_buffer_capacity
 from .netdesc import expand_layers
 
 CACHE_DEPTH_GRANULE = 512
@@ -84,8 +84,7 @@ def stage_resources(plans):
             bn_bits = p.out_ch * 64
             m20k += 2 * _ceil_div(p.out_ch, M20K_DEPTH)
         if p.kind in ("conv", "firstconv", "maxpool", "avgpool"):
-            cap = line_buffer_capacity(ish.c, ish.w + 2 * p.p, p.k)
-            buf_bits = cap * ish.bits
+            buf_bits = _window_fill(p) * ish.bits
         out.append(StageResources(name=p.name, kind=p.kind,
                                   weight_bits_used=w_used, weight_bits=w_bits,
                                   bn_bits=bn_bits, buffer_bits=buf_bits,
@@ -130,14 +129,12 @@ class DeviceBudget:
     name: str
     m20k: int
     ff: int
-    alm: int  # recorded, not enforced
 
     def fits(self, m20k: int, ff: int) -> bool:
         return m20k <= self.m20k and ff <= self.ff
 
 
-STRATIX_V_5SGSD8 = DeviceBudget(name="5SGSD8", m20k=2567, ff=1_050_000,
-                                alm=262_400)
+STRATIX_V_5SGSD8 = DeviceBudget(name="5SGSD8", m20k=2567, ff=1_050_000)
 
 
 @dataclass(frozen=True)
@@ -166,15 +163,13 @@ class PlacementReport:
 def _cut_bandwidth(plans, cfg):
     """Link load at every possible cut position, in Mbps.
 
-    An edge whose endpoints land on different devices loads every link
-    the daisy chain routes it over, i.e. exactly the cuts it spans,
-    regardless of where the other cuts fall. Cutting inside a residual
-    block therefore costs two 16-bit streams and is usually avoided.
+    Cutting inside a residual block costs two 16-bit streams and is
+    usually avoided.
     """
     bw = [0.0] * (len(plans) + 1)
-    for src, dst, shape, _ in plan_edges(plans):
-        for t in range(src + 1, dst + 1):
-            bw[t] += shape.bits * cfg.clock_mhz
+    for _, _, mbps, spanned in edge_loads(plans, cfg.clock_mhz):
+        for t in spanned:
+            bw[t] += mbps
     return bw
 
 

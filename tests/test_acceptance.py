@@ -114,8 +114,8 @@ def test_02_threshold_fold_equals_float_reference(rng):
             for off in (-2, -1, 0, 1, 2):
                 grid.append(min(max(v + off, -32768), 32767))
         accs = np.asarray(grid, dtype=np.int64)
-        mat, inv = build_threshold_matrix([ts])
-        got = apply_threshold_matrix(accs, mat, inv)
+        mat, sign = build_threshold_matrix([ts])
+        got = apply_threshold_matrix(accs, mat, sign)
         y = batchnorm(accs.astype(np.float64), p)
         want = np.clip(np.floor(y / d), 0, (1 << n) - 1).astype(np.int64)
         bad = np.flatnonzero(got != want)

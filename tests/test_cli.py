@@ -136,9 +136,13 @@ def test_compare_corrupt_weight(net_file, capsys):
 # flag and input errors, all exit 1
 
 def test_unknown_flag_exits_1(capsys):
-    with pytest.raises(SystemExit) as ei:
-        main(["estimate", "--builtin", "resnet18", "--no-such-flag"])
-    assert ei.value.code == 1
+    for argv in (["estimate", "--builtin", "resnet18", "--no-such-flag"],
+                 # compare checks outputs only, so it takes no cycle model flags
+                 ["compare", "--builtin", "vgg", "--random-params", "0",
+                  "--random-image", "0", "--c-mac", "3"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 1
 
 
 def test_missing_subcommand_exits_1(capsys):

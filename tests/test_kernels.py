@@ -119,11 +119,19 @@ def test_line_buffer_gather_and_eviction():
 def test_threshold_matrix_matches_scalar(rng):
     bns = _random_bn(rng, 12)
     sets = _thresholds(bns, 1.7, 2)
-    mat, inv = build_threshold_matrix(sets)
+    mat, sign = build_threshold_matrix(sets)
     accs = rng.integers(-2000, 2000, size=12)
-    got = apply_threshold_matrix(accs, mat, inv)
+    got = apply_threshold_matrix(accs, mat, sign)
     for j, ts in enumerate(sets):
         assert got[j] == apply_threshold(int(accs[j]), ts)
+    # every channel at each of its thresholds and one either side
+    assert {ts.inverted for ts in sets} == {False, True}
+    at = np.array([[ts.values[i] + off for ts in sets]
+                   for i in range(len(sets[0].values)) for off in (-1, 0, 1)])
+    got = apply_threshold_matrix(at, mat, sign)
+    for row, codes in zip(at, got):
+        for j, ts in enumerate(sets):
+            assert codes[j] == apply_threshold(int(row[j]), ts)
 
 
 def test_threshold_matrix_clamps_huge_values():
@@ -131,9 +139,9 @@ def test_threshold_matrix_clamps_huge_values():
     # keep every comparison against realistic accumulators intact
     p = BnParams(gamma=1e-30, mean=0.0, inv_std=1.0, bias=-1.0)
     ts = fold_batchnorm(p, 1.0, 1)
-    mat, inv = build_threshold_matrix([ts, ts])
+    mat, sign = build_threshold_matrix([ts, ts])
     accs = np.array([-30000, 30000])
-    got = apply_threshold_matrix(accs, mat, inv)
+    got = apply_threshold_matrix(accs, mat, sign)
     assert got[0] == apply_threshold(-30000, ts)
     assert got[1] == apply_threshold(30000, ts)
 

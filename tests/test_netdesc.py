@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_net_text
 from qnnstream.errors import NetdescError, ParamsError
@@ -211,6 +212,9 @@ def test_blob_error_paths(rng):
         load_params(blob[:-40], net)
     with pytest.raises(ParamsError, match="left over"):
         load_params(blob + b"\0\0\0\0", net)
+    for cut in (13, len(blob) - 1):  # a partial float32 value
+        with pytest.raises(ParamsError, match="whole number"):
+            load_params(blob[:cut], net)
 
     other = parse_netdesc("input 8 8 3 8\nconv k=3 s=1 p=1 o=4 d=2.0 act=2\n")
     with pytest.raises(ParamsError, match="layers"):
@@ -261,3 +265,65 @@ def test_random_params_spread_codes(rng):
     img = rng.integers(0, 4, size=(12, 12, 2), dtype=np.uint8)
     res = run(build_graph(net, params), img, ModelConfig())
     assert len(np.unique(res.output)) >= 2
+
+
+# ---------------------------------------------------------------------------
+# input boundaries under fuzzing: a malformed description or blob must end
+# as the module's own error, never as another exception
+
+_NUMBERS = st.one_of(st.integers(0, 9).map(str),
+                     st.sampled_from(["0.5", "1e300", "1e-46", "inf", "nan",
+                                      "-1", "2.0", "0x10", "", "1_0", "9" * 30]))
+_KEYS = {"conv": "kspod", "maxpool": "ksp", "avgpool": "ksp", "resblock": "osd",
+         "fc": "od", "input": ""}
+_FIELD = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(["k", "s", "p", "o", "d", "act"]),
+              st.one_of(_NUMBERS, st.just("none"))),
+    st.sampled_from(["proj", "#", "=", "k==1", "wat"]),
+    st.text(max_size=6))
+# a directive with each of its keys, then a few more tokens
+_LINE = st.sampled_from(sorted(_KEYS)).flatmap(lambda head: st.builds(
+    lambda values, extra: " ".join(
+        [head] + ["%s=%s" % kv for kv in zip(_KEYS[head], values)] + extra),
+    st.lists(_NUMBERS, min_size=len(_KEYS[head]), max_size=len(_KEYS[head])),
+    st.lists(st.one_of(_FIELD, _NUMBERS), max_size=3)))
+_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.builds(lambda head, lines: "\n".join(head + lines),
+              st.sampled_from([[], ["input 8 8 3 8"], ["input 4 4 1 2"]]),
+              st.lists(_LINE, max_size=6)),
+    st.builds(lambda at, junk: SMALL[:at] + junk + SMALL[at:],
+              st.integers(0, len(SMALL)), st.text(max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXT)
+def test_parse_netdesc_fuzz(text):
+    try:
+        parse_netdesc(text)
+    except NetdescError:
+        pass
+
+
+_SMALL_BLOB = random_params(parse_netdesc(SMALL), np.random.default_rng(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut=st.one_of(st.none(), st.integers(0, len(_SMALL_BLOB) - 1)),
+       flips=st.lists(st.integers(0, 8 * len(_SMALL_BLOB) - 1), max_size=4),
+       specials=st.lists(st.tuples(st.integers(0, len(_SMALL_BLOB) // 4 - 1),
+                                   st.sampled_from(["nan", "inf", "-inf", "0",
+                                                    "1e-45", "3e38"])),
+                         max_size=2),
+       tail=st.binary(max_size=6))
+def test_load_params_fuzz(cut, flips, specials, tail):
+    blob = bytearray(_SMALL_BLOB)
+    for word, value in specials:
+        blob[4 * word:4 * word + 4] = np.float32(value).tobytes()
+    for bit in flips:
+        blob[bit // 8] ^= 1 << (bit % 8)
+    blob = bytes(blob[:cut]) + tail
+    try:
+        load_params(blob, parse_netdesc(SMALL))
+    except ParamsError:
+        pass

@@ -14,8 +14,7 @@ from qnnstream.quant import (
     check_accum_array,
     codes_to_planes,
     fold_batchnorm,
-    pack_bit_array,
-    pack_bits,
+    pack_words,
     plane_dot,
     popcount_dot,
     quantize_reference,
@@ -33,16 +32,30 @@ def test_popcount_matches_bin():
         assert plane_dot(ones, x, 64) == bin(x).count("1")
 
 
-def test_pack_bits_lsb_first():
-    assert pack_bits([1, 0, 1, 1]) == 0b1101
-    assert pack_bits([]) == 0
-    assert pack_bits([0] * 8) == 0
+def _row_int(row) -> int:
+    """A packed row of words read as one little-endian integer."""
+    return int.from_bytes(row.tobytes(), "little")
 
 
-def test_pack_bit_array_matches_pack_bits(rng):
+def _bit_by_bit(bits) -> int:
+    return sum(int(b) << j for j, b in enumerate(bits))
+
+
+def test_pack_words_lsb_first():
+    assert pack_words(np.array([1, 0, 1, 1])).tolist() == [0b1101]
+    assert pack_words(np.zeros(0, dtype=bool)).shape == (0,)
+    assert pack_words(np.zeros(8, dtype=bool)).tolist() == [0]
+    assert pack_words(np.ones(65, dtype=bool)).tolist() == [(1 << 64) - 1, 1]
+
+
+def test_pack_words_matches_bit_by_bit(rng):
     for length in (1, 7, 8, 9, 63, 64, 65, 4704):
-        bits = rng.integers(0, 2, size=length)
-        assert pack_bit_array(bits) == pack_bits(bits.tolist())
+        bits = rng.integers(0, 2, size=(3, length))
+        words = pack_words(bits)
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        assert words.shape == (3, -(-length // 64))
+        for row, want in zip(words, bits):
+            assert _row_int(row) == _bit_by_bit(want)
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +92,19 @@ def test_check_accum_array():
 # packed weights
 
 def test_weight_block_roundtrip(rng):
-    raw = rng.standard_normal((3, 3, 4, 5)).astype(np.float32)
-    wb = WeightBlock.from_float(raw)
-    assert wb.k == 3 and wb.in_ch == 4 and wb.out_ch == 5
-    signed = wb.signed_matrix()
-    assert signed.dtype == np.int64 and signed.shape == (5, 3 * 3 * 4)
-    expect = np.moveaxis(np.where(raw >= 0, 1, -1), 3, 0).reshape(5, -1)
-    assert np.array_equal(signed, expect)
+    # 11 x 11 x 1 packs to exactly two words per row, where packbits on
+    # the moved-axis view returns a strided result
+    for k, in_ch, out_ch in ((3, 4, 5), (11, 1, 5), (11, 3, 4)):
+        raw = rng.standard_normal((k, k, in_ch, out_ch)).astype(np.float32)
+        wb = WeightBlock.from_float(raw)
+        assert wb.k == k and wb.in_ch == in_ch and wb.out_ch == out_ch
+        assert wb.words.dtype == np.uint64 and wb.words.flags.c_contiguous
+        flat = np.moveaxis(raw >= 0, 3, 0).reshape(out_ch, -1)
+        for row, bits in zip(wb.words, flat):
+            assert _row_int(row) == _bit_by_bit(bits)
+        signed = wb.signed_matrix()
+        assert signed.dtype == np.int64 and signed.shape == (out_ch, k * k * in_ch)
+        assert np.array_equal(signed, np.where(flat, 1, -1))
 
 
 def test_weight_block_zero_is_plus_one():
@@ -99,7 +118,7 @@ def test_weight_block_entry_layout():
     raw = -np.ones((2, 2, 3, 1), dtype=np.float32)
     raw[1, 0, 2, 0] = 1.0  # flat index (1 * 2 + 0) * 3 + 2 = 8
     wb = WeightBlock.from_float(raw)
-    assert wb.entries[0] == 1 << 8
+    assert wb.words.tolist() == [[1 << 8]]
 
 
 def test_weight_block_validation():
@@ -107,10 +126,19 @@ def test_weight_block_validation():
         WeightBlock.from_float(np.zeros((3, 3, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
         WeightBlock.from_float(np.zeros((3, 5, 1, 1), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        WeightBlock(k=1, in_ch=1, out_ch=2, entries=(0,))
-    with pytest.raises(ShapeError):
-        WeightBlock(k=1, in_ch=1, out_ch=1, entries=(2,))  # needs 2 bits
+    WeightBlock(k=1, in_ch=65, out_ch=2, words=np.zeros((2, 2), dtype=np.uint64))
+    bad_words = (
+        np.zeros((1, 2), dtype=np.uint64),  # one row for two channels
+        np.zeros((2, 1), dtype=np.uint64),  # one word for 65 bits
+        np.zeros((2, 2), dtype=np.int64),
+        np.zeros((2, 2), dtype=">u8"),
+        np.zeros((2, 2), dtype=np.uint64, order="F"),
+        np.array([[0, 2], [0, 0]], dtype=np.uint64),  # bit 65 of a 65-bit row
+        [[0, 0], [0, 0]],
+    )
+    for words in bad_words:
+        with pytest.raises(ShapeError):
+            WeightBlock(k=1, in_ch=65, out_ch=2, words=words)
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +177,21 @@ def test_quantized_dot_matches_signed_dot(rng):
     # word boundaries and for all-zero and all-max codes
     for length in (1, 63, 64, 65, 128, 199, 4608):
         for n in (1, 2, 3):
-            entries = tuple(pack_bit_array(rng.integers(0, 2, length))
-                            for _ in range(3))
-            wb = WeightBlock(k=1, in_ch=length, out_ch=3, entries=entries)
-            signs = np.array([[2 * ((w >> j) & 1) - 1 for j in range(length)]
-                              for w in entries])
+            bits = rng.integers(0, 2, (3, length))
+            wb = WeightBlock(k=1, in_ch=length, out_ch=3, words=pack_words(bits))
+            rows = [_row_int(row) for row in wb.words]
+            signs = 2 * bits - 1
             for batch in (1, 7):
                 codes = rng.integers(0, 1 << n, (batch, length))
                 codes[0] = 0
                 codes[-1] = (1 << n) - 1
-                got = popcount_dot(wb.words(), codes, n)
+                got = popcount_dot(wb.words, codes, n)
                 assert got.dtype == np.int64
                 assert got.shape == (batch, 3)
                 assert np.array_equal(got, codes @ signs.T)
                 if length <= 199:
                     for row, want in zip(codes, got):
-                        for w, value in zip(entries, want):
+                        for w, value in zip(rows, want):
                             assert quantized_dot(w, row.tolist(), length, n) == value
 
 
@@ -234,9 +261,9 @@ def test_fold_validation():
 
 def test_threshold_set_validation():
     with pytest.raises(QuantizationError):
-        ThresholdSet(values=(1, 2), inverted=False, n=2, tau=0.0, step=1.0)
+        ThresholdSet(values=(1, 2), inverted=False, n=2)
     with pytest.raises(QuantizationError):
-        ThresholdSet(values=(3, 2, 1), inverted=False, n=2, tau=0.0, step=1.0)
+        ThresholdSet(values=(3, 2, 1), inverted=False, n=2)
 
 
 # ---------------------------------------------------------------------------

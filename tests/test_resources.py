@@ -90,7 +90,7 @@ def test_join_charges_skip_store():
 # device placement
 
 def test_budget_fits():
-    b = DeviceBudget("toy", m20k=10, ff=1000, alm=100)
+    b = DeviceBudget("toy", m20k=10, ff=1000)
     assert b.fits(10, 1000)
     assert not b.fits(11, 1000)
     assert not b.fits(10, 1001)
@@ -138,7 +138,7 @@ def test_placement_respects_max_devices():
 
 
 def test_oversized_stage_rejected():
-    tiny = DeviceBudget("tiny", m20k=1, ff=64, alm=8)
+    tiny = DeviceBudget("tiny", m20k=1, ff=64)
     with pytest.raises(PartitionError, match="alone exceeds"):
         partition_network(_conv_net(64), tiny, cfg=ModelConfig())
 

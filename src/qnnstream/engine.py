@@ -320,7 +320,7 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
 # ---------------------------------------------------------------------------
 # execution driver
 
-def _drive_sweep(tasks):
+def _drive_sweep(tasks, fifos):
     while True:
         progressed = False
         unfinished = []
@@ -334,7 +334,13 @@ def _drive_sweep(tasks):
         if not unfinished:
             return
         if not progressed:
-            raise DeadlockError(unfinished)
+            raise DeadlockError(unfinished,
+                                [_occupancy(f) for f in fifos if f.occ == f.capacity],
+                                [_occupancy(f) for f in fifos if not f.occ])
+
+
+def _occupancy(fifo: Fifo) -> str:
+    return "%s %d/%d" % (fifo.name, fifo.occ, fifo.capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +528,7 @@ def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None,
     source = _Source(flat, graph.source_fifo)
     sink = _Sink(graph.sink_fifo, graph.net.output_shape.elements)
     tasks = [source] + list(graph.stages) + [sink]
-    _drive_sweep(tasks)
+    _drive_sweep(tasks, graph.fifos)
     for fifo in graph.fifos:
         if fifo.occ != 0 or fifo.pushed != fifo.popped:
             raise QnnError("conservation violated on %s" % fifo.name)

@@ -22,11 +22,16 @@ class BufferEvictionError(QnnError):
 
 
 class DeadlockError(QnnError):
-    """No stage can fire, input is exhausted, output incomplete."""
+    """No stage can fire, input is exhausted, output incomplete.
 
-    def __init__(self, blocked):
-        self.blocked = list(blocked)
-        super().__init__("pipeline deadlock; blocked stages: " + ", ".join(self.blocked))
+    The message names the blocked stages and every full and every empty
+    FIFO, each given as "name occupancy/capacity".
+    """
+
+    def __init__(self, blocked, full, empty):
+        lists = tuple(", ".join(names) or "none" for names in (blocked, full, empty))
+        super().__init__("pipeline deadlock; blocked stages: %s; full FIFOs: %s;"
+                         " empty FIFOs: %s" % lists)
 
 
 class NetdescError(QnnError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BufferEvictionError, ShapeError
-from .quant import ACCUM_BITS, check_accum_array, popcount_dot
+from .quant import ACCUM_BITS, FLOAT64_EXACT, check_accum_array, popcount_dot
 
 
 @dataclass(frozen=True)
@@ -350,12 +350,27 @@ class ConvStage(WindowedStage):
         return self.activate(accs)
 
 
+def float_signed_matrix(name, weights, in_shape) -> np.ndarray:
+    """The +/-1 weights as a (K, out_ch) float64 matrix, K the fan-in.
+
+    Inputs from in_shape are integers of magnitude below 2**bits, so
+    every partial sum of a product with this matrix is an integer below
+    2**bits * K. While that is at most 2**53 a float64 holds each one
+    exactly, and the product through BLAS is exact in any order.
+    """
+    if (1 << in_shape.bits) * weights.entry_bits > FLOAT64_EXACT:
+        raise ShapeError("%s: fan-in %d is too wide for an exact float64 product"
+                         % (name, weights.entry_bits))
+    return np.ascontiguousarray(weights.signed_matrix().T, dtype=np.float64)
+
+
 class FirstConvStage(WindowedStage):
     """High precision first layer: 8-bit pixels under +/-1 weights.
 
-    Accumulation is plain signed add/subtract, expressed as an integer
-    matrix product. Internal accumulators are wider than 16 bits; only
-    values that cross an accumulator stream are range checked.
+    Accumulation is plain signed add/subtract, expressed as an exact
+    float64 matrix product (float_signed_matrix). Internal accumulators
+    are wider than 16 bits; only values that cross an accumulator stream
+    are range checked.
     """
 
     def __init__(self, name, in_shape, out_shape, weights, s, p,
@@ -369,11 +384,11 @@ class FirstConvStage(WindowedStage):
                          pad_value=0, first_compute=weights.out_ch,
                          buffer_capacity=buffer_capacity)
         self.weights = weights
-        self.w_mat = weights.signed_matrix()
+        self.w_mat = float_signed_matrix(name, weights, in_shape)
         self.activate = activation(thresholds)
 
     def _compute(self, windows):
-        accs = windows.astype(np.int64) @ self.w_mat.T
+        accs = (windows.astype(np.float64) @ self.w_mat).astype(np.int64)
         self.compute_cycles += len(windows) * self.weights.out_ch
         return self.activate(accs)
 
@@ -534,12 +549,12 @@ class FcStage(Stage):
         self.activate = activation(thresholds)
         self.flat = np.empty(in_shape.elements, dtype=np.int32)
         if in_shape.kind != "code":
-            self.w_mat = weights.signed_matrix()
+            self.w_mat = float_signed_matrix(name, weights, in_shape)
 
     def _accumulate(self) -> np.ndarray:
         if self.in_shape.kind == "code":
             return popcount_dot(self.weights.words, self.flat[None], self.in_shape.bits)[0]
-        return self.w_mat @ self.flat.astype(np.int64)
+        return (self.flat.astype(np.float64) @ self.w_mat).astype(np.int64)
 
     def _advance(self) -> bool:
         got = self.in_fifo.pop(len(self.flat) - self.real_el)

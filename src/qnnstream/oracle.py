@@ -10,11 +10,18 @@ is therefore evidence about the streaming logic, not a shared code path.
 dense_conv builds the im2col matrix with a stride trick and multiplies;
 dense_conv_loops is a deliberately naive nested-loop version kept as a
 cross-check on the cross-check, affordable only on small shapes.
+
+The conv and fc products multiply integers by +/-1 weights in float64,
+through BLAS. That is exact: with fan-in K every partial sum, in any
+summation order, is an integer of magnitude at most max|x| * K, and an
+IEEE double holds every integer below 2**53. _signed_product checks
+max|x| * K < 2**53 before each product and falls back to the int64
+product (no BLAS) when it does not hold.
 """
 
 import numpy as np
 
-from .quant import ACCUM_BITS, BnQuantizer, check_accum_array
+from .quant import ACCUM_BITS, FLOAT64_EXACT, BnQuantizer, check_accum_array
 
 
 def pad_dense(x: np.ndarray, p: int) -> np.ndarray:
@@ -23,9 +30,21 @@ def pad_dense(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, ((p, p), (p, p), (0, 0)))
 
 
-def _signs(raw_w: np.ndarray) -> np.ndarray:
+def _signs(raw_w: np.ndarray, dtype=np.int64) -> np.ndarray:
     # the sign convention: zero weights count as +1
-    return np.where(np.asarray(raw_w) >= 0, 1, -1).astype(np.int64)
+    return np.where(np.asarray(raw_w) >= 0, dtype(1), dtype(-1))
+
+
+def _signed_product(x: np.ndarray, raw_w: np.ndarray) -> np.ndarray:
+    """x @ signs(raw_w) for int64 x and a (K, O) weight matrix, exactly.
+
+    float64 through BLAS while every partial sum stays below 2**53,
+    int64 otherwise.
+    """
+    top = max(-int(x.min(initial=0)), int(x.max(initial=0)))
+    if top * raw_w.shape[0] < FLOAT64_EXACT:
+        return (x.astype(np.float64) @ _signs(raw_w, np.float64)).astype(np.int64)
+    return x @ _signs(raw_w)
 
 
 def dense_conv(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
@@ -39,8 +58,8 @@ def dense_conv(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
     windows = windows[::s, ::s]  # (oh, ow, C, k, k)
     oh, ow = windows.shape[:2]
     cols = windows.transpose(0, 1, 3, 4, 2).reshape(oh * ow, k * k * in_ch)
-    w_mat = _signs(raw_w).reshape(k * k * in_ch, out_ch)
-    return (cols @ w_mat).reshape(oh, ow, out_ch)
+    w_mat = raw_w.reshape(k * k * in_ch, out_ch)
+    return _signed_product(cols, w_mat).reshape(oh, ow, out_ch)
 
 
 def dense_conv_loops(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
@@ -142,8 +161,8 @@ def dense_infer(net, params, image: np.ndarray) -> np.ndarray:
         elif layer.kind == "fc":
             cp = lp.convs["main"]
             flat = x.reshape(-1)
-            w_mat = _signs(cp.raw_weights).reshape(flat.size, layer.o)
-            y = (flat @ w_mat).reshape(1, 1, layer.o)
+            w_mat = cp.raw_weights.reshape(flat.size, layer.o)
+            y = _signed_product(flat, w_mat).reshape(1, 1, layer.o)
             if layer.fused:
                 x = quantize_dense(y, cp.bn, lp.d, layer.act_bits)
             else:

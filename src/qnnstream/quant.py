@@ -26,6 +26,11 @@ from .errors import AccumOverflowError, QuantizationError, ShapeError
 
 ACCUM_BITS = 16
 
+# an IEEE double holds every integer of magnitude below this exactly, so
+# an integer product whose partial sums all stay below it is exact in
+# float64, in any summation order
+FLOAT64_EXACT = 1 << 53
+
 
 def check_accum_array(values: np.ndarray, width: int = ACCUM_BITS) -> np.ndarray:
     lo = -(1 << (width - 1))
@@ -279,14 +284,16 @@ class BnQuantizer:
     def __init__(self, p: BnParams, d: float, n: int):
         if d <= 0:
             raise QuantizationError("range size d must be positive")
-        gi = Fraction(p.gamma) * Fraction(p.inv_std)
-        if gi == 0:
+        gn, gd = float(p.gamma).as_integer_ratio()
+        sn, sd = float(p.inv_std).as_integer_ratio()
+        pn, pd = gn * sn, gd * sd  # gamma * inv_std
+        if pn == 0:
             raise QuantizationError("degenerate channel: gamma * inv_std is zero")
-        # batchnorm(a) / d = (A * a + C) / D with D > 0
-        pn, pd = gi.numerator, gi.denominator
-        mn, md = Fraction(p.mean).numerator, Fraction(p.mean).denominator
-        bn_, bd = Fraction(p.bias).numerator, Fraction(p.bias).denominator
-        dn, dd = Fraction(d).numerator, Fraction(d).denominator
+        # batchnorm(a) / d = (A * a + C) / D with D > 0; the ratios are
+        # not reduced, which scales A, C and D alike and moves no floor
+        mn, md = float(p.mean).as_integer_ratio()
+        bn_, bd = float(p.bias).as_integer_ratio()
+        dn, dd = float(d).as_integer_ratio()
         self.a_coef = dd * pn * bd * md
         self.c_coef = dd * (bn_ * pd * md - pn * bd * mn)
         self.d_coef = pd * md * bd * dn
@@ -302,9 +309,12 @@ class BnQuantizer:
         return int(code)
 
     def quantize_array(self, accums: np.ndarray) -> np.ndarray:
-        out = np.empty(accums.shape, dtype=np.int64)
-        flat_in = accums.reshape(-1)
-        flat_out = out.reshape(-1)
-        for j in range(flat_in.size):
-            flat_out[j] = self.quantize(int(flat_in[j]))
-        return out
+        """quantize of every element, the same shape in int64.
+
+        Each distinct value is quantized once, in Python integers held
+        in an object array, and the codes are scattered back through the
+        inverse index, which has the shape of accums.
+        """
+        values, inverse = np.unique(accums, return_inverse=True)
+        codes = (self.a_coef * values.astype(object) + self.c_coef) // self.d_coef
+        return np.clip(codes, 0, self.max_code).astype(np.int64)[inverse]

@@ -47,7 +47,6 @@ class StageResources:
     weight_bits_used: int
     weight_bits: int  # after depth rounding
     bn_bits: int
-    buffer_bits: int  # line buffer registers
     skip_bits: int  # skip fifo registers
     m20k: int
     ff: int
@@ -87,8 +86,7 @@ def stage_resources(plans):
             buf_bits = _window_fill(p) * ish.bits
         out.append(StageResources(name=p.name, kind=p.kind,
                                   weight_bits_used=w_used, weight_bits=w_bits,
-                                  bn_bits=bn_bits, buffer_bits=buf_bits,
-                                  skip_bits=skip_bits, m20k=m20k,
+                                  bn_bits=bn_bits, skip_bits=skip_bits, m20k=m20k,
                                   ff=buf_bits + skip_bits))
     return out
 
@@ -140,8 +138,6 @@ STRATIX_V_5SGSD8 = DeviceBudget(name="5SGSD8", m20k=2567, ff=1_050_000)
 @dataclass(frozen=True)
 class DeviceReport:
     device: int
-    first: int
-    last: int
     stages: tuple
     m20k: int
     ff: int
@@ -153,7 +149,6 @@ class PlacementReport:
     partition: Partition
     devices: tuple
     links: object  # engine.PartitionReport
-    budget: DeviceBudget
 
     @property
     def feasible(self) -> bool:
@@ -267,10 +262,9 @@ def partition_network(net, budget: DeviceBudget = STRATIX_V_5SGSD8,
     devices = []
     for dev, (a, b) in enumerate(partition.ranges):
         devices.append(DeviceReport(
-            device=dev, first=a, last=b,
+            device=dev,
             stages=tuple(plans[i].name for i in range(a, b + 1)),
             m20k=sum(res[i].m20k for i in range(a, b + 1)),
             ff=sum(res[i].ff for i in range(a, b + 1)),
             bram_bits=sum(res[i].bram_bits for i in range(a, b + 1))))
-    return PlacementReport(partition=partition, devices=tuple(devices),
-                           links=links, budget=budget)
+    return PlacementReport(partition=partition, devices=tuple(devices), links=links)

@@ -10,6 +10,7 @@ from qnnstream.engine import (
     simulate_partition,
     validate_partition,
     _drive_sweep,
+    _Source,
 )
 from qnnstream.errors import (
     DeadlockError,
@@ -173,11 +174,39 @@ def test_skip_fifo_never_starves_join(res_case):
         assert f.max_occ <= f.capacity
 
 
+def _deadlock_listing(err):
+    # "pipeline deadlock; blocked stages: a, b; full FIFOs: ...; empty FIFOs: ..."
+    parts = (part.split(": ", 1) for part in str(err.value).split("; ")[1:])
+    return {key: names.split(", ") for key, names in parts}
+
+
 def test_starved_pipeline_deadlocks(res_case):
     net, params, img = res_case
     graph = build_graph(net, params)
-    with pytest.raises(DeadlockError):
-        _drive_sweep(list(graph.stages))  # no source feeding the pipe
+    with pytest.raises(DeadlockError) as err:
+        _drive_sweep(list(graph.stages), graph.fifos)  # no source feeding the pipe
+    listing = _deadlock_listing(err)
+    assert listing["blocked stages"] == [s.name for s in graph.stages]
+    assert listing["full FIFOs"] == ["none"]
+    assert listing["empty FIFOs"] == ["%s 0/%d" % (f.name, f.capacity) for f in graph.fifos]
+    # a residual branch that never steps: the tee's output to it fills,
+    # the tee's skip output holds part of a frame, and the join and
+    # everything past it see nothing
+    graph = build_graph(net, params)
+    stages = {s.name: s for s in graph.stages}
+    branch, skip = stages["block1_a"].in_fifo, stages["block1_join"].skip_fifo
+    source = _Source(img.reshape(-1).astype(np.int32), graph.source_fifo)
+    with pytest.raises(DeadlockError) as err:
+        _drive_sweep([source] + [s for s in graph.stages if s.name != "block1_a"],
+                     graph.fifos)
+    listing = _deadlock_listing(err)
+    sink = graph.sink_fifo
+    assert "%s %d/%d" % (branch.name, branch.capacity, branch.capacity) \
+        in listing["full FIFOs"]
+    assert "%s 0/%d" % (sink.name, sink.capacity) in listing["empty FIFOs"]
+    assert 0 < skip.occ < skip.capacity
+    assert not any(entry.startswith(skip.name + " ")
+                   for entry in listing["full FIFOs"] + listing["empty FIFOs"])
 
 
 def test_top_class(res_case):

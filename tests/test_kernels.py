@@ -17,6 +17,7 @@ from qnnstream.kernels import (
     TeeWidenStage,
     apply_threshold_matrix,
     build_threshold_matrix,
+    float_signed_matrix,
     line_buffer_capacity,
     width_first_capacity,
 )
@@ -334,6 +335,18 @@ def test_two_output_stage_does_not_serialize():
 
 # ---------------------------------------------------------------------------
 # fully connected
+
+def test_float_signed_matrix_bound():
+    # inputs below 2**bits keep partial sums below 2**bits * K; past
+    # 2**53 a float64 product could round, so the stage refuses to build
+    raw = np.array([1.0, -1.0, 0.0, -2.0], dtype=np.float32).reshape(1, 1, 4, 1)
+    wb = WeightBlock.from_float(raw)
+    mat = float_signed_matrix("fc", wb, StreamShape(1, 1, 4, "accum", 51))
+    assert mat.dtype == np.float64 and mat.shape == (4, 1)
+    assert mat.reshape(-1).tolist() == [1, -1, 1, -1]
+    with pytest.raises(ShapeError, match="fan-in 4"):
+        float_signed_matrix("fc", wb, StreamShape(1, 1, 4, "accum", 52))
+
 
 def test_fc_stage_matches_dense(rng):
     h, w, c, o = 3, 2, 4, 6

@@ -48,6 +48,27 @@ def test_dense_conv_counts_signs():
     assert np.all(out == -18)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("top", [2**51 - 1, 2**51, 2**51 + 1],
+                         ids=["below", "at", "above"])
+def test_dense_conv_exact_near_float64_limit(top, sign):
+    # fan-in K = 2 * 2 * 1 = 4, so max|x| * K is just below, at and just
+    # above 2**53: the float64 product below the limit, int64 from it on
+    x = sign * (top - np.array([[0, 1, 0], [1, 0, 2], [0, 0, 1]], dtype=np.int64))
+    raw = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [1.0, 2.0]],
+                   dtype=np.float32).reshape(2, 2, 1, 2)
+    got = dense_conv(x[..., None], raw, 1, 0)
+    want = [[sum(int(x[r + i, c + j]) * (1 if raw[i, j, 0, o] >= 0 else -1)
+                 for i in range(2) for j in range(2))
+             for o in range(2)]
+            for r in range(2) for c in range(2)]
+    assert got.dtype == np.int64
+    assert got.reshape(4, 2).tolist() == want
+    if top > 2**51:
+        # some sum is odd and past 2**53, which a float64 cannot hold
+        assert any(int(float(v)) != v for row in want for v in row)
+
+
 def test_dense_maxpool_includes_zero_pads():
     x = np.full((2, 2, 1), -7, dtype=np.int64)
     out = dense_maxpool(x, 2, 2, p=1)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, assume, strategies as st
@@ -312,6 +314,52 @@ def test_quantize_array_matches_scalar(rng):
     assert out.shape == accs.shape
     for idx in np.ndindex(accs.shape):
         assert out[idx] == q.quantize(int(accs[idx]))
+
+
+def _wide_params_strategy():
+    # nonzero gamma and inv_std down to subnormals, of either sign for
+    # gamma: a tiny gamma * inv_std gives huge integer coefficients
+    small = st.floats(min_value=-1e-30, max_value=1e-30, allow_subnormal=True)
+    gamma = st.one_of(st.floats(min_value=-8.0, max_value=8.0), small)
+    inv_std = st.one_of(st.floats(min_value=1e-3, max_value=8.0),
+                        st.floats(min_value=0.0, max_value=1e-30, exclude_min=True,
+                                  allow_subnormal=True))
+    f = st.floats(min_value=-40000.0, max_value=40000.0)
+    return st.builds(BnParams, gamma=gamma.filter(bool), mean=f,
+                     inv_std=inv_std, bias=f)
+
+
+_RANGE_SIZE = st.floats(min_value=1e-3, max_value=16.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_wide_params_strategy(), d=_RANGE_SIZE,
+       n=st.integers(min_value=1, max_value=8), data=st.data())
+def test_quantize_array_matches_scalar_property(p, d, n, data):
+    q = BnQuantizer(p, d, n)
+    shape = data.draw(st.one_of(
+        st.just((0,)),
+        st.tuples(st.integers(1, 12)),
+        st.tuples(st.integers(1, 5), st.integers(1, 5))))
+    # few distinct values, so most of them repeat
+    pool = data.draw(st.lists(st.integers(-40000, 40000), min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+    accs = np.array(picks, dtype=np.int64).reshape(shape)
+    out = q.quantize_array(accs)
+    assert out.dtype == np.int64 and out.shape == shape
+    assert out.reshape(-1).tolist() == [q.quantize(a) for a in picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_wide_params_strategy(), d=_RANGE_SIZE)
+def test_quantizer_coefficients_equal_fraction_derivation(p, d):
+    # batchnorm(a) / d = (A * a + C) / D, the same rationals as Fraction gives
+    q = BnQuantizer(p, d, 2)
+    gi = Fraction(p.gamma) * Fraction(p.inv_std)
+    assert q.d_coef > 0
+    assert Fraction(q.a_coef, q.d_coef) == gi / Fraction(d)
+    assert Fraction(q.c_coef, q.d_coef) == (Fraction(p.bias) - gi * Fraction(p.mean)) / Fraction(d)
 
 
 def test_accum_bits_constant():

@@ -18,7 +18,6 @@ byte stable: the same invocation always prints the same bytes.
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .engine import ModelConfig, build_graph, estimate_cycles, run
 from .errors import PartitionError, QnnError
 from .netdesc import BUILTIN_BUILDERS, load_params, parse_netdesc, random_params
 from .oracle import dense_infer
+from .quant import WeightBlock
 from .resources import DeviceBudget, STRATIX_V_5SGSD8, partition_network
 
 EXIT_OK = 0
@@ -235,17 +235,20 @@ def cmd_partition(args) -> int:
     return EXIT_OK if placement.feasible else EXIT_MISMATCH
 
 
-def _corrupt_first_weight(params):
-    for lp in params:
-        for key in ("main", "a", "b"):
-            cp = lp.convs.get(key)
-            if cp is None:
-                continue
-            words = cp.weights.words.copy()
-            words[0, 0] ^= np.uint64(1)
-            cp.weights = replace(cp.weights, words=words)
-            return
-    raise QnnError("network has no weights to corrupt")
+def _corrupt_weights(params):
+    """Flip every weight of the first and of the last weighted layer.
+
+    Flipping a layer negates its accumulators. Later layers can absorb
+    the change to the first layer, but the last layer's accumulators
+    reach the outputs directly.
+    """
+    convs = [lp.convs[key] for lp in params for key in ("main", "a", "b")
+             if lp.convs.get(key) is not None]
+    if not convs:
+        raise QnnError("network has no weights to corrupt")
+    for cp in convs[:1] + convs[1:][-1:]:
+        # a weight >= 0 binarizes to +1, so this binarizes to its negation
+        cp.weights = WeightBlock.from_float(np.where(cp.raw_weights >= 0, -1.0, 1.0))
 
 
 def cmd_compare(args) -> int:
@@ -254,7 +257,7 @@ def cmd_compare(args) -> int:
     image = _load_image(args, net)
     reference = dense_infer(net, params, image)
     if args.corrupt_weight:
-        _corrupt_first_weight(params)
+        _corrupt_weights(params)
     graph = build_graph(net, params)
     result = run(graph, image)
     same = result.output.shape == reference.shape \

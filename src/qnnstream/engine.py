@@ -80,8 +80,6 @@ class Fifo:
         self.chunks = deque()
         self.head = 0
         self.occ = 0
-        self.pushed = 0
-        self.popped = 0
         self.max_occ = 0
 
     def push(self, arr) -> int:
@@ -89,7 +87,6 @@ class Fifo:
         if take:
             self.chunks.append(arr[:take] if take < len(arr) else arr)
             self.occ += take
-            self.pushed += take
             if self.occ > self.max_occ:
                 self.max_occ = self.occ
         return take
@@ -110,7 +107,6 @@ class Fifo:
                 self.chunks.popleft()
                 self.head = 0
         self.occ -= want
-        self.popped += want
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts)
@@ -321,20 +317,18 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
 # execution driver
 
 def _drive_sweep(tasks, fifos):
-    while True:
+    live = [t for t in tasks if not t.finished]
+    while live:
         progressed = False
-        unfinished = []
-        for t in tasks:
-            if t.finished:
-                continue
+        still = []
+        for t in live:
             if t.step():
                 progressed = True
             if not t.finished:
-                unfinished.append(t.name)
-        if not unfinished:
-            return
-        if not progressed:
-            raise DeadlockError(unfinished,
+                still.append(t)
+        live = still
+        if live and not progressed:
+            raise DeadlockError([t.name for t in live],
                                 [_occupancy(f) for f in fifos if f.occ == f.capacity],
                                 [_occupancy(f) for f in fifos if not f.occ])
 
@@ -530,8 +524,8 @@ def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None,
     tasks = [source] + list(graph.stages) + [sink]
     _drive_sweep(tasks, graph.fifos)
     for fifo in graph.fifos:
-        if fifo.occ != 0 or fifo.pushed != fifo.popped:
-            raise QnnError("conservation violated on %s" % fifo.name)
+        if fifo.occ:
+            raise QnnError("conservation violated on %s" % _occupancy(fifo))
     report = assemble_report(measured_counters(graph), cfg, partition)
     return RunResult(output=sink.result(), report=report)
 

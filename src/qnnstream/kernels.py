@@ -72,6 +72,14 @@ class LineBuffer:
     completed it. The ring may carry slack beyond that, so that windows
     completed early in a batch are still there when the batch is read;
     the slack never makes a window readable that capacity would evict.
+
+    The ring is mirrored: it has 2 * size slots, size = capacity + slack,
+    and element i is written both at slot i % size and at i % size +
+    size. A gathered batch spans fewer than size elements, from its
+    oldest element o on, so with base = o - o % size every index i of it
+    has 0 <= i - base < 2 * size, and slot i - base holds element i (the
+    mirror copy once i - base passes size). gather therefore subtracts
+    one scalar instead of taking a modulo of every index.
     """
 
     def __init__(self, capacity: int, name: str = "linebuffer", slack: int = 0):
@@ -79,23 +87,25 @@ class LineBuffer:
             raise ShapeError("line buffer capacity must be >= 1")
         self.capacity = capacity
         self.name = name
-        self.ring = np.zeros(capacity + slack, dtype=np.int32)
+        self.size = capacity + slack
+        self.ring = np.zeros(2 * self.size, dtype=np.int32)
         self.total = 0
 
     def push(self, arr: np.ndarray):
         n = len(arr)
-        size = len(self.ring)
+        size = self.size
         if n > size:  # only the newest elements survive
             self.total += n - size
             arr = arr[n - size:]
             n = size
         start = self.total % size
-        end = start + n
-        if end <= size:
-            self.ring[start:end] = arr
+        # the first copy never wraps: start + n <= 2 * size
+        self.ring[start:start + n] = arr
+        if start + n <= size:
+            self.ring[start + size:start + size + n] = arr
         else:
-            self.ring[start:] = arr[:size - start]
-            self.ring[:end - size] = arr[size - start:]
+            self.ring[start + size:] = arr[:size - start]
+            self.ring[:start + n - size] = arr[size - start:]
         self.total += n
 
     def gather(self, idx: np.ndarray) -> np.ndarray:
@@ -108,13 +118,17 @@ class LineBuffer:
         first = idx if idx.ndim == 1 else idx[0]
         oldest = int(first[0])
         if int(first[-1]) - oldest >= self.capacity or \
-                oldest < self.total - len(self.ring):
+                oldest < self.total - self.size:
             raise BufferEvictionError(
                 "%s: element %d already evicted (capacity %d, ingested %d)"
                 % (self.name, oldest, self.capacity, self.total))
         if int(idx.flat[-1]) >= self.total:
             raise ShapeError("%s: read past ingested elements" % self.name)
-        return self.ring[idx % len(self.ring)]
+        return self.ring[idx - (oldest - oldest % self.size)]
+
+
+# pads a threshold row; no accumulator reaches it, so it never counts
+_NEVER = np.iinfo(np.int64).max
 
 
 def build_threshold_matrix(threshold_sets):
@@ -126,19 +140,29 @@ def build_threshold_matrix(threshold_sets):
     with sign -1 (v >= a iff -v <= -a); ties go up either way. Threshold
     magnitudes can exceed int64 when gamma * inv_std is tiny; clamping
     to +/-2**62 preserves every comparison against accumulator values,
-    which are far smaller.
+    which are far smaller. Rows are padded to a multiple of 8 columns
+    with a sentinel above the clamp (see apply_threshold_matrix).
     """
     clamp = 1 << 62
     sign = np.array([-1 if ts.inverted else 1 for ts in threshold_sets], dtype=np.int64)
-    mat = np.array([[min(max(v, -clamp), clamp) for v in ts.values]
-                    for ts in threshold_sets], dtype=np.int64)
-    return mat * sign[:, None], sign
+    vals = np.array([[min(max(v, -clamp), clamp) for v in ts.values]
+                     for ts in threshold_sets], dtype=np.int64)
+    mat = np.full((len(vals), -(-vals.shape[1] // 8) * 8), _NEVER, dtype=np.int64)
+    mat[:, :vals.shape[1]] = vals * sign[:, None]
+    return mat, sign
 
 
 def apply_threshold_matrix(accs: np.ndarray, mat: np.ndarray, sign: np.ndarray):
-    """Codes for accumulators whose last axis runs along the rows of mat,
-    one comparison per threshold."""
-    return ((accs * sign)[..., None] >= mat).sum(axis=-1, dtype=np.int32)
+    """Codes for accumulators whose last axis runs along the rows of mat.
+
+    One comparison per threshold gives a row of 0/1 bytes; each row of
+    mat has a multiple of 8 columns, so the bytes read as whole uint64
+    words and one popcount per word counts 8 comparisons. The padding
+    columns hold a sentinel above the +/-2**62 clamp, which no
+    accumulator reaches, so they compare false and count nothing.
+    """
+    hits = ((accs * sign)[..., None] >= mat).view(np.uint64)
+    return np.bitwise_count(hits).sum(axis=-1, dtype=np.int32)
 
 
 def activation(thresholds):

@@ -7,13 +7,16 @@ integer decision procedure agrees with the mathematical definition on
 every integer accumulator value, not just away from boundaries.
 
 The stages' dot product kernel is popcount_dot. It takes the weights as
-WeightBlock.words, the (out_ch, words) uint64 matrix that is their only
-packed form, built once when the parameters load. It splits a batch of
-code vectors into n bit planes packed into the same words, and takes
-every plane against every weight row with one AND + np.bitwise_count
-over the whole batch; the planes combine by shift-add. plane_dot,
-codes_to_planes and quantized_dot are the scalar references it is
-tested against.
+WeightBlock.words, their only packed form, built once when the
+parameters load: a word-major (words, out_ch) uint64 matrix whose column
+o is output channel o, so one row holds the same word of every output
+channel side by side. It splits a batch of code vectors into n bit
+planes packed into the same words, and takes every plane against every
+weight column with one AND + np.bitwise_count over the whole batch; the
+popcounts are summed over the words axis, which in this layout adds
+whole contiguous rows of out_ch counts. The planes combine by
+shift-add. plane_dot, codes_to_planes and quantized_dot are the scalar
+references it is tested against.
 """
 
 from bisect import bisect_left, bisect_right
@@ -47,11 +50,12 @@ def check_accum_array(values: np.ndarray, width: int = ACCUM_BITS) -> np.ndarray
 class WeightBlock:
     """Bit-packed 1-bit weights for one layer, laid out like the weight cache.
 
-    words holds one row of uint64 words per output channel, the layout of
-    pack_words and the operand of popcount_dot: bit j of a row (bit
-    j % 64 of word j // 64) holds the weight for flat index
-    j = (row * k + col) * in_ch + ch, channel fastest, and the bits past
-    k * k * in_ch are zero. Bit 1 encodes +1, bit 0 encodes -1.
+    words is the word-major C-contiguous (words, out_ch) uint64 matrix
+    that popcount_dot takes: column o is output channel o, packed as by
+    pack_words, so bit j of the column (bit j % 64 of word row j // 64)
+    holds the weight for flat index j = (row * k + col) * in_ch + ch,
+    channel fastest, and the bits past k * k * in_ch are zero. Bit 1
+    encodes +1, bit 0 encodes -1.
     """
 
     k: int
@@ -60,15 +64,15 @@ class WeightBlock:
     words: np.ndarray
 
     def __post_init__(self):
-        shape = (self.out_ch, -(-self.entry_bits // 64))
+        shape = (-(-self.entry_bits // 64), self.out_ch)
         w = self.words
         if not isinstance(w, np.ndarray) or w.dtype != np.uint64 \
                 or w.shape != shape or not w.flags.c_contiguous:
             raise ShapeError("weights must be a C-contiguous %d x %d uint64 matrix"
                              % shape)
         tail = self.entry_bits % 64
-        if tail and (w[:, -1] >> np.uint64(tail)).any():
-            raise ShapeError("weight row has bits set past its %d weights"
+        if tail and (w[-1] >> np.uint64(tail)).any():
+            raise ShapeError("weight column has bits set past its %d weights"
                              % self.entry_bits)
 
     @property
@@ -85,13 +89,14 @@ class WeightBlock:
             raise ShapeError("filter window must be square, got %d x %d" % (k, k2))
         # (K, K, I, O) -> (O, K*K*I) with channel fastest inside each row
         flat = np.moveaxis(raw >= 0, 3, 0).reshape(out_ch, k * k * in_ch)
-        return cls(k=k, in_ch=in_ch, out_ch=out_ch, words=pack_words(flat))
+        words = np.ascontiguousarray(pack_words(flat).T)
+        return cls(k=k, in_ch=in_ch, out_ch=out_ch, words=words)
 
     def signed_matrix(self) -> np.ndarray:
         """Unpack to an (out_ch, entry_bits) int64 matrix of +1 / -1, one
         row per output channel, columns in flat index order."""
-        bits = np.unpackbits(self.words.view(np.uint8), axis=1,
-                             count=self.entry_bits, bitorder="little")
+        rows = np.ascontiguousarray(self.words.T).view(np.uint8)
+        bits = np.unpackbits(rows, axis=1, count=self.entry_bits, bitorder="little")
         return bits.astype(np.int64) * 2 - 1
 
 
@@ -155,19 +160,21 @@ _PLANE_WEIGHTS = 2 << np.arange(31, dtype=np.int64)
 
 
 def popcount_dot(weights: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
-    """quantized_dot of every packed weight row against every row of codes.
+    """quantized_dot of every packed weight column against every row of codes.
 
-    weights is WeightBlock.words, (out_ch, words) uint64; codes is
+    weights is WeightBlock.words, (words, out_ch) uint64; codes is
     (N, length) with n-bit values. Returns (N, out_ch) int64. Each bit
     plane of the codes is packed into words like the weights and meets
-    every weight row in one AND + popcount, all planes, rows and output
-    channels at once. With plane_dot = 2 * popcount(w & b) - popcount(b)
+    every weight column in one AND + popcount, all planes, rows and
+    output channels at once. The popcounts are reduced over the words
+    axis, a middle axis, so each reduction step adds one contiguous row
+    of out_ch counts. With plane_dot = 2 * popcount(w & b) - popcount(b)
     the shift-add over planes is 2 * sum_b 2**b * popcount(w & plane_b)
     minus the sum of the codes. This is the datapath of every binarized
     conv and fc stage.
     """
     planes = pack_words((codes & _PLANE_MASKS[:n]) != 0)  # (n, N, words)
-    hits = np.bitwise_count(planes[:, :, None, :] & weights).sum(axis=-1, dtype=np.int64)
+    hits = np.bitwise_count(planes[:, :, :, None] & weights).sum(axis=2, dtype=np.int32)
     acc = (_PLANE_WEIGHTS[:n] @ hits.reshape(n, -1)).reshape(hits.shape[1:])
     return acc - codes.sum(axis=-1, dtype=np.int64)[:, None]
 

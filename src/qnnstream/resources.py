@@ -146,7 +146,6 @@ class DeviceReport:
 
 @dataclass(frozen=True)
 class PlacementReport:
-    partition: Partition
     devices: tuple
     links: object  # engine.PartitionReport
 
@@ -267,4 +266,4 @@ def partition_network(net, budget: DeviceBudget = STRATIX_V_5SGSD8,
             m20k=sum(res[i].m20k for i in range(a, b + 1)),
             ff=sum(res[i].ff for i in range(a, b + 1)),
             bram_bits=sum(res[i].bram_bits for i in range(a, b + 1))))
-    return PlacementReport(partition=partition, devices=tuple(devices), links=links)
+    return PlacementReport(devices=tuple(devices), links=links)

@@ -132,6 +132,25 @@ def test_compare_corrupt_weight(net_file, capsys):
     assert capsys.readouterr().out.startswith("MISMATCH at output ")
 
 
+def test_compare_corrupt_weight_felt_on_vgg(capsys):
+    # vgg's outputs do not feel a single flipped weight; the hook flips
+    # every weight of the first and the last weighted layer
+    rc = main(["compare", "--builtin", "vgg", "--random-params", "0",
+               "--random-image", "1", "--corrupt-weight"])
+    assert rc == 2
+    assert capsys.readouterr().out.startswith("MISMATCH at output ")
+
+
+def test_compare_corrupt_weight_single_layer(tmp_path, capsys):
+    # the first weighted layer is also the last: flipped once, not twice
+    path = tmp_path / "fc.net"
+    path.write_text("input 2 2 1 8\nfc o=3\n")
+    rc = main(["compare", "--net", str(path), "--random-params", "1",
+               "--random-image", "1", "--corrupt-weight"])
+    assert rc == 2
+    assert capsys.readouterr().out.startswith("MISMATCH at output ")
+
+
 # ---------------------------------------------------------------------------
 # flag and input errors, all exit 1
 

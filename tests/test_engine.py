@@ -145,9 +145,10 @@ def test_fifo_conservation(res_case):
     net, params, img = res_case
     graph = build_graph(net, params)
     run(graph, img, ModelConfig())
+    # occ is pushed - popped by construction, so empty means conserved
     for f in graph.fifos:
         assert f.occ == 0
-        assert f.pushed == f.popped
+        assert f.max_occ > 0
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3, 7, None],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import drive_stage
 from qnnstream.engine import Fifo
@@ -30,6 +31,7 @@ from qnnstream.oracle import (
 )
 from qnnstream.quant import (
     BnParams,
+    ThresholdSet,
     WeightBlock,
     apply_threshold,
     fold_batchnorm,
@@ -145,6 +147,102 @@ def test_threshold_matrix_clamps_huge_values():
     got = apply_threshold_matrix(accs, mat, sign)
     assert got[0] == apply_threshold(-30000, ts)
     assert got[1] == apply_threshold(30000, ts)
+
+
+def test_line_buffer_windows_straddle_the_wrap(rng):
+    # a mirrored ring reads a window across its wrap point without a
+    # modulo; every window and batch of windows the checks let through
+    # must read the stream back exactly, for every chunking of the pushes
+    capacity, slack = 5, 2
+    size = capacity + slack
+    stream = (np.arange(200, dtype=np.int32) * 7 + 3) % 1000
+    lb = LineBuffer(capacity, "t", slack=slack)
+    straddled = 0
+    pos = 0
+    while pos < len(stream):
+        n = int(rng.integers(0, 2 * size))  # empty, short, longer than the ring
+        lb.push(stream[pos:pos + n])
+        pos = min(pos + n, len(stream))
+        assert lb.total == pos
+        for oldest in range(max(pos - size, 0), pos):
+            for width in range(1, min(capacity, pos - oldest) + 1):
+                win = np.arange(oldest, oldest + width)
+                assert np.array_equal(lb.gather(win), stream[win])
+                rows = win + np.arange(pos - win[-1])[:, None]
+                assert np.array_equal(lb.gather(rows), stream[rows])
+                straddled += oldest % size + width > size
+        if pos > size:
+            with pytest.raises(BufferEvictionError):
+                lb.gather(np.array([pos - size - 1]))
+        with pytest.raises(ShapeError):
+            lb.gather(np.array([pos]))
+    assert straddled > 100
+
+
+def test_line_buffer_push_longer_than_ring():
+    lb = LineBuffer(3, "t", slack=1)
+    lb.push(np.arange(2, dtype=np.int32))
+    lb.push(np.arange(2, 12, dtype=np.int32))  # ten elements into four slots
+    assert lb.total == 12
+    assert lb.gather(np.array([[8, 9, 10], [9, 10, 11]])).tolist() == \
+        [[8, 9, 10], [9, 10, 11]]
+    with pytest.raises(BufferEvictionError):
+        lb.gather(np.array([7, 8]))
+    with pytest.raises(BufferEvictionError):
+        lb.gather(np.array([8, 9, 10, 11]))  # wider than capacity
+    with pytest.raises(ShapeError):
+        lb.gather(np.array([10, 11, 12]))
+
+
+_HUGE = 1 << 62
+
+
+@st.composite
+def _threshold_sets(draw):
+    """Ascending ladders for 1 to 4 channels of n-bit codes, n 1..8, with
+    inverted channels and runs of thresholds beyond the +/-2**62 clamp
+    at either end."""
+    n = draw(st.integers(1, 8))
+    m = (1 << n) - 1
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        steps = draw(st.lists(st.integers(0, 300), min_size=m, max_size=m))
+        values = (draw(st.integers(-(1 << 15) - 300, 1 << 15))
+                  + np.cumsum(steps)).tolist()
+        low = draw(st.integers(0, m))
+        high = draw(st.integers(0, m - low))
+        values[:low] = [-_HUGE - 5 * (low - i) for i in range(low)]
+        values[m - high:] = [_HUGE + i for i in range(high)]
+        sets.append(ThresholdSet(values=tuple(values), inverted=draw(st.booleans()), n=n))
+    return sets
+
+
+@settings(max_examples=80, deadline=None)
+@given(sets=_threshold_sets(), data=st.data())
+def test_threshold_matrix_matches_scalar_property(sets, data):
+    chans = len(sets)
+    mat, sign = build_threshold_matrix(sets)
+    assert mat.shape[0] == chans and mat.shape[1] % 8 == 0
+    assert (mat[:, len(sets[0].values):] > _HUGE).all()
+    drawn = data.draw(st.lists(st.integers(-(1 << 15), 1 << 15),
+                               min_size=chans, max_size=8 * chans))
+    rows = [drawn[i:i + chans] for i in range(0, len(drawn) - chans + 1, chans)]
+    rows += [[-(1 << 15)] * chans, [1 << 15] * chans]
+    for j, ts in enumerate(sets):  # each threshold and one either side
+        for v in ts.values:
+            if abs(v) <= 1 << 15:
+                for off in (-1, 0, 1):
+                    rows.append([0] * chans)
+                    rows[-1][j] = v + off
+    accs = np.array(rows, dtype=np.int64)
+    got = apply_threshold_matrix(accs, mat, sign)
+    assert got.dtype == np.int32 and got.shape == accs.shape
+    want = [[apply_threshold(a, ts) for a, ts in zip(row, sets)] for row in rows]
+    assert got.tolist() == want
+    # the join's form: one accumulator per element, its channel's row each
+    ch = np.tile(np.arange(chans), len(rows))
+    flat = apply_threshold_matrix(accs.reshape(-1), mat[ch], sign[ch])
+    assert np.array_equal(flat, got.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

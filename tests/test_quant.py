@@ -101,9 +101,11 @@ def test_weight_block_roundtrip(rng):
         wb = WeightBlock.from_float(raw)
         assert wb.k == k and wb.in_ch == in_ch and wb.out_ch == out_ch
         assert wb.words.dtype == np.uint64 and wb.words.flags.c_contiguous
+        assert wb.words.shape == (-(-k * k * in_ch // 64), out_ch)
         flat = np.moveaxis(raw >= 0, 3, 0).reshape(out_ch, -1)
-        for row, bits in zip(wb.words, flat):
-            assert _row_int(row) == _bit_by_bit(bits)
+        # word-major: column o holds output channel o
+        for col, bits in zip(wb.words.T, flat):
+            assert _row_int(col) == _bit_by_bit(bits)
         signed = wb.signed_matrix()
         assert signed.dtype == np.int64 and signed.shape == (out_ch, k * k * in_ch)
         assert np.array_equal(signed, np.where(flat, 1, -1))
@@ -121,6 +123,9 @@ def test_weight_block_entry_layout():
     raw[1, 0, 2, 0] = 1.0  # flat index (1 * 2 + 0) * 3 + 2 = 8
     wb = WeightBlock.from_float(raw)
     assert wb.words.tolist() == [[1 << 8]]
+    # two output channels sit side by side in one word row
+    raw = np.concatenate([raw, -raw], axis=3)
+    assert WeightBlock.from_float(raw).words.tolist() == [[1 << 8, 0xfff ^ (1 << 8)]]
 
 
 def test_weight_block_validation():
@@ -128,19 +133,24 @@ def test_weight_block_validation():
         WeightBlock.from_float(np.zeros((3, 3, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
         WeightBlock.from_float(np.zeros((3, 5, 1, 1), dtype=np.float32))
-    WeightBlock(k=1, in_ch=65, out_ch=2, words=np.zeros((2, 2), dtype=np.uint64))
+    WeightBlock(k=1, in_ch=65, out_ch=3, words=np.zeros((2, 3), dtype=np.uint64))
+    # bit 64, the last weight of a 65-bit column, may be set
+    WeightBlock(k=1, in_ch=65, out_ch=3,
+                words=np.array([[0, 0, 0], [0, 0, 1]], dtype=np.uint64))
     bad_words = (
-        np.zeros((1, 2), dtype=np.uint64),  # one row for two channels
-        np.zeros((2, 1), dtype=np.uint64),  # one word for 65 bits
-        np.zeros((2, 2), dtype=np.int64),
-        np.zeros((2, 2), dtype=">u8"),
-        np.zeros((2, 2), dtype=np.uint64, order="F"),
-        np.array([[0, 2], [0, 0]], dtype=np.uint64),  # bit 65 of a 65-bit row
-        [[0, 0], [0, 0]],
+        np.zeros((3, 2), dtype=np.uint64),  # the old channel-major layout
+        np.zeros((2, 2), dtype=np.uint64),  # two columns for three channels
+        np.zeros((1, 3), dtype=np.uint64),  # one word for 65 bits
+        np.zeros((2, 3), dtype=np.int64),
+        np.zeros((2, 3), dtype=">u8"),
+        np.zeros((2, 3), dtype=np.uint64, order="F"),
+        np.zeros((3, 2), dtype=np.uint64).T,  # a transposed view
+        np.array([[0, 0, 0], [0, 2, 0]], dtype=np.uint64),  # bit 65 of a 65-bit column
+        [[0, 0, 0], [0, 0, 0]],
     )
     for words in bad_words:
         with pytest.raises(ShapeError):
-            WeightBlock(k=1, in_ch=65, out_ch=2, words=words)
+            WeightBlock(k=1, in_ch=65, out_ch=3, words=words)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +186,14 @@ def test_codes_to_planes_reconstructs():
 def test_quantized_dot_matches_signed_dot(rng):
     # popcount_dot, the stages' kernel, must agree with the scalar reference
     # on every (window, entry) pair, for lengths on both sides of 64-bit
-    # word boundaries and for all-zero and all-max codes
+    # word boundaries and for all-zero and all-max codes; the weights are
+    # word-major, one column per output channel
     for length in (1, 63, 64, 65, 128, 199, 4608):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 8):
             bits = rng.integers(0, 2, (3, length))
-            wb = WeightBlock(k=1, in_ch=length, out_ch=3, words=pack_words(bits))
-            rows = [_row_int(row) for row in wb.words]
+            words = np.ascontiguousarray(pack_words(bits).T)
+            wb = WeightBlock(k=1, in_ch=length, out_ch=3, words=words)
+            rows = [_row_int(col) for col in wb.words.T]
             signs = 2 * bits - 1
             for batch in (1, 7):
                 codes = rng.integers(0, 1 << n, (batch, length))

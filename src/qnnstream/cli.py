@@ -50,9 +50,16 @@ def _add_net_flags(p):
                    help="use a builtin model instead of --net")
 
 
+def seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("a seed is a non-negative integer, got %s" % text)
+    return value
+
+
 def _add_params_flags(p):
     p.add_argument("--params", metavar="PATH", help="parameter blob")
-    p.add_argument("--random-params", metavar="SEED", type=int,
+    p.add_argument("--random-params", metavar="SEED", type=seed,
                    help="generate well-scaled random parameters")
 
 
@@ -61,7 +68,7 @@ def _add_image_flags(p):
                    help="raw image bytes, one per element in stream order")
     p.add_argument("--image-dims", metavar=("H", "W", "C"), nargs=3, type=int,
                    help="dimensions of the raw image file")
-    p.add_argument("--random-image", metavar="SEED", type=int,
+    p.add_argument("--random-image", metavar="SEED", type=seed,
                    help="generate a random input frame")
 
 
@@ -78,8 +85,12 @@ def _load_net(args):
         raise QnnError("give exactly one of --net or --builtin")
     if args.builtin:
         return BUILTIN_BUILDERS[args.builtin]()
-    with open(args.net, "r") as fh:
-        text = fh.read()
+    with open(args.net, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise QnnError("%s is not UTF-8 text: %s" % (args.net, e))
     name = args.net.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     return parse_netdesc(text, name=name)
 

@@ -34,11 +34,10 @@ from .errors import DeadlockError, ParamsError, PartitionError, QnnError, ShapeE
 from .kernels import (
     AvgPoolStage,
     ConvStage,
-    FcStage,
-    FirstConvStage,
     MaxPoolStage,
     ResidualJoinStage,
     SkipDownsampleStage,
+    StreamShape,
     TeeWidenStage,
     line_buffer_capacity,
 )
@@ -49,7 +48,7 @@ from .netdesc import expand_layers
 class ModelConfig:
     cin_mode: str = "pixel"  # pixel | element
     stall_model: str = "chained"  # chained | isolated
-    c_mac: int = 1
+    c_mac: int = 1  # cycles per compute step; at most 2**32 keeps totals finite
     clock_mhz: float = 105.0
     link_gbps: float = 2.0
 
@@ -59,7 +58,8 @@ class ModelConfig:
         if self.stall_model not in ("chained", "isolated"):
             raise QnnError("stall_model must be chained or isolated")
         finite = math.isfinite(self.clock_mhz) and math.isfinite(self.link_gbps)
-        if not finite or self.clock_mhz <= 0 or self.c_mac < 1 or self.link_gbps <= 0:
+        if not finite or self.clock_mhz <= 0 or not 1 <= self.c_mac <= 1 << 32 \
+                or self.link_gbps <= 0:
             raise QnnError("bad model configuration")
 
 
@@ -174,20 +174,30 @@ class StageGraph:
         self.sink_fifo = sink_fifo
 
 
+# plan kinds that run on ConvStage
+WEIGHTED_KINDS = ("firstconv", "conv", "fc")
+
+
+def window_shape(plan) -> StreamShape:
+    """The stream a windowed stage slides its window over.
+
+    That is the plan's input stream, except for fc: a fully connected
+    layer is a 1x1 conv over one pixel of h*w*c channels, the same
+    elements in the same (flatten) order.
+    """
+    ish = plan.in_shape
+    if plan.kind == "fc":
+        return StreamShape(1, 1, ish.elements, ish.kind, ish.bits)
+    return ish
+
+
 def _stage_for(plan, layer_params):
-    if plan.kind in ("conv", "firstconv"):
+    if plan.kind in WEIGHTED_KINDS:
         cp = layer_params.convs.get(plan.role)
         if cp is None:
             raise ParamsError("missing weights for stage %s" % plan.name)
-        cls = FirstConvStage if plan.kind == "firstconv" else ConvStage
-        return cls(plan.name, plan.in_shape, plan.out_shape, cp.weights,
-                   plan.s, plan.p, thresholds=cp.thresholds)
-    if plan.kind == "fc":
-        cp = layer_params.convs.get("main")
-        if cp is None:
-            raise ParamsError("missing weights for stage %s" % plan.name)
-        return FcStage(plan.name, plan.in_shape, plan.out_shape, cp.weights,
-                       thresholds=cp.thresholds)
+        return ConvStage(plan.name, window_shape(plan), plan.out_shape, cp.weights,
+                         plan.s, plan.p, thresholds=cp.thresholds)
     if plan.kind == "maxpool":
         return MaxPoolStage(plan.name, plan.in_shape, plan.out_shape,
                             plan.k, plan.s, plan.p)
@@ -197,8 +207,7 @@ def _stage_for(plan, layer_params):
     if plan.kind == "join":
         if layer_params.join_thresholds is None:
             raise ParamsError("missing batchnorm for stage %s" % plan.name)
-        return ResidualJoinStage(plan.name, plan.in_shape,
-                                 layer_params.join_thresholds, plan.act_bits)
+        return ResidualJoinStage(plan.name, plan.in_shape, layer_params.join_thresholds)
     if plan.kind == "tee":
         return TeeWidenStage(plan.name, plan.in_shape)
     if plan.kind == "subsample":
@@ -208,7 +217,8 @@ def _stage_for(plan, layer_params):
 
 def _window_fill(plan) -> int:
     """Elements a windowed stage ingests before its first window fires."""
-    return line_buffer_capacity(plan.in_shape.c, plan.in_shape.w + 2 * plan.p, plan.k)
+    ish = window_shape(plan)
+    return line_buffer_capacity(ish.c, ish.w + 2 * plan.p, plan.k)
 
 
 def skip_store_elements(plans, join_plan) -> int:
@@ -387,18 +397,13 @@ def analytic_counters(plans):
     out = []
     for p in plans:
         ish = p.in_shape
-        if p.kind in ("conv", "firstconv", "maxpool", "avgpool"):
+        if p.kind in WEIGHTED_KINDS + ("maxpool", "avgpool"):
             hp, wp = ish.h + 2 * p.p, ish.w + 2 * p.p
             pad_el = (hp * wp - ish.h * ish.w) * ish.c
-            is_conv = p.kind in ("conv", "firstconv")
+            is_conv = p.kind in WEIGHTED_KINDS
             compute = p.out_shape.pixels * p.out_ch if is_conv else 0
             fill_el = _window_fill(p)
             first = p.out_ch if is_conv else 0
-        elif p.kind == "fc":
-            pad_el = 0
-            compute = p.out_ch
-            fill_el = ish.elements
-            first = p.out_ch
         else:  # join | tee | subsample
             pad_el = 0
             compute = 0

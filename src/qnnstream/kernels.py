@@ -1,4 +1,5 @@
-"""Streaming layer stages.
+"""Streaming layer stages: conv (also first conv and fc), pool, join,
+tee, subsample.
 
 Each stage consumes a depth-first pixel stream (channel fastest, then
 along the scan line, then across lines) and produces one. Windowed stages
@@ -197,12 +198,11 @@ class Stage:
     FIFO.
     """
 
-    def __init__(self, name: str, kind: str, in_shape, out_shape, first_compute: int = 0):
+    def __init__(self, name: str, kind: str, in_shape):
         self.name = name
         self.kind = kind
         self.in_shape = in_shape
-        self.out_shape = out_shape
-        self.first_compute = first_compute
+        self.first_compute = 0  # compute halts before the first output leaves
         # wired by the graph builder
         self.in_fifo = None
         self.out_fifo = None
@@ -214,12 +214,7 @@ class Stage:
         self.ingest_done = False
         self.pending = {}  # fifo -> the part of an emitted array it has not taken
 
-    def _fill_value(self) -> int:
-        return self.real_el + self.pad_el
-
     def _emit(self, fifo, arr: np.ndarray):
-        if self.fill_el is None:
-            self.fill_el = self._fill_value()
         if fifo is not None:
             self.pending[fifo] = arr
 
@@ -258,7 +253,7 @@ class WindowedStage(Stage):
     The ingest cursor walks the padded coordinate grid in scan order. The
     unit of an _advance is a run of pixels inside one padded row: it
     starts at the cursor and ends at the end of the row or where the
-    input FIFO runs dry. Pad positions inject pad_value without consuming
+    input FIFO runs dry. Pad positions inject zeros without consuming
     input; they still cost one input unit each, since the real stream is
     halted while the pad element is fed in. A run is one FIFO pop, one
     line-buffer write, one gather of every window whose bottom-right
@@ -268,9 +263,8 @@ class WindowedStage(Stage):
     """
 
     def __init__(self, name, kind, in_shape, out_shape, k, s, p,
-                 pad_value: int = 0, first_compute: int = 0,
                  buffer_capacity: int = None):
-        super().__init__(name, kind, in_shape, out_shape, first_compute)
+        super().__init__(name, kind, in_shape)
         self.k = k
         self.s = s
         self.p = p
@@ -288,7 +282,7 @@ class WindowedStage(Stage):
         # one padded row of slack holds a run's earliest windows until the
         # run is read
         self.lbuf = LineBuffer(buffer_capacity, name=name, slack=self.wp * c)
-        self.pad_row = np.full(self.wp * c, pad_value, dtype=np.int32)
+        self.pad_row = np.zeros(self.wp * c, dtype=np.int32)
         self.cursor = 0  # padded pixel index
         self.total_px = self.hp * self.wp
         # window gather pattern relative to the top-left element
@@ -344,36 +338,6 @@ class WindowedStage(Stage):
         return True
 
 
-class ConvStage(WindowedStage):
-    """Binarized convolution over activation codes.
-
-    Per valid position the input halts for out_ch compute cycles, one
-    output channel per cycle. The dot products run on packed bit planes
-    (quant.popcount_dot): the weights are already packed into 64-bit
-    words (WeightBlock.words), the window codes of a run into n bit
-    planes of words, and each plane meets each weight row by AND +
-    popcount.
-    """
-
-    def __init__(self, name, in_shape, out_shape, weights, s, p,
-                 thresholds=None, buffer_capacity=None):
-        if in_shape.kind != "code":
-            raise ShapeError("%s: conv consumes activation codes" % name)
-        if weights.in_ch != in_shape.c:
-            raise ShapeError("%s: weights expect %d channels, stream has %d"
-                             % (name, weights.in_ch, in_shape.c))
-        super().__init__(name, "conv", in_shape, out_shape, weights.k, s, p,
-                         pad_value=0, first_compute=weights.out_ch,
-                         buffer_capacity=buffer_capacity)
-        self.weights = weights
-        self.activate = activation(thresholds)
-
-    def _compute(self, windows):
-        accs = popcount_dot(self.weights.words, windows, self.in_shape.bits)
-        self.compute_cycles += len(windows) * self.weights.out_ch
-        return self.activate(accs)
-
-
 def float_signed_matrix(name, weights, in_shape) -> np.ndarray:
     """The +/-1 weights as a (K, out_ch) float64 matrix, K the fan-in.
 
@@ -388,42 +352,57 @@ def float_signed_matrix(name, weights, in_shape) -> np.ndarray:
     return np.ascontiguousarray(weights.signed_matrix().T, dtype=np.float64)
 
 
-class FirstConvStage(WindowedStage):
-    """High precision first layer: 8-bit pixels under +/-1 weights.
+class ConvStage(WindowedStage):
+    """Binarized convolution: every conv, first conv and fc layer.
 
-    Accumulation is plain signed add/subtract, expressed as an exact
-    float64 matrix product (float_signed_matrix). Internal accumulators
-    are wider than 16 bits; only values that cross an accumulator stream
-    are range checked.
+    Per valid position the input halts for out_ch compute cycles, one
+    output channel per cycle. The dot product follows the input stream,
+    as activation() follows the thresholds. Activation codes run on
+    packed bit planes (quant.popcount_dot): the weights are already
+    packed into 64-bit words (WeightBlock.words), the window codes of a
+    run into n bit planes of words, and each plane meets each weight row
+    by AND + popcount. 8-bit pixels (the first conv) and accumulators are
+    plain signed add/subtract, expressed as an exact float64 matrix
+    product (float_signed_matrix). Internal accumulators are wider than
+    16 bits; only values that cross an accumulator stream are range
+    checked.
+
+    A fully connected layer is a 1x1 conv over a one-pixel stream of
+    h*w*c channels (engine.window_shape). The depth-first stream order is
+    exactly the flatten order, so that is the same element sequence; the
+    line buffer holds the whole frame (line_buffer_capacity(h*w*c, 1, 1)
+    = h*w*c) and the single window fires on its last element, which is
+    how a fully connected layer collects and computes its frame. A
+    window the size of the frame would need h x w windows for non-square
+    inputs; a one-pixel stream needs none.
     """
 
     def __init__(self, name, in_shape, out_shape, weights, s, p,
                  thresholds=None, buffer_capacity=None):
-        if in_shape.kind != "u8":
-            raise ShapeError("%s: first conv consumes 8-bit pixels" % name)
         if weights.in_ch != in_shape.c:
             raise ShapeError("%s: weights expect %d channels, stream has %d"
                              % (name, weights.in_ch, in_shape.c))
-        super().__init__(name, "firstconv", in_shape, out_shape, weights.k, s, p,
-                         pad_value=0, first_compute=weights.out_ch,
+        super().__init__(name, "conv", in_shape, out_shape, weights.k, s, p,
                          buffer_capacity=buffer_capacity)
-        self.weights = weights
-        self.w_mat = float_signed_matrix(name, weights, in_shape)
+        self.out_ch = self.first_compute = weights.out_ch
+        if in_shape.kind == "code":
+            self.dot = lambda windows: popcount_dot(weights.words, windows, in_shape.bits)
+        else:
+            w_mat = float_signed_matrix(name, weights, in_shape)
+            self.dot = lambda windows: (windows.astype(np.float64) @ w_mat).astype(np.int64)
         self.activate = activation(thresholds)
 
     def _compute(self, windows):
-        accs = (windows.astype(np.float64) @ self.w_mat).astype(np.int64)
-        self.compute_cycles += len(windows) * self.weights.out_ch
-        return self.activate(accs)
+        self.compute_cycles += len(windows) * self.out_ch
+        return self.activate(self.dot(windows))
 
 
 class MaxPoolStage(WindowedStage):
     """Channelwise window max. Free: output appears on the cycle the last
     contributing input arrives, no compute halt."""
 
-    def __init__(self, name, in_shape, out_shape, k, s, p=0, buffer_capacity=None):
-        super().__init__(name, "maxpool", in_shape, out_shape, k, s, p,
-                         pad_value=0, buffer_capacity=buffer_capacity)
+    def __init__(self, name, in_shape, out_shape, k, s, p=0):
+        super().__init__(name, "maxpool", in_shape, out_shape, k, s, p)
 
     def _compute(self, windows):
         return windows.reshape(len(windows), self.k * self.k, -1).max(axis=1)
@@ -436,9 +415,8 @@ class AvgPoolStage(WindowedStage):
     code inputs are widened (their integer values are unchanged).
     """
 
-    def __init__(self, name, in_shape, out_shape, k, s, p=0, buffer_capacity=None):
-        super().__init__(name, "avgpool", in_shape, out_shape, k, s, p,
-                         pad_value=0, buffer_capacity=buffer_capacity)
+    def __init__(self, name, in_shape, out_shape, k, s, p=0):
+        super().__init__(name, "avgpool", in_shape, out_shape, k, s, p)
 
     def _compute(self, windows):
         m = self.k * self.k
@@ -454,14 +432,12 @@ class ElementwiseStage(Stage):
     output exists as soon as the first element is in.
     """
 
-    def __init__(self, name, kind, in_shape, out_shape):
-        super().__init__(name, kind, in_shape, out_shape)
+    def __init__(self, name, kind, in_shape):
+        super().__init__(name, kind, in_shape)
         self.el_total = in_shape.elements
 
-    def _fill_value(self) -> int:
-        return 1
-
     def _ingested(self, n: int):
+        self.fill_el = 1
         self.real_el += n
         self.ingest_done = self.real_el == self.el_total
 
@@ -477,9 +453,8 @@ class ResidualJoinStage(ElementwiseStage):
     never happens).
     """
 
-    def __init__(self, name, shape, thresholds, act_bits):
-        out_shape = StreamShape(shape.h, shape.w, shape.c, "code", act_bits)
-        super().__init__(name, "join", shape, out_shape)
+    def __init__(self, name, shape, thresholds):
+        super().__init__(name, "join", shape)
         self.skip_fifo = None
         self.skip_out_fifo = None
         self.thr_mat, self.thr_sign = build_threshold_matrix(thresholds)
@@ -510,7 +485,7 @@ class TeeWidenStage(ElementwiseStage):
     """
 
     def __init__(self, name, shape):
-        super().__init__(name, "tee", shape, shape)
+        super().__init__(name, "tee", shape)
         self.skip_out_fifo = None
 
     def _advance(self) -> bool:
@@ -532,7 +507,7 @@ class SkipDownsampleStage(ElementwiseStage):
     """
 
     def __init__(self, name, in_shape, out_shape, s):
-        super().__init__(name, "subsample", in_shape, out_shape)
+        super().__init__(name, "subsample", in_shape)
         if out_shape.c < in_shape.c:
             raise ShapeError("%s: cannot drop skip channels" % name)
         if (in_shape.h - 1) // s + 1 != out_shape.h or (in_shape.w - 1) // s + 1 != out_shape.w:
@@ -552,42 +527,4 @@ class SkipDownsampleStage(ElementwiseStage):
             if have + len(got) == c and len(self.zero_fill):
                 got = np.concatenate([got, self.zero_fill])
             self._emit(self.out_fifo, got)
-        return True
-
-
-class FcStage(Stage):
-    """Fully connected layer as a 1x1 convolution over the flattened input.
-
-    The depth-first stream order is exactly the flatten order, so the
-    stage collects the whole frame and fires a single position with one
-    compute cycle per output channel.
-    """
-
-    def __init__(self, name, in_shape, out_shape, weights, thresholds=None):
-        super().__init__(name, "fc", in_shape, out_shape,
-                         first_compute=weights.out_ch)
-        if weights.k != 1 or weights.in_ch != in_shape.elements:
-            raise ShapeError("%s: weights expect %d inputs, stream has %d"
-                             % (name, weights.in_ch, in_shape.elements))
-        self.weights = weights
-        self.activate = activation(thresholds)
-        self.flat = np.empty(in_shape.elements, dtype=np.int32)
-        if in_shape.kind != "code":
-            self.w_mat = float_signed_matrix(name, weights, in_shape)
-
-    def _accumulate(self) -> np.ndarray:
-        if self.in_shape.kind == "code":
-            return popcount_dot(self.weights.words, self.flat[None], self.in_shape.bits)[0]
-        return (self.flat.astype(np.float64) @ self.w_mat).astype(np.int64)
-
-    def _advance(self) -> bool:
-        got = self.in_fifo.pop(len(self.flat) - self.real_el)
-        if not len(got):
-            return False
-        self.flat[self.real_el:self.real_el + len(got)] = got
-        self.real_el += len(got)
-        if self.real_el == len(self.flat):
-            self.compute_cycles += self.weights.out_ch
-            self._emit(self.out_fifo, self.activate(self._accumulate()))
-            self.ingest_done = True
         return True

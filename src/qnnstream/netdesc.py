@@ -383,7 +383,7 @@ def expand_layers(net: NetworkSpec):
         elif layer.kind == "fc":
             plan = add(name=conv_name("fc"), kind="fc",
                        in_shape=cur, out_shape=layer.out_shape, layer_index=li,
-                       fused=layer.fused, act_bits=layer.act_bits, main_src=prev)
+                       role="main", fused=layer.fused, act_bits=layer.act_bits, main_src=prev)
             prev = plan.index
         elif layer.kind == "resblock":
             block_no += 1

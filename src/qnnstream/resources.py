@@ -25,11 +25,13 @@ from dataclasses import dataclass
 from .engine import (
     ModelConfig,
     Partition,
+    WEIGHTED_KINDS,
     _ceil_div,
     _window_fill,
     edge_loads,
     simulate_partition,
     skip_store_elements,
+    window_shape,
 )
 from .errors import PartitionError
 from .netdesc import expand_layers
@@ -72,18 +74,15 @@ def stage_resources(plans):
     out = []
     for p in plans:
         w_used = w_bits = bn_bits = buf_bits = skip_bits = m20k = 0
-        ish = p.in_shape
-        if p.kind in ("conv", "firstconv"):
-            w_used, w_bits, m20k = _cache(p.out_ch, p.k * p.k * ish.c)
-        elif p.kind == "fc":
-            w_used, w_bits, m20k = _cache(p.out_ch, ish.elements)
+        if p.kind in WEIGHTED_KINDS:
+            w_used, w_bits, m20k = _cache(p.out_ch, p.k * p.k * window_shape(p).c)
         elif p.kind == "join":
             skip_bits = skip_store_elements(plans, p) * 16
         if p.fused or p.kind == "join":
             bn_bits = p.out_ch * 64
             m20k += 2 * _ceil_div(p.out_ch, M20K_DEPTH)
         if p.kind in ("conv", "firstconv", "maxpool", "avgpool"):
-            buf_bits = _window_fill(p) * ish.bits
+            buf_bits = _window_fill(p) * p.in_shape.bits
         out.append(StageResources(name=p.name, kind=p.kind,
                                   weight_bits_used=w_used, weight_bits=w_bits,
                                   bn_bits=bn_bits, skip_bits=skip_bits, m20k=m20k,

@@ -1,9 +1,13 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnnstream.cli import CALIBRATION_TARGET_CYCLES, main
+from qnnstream.netdesc import parse_netdesc, random_params
 
 NET_TEXT = """\
 input 8 8 3 8
@@ -230,3 +234,102 @@ def test_missing_net_file(capsys):
     rc = main(["estimate", "--net", "/no/such/file.net"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_net_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.net"
+    path.write_bytes(NET_TEXT.encode().replace(b"maxpool", b"\xffmaxpool"))
+    rc = main(["run", "--net", str(path), "--random-params", "1",
+               "--random-image", "1"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,seed", [("--random-params", "-1"),
+                                       ("--random-image", "-3")])
+def test_negative_seed_exits_1(net_file, flag, seed, capsys):
+    argv = ["run", "--net", net_file, "--random-params", "1", "--random-image", "1"]
+    argv[argv.index(flag) + 1] = seed
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 1
+    assert "error: argument %s: a seed is a non-negative integer" % flag \
+        in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: whatever the flags, the CLI ends in 0, 1 or 2, never a
+# traceback
+
+_NUMBERS = ["-1", "0", "3", "9" * 30, "1" + "0" * 400, "nan", "inf", "", "junk"]
+_FILES = ["NET", "BLOB", "IMAGE", "JUNK", "DIR", "MISSING"]
+_NET_FLAGS = {"--net": _FILES, "--builtin": ["vgg", "junk", ""]}
+_DATA_FLAGS = {"--params": _FILES, "--random-params": _NUMBERS,
+               "--image": _FILES, "--image-dims": _NUMBERS,
+               "--random-image": _NUMBERS}
+_MODEL_FLAGS = {"--clock-mhz": _NUMBERS + ["100,200", "1,,2"],
+                "--cin-mode": ["pixel", "element", "junk"],
+                "--stall-model": ["chained", "isolated", "junk"],
+                "--c-mac": _NUMBERS, "--format": ["human", "json", "junk"]}
+_VOCABULARY = {
+    "run": {**_NET_FLAGS, **_DATA_FLAGS, **_MODEL_FLAGS},
+    "estimate": {**_NET_FLAGS, **_MODEL_FLAGS},
+    "partition": {**_NET_FLAGS, "--max-devices": _NUMBERS,
+                  "--budget-m20k": _NUMBERS, "--budget-ff": _NUMBERS,
+                  "--link-gbps": _NUMBERS, "--clock-mhz": _NUMBERS,
+                  "--format": ["human", "json", "junk"]},
+    "compare": {**_NET_FLAGS, **_DATA_FLAGS, "--corrupt-weight": []},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"NET": root / "small.net", "BLOB": root / "small.bin",
+             "IMAGE": root / "frame.raw", "JUNK": root / "junk.bin",
+             "DIR": root, "MISSING": root / "missing"}
+    files["NET"].write_text(NET_TEXT)
+    files["BLOB"].write_bytes(random_params(parse_netdesc(NET_TEXT),
+                                            np.random.default_rng(0)))
+    files["IMAGE"].write_bytes(bytes(range(192)))
+    files["JUNK"].write_bytes(b"\xff\xfe\x00input 1 1 1 2\n")
+    return {name: str(path) for name, path in files.items()}
+
+
+@st.composite
+def _argv(draw):
+    """A valid invocation of one subcommand, then up to three flags from
+    that subcommand's vocabulary; a later flag overrides an earlier one."""
+    command = draw(st.sampled_from(sorted(_VOCABULARY)))
+    vocabulary = _VOCABULARY[command]
+    # one draw in eight takes vgg, whose frames dominate the test's time
+    net = draw(st.sampled_from([["--net", "NET"]] * 7 + [["--builtin", "vgg"]]))
+    argv = [command] + net
+    if command in ("run", "compare"):
+        argv += ["--random-params", "1", "--random-image", "2"]
+    for flag in draw(st.lists(st.sampled_from(sorted(vocabulary)), max_size=3)):
+        argv.append(flag)
+        for _ in range({"--image-dims": 3, "--corrupt-weight": 0}.get(flag, 1)):
+            argv.append(draw(st.sampled_from(vocabulary[flag] + ["8"])))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+def test_cli_argv_fuzz(fuzz_files, argv):
+    argv = [fuzz_files.get(tok, tok) for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc)
+    if rc == 1:
+        assert "error:" in err, argv
+    if rc == 2:
+        # a mismatch and an infeasible placement are verdicts, not errors
+        verdict = out.startswith("MISMATCH") or out.endswith("infeasible\n") \
+            or '"feasible":false' in out
+        assert verdict or "error:" in err, argv

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import random_image
 from qnnstream.engine import (
     ModelConfig,
     Partition,
+    StageCounters,
+    analytic_counters,
     build_graph,
     estimate_cycles,
+    measured_counters,
     run,
     simulate_partition,
     validate_partition,
@@ -19,11 +23,13 @@ from qnnstream.errors import (
     ShapeError,
 )
 from qnnstream.netdesc import (
+    build_resnet18,
     expand_layers,
     load_params,
     parse_netdesc,
     random_params,
 )
+from qnnstream.resources import _cache, estimate_resources
 
 RES_NET = """\
 input 12 12 3 2
@@ -80,6 +86,34 @@ def test_c_mac_scales_compute():
         + 3 * one.stage("conv1").compute
 
 
+@pytest.mark.parametrize("text", [
+    "input 3 5 4 8\nfc o=6\n",  # 8-bit pixels
+    "input 3 5 4 2\nfc o=6 d=1.0\n",  # activation codes
+    "input 6 10 2 2\navgpool k=2 s=2\nfc o=3\n",  # accumulators
+])
+def test_fc_counters_closed_form(rng, text):
+    # an fc stage runs as a 1x1 conv over one pixel of h*w*c channels; its
+    # counters must still be those of collecting the whole h x w x c frame
+    net, params = _load(text)
+    plans = expand_layers(net)
+    fc = plans[-1]
+    ish, o = fc.in_shape, fc.out_ch
+    hwc = ish.h * ish.w * ish.c
+    expect = StageCounters(name=fc.name, kind="fc", channels=ish.c, real_el=hwc,
+                           pad_el=0, compute=o, fill_el=hwc, first_compute=o)
+    assert analytic_counters(plans)[-1] == expect
+    img = random_image(rng, net)
+    for capacity in (None, 1):
+        graph = build_graph(net, params, fifo_capacity=capacity)
+        result = run(graph, img)
+        assert measured_counters(graph)[-1] == expect
+        assert result.report.stage(fc.name).fill == ish.h * ish.w + o
+    res = estimate_resources(net).stage(fc.name)
+    used, bits, _ = _cache(o, hwc)
+    assert (res.weight_bits_used, res.weight_bits) == (used, bits)
+    assert res.ff == 0
+
+
 def test_wall_ms_follows_clock(res_case):
     net, params, img = res_case
     rep = estimate_cycles(net, ModelConfig(clock_mhz=105.0))
@@ -118,8 +152,11 @@ def test_model_config_validation():
         ModelConfig(stall_model="loose")
     with pytest.raises(QnnError):
         ModelConfig(clock_mhz=0)
-    with pytest.raises(QnnError):
-        ModelConfig(c_mac=0)
+    for bad in (0, (1 << 32) + 1):
+        with pytest.raises(QnnError):
+            ModelConfig(c_mac=bad)
+    # the largest c_mac keeps resnet18's cycle total within float range
+    assert estimate_cycles(build_resnet18(), ModelConfig(c_mac=1 << 32)).wall_ms > 0
     for bad in (float("nan"), float("inf")):
         with pytest.raises(QnnError):
             ModelConfig(clock_mhz=bad)

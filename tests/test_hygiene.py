@@ -1,0 +1,53 @@
+"""Source hygiene gates, as AST scans (no linter is a dependency).
+
+No field is written without being read: every attribute the package
+stores must be loaded somewhere in the package, the tests or the
+benchmark harness. And no module of the package or the tests imports a
+name it never uses.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path.relative_to(ROOT), ast.parse(path.read_text(), str(path))
+
+
+def test_no_write_only_attributes():
+    stored = {}
+    for path, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.attr, "%s:%d" % (path, node.lineno))
+    loaded = set()
+    for _, tree in _trees("src", "tests", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                loaded.add(node.value)  # getattr, hasattr and setattr names
+    # an augmented assignment (x.n += 1) stores without counting as a read
+    unread = {attr: where for attr, where in stored.items() if attr not in loaded}
+    assert not unread, "attributes written but never read: %s" % unread
+
+
+def test_no_unused_imports():
+    unused = []
+    for path, tree in _trees("src", "tests"):
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append("%s:%d %s" % (path, node.lineno, name))
+    assert not unused, "unused imports: %s" % unused

@@ -8,8 +8,6 @@ from qnnstream.errors import BufferEvictionError, ShapeError
 from qnnstream.kernels import (
     AvgPoolStage,
     ConvStage,
-    FcStage,
-    FirstConvStage,
     LineBuffer,
     MaxPoolStage,
     ResidualJoinStage,
@@ -293,7 +291,7 @@ def test_first_conv_stage_matches_dense(rng):
         raw = rng.standard_normal((k, k, c, o)).astype(np.float32)
         bns = _random_bn(rng, o)
         oh, ow = _out_hw(h, w, k, s, p)
-        out, _ = _drive(lambda: FirstConvStage(
+        out, _ = _drive(lambda: ConvStage(
             "fc0", StreamShape(h, w, c, "u8", 8), StreamShape(oh, ow, o, "code", 2),
             WeightBlock.from_float(raw), s, p, thresholds=_thresholds(bns, 2.0, 2)),
             x.reshape(-1))
@@ -383,7 +381,7 @@ def test_join_adds_and_requantizes(rng):
     accs = rng.integers(-300, 300, size=(3, 3, o))
     skip = rng.integers(-300, 300, size=(3, 3, o))
     out, skip_out = _drive(
-        lambda: ResidualJoinStage("jn", shape, _thresholds(bns, d, n), n),
+        lambda: ResidualJoinStage("jn", shape, _thresholds(bns, d, n)),
         accs.reshape(-1), skip_data=skip.reshape(-1))
     total = accs + skip
     assert np.array_equal(skip_out, total.reshape(-1))
@@ -452,16 +450,17 @@ def test_fc_stage_matches_dense(rng):
     x = rng.integers(0, 1 << n, size=(h, w, c))
     raw = rng.standard_normal((1, 1, h * w * c, o)).astype(np.float32)
     signs = np.where(raw >= 0, 1, -1).reshape(h * w * c, o)
-    in_shape = StreamShape(h, w, c, "code", n)
+    # an fc layer is a 1x1 conv over one pixel of h*w*c channels
+    in_shape = StreamShape(1, 1, h * w * c, "code", n)
 
-    out, _ = _drive(lambda: FcStage("fc", in_shape, StreamShape(1, 1, o, "accum", 16),
-                                    WeightBlock.from_float(raw)), x.reshape(-1))
+    out, _ = _drive(lambda: ConvStage("fc", in_shape, StreamShape(1, 1, o, "accum", 16),
+                                      WeightBlock.from_float(raw), 1, 0), x.reshape(-1))
     assert np.array_equal(out, x.reshape(-1) @ signs)
 
     bns = _random_bn(rng, o)
-    out, _ = _drive(lambda: FcStage("fc", in_shape, StreamShape(1, 1, o, "code", n),
-                                    WeightBlock.from_float(raw),
-                                    thresholds=_thresholds(bns, 1.3, n)),
+    out, _ = _drive(lambda: ConvStage("fc", in_shape, StreamShape(1, 1, o, "code", n),
+                                      WeightBlock.from_float(raw), 1, 0,
+                                      thresholds=_thresholds(bns, 1.3, n)),
                     x.reshape(-1))
     ref = quantize_dense((x.reshape(-1) @ signs).reshape(1, 1, o), bns, 1.3, n)
     assert np.array_equal(out, ref.reshape(-1))
@@ -473,7 +472,7 @@ def test_fc_on_accum_stream(rng):
     x = rng.integers(-7, 8, size=(1, 1, c))
     raw = rng.standard_normal((1, 1, c, 3)).astype(np.float32)
     signs = np.where(raw >= 0, 1, -1).reshape(c, 3)
-    out, _ = _drive(lambda: FcStage("fc", StreamShape(1, 1, c, "accum", 16),
-                                    StreamShape(1, 1, 3, "accum", 16),
-                                    WeightBlock.from_float(raw)), x.reshape(-1))
+    out, _ = _drive(lambda: ConvStage("fc", StreamShape(1, 1, c, "accum", 16),
+                                      StreamShape(1, 1, 3, "accum", 16),
+                                      WeightBlock.from_float(raw), 1, 0), x.reshape(-1))
     assert np.array_equal(out, x.reshape(-1) @ signs)

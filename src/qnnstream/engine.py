@@ -24,7 +24,6 @@ partition-transparent reading, while chained matches how a fused
 hardware pipeline actually backpressures.
 """
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -48,7 +47,7 @@ from .netdesc import expand_layers
 class ModelConfig:
     cin_mode: str = "pixel"  # pixel | element
     stall_model: str = "chained"  # chained | isolated
-    c_mac: int = 1  # cycles per compute step; at most 2**32 keeps totals finite
+    c_mac: int = 1  # cycles per compute step
     clock_mhz: float = 105.0
     link_gbps: float = 2.0
 
@@ -57,9 +56,11 @@ class ModelConfig:
             raise QnnError("cin_mode must be pixel or element")
         if self.stall_model not in ("chained", "isolated"):
             raise QnnError("stall_model must be chained or isolated")
-        finite = math.isfinite(self.clock_mhz) and math.isfinite(self.link_gbps)
-        if not finite or self.clock_mhz <= 0 or not 1 <= self.c_mac <= 1 << 32 \
-                or self.link_gbps <= 0:
+        # c_mac at most 2**32, clock and link in [2**-32, 2**32]: every
+        # cycle total, wall time and link rate stays finite
+        lo, hi = 2.0 ** -32, 2.0 ** 32
+        if not (1 <= self.c_mac <= 1 << 32 and lo <= self.clock_mhz <= hi
+                and lo <= self.link_gbps <= hi):
             raise QnnError("bad model configuration")
 
 
@@ -159,8 +160,6 @@ class _Sink:
         return self.count >= self.expected
 
     def result(self) -> np.ndarray:
-        if not self.got:
-            return np.empty(0, dtype=np.int64)
         return np.concatenate(self.got).astype(np.int64)
 
 
@@ -222,37 +221,32 @@ def _window_fill(plan) -> int:
 
 
 def skip_store_elements(plans, join_plan) -> int:
-    """Provisioned skip store size for a residual join, in elements.
+    """Skip store of a residual join in elements, the one rule for its
+    skip FIFO (build_graph) and its register charge (stage_resources).
 
-    Sized like the line buffer of the block's first convolution: that
-    buffer is what delays the compute path, so a skip store of the same
-    element count has the partner value ready when the adder needs it.
-    Holds whenever the two convolutions between fork and join keep the
-    usual half-window padding and the stream rate does not grow.
-    """
-    return _window_fill(plans[join_plan.main_src])
-
-
-def skip_capacity(plans, join_plan) -> int:
-    """Simulated skip FIFO depth for a residual join, in elements.
-
-    The fork keeps emitting sums while the convolutions between it and
-    the join fill their windows, so the FIFO must absorb that whole
-    run-ahead or the fork stalls and starves the compute path into a
-    cycle. The bound sums the fill delay of the (up to) two
-    convolutions in between, rescales it by the element-rate change
-    across the block, and caps it at one full stream. The provisioned
-    store size is kept as a floor.
+    It is the most elements the fork has put on the skip path that the
+    join has not yet consumed, from the trigger rule. Between fork and
+    join sit the block's first conv (stride s over the fork's H x W
+    stream) and, when blocks chain, the previous block's stride-1
+    second conv. A conv fires output (r, c) once input pixel
+    (r*s + k - 1 - p, c*s + k - 1 - p) is in, so with lead the sum of
+    k - 1 - p over both, main pixel (r, c) reaches the join once the
+    fork has emitted pixel (r*s + lead, min(c*s + lead, W - 1)), or the
+    whole frame if that row is past the last (bottom pad rows fire
+    after the last real pixel). By then the skip path holds the fork
+    pixels the stride-s subsample keeps up to that one, less the
+    r*Wm + c the join took. That difference falls along a row and is
+    the same at column 0 of every row before the whole-frame rows, so
+    the maximum is at pixel (0, 0) or at the first whole-frame row.
     """
     conv_a = plans[join_plan.main_src]
-    need = _window_fill(conv_a) + 2 * conv_a.in_shape.w * conv_a.in_shape.c
-    prev = plans[conv_a.main_src] if conv_a.main_src >= 0 else None
-    if prev is not None and prev.kind == "conv":
-        need += _window_fill(prev)
-    out_els = conv_a.out_shape.elements
-    bound = -(-need * out_els // conv_a.in_shape.elements)
-    total = out_els + 2 * conv_a.out_shape.w * conv_a.out_shape.c
-    return max(skip_store_elements(plans, join_plan), min(bound, total))
+    prev = plans[conv_a.main_src]
+    lead = sum(q.k - 1 - q.p for q in (conv_a, prev) if q.kind == "conv")
+    h, w, s = conv_a.in_shape.h, conv_a.in_shape.w, conv_a.s
+    mid = join_plan.in_shape
+    first = min(max(_ceil_div(h - lead, s), 0), mid.h)  # first whole-frame row
+    ahead = _ceil_div(lead, s) * mid.w + (lead % s == 0) * (min(lead, w - 1) // s + 1)
+    return mid.c * max(ahead if first else 0, (mid.h - first) * mid.w)
 
 
 def plan_edges(plans):
@@ -281,10 +275,9 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
     Regular FIFOs default to one scan line of elements; fifo_capacity
     overrides them (any value >= 1 preserves outputs, only schedules
     change). The FIFO into a join's skip input always takes
-    skip_capacity, which covers the fork's whole run-ahead across the
-    block and so keeps the adder from waiting on the skip side. That is
-    larger than the provisioned store of skip_store_elements (1.4 to 2.9
-    times on resnet18's joins); at the store size alone joins can stall.
+    skip_store_elements, the store the memory estimate charges: the
+    fork's whole run-ahead across the block, so the adder never waits
+    on the skip side.
     """
     plans = expand_layers(net)
     if params is None or len(params) != len(net.layers):
@@ -303,7 +296,7 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
     for src, dst, shape, is_skip in plan_edges(plans):
         p, q = plans[dst], plans[src]
         into_skip = p.kind == "join" and is_skip and q.index == p.skip_src
-        cap = skip_capacity(plans, p) if into_skip else regular_cap(shape)
+        cap = skip_store_elements(plans, p) if into_skip else regular_cap(shape)
         fifo = Fifo(cap, "%s->%s" % (q.name, p.name))
         fifos.append(fifo)
         consumer = stages[dst]

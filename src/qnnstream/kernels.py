@@ -449,8 +449,8 @@ class ResidualJoinStage(ElementwiseStage):
     chain, and a thresholded copy feeds the next convolution. Both paths
     carry the identical sum. Consumption is pairwise elementwise; the
     stalled_on_skip counter records any step where the regular path had
-    data but the skip path did not (the skip buffer is sized so this
-    never happens).
+    data but the skip path did not. It stays 0: the skip FIFO holds
+    engine.skip_store_elements, the fork's whole run-ahead.
     """
 
     def __init__(self, name, shape, thresholds):

@@ -7,7 +7,8 @@ Every stage is charged for the storage it would occupy in hardware:
                  rows, held in M20K block RAM (512 deep x 40 wide)
   bn cache       four 16 bit words per output channel, also block RAM
   line buffer    registers, sized by the minimal-capacity rule
-  skip fifo      registers, charged to the join that consumes it
+  skip fifo      16 bit registers, charged to the join that consumes it;
+                 engine.skip_store_elements, which also sizes its FIFO
 
 The depth granule is where the often-quoted waste comes from: a layer
 with 384 output channels allocates 512 rows and strands exactly a
@@ -105,10 +106,6 @@ class ResourceReport:
     @property
     def total_bram_bits(self) -> int:
         return sum(s.bram_bits for s in self.stages)
-
-    @property
-    def total_weight_bits_used(self) -> int:
-        return sum(s.weight_bits_used for s in self.stages)
 
     def stage(self, name: str) -> StageResources:
         for s in self.stages:

@@ -12,9 +12,12 @@ import pytest
 from qnnstream.engine import ModelConfig, build_graph, estimate_cycles, run
 from qnnstream.netdesc import BUILTIN_BUILDERS, load_params, random_params
 from qnnstream.oracle import dense_infer
+from qnnstream.resources import estimate_resources
 
 SEEDS = {"resnet18": 2024, "alexnet": 5, "vgg": 7}
-JOIN_COUNT = {"resnet18": 8, "alexnet": 0, "vgg": 0}
+# elements of each join's skip store, in stream order
+SKIP_STORES = {"resnet18": [3712, 7360, 3840, 7552, 4096, 7936, 4608, 8704],
+               "alexnet": [], "vgg": []}
 
 
 @pytest.fixture(scope="module", params=sorted(SEEDS))
@@ -46,7 +49,11 @@ def test_report_matches_estimate(builtin_case):
 def test_joins_never_starved(builtin_case):
     name, net, params, img, graph, result = builtin_case
     joins = [s for s in graph.stages if s.kind == "join"]
-    assert len(joins) == JOIN_COUNT[name]
+    assert [j.skip_fifo.capacity for j in joins] == SKIP_STORES[name]
     assert all(j.stalled_on_skip == 0 for j in joins)
+    # the simulated skip FIFO is the store the memory estimate charges
+    charged = estimate_resources(net)
+    for j in joins:
+        assert j.skip_fifo.capacity * 16 == charged.stage(j.name).skip_bits
     for f in graph.fifos:
         assert f.max_occ <= f.capacity

@@ -191,6 +191,20 @@ def test_estimate_bad_clock_exits_1(clock, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--builtin", "vgg", "--clock-mhz", "1e-320"],
+    ["partition", "--builtin", "alexnet", "--link-gbps", "1e306"],
+    ["partition", "--builtin", "alexnet", "--clock-mhz", "1e308"],
+])
+def test_rate_out_of_range_exits_1(argv, capsys):
+    # a wall time or link rate past float range would print Infinity,
+    # which is not JSON
+    assert main(argv + ["--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_params_flag_conflict(net_file, capsys):
     rc = main(["run", "--net", net_file, "--params", "x.bin",
                "--random-params", "1", "--random-image", "1"])
@@ -261,7 +275,8 @@ def test_negative_seed_exits_1(net_file, flag, seed, capsys):
 # argv fuzzing: whatever the flags, the CLI ends in 0, 1 or 2, never a
 # traceback
 
-_NUMBERS = ["-1", "0", "3", "9" * 30, "1" + "0" * 400, "nan", "inf", "", "junk"]
+_NUMBERS = ["-1", "0", "3", "9" * 30, "1" + "0" * 400, "nan", "inf", "", "junk",
+            "1e-320", "1e306", "1e308"]
 _FILES = ["NET", "BLOB", "IMAGE", "JUNK", "DIR", "MISSING"]
 _NET_FLAGS = {"--net": _FILES, "--builtin": ["vgg", "junk", ""]}
 _DATA_FLAGS = {"--params": _FILES, "--random-params": _NUMBERS,
@@ -298,8 +313,9 @@ def fuzz_files(tmp_path_factory):
 
 @st.composite
 def _argv(draw):
-    """A valid invocation of one subcommand, then up to three flags from
-    that subcommand's vocabulary; a later flag overrides an earlier one."""
+    """A valid invocation of one subcommand, in either output format,
+    then up to three flags from that subcommand's vocabulary; a later
+    flag overrides an earlier one."""
     command = draw(st.sampled_from(sorted(_VOCABULARY)))
     vocabulary = _VOCABULARY[command]
     # one draw in eight takes vgg, whose frames dominate the test's time
@@ -307,11 +323,17 @@ def _argv(draw):
     argv = [command] + net
     if command in ("run", "compare"):
         argv += ["--random-params", "1", "--random-image", "2"]
+    if "--format" in vocabulary:
+        argv += ["--format", draw(st.sampled_from(["human", "json"]))]
     for flag in draw(st.lists(st.sampled_from(sorted(vocabulary)), max_size=3)):
         argv.append(flag)
         for _ in range({"--image-dims": 3, "--corrupt-weight": 0}.get(flag, 1)):
             argv.append(draw(st.sampled_from(vocabulary[flag] + ["8"])))
     return argv
+
+
+def _reject_constant(name):
+    raise ValueError("%s is not a JSON number" % name)
 
 
 @settings(max_examples=100, deadline=None)
@@ -326,6 +348,9 @@ def test_cli_argv_fuzz(fuzz_files, argv):
             rc = e.code
     out, err = out.getvalue(), err.getvalue()
     assert rc in (0, 1, 2), (argv, rc)
+    formats = [argv[i + 1] for i, tok in enumerate(argv[:-1]) if tok == "--format"]
+    if out and formats[-1:] == ["json"]:
+        json.loads(out, parse_constant=_reject_constant)
     if rc == 1:
         assert "error:" in err, argv
     if rc == 2:

@@ -2,8 +2,9 @@
 
 No field is written without being read: every attribute the package
 stores must be loaded somewhere in the package, the tests or the
-benchmark harness. And no module of the package or the tests imports a
-name it never uses.
+benchmark harness, and so must every method and property of its
+classes. And no module of the package or the tests imports a name it
+never uses.
 """
 
 import ast
@@ -18,12 +19,7 @@ def _trees(*dirs):
             yield path.relative_to(ROOT), ast.parse(path.read_text(), str(path))
 
 
-def test_no_write_only_attributes():
-    stored = {}
-    for path, tree in _trees("src"):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                stored.setdefault(node.attr, "%s:%d" % (path, node.lineno))
+def _loaded_attributes():
     loaded = set()
     for _, tree in _trees("src", "tests", "perfbench"):
         for node in ast.walk(tree):
@@ -31,9 +27,33 @@ def test_no_write_only_attributes():
                 loaded.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 loaded.add(node.value)  # getattr, hasattr and setattr names
+    return loaded
+
+
+def test_no_write_only_attributes():
+    stored = {}
+    for path, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.attr, "%s:%d" % (path, node.lineno))
+    loaded = _loaded_attributes()
     # an augmented assignment (x.n += 1) stores without counting as a read
     unread = {attr: where for attr, where in stored.items() if attr not in loaded}
     assert not unread, "attributes written but never read: %s" % unread
+
+
+def test_no_unreached_methods():
+    # a method or property of a package class that no attribute load
+    # names is dead code; dunder methods are called by the language
+    defined = {}
+    for path, tree in _trees("src"):
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    defined.setdefault(node.name, "%s:%d" % (path, node.lineno))
+    loaded = _loaded_attributes()
+    unreached = {name: where for name, where in defined.items() if name not in loaded}
+    assert not unreached, "methods and properties nothing loads: %s" % unreached
 
 
 def test_no_unused_imports():

@@ -1,27 +1,45 @@
 """Dense reference implementation of the whole pipeline.
 
 Everything here works on full H x W x C integer arrays with none of the
-streaming machinery: no line buffers, no FIFOs, no folded thresholds.
-Weights are signed straight from the raw floats, activations go through
-the exact rational batchnorm quantizer, and range checks fire on exactly
-the values that would cross a 16-bit stream. Agreement with the engine
-is therefore evidence about the streaming logic, not a shared code path.
+streaming machinery: no line buffers, no FIFOs. Weights are signed
+straight from the raw floats, activations go through the exact rational
+batchnorm quantizer, and range checks fire on exactly the values that
+would cross a 16-bit stream. Agreement with the engine is therefore
+evidence about the streaming logic, not a shared code path.
+
+Both sides decide an activation code by integer boundaries, but they
+derive them apart. The engine's thresholds come from fold_batchnorm,
+t0 + alpha * step in Fractions. The oracle's code floors come from
+BnQuantizer's own integer form batchnorm(a) / d = (A * a + C) / D:
+code(a) >= k iff sign(A) * a >= ceil((k * D - C) / |A|). This module
+imports nothing from kernels or engine, which tests/test_hygiene.py
+enforces. quantize_dense stacks the floors of a layer's channels into a
+(levels, C) matrix and counts them over the whole map, one comparison
+per code level.
 
 dense_conv builds the im2col matrix with a stride trick and multiplies;
 dense_conv_loops is a deliberately naive nested-loop version kept as a
 cross-check on the cross-check, affordable only on small shapes.
 
-The conv and fc products multiply integers by +/-1 weights in float64,
-through BLAS. That is exact: with fan-in K every partial sum, in any
-summation order, is an integer of magnitude at most max|x| * K, and an
-IEEE double holds every integer below 2**53. _signed_product checks
-max|x| * K < 2**53 before each product and falls back to the int64
-product (no BLAS) when it does not hold.
+The conv and fc products multiply integers by +/-1 weights. With fan-in
+K every partial sum, in any summation order, is an integer of magnitude
+at most max|x| * K, so the product is exact in any type that holds every
+integer below that bound. _exact_dtype picks the narrowest, once per
+product and before im2col: float32 (sgemm) below 2**24, float64 (dgemm)
+below 2**53, int64 (no BLAS) otherwise. The window matrix and the sign
+matrix are built directly in it.
 """
 
 import numpy as np
 
-from .quant import ACCUM_BITS, FLOAT64_EXACT, BnQuantizer, check_accum_array
+from .quant import (
+    ACCUM_BITS,
+    FLOAT32_EXACT,
+    FLOAT64_EXACT,
+    BnQuantizer,
+    check_accum_array,
+    count_code_floors,
+)
 
 
 def pad_dense(x: np.ndarray, p: int) -> np.ndarray:
@@ -32,19 +50,27 @@ def pad_dense(x: np.ndarray, p: int) -> np.ndarray:
 
 def _signs(raw_w: np.ndarray, dtype=np.int64) -> np.ndarray:
     # the sign convention: zero weights count as +1
-    return np.where(np.asarray(raw_w) >= 0, dtype(1), dtype(-1))
+    signs = (np.asarray(raw_w) >= 0).astype(dtype)
+    signs *= 2
+    signs -= 1
+    return signs
+
+
+def _exact_dtype(x: np.ndarray, fan_in: int):
+    """The narrowest dtype in which x times a +/-1 matrix of fan-in
+    fan_in is exact: every partial sum stays below max|x| * fan_in."""
+    bound = max(-int(x.min(initial=0)), int(x.max(initial=0))) * fan_in
+    if bound < FLOAT32_EXACT:
+        return np.float32
+    if bound < FLOAT64_EXACT:
+        return np.float64
+    return np.int64
 
 
 def _signed_product(x: np.ndarray, raw_w: np.ndarray) -> np.ndarray:
-    """x @ signs(raw_w) for int64 x and a (K, O) weight matrix, exactly.
-
-    float64 through BLAS while every partial sum stays below 2**53,
-    int64 otherwise.
-    """
-    top = max(-int(x.min(initial=0)), int(x.max(initial=0)))
-    if top * raw_w.shape[0] < FLOAT64_EXACT:
-        return (x.astype(np.float64) @ _signs(raw_w, np.float64)).astype(np.int64)
-    return x @ _signs(raw_w)
+    """x @ signs(raw_w) as int64, for x already in the _exact_dtype of
+    its fan-in and a (K, O) weight matrix."""
+    return (x @ _signs(raw_w, x.dtype.type)).astype(np.int64, copy=False)
 
 
 def dense_conv(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
@@ -53,7 +79,7 @@ def dense_conv(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
     if x.ndim != 3 or x.shape[2] != in_ch:
         raise ValueError("input %r does not feed %d-channel weights"
                          % (x.shape, in_ch))
-    xp = pad_dense(x, p)
+    xp = pad_dense(x.astype(_exact_dtype(x, k * k * in_ch), copy=False), p)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))
     windows = windows[::s, ::s]  # (oh, ow, C, k, k)
     oh, ow = windows.shape[:2]
@@ -108,11 +134,13 @@ def dense_skip_adapt(skip: np.ndarray, s: int, out_ch: int) -> np.ndarray:
 
 
 def quantize_dense(y: np.ndarray, bn_list, d: float, n: int) -> np.ndarray:
-    """Per-channel exact batchnorm quantization of a dense accumulator map."""
-    out = np.empty(y.shape, dtype=np.int64)
-    for o, bn in enumerate(bn_list):
-        out[..., o] = BnQuantizer(bn, d, n).quantize_array(y[..., o])
-    return out
+    """Per-channel exact batchnorm quantization of an (..., C) accumulator
+    map: the BnQuantizer code floors of every channel, stacked into a
+    (levels, C) matrix, counted over the whole map at once."""
+    qs = [BnQuantizer(bn, d, n) for bn in bn_list]
+    sign = np.array([q.sign for q in qs], dtype=np.int64)
+    floors = np.array([q.floors for q in qs], dtype=np.int64).T
+    return count_code_floors(y, sign, floors)
 
 
 def dense_infer(net, params, image: np.ndarray) -> np.ndarray:
@@ -161,6 +189,7 @@ def dense_infer(net, params, image: np.ndarray) -> np.ndarray:
         elif layer.kind == "fc":
             cp = lp.convs["main"]
             flat = x.reshape(-1)
+            flat = flat.astype(_exact_dtype(flat, flat.size), copy=False)
             w_mat = cp.raw_weights.reshape(flat.size, layer.o)
             y = _signed_product(flat, w_mat).reshape(1, 1, layer.o)
             if layer.fused:

@@ -1,10 +1,12 @@
 """Quantized arithmetic primitives.
 
-Weight binarization, bit-plane popcount dot products, and folding of
-batchnorm parameters into integer threshold activations. Everything here
-is pure and exact: thresholds are derived with rational arithmetic so the
-integer decision procedure agrees with the mathematical definition on
-every integer accumulator value, not just away from boundaries.
+Weight binarization, bit-plane popcount dot products, folding of
+batchnorm parameters into integer threshold activations, and the exact
+batchnorm quantizer the oracle checks them against. Everything here is
+pure and exact: thresholds and code floors are derived with rational
+arithmetic so the integer decision procedure agrees with the
+mathematical definition on every integer accumulator value, not just
+away from boundaries.
 
 The stages' dot product kernel is popcount_dot. It takes the weights as
 WeightBlock.words, their only packed form, built once when the
@@ -29,10 +31,15 @@ from .errors import AccumOverflowError, QuantizationError, ShapeError
 
 ACCUM_BITS = 16
 
-# an IEEE double holds every integer of magnitude below this exactly, so
-# an integer product whose partial sums all stay below it is exact in
-# float64, in any summation order
+# an IEEE float32 (double) holds every integer of magnitude below these
+# exactly, so an integer product whose partial sums all stay below one is
+# exact in that float type, in any summation order
+FLOAT32_EXACT = 1 << 24
 FLOAT64_EXACT = 1 << 53
+
+# the code floors of BnQuantizer are clamped to +/- this, so the counting
+# path takes int64 accumulators of magnitude below it
+CODE_FLOOR_LIMIT = 1 << 62
 
 
 def check_accum_array(values: np.ndarray, width: int = ACCUM_BITS) -> np.ndarray:
@@ -286,6 +293,15 @@ class BnQuantizer:
     code(a) = clamp(floor(batchnorm(a) / d), 0, 2**n - 1) computed with
     integer arithmetic, so it is the ground truth the threshold path must
     reproduce. Parameters are taken rationally via float.as_integer_ratio.
+
+    With batchnorm(a) / d = (A * a + C) / D and D > 0, code(a) >= k iff
+    A * a + C >= k * D, for k = 1 .. 2**n - 1. With sign the sign of A
+    that is sign * a >= floors[k - 1], where the code floor is
+    ceil((k * D - C) / |A|): the same as ceil((kD - C) / A) for A > 0 and
+    -floor((kD - C) / A) for A < 0. The floors are derived here, in
+    Python integers, from these coefficients alone, and clamped to
+    +/- CODE_FLOOR_LIMIT, which decides no accumulator of smaller
+    magnitude differently.
     """
 
     def __init__(self, p: BnParams, d: float, n: int):
@@ -306,6 +322,11 @@ class BnQuantizer:
         self.d_coef = pd * md * bd * dn
         self.n = n
         self.max_code = (1 << n) - 1
+        self.sign = 1 if self.a_coef > 0 else -1
+        mag, lim = abs(self.a_coef), CODE_FLOOR_LIMIT
+        self.floors = tuple([
+            min(max(-((self.c_coef - k * self.d_coef) // mag), -lim), lim)
+            for k in range(1, self.max_code + 1)])
 
     def quantize(self, a: int) -> int:
         code = (self.a_coef * int(a) + self.c_coef) // self.d_coef
@@ -316,12 +337,28 @@ class BnQuantizer:
         return int(code)
 
     def quantize_array(self, accums: np.ndarray) -> np.ndarray:
-        """quantize of every element, the same shape in int64.
+        """quantize of every element, the same shape in int64: the count
+        of code floors that sign * a reaches (count_code_floors)."""
+        return count_code_floors(accums, self.sign, self.floors)
 
-        Each distinct value is quantized once, in Python integers held
-        in an object array, and the codes are scattered back through the
-        inverse index, which has the shape of accums.
-        """
-        values, inverse = np.unique(accums, return_inverse=True)
-        codes = (self.a_coef * values.astype(object) + self.c_coef) // self.d_coef
-        return np.clip(codes, 0, self.max_code).astype(np.int64)[inverse]
+
+def count_code_floors(accums: np.ndarray, sign, floors) -> np.ndarray:
+    """Codes of int64 accumulators against BnQuantizer code floors.
+
+    The code of a is the count of floors f with sign * a >= f, one
+    whole-array comparison per code level. sign and each floors[k]
+    broadcast against accums: an int and a tuple of ints for one
+    quantizer, or a (C,) vector and a (levels, C) matrix for the
+    channels of the last axis of an (..., C) map. Raises
+    QuantizationError for an accumulator of magnitude CODE_FLOOR_LIMIT
+    or more, where the clamped floors no longer decide exactly.
+    """
+    accums = np.asarray(accums, dtype=np.int64)
+    if accums.size and (accums.min() <= -CODE_FLOOR_LIMIT
+                        or accums.max() >= CODE_FLOOR_LIMIT):
+        raise QuantizationError("accumulator of magnitude 2**62 or more")
+    signed = accums * sign
+    codes = np.zeros(accums.shape, dtype=np.int64)
+    for f in floors:
+        codes += signed >= f
+    return codes

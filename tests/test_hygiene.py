@@ -3,8 +3,8 @@
 No field is written without being read: every attribute the package
 stores must be loaded somewhere in the package, the tests or the
 benchmark harness, and so must every method and property of its
-classes. And no module of the package or the tests imports a name it
-never uses.
+classes. No module of the package or the tests imports a name it
+never uses. And the oracle reaches nothing of the engine side.
 """
 
 import ast
@@ -71,3 +71,34 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append("%s:%d %s" % (path, node.lineno, name))
     assert not unused, "unused imports: %s" % unused
+
+
+def _package_imports(tree, package):
+    # absolute names of the package modules a module imports
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = package if node.level else ""
+            base = ".".join(filter(None, (base, node.module)))
+            names.add(base)
+            names |= {base + "." + alias.name for alias in node.names}
+    return {n for n in names if n.startswith(package + ".")}
+
+
+def test_oracle_imports_nothing_of_the_engine():
+    # engine == oracle is evidence only while the two derive their
+    # thresholds, products and codes apart; both count integer
+    # boundaries, so follow the oracle's imports through the package
+    src = ROOT / "src"
+    seen, todo = set(), ["qnnstream.oracle"]
+    while todo:
+        name = todo.pop()
+        path = src / (name.replace(".", "/") + ".py")
+        if name in seen or not path.exists():
+            continue
+        seen.add(name)
+        todo.extend(_package_imports(ast.parse(path.read_text()), "qnnstream"))
+    assert "qnnstream.quant" in seen
+    assert not seen & {"qnnstream.kernels", "qnnstream.engine"}, sorted(seen)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnnstream.errors import AccumOverflowError
+from qnnstream.errors import AccumOverflowError, QuantizationError
 from qnnstream.netdesc import load_params, parse_netdesc
 from qnnstream.oracle import (
     dense_avgpool,
@@ -11,6 +11,14 @@ from qnnstream.oracle import (
     dense_maxpool,
     dense_skip_adapt,
     pad_dense,
+    quantize_dense,
+)
+from qnnstream.quant import (
+    CODE_FLOOR_LIMIT,
+    FLOAT32_EXACT,
+    FLOAT64_EXACT,
+    BnParams,
+    BnQuantizer,
 )
 
 
@@ -49,11 +57,13 @@ def test_dense_conv_counts_signs():
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("top", [2**51 - 1, 2**51, 2**51 + 1],
-                         ids=["below", "at", "above"])
+@pytest.mark.parametrize("top", [2**51 - 1, 2**51, 2**51 + 1, 2**22 - 1, 2**22, 2**22 + 1],
+                         ids=["below", "at", "above", "f32-below", "f32-at", "f32-above"])
 def test_dense_conv_exact_near_float64_limit(top, sign):
     # fan-in K = 2 * 2 * 1 = 4, so max|x| * K is just below, at and just
-    # above 2**53: the float64 product below the limit, int64 from it on
+    # above 2**53 (2**24): the float64 (float32) product below the limit,
+    # the next wider type from it on
+    narrow, limit = (np.float32, FLOAT32_EXACT) if top < 2**23 else (float, FLOAT64_EXACT)
     x = sign * (top - np.array([[0, 1, 0], [1, 0, 2], [0, 0, 1]], dtype=np.int64))
     raw = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [1.0, 2.0]],
                    dtype=np.float32).reshape(2, 2, 1, 2)
@@ -64,9 +74,36 @@ def test_dense_conv_exact_near_float64_limit(top, sign):
             for r in range(2) for c in range(2)]
     assert got.dtype == np.int64
     assert got.reshape(4, 2).tolist() == want
-    if top > 2**51:
-        # some sum is odd and past 2**53, which a float64 cannot hold
-        assert any(int(float(v)) != v for row in want for v in row)
+    if 4 * top > limit:
+        # some sum is odd and past the limit, which the narrower type cannot hold
+        assert any(int(narrow(v)) != v for row in want for v in row)
+
+
+def test_quantize_dense_matches_scalar(rng):
+    # gamma of both signs, and a channel whose |A| is so small that every
+    # code floor clamps to +/- CODE_FLOOR_LIMIT (its code is 1 throughout)
+    bns = [BnParams(gamma=0.37, mean=-2.5, inv_std=1.9, bias=0.41),
+           BnParams(gamma=-1.2, mean=3.0, inv_std=0.8, bias=1.7),
+           BnParams(gamma=5e-324, mean=0.0, inv_std=1e-30, bias=1.5),
+           BnParams(gamma=-0.05, mean=100.0, inv_std=2.0, bias=-0.3)]
+    qs = [BnQuantizer(bn, 0.9, 2) for bn in bns]
+    assert [abs(f) for f in qs[2].floors] == [CODE_FLOOR_LIMIT] * 3
+    y = rng.integers(-300, 300, size=(3, 5, 4))
+    y[0, 0] = CODE_FLOOR_LIMIT - 1
+    y[0, 1] = 1 - CODE_FLOOR_LIMIT
+    out = quantize_dense(y, bns, 0.9, 2)
+    assert out.dtype == np.int64 and out.shape == y.shape
+    want = [[[q.quantize(a) for q, a in zip(qs, pixel)] for pixel in row]
+            for row in y.tolist()]
+    assert out.tolist() == want
+    assert set(out[..., 2].reshape(-1).tolist()) == {1}
+    # past the clamp the floors no longer decide: refuse, do not guess
+    for bad in (CODE_FLOOR_LIMIT, -CODE_FLOOR_LIMIT):
+        y[2, 4, 1] = bad
+        with pytest.raises(QuantizationError):
+            quantize_dense(y, bns, 0.9, 2)
+        with pytest.raises(QuantizationError):
+            qs[1].quantize_array(y[..., 1])
 
 
 def test_dense_maxpool_includes_zero_pads():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, assume, strategies as st
 from qnnstream.errors import AccumOverflowError, QuantizationError, ShapeError
 from qnnstream.quant import (
     ACCUM_BITS,
+    CODE_FLOOR_LIMIT,
     BnParams,
     BnQuantizer,
     ThresholdSet,
@@ -361,6 +362,21 @@ def test_quantize_array_matches_scalar_property(p, d, n, data):
     out = q.quantize_array(accs)
     assert out.dtype == np.int64 and out.shape == shape
     assert out.reshape(-1).tolist() == [q.quantize(a) for a in picks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_wide_params_strategy(), d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
+def test_code_floors_are_tight(p, d, n):
+    # floor k is the least sign * a whose code is at least k, and the
+    # counting path equals the scalar quantizer around every floor
+    q = BnQuantizer(p, d, n)
+    assert len(q.floors) == (1 << n) - 1
+    for k, f in enumerate(q.floors, start=1):
+        if abs(f) >= CODE_FLOOR_LIMIT - 2:
+            continue  # clamped: no accumulator in range reaches past it
+        assert q.quantize(q.sign * f) >= k > q.quantize(q.sign * (f - 1))
+        accs = q.sign * np.arange(f - 2, f + 3, dtype=np.int64)
+        assert q.quantize_array(accs).tolist() == [q.quantize(a) for a in accs.tolist()]
 
 
 @settings(max_examples=150, deadline=None)

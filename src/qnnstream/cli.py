@@ -73,7 +73,6 @@ def _add_image_flags(p):
 
 
 def _add_model_flags(p):
-    p.add_argument("--clock-mhz", type=float, default=105.0)
     p.add_argument("--cin-mode", choices=("pixel", "element"), default="pixel")
     p.add_argument("--stall-model", choices=("chained", "isolated"),
                    default="chained")
@@ -130,9 +129,9 @@ def _load_image(args, net):
                         dtype=np.uint8)
 
 
-def _model_config(args) -> ModelConfig:
+def _model_config(args, clock_mhz: float) -> ModelConfig:
     return ModelConfig(cin_mode=args.cin_mode, stall_model=args.stall_model,
-                       c_mac=args.c_mac, clock_mhz=args.clock_mhz)
+                       c_mac=args.c_mac, clock_mhz=clock_mhz)
 
 
 def _print_json(obj):
@@ -159,7 +158,7 @@ def cmd_run(args) -> int:
     net = _load_net(args)
     params = _load_net_params(args, net)
     image = _load_image(args, net)
-    cfg = _model_config(args)
+    cfg = _model_config(args, args.clock_mhz)
     graph = build_graph(net, params)
     result = run(graph, image, cfg)
     if args.format == "json":
@@ -184,9 +183,7 @@ def cmd_estimate(args) -> int:
                        "numbers, got %r" % args.clock_mhz)
     reports = []
     for clock in clocks:
-        cfg = ModelConfig(cin_mode=args.cin_mode, stall_model=args.stall_model,
-                          c_mac=args.c_mac, clock_mhz=clock)
-        report = estimate_cycles(net, cfg)
+        report = estimate_cycles(net, _model_config(args, clock))
         delta = (report.total_cycles - CALIBRATION_TARGET_CYCLES) \
             / CALIBRATION_TARGET_CYCLES * 100.0
         reports.append((report, delta))
@@ -292,6 +289,7 @@ def build_parser() -> _Parser:
     _add_net_flags(p_run)
     _add_params_flags(p_run)
     _add_image_flags(p_run)
+    p_run.add_argument("--clock-mhz", type=float, default=105.0)
     _add_model_flags(p_run)
     p_run.add_argument("--format", choices=("human", "json"), default="human")
     p_run.set_defaults(func=cmd_run)
@@ -300,11 +298,7 @@ def build_parser() -> _Parser:
     _add_net_flags(p_est)
     p_est.add_argument("--clock-mhz", default="105",
                        help="clock in MHz, or a comma list to sweep")
-    p_est.add_argument("--cin-mode", choices=("pixel", "element"),
-                       default="pixel")
-    p_est.add_argument("--stall-model", choices=("chained", "isolated"),
-                       default="chained")
-    p_est.add_argument("--c-mac", type=int, default=1)
+    _add_model_flags(p_est)
     p_est.add_argument("--format", choices=("human", "json"), default="human")
     p_est.set_defaults(func=cmd_estimate)
 

@@ -560,17 +560,24 @@ class LinkTraffic:
     required_mbps: float
 
 
-def edge_loads(plans, clock_mhz: float):
-    """Link load of every stream edge: (src, dst, Mbps, the cuts it loads).
+def cut_traffic(plans, clock_mhz: float):
+    """The streams crossing every cut position, in Mbps.
 
-    Pixels cross at one element per cycle peak, so a stream needs its
-    element bits x clock. Cut t is the link between plan t - 1 and plan
-    t. The daisy chain routes an edge (src, dst), src < dst, over every
-    link between its ends: it loads cut t iff src < t <= dst, wherever
-    the other cuts fall.
+    Entry t holds the LinkTraffic of each edge crossing cut t, the link
+    between plan t - 1 and plan t, in plan_edges order. Pixels cross at
+    one element per cycle peak, so a stream needs its element bits x
+    clock. The daisy chain routes an edge (src, dst), src < dst, over
+    every link between its ends: it crosses cut t iff src < t <= dst,
+    wherever the other cuts fall. Cutting inside a residual block costs
+    two 16-bit streams and is usually avoided.
     """
-    return [(src, dst, shape.bits * clock_mhz, range(src + 1, dst + 1))
-            for src, dst, shape, _ in plan_edges(plans)]
+    cuts = [[] for _ in range(len(plans) + 1)]
+    for src, dst, shape, _ in plan_edges(plans):
+        traffic = LinkTraffic(edge="%s->%s" % (plans[src].name, plans[dst].name),
+                              required_mbps=shape.bits * clock_mhz)
+        for t in range(src + 1, dst + 1):
+            cuts[t].append(traffic)
+    return cuts
 
 
 @dataclass(frozen=True)
@@ -589,30 +596,27 @@ class PartitionReport:
     all_ok: bool
 
 
-def simulate_partition(net, partition: Partition, cfg: ModelConfig = None) -> PartitionReport:
+def check_links(crossing, partition: Partition, link_gbps: float) -> PartitionReport:
     """Check every device-to-device link against its bandwidth budget.
 
-    Link i, between device i and i + 1, is the cut before the first
-    stage of device i + 1 and carries every edge_loads stream that loads
-    that cut.
+    crossing is the cut_traffic table. Link i, between device i and
+    i + 1, is the cut before the first stage of device i + 1 and carries
+    every stream crossing that cut.
     """
+    capacity = link_gbps * 1000.0
+    links = []
+    for i, (cut, _) in enumerate(partition.ranges[1:]):
+        req = sum(t.required_mbps for t in crossing[cut])
+        links.append(LinkCheck(link=i, required_mbps=req, capacity_mbps=capacity,
+                               ok=req <= capacity, traffic=tuple(crossing[cut])))
+    return PartitionReport(partition=partition, links=tuple(links),
+                           all_ok=all(link.ok for link in links))
+
+
+def simulate_partition(net, partition: Partition, cfg: ModelConfig = None) -> PartitionReport:
+    """Check every device-to-device link of a net's partition: the
+    ranges must cover its stages, then check_links over its cut_traffic."""
     cfg = cfg or ModelConfig()
     plans = expand_layers(net)
     validate_partition(partition, len(plans))
-    cuts = [a for a, _ in partition.ranges[1:]]
-    per_link = [[] for _ in cuts]
-    for src, dst, mbps, spanned in edge_loads(plans, cfg.clock_mhz):
-        for link, cut in enumerate(cuts):
-            if cut in spanned:
-                edge = "%s->%s" % (plans[src].name, plans[dst].name)
-                per_link[link].append(LinkTraffic(edge=edge, required_mbps=mbps))
-    capacity = cfg.link_gbps * 1000.0
-    links = []
-    all_ok = True
-    for i, traffic in enumerate(per_link):
-        req = sum(t.required_mbps for t in traffic)
-        ok = req <= capacity
-        all_ok = all_ok and ok
-        links.append(LinkCheck(link=i, required_mbps=req, capacity_mbps=capacity,
-                               ok=ok, traffic=tuple(traffic)))
-    return PartitionReport(partition=partition, links=tuple(links), all_ok=all_ok)
+    return check_links(cut_traffic(plans, cfg.clock_mhz), partition, cfg.link_gbps)

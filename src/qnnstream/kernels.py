@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BufferEvictionError, ShapeError
-from .quant import ACCUM_BITS, FLOAT64_EXACT, check_accum_array, popcount_dot
+from .quant import (
+    ACCUM_BITS,
+    CODE_FLOOR_LIMIT,
+    FLOAT64_EXACT,
+    check_accum_array,
+    popcount_dot,
+)
 
 
 @dataclass(frozen=True)
@@ -140,13 +146,14 @@ def build_threshold_matrix(threshold_sets):
     channel counts the thresholds >= a, so its row holds them negated
     with sign -1 (v >= a iff -v <= -a); ties go up either way. Threshold
     magnitudes can exceed int64 when gamma * inv_std is tiny; clamping
-    to +/-2**62 preserves every comparison against accumulator values,
-    which are far smaller. Rows are padded to a multiple of 8 columns
-    with a sentinel above the clamp (see apply_threshold_matrix).
+    to +/- CODE_FLOOR_LIMIT preserves every comparison against
+    accumulator values, which are far smaller. Rows are padded to a
+    multiple of 8 columns with a sentinel above the clamp (see
+    apply_threshold_matrix).
     """
-    clamp = 1 << 62
+    lim = CODE_FLOOR_LIMIT
     sign = np.array([-1 if ts.inverted else 1 for ts in threshold_sets], dtype=np.int64)
-    vals = np.array([[min(max(v, -clamp), clamp) for v in ts.values]
+    vals = np.array([[min(max(v, -lim), lim) for v in ts.values]
                      for ts in threshold_sets], dtype=np.int64)
     mat = np.full((len(vals), -(-vals.shape[1] // 8) * 8), _NEVER, dtype=np.int64)
     mat[:, :vals.shape[1]] = vals * sign[:, None]
@@ -159,7 +166,7 @@ def apply_threshold_matrix(accs: np.ndarray, mat: np.ndarray, sign: np.ndarray):
     One comparison per threshold gives a row of 0/1 bytes; each row of
     mat has a multiple of 8 columns, so the bytes read as whole uint64
     words and one popcount per word counts 8 comparisons. The padding
-    columns hold a sentinel above the +/-2**62 clamp, which no
+    columns hold a sentinel above the CODE_FLOOR_LIMIT clamp, which no
     accumulator reaches, so they compare false and count nothing.
     """
     hits = ((accs * sign)[..., None] >= mat).view(np.uint64)
@@ -493,7 +500,7 @@ class TeeWidenStage(ElementwiseStage):
         if not len(got):
             return False
         self._ingested(len(got))
-        self._emit(self.skip_out_fifo, got.copy())
+        self._emit(self.skip_out_fifo, got)
         self._emit(self.out_fifo, got)
         return True
 

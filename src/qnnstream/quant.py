@@ -320,7 +320,6 @@ class BnQuantizer:
         self.a_coef = dd * pn * bd * md
         self.c_coef = dd * (bn_ * pd * md - pn * bd * mn)
         self.d_coef = pd * md * bd * dn
-        self.n = n
         self.max_code = (1 << n) - 1
         self.sign = 1 if self.a_coef > 0 else -1
         mag, lim = abs(self.a_coef), CODE_FLOOR_LIMIT

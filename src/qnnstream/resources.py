@@ -15,10 +15,12 @@ with 384 output channels allocates 512 rows and strands exactly a
 quarter of its cache.
 
 Partitioning is contiguous in stream order (the devices form a daisy
-chain). A greedy first-fit scan gives the minimal device count, which
-is optimal for contiguous segments under additive budgets, and a second
-dynamic-programming pass re-cuts at that count to balance the largest
-block RAM load.
+chain) and cuts only where the streams crossing the cut fit the link,
+unless no placement does; then it cuts anywhere and the link report
+flags the cut that is over. One dynamic program, run row by row over
+the device count, finds the fewest devices whose segments fit the
+budget and, at that count, the split with the smallest largest block
+RAM load.
 """
 
 from dataclasses import dataclass
@@ -29,8 +31,8 @@ from .engine import (
     WEIGHTED_KINDS,
     _ceil_div,
     _window_fill,
-    edge_loads,
-    simulate_partition,
+    check_links,
+    cut_traffic,
     skip_store_elements,
     window_shape,
 )
@@ -150,83 +152,44 @@ class PlacementReport:
         return self.links.all_ok
 
 
-def _cut_bandwidth(plans, cfg):
-    """Link load at every possible cut position, in Mbps.
-
-    Cutting inside a residual block costs two 16-bit streams and is
-    usually avoided.
-    """
-    bw = [0.0] * (len(plans) + 1)
-    for _, _, mbps, spanned in edge_loads(plans, cfg.clock_mhz):
-        for t in spanned:
-            bw[t] += mbps
-    return bw
-
-
-def _greedy_ranges(res, budget, allowed):
+def _fewest_balanced_ranges(res, budget, allowed):
     """Fewest contiguous segments that fit the budget, cutting only at
-    allowed positions. Grab-longest is optimal here because any prefix
-    of a feasible segment that ends at an allowed position is feasible."""
+    allowed positions, split so the largest block RAM load is smallest;
+    None if no such split exists.
+
+    Row j of the DP maps every prefix of the plans it reaches to the
+    smallest largest bram load of a split of that prefix into j feasible
+    segments. The first row that reaches the whole chain gives the
+    fewest devices, and its split is already balanced. A row that
+    reaches no prefix ends the search: no later row can.
+    """
     n = len(res)
-    ranges = []
-    start = 0
-    while start < n:
-        cur_m = cur_f = 0
-        best = None
-        j = start
-        while j < n:
-            cur_m += res[j].m20k
-            cur_f += res[j].ff
-            if not budget.fits(cur_m, cur_f):
-                break
-            if j + 1 == n or allowed[j + 1]:
-                best = j
-            j += 1
-        if best is None:
-            return None
-        ranges.append((start, best))
-        start = best + 1
-    return ranges
-
-
-def _balanced_ranges(res, k, budget, allowed):
-    """Re-cut into exactly k segments minimizing the largest bram load."""
-    n = len(res)
-    pm = [0] * (n + 1)
-    pf = [0] * (n + 1)
-    pb = [0] * (n + 1)
-    for i, r in enumerate(res):
-        pm[i + 1] = pm[i] + r.m20k
-        pf[i + 1] = pf[i] + r.ff
-        pb[i + 1] = pb[i] + r.bram_bits
-
-    def seg_ok(a, b):  # plans a..b-1
-        return budget.fits(pm[b] - pm[a], pf[b] - pf[a])
-
-    inf = float("inf")
-    dp = [[inf] * (n + 1) for _ in range(k + 1)]
-    cut = [[-1] * (n + 1) for _ in range(k + 1)]
-    dp[0][0] = 0
-    for j in range(1, k + 1):
-        for i in range(1, n + 1):
-            for t in range(j - 1, i):
-                if t and not allowed[t]:
-                    continue
-                if dp[j - 1][t] == inf or not seg_ok(t, i):
-                    continue
-                cand = max(dp[j - 1][t], pb[i] - pb[t])
-                if cand < dp[j][i]:
-                    dp[j][i] = cand
-                    cut[j][i] = t
-    if dp[k][n] == inf:
-        return None
-    bounds = [n]
-    i = n
-    for j in range(k, 0, -1):
-        i = cut[j][i]
-        bounds.append(i)
-    bounds.reverse()
-    return [(bounds[j], bounds[j + 1] - 1) for j in range(k)]
+    pm, pf, pb = [0], [0], [0]
+    for r in res:
+        pm.append(pm[-1] + r.m20k)
+        pf.append(pf[-1] + r.ff)
+        pb.append(pb[-1] + r.bram_bits)
+    ends = [i for i in range(1, n + 1) if i == n or allowed[i]]
+    row = {0: 0}  # prefix -> smallest largest load, in prefix order
+    backs = []  # per row: prefix -> start of its last segment
+    while row:
+        prev, row, back = row, {}, {}
+        for i in ends:
+            for t, load in prev.items():
+                if t >= i:
+                    break
+                if budget.fits(pm[i] - pm[t], pf[i] - pf[t]):
+                    cand = max(load, pb[i] - pb[t])
+                    if i not in row or cand < row[i]:
+                        row[i], back[i] = cand, t
+        backs.append(back)
+        if n in row:
+            bounds = [n]
+            for back in reversed(backs):
+                bounds.append(back[bounds[-1]])
+            bounds.reverse()
+            return [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
+    return None
 
 
 def partition_network(net, budget: DeviceBudget = STRATIX_V_5SGSD8,
@@ -238,22 +201,19 @@ def partition_network(net, budget: DeviceBudget = STRATIX_V_5SGSD8,
         if not budget.fits(r.m20k, r.ff):
             raise PartitionError("stage %s alone exceeds the %s budget"
                                  % (r.name, budget.name))
+    crossing = cut_traffic(plans, cfg.clock_mhz)
     capacity = cfg.link_gbps * 1000.0
-    allowed = [bw <= capacity for bw in _cut_bandwidth(plans, cfg)]
-    ranges = _greedy_ranges(res, budget, allowed)
+    allowed = [sum(t.required_mbps for t in streams) <= capacity for streams in crossing]
+    ranges = _fewest_balanced_ranges(res, budget, allowed)
     if ranges is None:
         # no bandwidth-clean placement; fall back and let the link
         # report say which cut is over
-        allowed = [True] * (len(plans) + 1)
-        ranges = _greedy_ranges(res, budget, allowed)
+        ranges = _fewest_balanced_ranges(res, budget, [True] * (len(plans) + 1))
     if len(ranges) > max_devices:
         raise PartitionError("network needs %d devices, limit is %d"
                              % (len(ranges), max_devices))
-    balanced = _balanced_ranges(res, len(ranges), budget, allowed)
-    if balanced is not None:
-        ranges = balanced
     partition = Partition(ranges=tuple(ranges))
-    links = simulate_partition(net, partition, cfg)
+    links = check_links(crossing, partition, cfg.link_gbps)
     devices = []
     for dev, (a, b) in enumerate(partition.ranges):
         devices.append(DeviceReport(

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_image, random_net
 from qnnstream.engine import (
+    Fifo,
     ModelConfig,
     Partition,
     StageCounters,
@@ -25,12 +26,14 @@ from qnnstream.errors import (
     ShapeError,
 )
 from qnnstream.netdesc import (
+    BUILTIN_BUILDERS,
     build_resnet18,
     expand_layers,
     load_params,
     parse_netdesc,
     random_params,
 )
+from qnnstream.oracle import dense_infer
 from qnnstream.resources import _cache, estimate_resources
 
 RES_NET = """\
@@ -224,6 +227,29 @@ def test_fifo_capacity_property(seed, residual, capacity):
     for join in (s for s in graph.stages if s.kind == "join"):
         assert join.stalled_on_skip == 0
         assert join.skip_fifo.capacity * 16 == charged.stage(join.name).skip_bits
+
+
+@pytest.mark.parametrize("capacity", [None, 1, 3], ids=["default", "1", "3"])
+def test_no_stage_writes_a_popped_chunk(monkeypatch, capacity):
+    # a tee pushes the chunk it popped to both of its outputs, which is
+    # sound only while no stage writes into a chunk it pops; every
+    # pushed chunk is made read-only here, so such a write would raise
+    push = Fifo.push
+
+    def read_only_push(self, arr):
+        arr = arr.view()
+        arr.flags.writeable = False
+        return push(self, arr)
+
+    monkeypatch.setattr(Fifo, "push", read_only_push)
+    rng = np.random.default_rng(77)
+    nets = [random_net(rng, force_residual=i % 2 == 0) for i in range(20)]
+    nets.append(BUILTIN_BUILDERS["vgg"]())
+    for net in nets:
+        params = load_params(random_params(net, rng), net)
+        img = random_image(rng, net)
+        result = run(build_graph(net, params, fifo_capacity=capacity), img, ModelConfig())
+        assert np.array_equal(result.output, dense_infer(net, params, img)), net.name
 
 
 def _skip_store_by_pixel(plans, join):

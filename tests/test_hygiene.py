@@ -2,7 +2,8 @@
 
 No field is written without being read: every attribute the package
 stores must be loaded somewhere in the package, the tests or the
-benchmark harness, and so must every method and property of its
+benchmark harness (a load through self counts only in the storing
+class's own lineage), and so must every method and property of its
 classes. No module of the package or the tests imports a name it
 never uses. And the oracle reaches nothing of the engine side.
 """
@@ -19,26 +20,69 @@ def _trees(*dirs):
             yield path.relative_to(ROOT), ast.parse(path.read_text(), str(path))
 
 
-def _loaded_attributes():
-    loaded = set()
+def _walk(node, cls=None):
+    """Every node below node, with the name of the innermost class
+    around it (None outside any class)."""
+    for child in ast.iter_child_nodes(node):
+        yield child, cls
+        yield from _walk(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+
+def _through_self(node, cls):
+    return cls is not None and isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def _attribute_loads():
+    """Attribute loads in the package, the tests and the benchmark
+    harness, as (loaded, self_loaded, bases).
+
+    loaded holds every name loaded through a receiver other than self
+    and every string constant (getattr, hasattr and setattr names).
+    self_loaded maps a class to the names its methods load through
+    self, and bases maps a class to the names of its base classes.
+    """
+    loaded, self_loaded, bases = set(), {}, {}
     for _, tree in _trees("src", "tests", "perfbench"):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+        for node, cls in _walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "id", getattr(b, "attr", None))
+                                    for b in node.bases}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if _through_self(node, cls):
+                    self_loaded.setdefault(cls, set()).add(node.attr)
+                else:
+                    loaded.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                loaded.add(node.value)  # getattr, hasattr and setattr names
-    return loaded
+                loaded.add(node.value)
+    return loaded, self_loaded, bases
+
+
+def _lineage(cls, bases):
+    """cls with its ancestors and its descendants, by class name."""
+    def ancestors(c):
+        return {c}.union(*(ancestors(b) for b in bases.get(c, ())))
+    return ancestors(cls) | {c for c in bases if cls in ancestors(c)}
 
 
 def test_no_write_only_attributes():
-    stored = {}
+    # self.X stored in a class is read by a load of X through any other
+    # receiver, by a string constant, or by a self.X load in a class
+    # related to it by inheritance; a self.X load in an unrelated class
+    # reads that class's own X. A store through another receiver is
+    # read by any load of X. An augmented assignment (x.n += 1) stores
+    # without counting as a read.
+    loaded, self_loaded, bases = _attribute_loads()
+    unread = {}
     for path, tree in _trees("src"):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                stored.setdefault(node.attr, "%s:%d" % (path, node.lineno))
-    loaded = _loaded_attributes()
-    # an augmented assignment (x.n += 1) stores without counting as a read
-    unread = {attr: where for attr, where in stored.items() if attr not in loaded}
+        for node, cls in _walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)):
+                continue
+            owner = cls if _through_self(node, cls) else None
+            readers = self_loaded if owner is None else _lineage(owner, bases)
+            if node.attr not in loaded and not any(
+                    node.attr in self_loaded.get(c, ()) for c in readers):
+                unread.setdefault("%s.%s" % (owner or "?", node.attr),
+                                  "%s:%d" % (path, node.lineno))
     assert not unread, "attributes written but never read: %s" % unread
 
 
@@ -51,7 +95,8 @@ def test_no_unreached_methods():
             for node in cls.body:
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
                     defined.setdefault(node.name, "%s:%d" % (path, node.lineno))
-    loaded = _loaded_attributes()
+    loaded, self_loaded, _ = _attribute_loads()
+    loaded = loaded.union(*self_loaded.values())
     unreached = {name: where for name, where in defined.items() if name not in loaded}
     assert not unreached, "methods and properties nothing loads: %s" % unreached
 

@@ -1,8 +1,13 @@
-import pytest
+from itertools import combinations
 
-from qnnstream.engine import ModelConfig
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_net
+from qnnstream.engine import ModelConfig, Partition, simulate_partition
 from qnnstream.errors import PartitionError
-from qnnstream.netdesc import BUILTIN_BUILDERS, parse_netdesc
+from qnnstream.netdesc import BUILTIN_BUILDERS, expand_layers, parse_netdesc
 from qnnstream.resources import (
     CACHE_DEPTH_GRANULE,
     DeviceBudget,
@@ -10,6 +15,7 @@ from qnnstream.resources import (
     STRATIX_V_5SGSD8,
     estimate_resources,
     partition_network,
+    stage_resources,
 )
 
 
@@ -159,3 +165,57 @@ def test_balance_does_not_exceed_greedy_device_count():
                                cfg=ModelConfig())
         spread = [d.bram_bits for d in pl.devices]
         assert max(spread) <= STRATIX_V_5SGSD8.m20k * M20K_BITS
+
+
+def _fewest_then_balanced(res, budget, cuts):
+    """(fewest devices, smallest largest bram load at that count) over
+    every split at a subset of cuts whose segments fit the budget, or
+    None if no subset gives one, by enumeration."""
+    n = len(res)
+    for k in range(1, len(cuts) + 2):
+        loads = []
+        for chosen in combinations(cuts, k - 1):
+            bounds = (0,) + chosen + (n,)
+            segs = [res[a:b] for a, b in zip(bounds, bounds[1:])]
+            if all(budget.fits(sum(r.m20k for r in seg), sum(r.ff for r in seg))
+                   for seg in segs):
+                loads.append(max(sum(r.bram_bits for r in seg) for seg in segs))
+        if loads:
+            return k, min(loads)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_partition_is_fewest_devices_then_balanced(seed):
+    # against every set of cuts whose links fit (every cut if no such
+    # set places the net): the fewest devices, the smallest largest
+    # bram load at that count, and PartitionError exactly when that
+    # count exceeds max_devices
+    rng = np.random.default_rng(seed)
+    net = random_net(rng)
+    plans = expand_layers(net)
+    res = stage_resources(plans)
+    n = len(plans)
+    lo_m, lo_f = max(r.m20k for r in res), max(r.ff for r in res)
+    budget = DeviceBudget("rand", m20k=int(rng.integers(lo_m, sum(r.m20k for r in res) + 1)),
+                          ff=int(rng.integers(lo_f, sum(r.ff for r in res) + 1)))
+    cfg = ModelConfig(clock_mhz=float(rng.choice([50.0, 105.0, 250.0])),
+                      link_gbps=float(np.exp(rng.uniform(np.log(0.001), np.log(2.0)))))
+    max_devices = int(rng.integers(1, 7))
+    # a cut is clean when its link alone fits, whatever the other cuts
+    clean = [t for t in range(1, n) if simulate_partition(
+        net, Partition(((0, t - 1), (t, n - 1))), cfg).links[0].ok]
+    best = _fewest_then_balanced(res, budget, clean)
+    feasible = best is not None
+    if not feasible:
+        best = _fewest_then_balanced(res, budget, list(range(1, n)))
+    devices, load = best
+    if devices > max_devices:
+        with pytest.raises(PartitionError, match="needs %d devices" % devices):
+            partition_network(net, budget, max_devices=max_devices, cfg=cfg)
+        return
+    pl = partition_network(net, budget, max_devices=max_devices, cfg=cfg)
+    assert len(pl.devices) == devices
+    assert max(d.bram_bits for d in pl.devices) == load
+    assert pl.feasible == feasible

@@ -27,6 +27,7 @@ from .errors import BufferEvictionError, ShapeError
 from .quant import (
     ACCUM_BITS,
     CODE_FLOOR_LIMIT,
+    FLOAT32_EXACT,
     FLOAT64_EXACT,
     check_accum_array,
     popcount_dot,
@@ -346,33 +347,80 @@ class WindowedStage(Stage):
 
 
 def float_signed_matrix(name, weights, in_shape) -> np.ndarray:
-    """The +/-1 weights as a (K, out_ch) float64 matrix, K the fan-in.
+    """The +/-1 weights as a (K, out_ch) matrix in the narrowest exact
+    float, K the fan-in: entry (j, o) is the weight of flat index j of
+    output channel o.
 
     Inputs from in_shape are integers of magnitude below 2**bits, so
     every partial sum of a product with this matrix is an integer below
-    2**bits * K. While that is at most 2**53 a float64 holds each one
-    exactly, and the product through BLAS is exact in any order.
+    2**bits * K. A float32 holds each one exactly while that is at most
+    2**24, a float64 while it is at most 2**53, and then the product
+    through BLAS is exact in any order; past 2**53 no float is. The
+    matrix is unpacked straight from WeightBlock.words into the chosen
+    dtype: byte b of word row r holds bits 8 * b .. 8 * b + 7 of that
+    row, least significant first.
     """
-    if (1 << in_shape.bits) * weights.entry_bits > FLOAT64_EXACT:
+    reach = (1 << in_shape.bits) * weights.entry_bits
+    if reach > FLOAT64_EXACT:
         raise ShapeError("%s: fan-in %d is too wide for an exact float64 product"
                          % (name, weights.entry_bits))
-    return np.ascontiguousarray(weights.signed_matrix().T, dtype=np.float64)
+    words = weights.words
+    octets = words.view(np.uint8).reshape(len(words), -1, 8).transpose(0, 2, 1)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")  # (words, 64, out_ch)
+    bits = bits.reshape(-1, weights.out_ch)[:weights.entry_bits]
+    dtype = np.float32 if reach <= FLOAT32_EXACT else np.float64
+    return np.subtract(bits, 0.5, dtype=dtype, order="C") * dtype(2)  # 1 -> +1, 0 -> -1
+
+
+# The largest float32 sign matrix a stage over activation codes
+# multiplies by; past it the stage runs popcount_dot instead. Set from
+# stage step times inside a running resnet18 pipeline, since isolated
+# kernel timings favoured the float product on layers where it lost in
+# place (single-threaded BLAS, a Xeon with 2 MiB of L2 per core). With
+# this cap the float32 product ran the 56- and 28-wide 3x3 convs (0.15
+# to 0.6 MB matrices) 1.5-1.9x faster than popcount_dot. With a 4 MiB
+# cap the three 14-wide convs with 2.4 MB matrices took 66 ms per frame
+# in float32 against 52 ms in popcount_dot: a matrix that outgrows the
+# cache it shares with the rest of the pipeline is read from memory on
+# every batch of windows.
+FLOAT32_SIGNS_MAX_BYTES = 1 << 20
+
+
+def blas_signs(name, weights, in_shape):
+    """The one rule choosing a ConvStage's exact dot product, applied
+    once when the stage is built.
+
+    Returns the sign matrix of an exact float product through BLAS, or
+    None where the stage runs popcount_dot on WeightBlock.words. A code
+    stream takes float32 where that is exact (2**bits * K <= 2**24) and
+    the (K, out_ch) float32 matrix is at most FLOAT32_SIGNS_MAX_BYTES,
+    and popcount_dot elsewhere. Pixel and accumulator streams have no
+    bit planes to count: they take float_signed_matrix, the narrowest
+    exact float, and a ShapeError past 2**53.
+    """
+    if in_shape.kind == "code" and (
+            (1 << in_shape.bits) * weights.entry_bits > FLOAT32_EXACT
+            or 4 * weights.entry_bits * weights.out_ch > FLOAT32_SIGNS_MAX_BYTES):
+        return None
+    return float_signed_matrix(name, weights, in_shape)
 
 
 class ConvStage(WindowedStage):
     """Binarized convolution: every conv, first conv and fc layer.
 
     Per valid position the input halts for out_ch compute cycles, one
-    output channel per cycle. The dot product follows the input stream,
-    as activation() follows the thresholds. Activation codes run on
-    packed bit planes (quant.popcount_dot): the weights are already
-    packed into 64-bit words (WeightBlock.words), the window codes of a
-    run into n bit planes of words, and each plane meets each weight row
-    by AND + popcount. 8-bit pixels (the first conv) and accumulators are
-    plain signed add/subtract, expressed as an exact float64 matrix
-    product (float_signed_matrix). Internal accumulators are wider than
-    16 bits; only values that cross an accumulator stream are range
-    checked.
+    output channel per cycle. The stage computes the exact dot product
+    of its windows with the +/-1 weights in one of two ways, chosen once
+    here by blas_signs, as activation() follows the thresholds. Either
+    it multiplies the windows by a float sign matrix through BLAS, in
+    the narrowest float that keeps every sum exact: float32 for small
+    layers over activation codes and for the 8-bit first conv, float64
+    for wide accumulator inputs. Or it runs the XNOR/popcount datapath
+    (quant.popcount_dot): the weights are already packed into 64-bit
+    words (WeightBlock.words), the window codes of a run into n bit
+    planes of words, and each plane meets each weight row by AND +
+    popcount. Internal accumulators are wider than 16 bits; only values
+    that cross an accumulator stream are range checked.
 
     A fully connected layer is a 1x1 conv over a one-pixel stream of
     h*w*c channels (engine.window_shape). The depth-first stream order is
@@ -392,11 +440,11 @@ class ConvStage(WindowedStage):
         super().__init__(name, "conv", in_shape, out_shape, weights.k, s, p,
                          buffer_capacity=buffer_capacity)
         self.out_ch = self.first_compute = weights.out_ch
-        if in_shape.kind == "code":
+        signs = blas_signs(name, weights, in_shape)
+        if signs is None:
             self.dot = lambda windows: popcount_dot(weights.words, windows, in_shape.bits)
         else:
-            w_mat = float_signed_matrix(name, weights, in_shape)
-            self.dot = lambda windows: (windows.astype(np.float64) @ w_mat).astype(np.int64)
+            self.dot = lambda windows: (windows.astype(signs.dtype) @ signs).astype(np.int64)
         self.activate = activation(thresholds)
 
     def _compute(self, windows):
@@ -476,11 +524,16 @@ class ResidualJoinStage(ElementwiseStage):
         reg = self.in_fifo.pop(n).astype(np.int64)
         skip = self.skip_fifo.pop(n).astype(np.int64)
         sums = check_accum_array(reg + skip, ACCUM_BITS)
-        chans = (self.real_el + np.arange(n)) % self.in_shape.c
-        codes = apply_threshold_matrix(sums, self.thr_mat[chans], self.thr_sign[chans])
+        # laid over the whole pixels it touches, zero padded, the chunk
+        # meets each channel's threshold row in place
+        c = self.in_shape.c
+        head = self.real_el % c
+        pixels = np.zeros(-(-(head + n) // c) * c, dtype=np.int64)
+        pixels[head:head + n] = sums
+        codes = apply_threshold_matrix(pixels.reshape(-1, c), self.thr_mat, self.thr_sign)
         self._ingested(n)
         self._emit(self.skip_out_fifo, sums.astype(np.int32))
-        self._emit(self.out_fifo, codes)
+        self._emit(self.out_fifo, codes.reshape(-1)[head:head + n])
         return True
 
 

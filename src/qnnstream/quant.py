@@ -8,7 +8,10 @@ arithmetic so the integer decision procedure agrees with the
 mathematical definition on every integer accumulator value, not just
 away from boundaries.
 
-The stages' dot product kernel is popcount_dot. It takes the weights as
+popcount_dot is the modelled XNOR/popcount datapath. A conv stage over
+activation codes runs it unless a float32 product with a +/-1 matrix
+through BLAS is exact and that matrix small; kernels.blas_signs makes
+the choice once per stage. popcount_dot takes the weights as
 WeightBlock.words, their only packed form, built once when the
 parameters load: a word-major (words, out_ch) uint64 matrix whose column
 o is output channel o, so one row holds the same word of every output
@@ -98,13 +101,6 @@ class WeightBlock:
         flat = np.moveaxis(raw >= 0, 3, 0).reshape(out_ch, k * k * in_ch)
         words = np.ascontiguousarray(pack_words(flat).T)
         return cls(k=k, in_ch=in_ch, out_ch=out_ch, words=words)
-
-    def signed_matrix(self) -> np.ndarray:
-        """Unpack to an (out_ch, entry_bits) int64 matrix of +1 / -1, one
-        row per output channel, columns in flat index order."""
-        rows = np.ascontiguousarray(self.words.T).view(np.uint8)
-        bits = np.unpackbits(rows, axis=1, count=self.entry_bits, bitorder="little")
-        return bits.astype(np.int64) * 2 - 1
 
 
 def plane_dot(weights: int, plane: int, length: int) -> int:

@@ -5,7 +5,7 @@ stores must be loaded somewhere in the package, the tests or the
 benchmark harness (a load through self counts only in the storing
 class's own lineage), and so must every method and property of its
 classes. No module of the package or the tests imports a name it
-never uses. And the oracle reaches nothing of the engine side.
+never uses. And the oracle and the stages reach nothing of each other.
 """
 
 import ast
@@ -132,12 +132,10 @@ def _package_imports(tree, package):
     return {n for n in names if n.startswith(package + ".")}
 
 
-def test_oracle_imports_nothing_of_the_engine():
-    # engine == oracle is evidence only while the two derive their
-    # thresholds, products and codes apart; both count integer
-    # boundaries, so follow the oracle's imports through the package
+def _reached(module):
+    """The package modules module imports, directly or through others."""
     src = ROOT / "src"
-    seen, todo = set(), ["qnnstream.oracle"]
+    seen, todo = set(), [module]
     while todo:
         name = todo.pop()
         path = src / (name.replace(".", "/") + ".py")
@@ -145,5 +143,21 @@ def test_oracle_imports_nothing_of_the_engine():
             continue
         seen.add(name)
         todo.extend(_package_imports(ast.parse(path.read_text()), "qnnstream"))
+    return seen
+
+
+def test_oracle_imports_nothing_of_the_engine():
+    # engine == oracle is evidence only while the two derive their
+    # thresholds, products and codes apart; both count integer
+    # boundaries, so follow the oracle's imports through the package
+    seen = _reached("qnnstream.oracle")
     assert "qnnstream.quant" in seen
     assert not seen & {"qnnstream.kernels", "qnnstream.engine"}, sorted(seen)
+
+
+def test_kernels_import_nothing_of_the_oracle():
+    # the other direction: the stages pick their exact float product by
+    # their own rule, not by the oracle's choice of dtype
+    seen = _reached("qnnstream.kernels")
+    assert "qnnstream.quant" in seen
+    assert "qnnstream.oracle" not in seen, sorted(seen)

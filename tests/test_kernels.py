@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import drive_stage
-from qnnstream.engine import Fifo
+from qnnstream.engine import WEIGHTED_KINDS, Fifo, window_shape
 from qnnstream.errors import BufferEvictionError, ShapeError
+from qnnstream.netdesc import BUILTIN_BUILDERS, expand_layers
 from qnnstream.kernels import (
+    FLOAT32_SIGNS_MAX_BYTES,
     AvgPoolStage,
     ConvStage,
     LineBuffer,
@@ -15,6 +17,7 @@ from qnnstream.kernels import (
     StreamShape,
     TeeWidenStage,
     apply_threshold_matrix,
+    blas_signs,
     build_threshold_matrix,
     float_signed_matrix,
     line_buffer_capacity,
@@ -33,6 +36,7 @@ from qnnstream.quant import (
     WeightBlock,
     apply_threshold,
     fold_batchnorm,
+    popcount_dot,
 )
 
 
@@ -442,6 +446,85 @@ def test_float_signed_matrix_bound():
     assert mat.reshape(-1).tolist() == [1, -1, 1, -1]
     with pytest.raises(ShapeError, match="fan-in 4"):
         float_signed_matrix("fc", wb, StreamShape(1, 1, 4, "accum", 52))
+    # the narrowest exact float: float32 up to 2**bits * K = 2**24, float64
+    # one fan-in step past it
+    mat = float_signed_matrix("fc", wb, StreamShape(1, 1, 4, "accum", 22))
+    assert mat.dtype == np.float32 and mat.reshape(-1).tolist() == [1, -1, 1, -1]
+    wide = WeightBlock.from_float(np.ones((1, 1, 5, 1), dtype=np.float32))
+    assert float_signed_matrix("fc", wide, StreamShape(1, 1, 5, "accum", 22)).dtype == np.float64
+
+
+def _zero_weights(k, in_ch, out_ch):
+    return WeightBlock(k, in_ch, out_ch,
+                       np.zeros((-(-k * k * in_ch // 64), out_ch), dtype=np.uint64))
+
+
+def test_blas_signs_rule_edges():
+    # a code stream takes float32 while it is exact and its sign matrix
+    # is at most FLOAT32_SIGNS_MAX_BYTES, popcount_dot (None) otherwise;
+    # other streams have no popcount path and take the narrowest float
+    side = FLOAT32_SIGNS_MAX_BYTES // 4 // 512
+    codes = StreamShape(1, 1, 512, "code", 2)
+    assert blas_signs("fc", _zero_weights(1, 512, side), codes).dtype == np.float32
+    assert blas_signs("fc", _zero_weights(1, 512, side + 1), codes) is None
+    assert blas_signs("fc", _zero_weights(1, 1 << 16, 1),
+                      StreamShape(1, 1, 1 << 16, "code", 8)).dtype == np.float32
+    assert blas_signs("fc", _zero_weights(1, (1 << 16) + 1, 1),
+                      StreamShape(1, 1, (1 << 16) + 1, "code", 8)) is None
+    accums = StreamShape(1, 1, 256, "accum", 16)
+    assert blas_signs("fc", _zero_weights(1, 256, 4 * side), accums).dtype == np.float32
+    assert blas_signs("fc", _zero_weights(1, 512, 1),
+                      StreamShape(1, 1, 512, "accum", 16)).dtype == np.float64
+
+
+def test_resnet18_dot_paths():
+    # the rule's choice on every weighted resnet18 stage: the 8-bit first
+    # conv and the 56- and 28-wide 3x3 convs multiply by float32 signs,
+    # the wider convs run popcount_dot, and the fc over 16-bit averages
+    # needs float64
+    paths = {}
+    for plan in expand_layers(BUILTIN_BUILDERS["resnet18"]()):
+        if plan.kind in WEIGHTED_KINDS:
+            shape = window_shape(plan)
+            signs = blas_signs(plan.name, _zero_weights(plan.k, shape.c, plan.out_shape.c),
+                               shape)
+            paths[plan.name] = "popcount" if signs is None else signs.dtype.name
+    blocks = {"block%d_%s" % (i, half): "float32" if i <= 4 else "popcount"
+              for i in range(1, 9) for half in "ab"}
+    assert paths == {"conv1": "float32", **blocks, "fc1": "float64"}
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=8, k=1, c=1 << 16, o=4, rows=2, seed=0)  # 2**8 * K = 2**24
+@given(n=st.integers(1, 8), k=st.sampled_from([1, 2, 3, 5, 7]), c=st.integers(1, 70),
+       o=st.integers(1, 9), rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_float32_path_equals_popcount_dot(n, k, c, o, rows, seed):
+    # a conv stage on the float32 path computes exactly popcount_dot of
+    # its windows; the first window is all at the top code against an
+    # all +1 output channel, the largest sum the rule allows for
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((k, k, c, o)).astype(np.float32)
+    raw[..., 0] = 1.0
+    wb = WeightBlock.from_float(raw)
+    in_shape = StreamShape(k, k, c, "code", n)
+    assert blas_signs("cv", wb, in_shape).dtype == np.float32
+    stage = ConvStage("cv", in_shape, StreamShape(1, 1, o, "accum", 16), wb, 1, 0)
+    windows = rng.integers(0, 1 << n, size=(rows, k * k * c), dtype=np.int32)
+    windows[0] = (1 << n) - 1
+    assert np.array_equal(stage.dot(windows), popcount_dot(wb.words, windows, n))
+
+
+def test_popcount_path_stage_matches_dense(rng):
+    # a sign matrix past the cap runs popcount_dot inside the stage
+    c, o = 1024, 257
+    x = rng.integers(0, 4, size=(2, 3, c))
+    raw = rng.standard_normal((1, 1, c, o)).astype(np.float32)
+    wb = WeightBlock.from_float(raw)
+    in_shape = StreamShape(2, 3, c, "code", 2)
+    assert blas_signs("cv", wb, in_shape) is None
+    out, _ = _drive(lambda: ConvStage("cv", in_shape, StreamShape(2, 3, o, "accum", 16),
+                                      wb, 1, 0), x.reshape(-1))
+    assert np.array_equal(out, dense_conv(x, raw, 1, 0).reshape(-1))
 
 
 def test_fc_stage_matches_dense(rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, assume, strategies as st
 
 from qnnstream.errors import AccumOverflowError, QuantizationError, ShapeError
+from qnnstream.kernels import StreamShape, float_signed_matrix
 from qnnstream.quant import (
     ACCUM_BITS,
     CODE_FLOOR_LIMIT,
@@ -107,15 +108,16 @@ def test_weight_block_roundtrip(rng):
         # word-major: column o holds output channel o
         for col, bits in zip(wb.words.T, flat):
             assert _row_int(col) == _bit_by_bit(bits)
-        signed = wb.signed_matrix()
-        assert signed.dtype == np.int64 and signed.shape == (out_ch, k * k * in_ch)
-        assert np.array_equal(signed, np.where(flat, 1, -1))
+        signed = float_signed_matrix("w", wb, StreamShape(k, k, in_ch, "code", 1))
+        assert signed.dtype == np.float32 and signed.shape == (k * k * in_ch, out_ch)
+        assert np.array_equal(signed.T, np.where(flat, 1, -1))
 
 
 def test_weight_block_zero_is_plus_one():
     raw = np.zeros((1, 1, 2, 1), dtype=np.float32)
     wb = WeightBlock.from_float(raw)
-    assert np.array_equal(wb.signed_matrix().reshape(-1), [1, 1])
+    signed = float_signed_matrix("w", wb, StreamShape(1, 1, 2, "code", 1))
+    assert np.array_equal(signed.reshape(-1), [1, 1])
 
 
 def test_weight_block_entry_layout():

@@ -159,7 +159,7 @@ def test_infeasible_link_budget_reported_not_raised():
     assert any(not l.ok for l in pl.links.links)
 
 
-def test_balance_does_not_exceed_greedy_device_count():
+def test_builtin_devices_fit_m20k_budget():
     for name in ("resnet18", "alexnet", "vgg"):
         pl = partition_network(BUILTIN_BUILDERS[name](), STRATIX_V_5SGSD8,
                                cfg=ModelConfig())

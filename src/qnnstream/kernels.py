@@ -148,14 +148,14 @@ def build_threshold_matrix(threshold_sets):
     with sign -1 (v >= a iff -v <= -a); ties go up either way. Threshold
     magnitudes can exceed int64 when gamma * inv_std is tiny; clamping
     to +/- CODE_FLOOR_LIMIT preserves every comparison against
-    accumulator values, which are far smaller. Rows are padded to a
-    multiple of 8 columns with a sentinel above the clamp (see
-    apply_threshold_matrix).
+    accumulator values, which are far smaller; one clamp runs over the
+    stacked Python ints. Rows are padded to a multiple of 8 columns with
+    a sentinel above the clamp (see apply_threshold_matrix).
     """
     lim = CODE_FLOOR_LIMIT
     sign = np.array([-1 if ts.inverted else 1 for ts in threshold_sets], dtype=np.int64)
-    vals = np.array([[min(max(v, -lim), lim) for v in ts.values]
-                     for ts in threshold_sets], dtype=np.int64)
+    vals = np.array([ts.values for ts in threshold_sets],
+                    dtype=object).clip(-lim, lim).astype(np.int64)
     mat = np.full((len(vals), -(-vals.shape[1] // 8) * 8), _NEVER, dtype=np.int64)
     mat[:, :vals.shape[1]] = vals * sign[:, None]
     return mat, sign

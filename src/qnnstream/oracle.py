@@ -9,8 +9,9 @@ evidence about the streaming logic, not a shared code path.
 
 Both sides decide an activation code by integer boundaries, but they
 derive them apart. The engine's thresholds come from fold_batchnorm,
-t0 + alpha * step in Fractions. The oracle's code floors come from
-BnQuantizer's own integer form batchnorm(a) / d = (A * a + C) / D:
+t0 + alpha * step over one integer denominator, rounded by one floor
+division each. The oracle's code floors come from BnQuantizer's own
+integer form batchnorm(a) / d = (A * a + C) / D:
 code(a) >= k iff sign(A) * a >= ceil((k * D - C) / |A|). This module
 imports nothing from kernels or engine, which tests/test_hygiene.py
 enforces. quantize_dense stacks the floors of a layer's channels into a

@@ -3,10 +3,10 @@
 Weight binarization, bit-plane popcount dot products, folding of
 batchnorm parameters into integer threshold activations, and the exact
 batchnorm quantizer the oracle checks them against. Everything here is
-pure and exact: thresholds and code floors are derived with rational
-arithmetic so the integer decision procedure agrees with the
-mathematical definition on every integer accumulator value, not just
-away from boundaries.
+pure and exact: thresholds and code floors are derived in Python
+integers from the parameters' exact integer ratios, so the integer
+decision procedure agrees with the mathematical definition on every
+integer accumulator value, not just away from boundaries.
 
 popcount_dot is the modelled XNOR/popcount datapath. A conv stage over
 activation codes runs it unless a float32 product with a +/-1 matrix
@@ -26,7 +26,6 @@ references it is tested against.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -236,14 +235,6 @@ class ThresholdSet:
             raise QuantizationError("threshold list must be ascending")
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def fold_batchnorm(p: BnParams, d: float, n: int) -> ThresholdSet:
     """Fold batchnorm into integer activation thresholds.
 
@@ -251,25 +242,32 @@ def fold_batchnorm(p: BnParams, d: float, n: int) -> ThresholdSet:
     real thresholds t_alpha = t0 + alpha * step for alpha = 1 .. 2**n - 1.
     Rounding to integers keeps the decision exact on integer accumulators:
     ceil for an ascending ladder (t <= a iff ceil(t) <= a), floor for a
-    descending one (a <= t iff a <= floor(t)).
+    descending one (a <= t iff a <= floor(t)). The parameters are taken
+    exactly via float.as_integer_ratio, so t_alpha = (t + alpha * s) / den
+    over one integer den, and each threshold is one floor division.
     """
     if d <= 0:
         raise QuantizationError("range size d must be positive")
     if n < 1:
         raise QuantizationError("activation bit-width must be >= 1")
-    gi = Fraction(p.gamma) * Fraction(p.inv_std)
-    if gi == 0:
+    gn, gd = p.gamma.as_integer_ratio()
+    sn, sd = p.inv_std.as_integer_ratio()
+    pn, pd = gn * sn, gd * sd  # gamma * inv_std, pd > 0
+    if pn == 0:
         raise QuantizationError("degenerate channel: gamma * inv_std is zero")
-    t0 = Fraction(p.mean) - Fraction(p.bias) / gi
-    step = Fraction(d) / gi
-    reals = [t0 + alpha * step for alpha in range(1, 1 << n)]
-    if gi > 0:
-        values = tuple(_ceil_frac(t) for t in reals)
-        inverted = False
-    else:
-        values = tuple(_floor_frac(t) for t in reversed(reals))
-        inverted = True
-    return ThresholdSet(values=values, inverted=inverted, n=n)
+    mn, md = p.mean.as_integer_ratio()
+    bn_, bd = p.bias.as_integer_ratio()
+    dn, dd = d.as_integer_ratio()
+    # t0 = t / den and step = s / den, den of the sign of gamma * inv_std
+    den = md * bd * pn * dd
+    t = (mn * bd * pn - bn_ * pd * md) * dd
+    s = dn * pd * md * bd
+    alphas = range(1, 1 << n)
+    if pn > 0:
+        return ThresholdSet(values=tuple([-((-t - a * s) // den) for a in alphas]),
+                            inverted=False, n=n)
+    return ThresholdSet(values=tuple([(t + a * s) // den for a in reversed(alphas)]),
+                        inverted=True, n=n)
 
 
 def apply_threshold(a: int, ts: ThresholdSet) -> int:

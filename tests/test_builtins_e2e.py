@@ -2,13 +2,14 @@
 
 Each builtin gets one engine run and one dense reference pass with the
 same random parameters, so the file costs a few seconds. The fixture is
-module scoped and parametrized, letting the three checks per model share
-that single run.
+module scoped and parametrized, letting the checks per model share that
+single run.
 """
 
 import numpy as np
 import pytest
 
+from reference import fold_batchnorm_fraction
 from qnnstream.engine import ModelConfig, build_graph, estimate_cycles, run
 from qnnstream.netdesc import BUILTIN_BUILDERS, load_params, random_params
 from qnnstream.oracle import dense_infer
@@ -57,3 +58,18 @@ def test_joins_never_starved(builtin_case):
         assert j.skip_fifo.capacity * 16 == charged.stage(j.name).skip_bits
     for f in graph.fifos:
         assert f.max_occ <= f.capacity
+
+
+def test_thresholds_equal_fraction_fold(builtin_case):
+    # every ThresholdSet load_params folds equals the rational reference
+    name, net, params, img, graph, result = builtin_case
+    folded = 0
+    for layer, lp in zip(net.layers, params):
+        pairs = [(cp.bn, cp.thresholds) for cp in lp.convs.values() if cp.bn]
+        if lp.join_bn:
+            pairs.append((lp.join_bn, lp.join_thresholds))
+        for bn, thresholds in pairs:
+            assert thresholds == [fold_batchnorm_fraction(p, lp.d, layer.act_bits)
+                                  for p in bn], layer
+            folded += len(bn)
+    assert folded == {"resnet18": 3904, "alexnet": 9568, "vgg": 1920}[name]

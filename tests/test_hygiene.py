@@ -5,7 +5,8 @@ stores must be loaded somewhere in the package, the tests or the
 benchmark harness (a load through self counts only in the storing
 class's own lineage), and so must every method and property of its
 classes. No module of the package or the tests imports a name it
-never uses. And the oracle and the stages reach nothing of each other.
+never uses. And the oracle and the stages reach nothing of each other,
+nor the threshold fold anything of the oracle's quantizer.
 """
 
 import ast
@@ -153,6 +154,21 @@ def test_oracle_imports_nothing_of_the_engine():
     seen = _reached("qnnstream.oracle")
     assert "qnnstream.quant" in seen
     assert not seen & {"qnnstream.kernels", "qnnstream.engine"}, sorted(seen)
+
+
+def test_fold_names_nothing_of_the_quantizer():
+    # the same holds inside quant.py: fold_batchnorm derives the engine's
+    # thresholds from the batchnorm parameters alone, not from the
+    # oracle's quantizer, its coefficients or its code floors
+    forbidden = {"BnQuantizer", "floors", "a_coef", "c_coef", "d_coef",
+                 "count_code_floors"}
+    tree = ast.parse((ROOT / "src/qnnstream/quant.py").read_text())
+    fold, = [n for n in tree.body
+             if isinstance(n, ast.FunctionDef) and n.name == "fold_batchnorm"]
+    named = {n.id for n in ast.walk(fold) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(fold) if isinstance(n, ast.Attribute)}
+    assert "as_integer_ratio" in named
+    assert not named & forbidden, sorted(named & forbidden)
 
 
 def test_kernels_import_nothing_of_the_oracle():

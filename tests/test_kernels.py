@@ -226,6 +226,11 @@ def test_threshold_matrix_matches_scalar_property(sets, data):
     mat, sign = build_threshold_matrix(sets)
     assert mat.shape[0] == chans and mat.shape[1] % 8 == 0
     assert (mat[:, len(sets[0].values):] > _HUGE).all()
+    # each value clamped one at a time, then sign folded
+    assert mat[:, :len(sets[0].values)].tolist() == [
+        [min(max(v, -_HUGE), _HUGE) * (-1 if ts.inverted else 1) for v in ts.values]
+        for ts in sets]
+    assert sign.dtype == np.int64 and mat.dtype == np.int64
     drawn = data.draw(st.lists(st.integers(-(1 << 15), 1 << 15),
                                min_size=chans, max_size=8 * chans))
     rows = [drawn[i:i + chans] for i in range(0, len(drawn) - chans + 1, chans)]

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, assume, strategies as st
+from hypothesis import example, given, settings, assume, strategies as st
 
+from reference import fold_batchnorm_fraction
 from qnnstream.errors import AccumOverflowError, QuantizationError, ShapeError
 from qnnstream.kernels import StreamShape, float_signed_matrix
 from qnnstream.quant import (
@@ -379,6 +380,40 @@ def test_code_floors_are_tight(p, d, n):
         assert q.quantize(q.sign * f) >= k > q.quantize(q.sign * (f - 1))
         accs = q.sign * np.arange(f - 2, f + 3, dtype=np.int64)
         assert q.quantize_array(accs).tolist() == [q.quantize(a) for a in accs.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_wide_params_strategy(), d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
+# negative gamma: a descending ladder, stored inverted
+@example(p=BnParams(gamma=-0.75, mean=3.25, inv_std=1.5, bias=-7.0), d=0.5, n=3)
+# subnormal inv_std: thresholds far past int64
+@example(p=BnParams(gamma=1.0, mean=0.5, inv_std=5e-324, bias=1e-3), d=2.0, n=2)
+@example(p=BnParams(gamma=-3.0, mean=-1.0, inv_std=1e-310, bias=2.5), d=1e-3, n=4)
+# gamma * inv_std is zero as a float product but not as a rational
+@example(p=BnParams(gamma=1e-300, mean=0.0, inv_std=1e-300, bias=0.0), d=1.0, n=2)
+# |step| < 1: several codes round to the same integer threshold
+@example(p=BnParams(gamma=7.0, mean=0.3, inv_std=2.0, bias=0.1), d=1.0, n=8)
+def test_fold_equals_fraction_fold(p, d, n):
+    ts = fold_batchnorm(p, d, n)
+    assert ts == fold_batchnorm_fraction(p, d, n)
+    assert all(type(v) is int for v in ts.values)
+
+
+@pytest.mark.parametrize("p, d, n", [
+    (BnParams(1.0, 0.0, 1.0, 0.0), 0.0, 2),
+    (BnParams(1.0, 0.0, 1.0, 0.0), -1.5, 2),
+    (BnParams(1.0, 0.0, 1.0, 0.0), 1.0, 0),
+    (BnParams(0.0, 0.0, 1.0, 0.0), 1.0, 2),
+    (BnParams(-0.0, 2.0, 3.0, 1.0), 1.0, 2),
+    (BnParams(2.0, 2.0, 0.0, 1.0), 1.0, 2),
+], ids=["d_zero", "d_negative", "n_zero", "gamma_zero", "gamma_negzero",
+        "inv_std_zero"])
+def test_fold_errors_equal_fraction_fold(p, d, n):
+    with pytest.raises(QuantizationError) as ref:
+        fold_batchnorm_fraction(p, d, n)
+    with pytest.raises(QuantizationError) as got:
+        fold_batchnorm(p, d, n)
+    assert str(got.value) == str(ref.value)
 
 
 @settings(max_examples=150, deadline=None)

@@ -25,7 +25,6 @@ from .engine import ModelConfig, build_graph, estimate_cycles, run
 from .errors import PartitionError, QnnError
 from .netdesc import BUILTIN_BUILDERS, load_params, parse_netdesc, random_params
 from .oracle import dense_infer
-from .quant import WeightBlock
 from .resources import DeviceBudget, STRATIX_V_5SGSD8, partition_network
 
 EXIT_OK = 0
@@ -243,29 +242,11 @@ def cmd_partition(args) -> int:
     return EXIT_OK if placement.feasible else EXIT_MISMATCH
 
 
-def _corrupt_weights(params):
-    """Flip every weight of the first and of the last weighted layer.
-
-    Flipping a layer negates its accumulators. Later layers can absorb
-    the change to the first layer, but the last layer's accumulators
-    reach the outputs directly.
-    """
-    convs = [lp.convs[key] for lp in params for key in ("main", "a", "b")
-             if lp.convs.get(key) is not None]
-    if not convs:
-        raise QnnError("network has no weights to corrupt")
-    for cp in convs[:1] + convs[1:][-1:]:
-        # a weight >= 0 binarizes to +1, so this binarizes to its negation
-        cp.weights = WeightBlock.from_float(np.where(cp.raw_weights >= 0, -1.0, 1.0))
-
-
 def cmd_compare(args) -> int:
     net = _load_net(args)
     params = _load_net_params(args, net)
     image = _load_image(args, net)
     reference = dense_infer(net, params, image)
-    if args.corrupt_weight:
-        _corrupt_weights(params)
     graph = build_graph(net, params)
     result = run(graph, image)
     same = result.output.shape == reference.shape \
@@ -317,8 +298,6 @@ def build_parser() -> _Parser:
     _add_net_flags(p_cmp)
     _add_params_flags(p_cmp)
     _add_image_flags(p_cmp)
-    p_cmp.add_argument("--corrupt-weight", action="store_true",
-                       help=argparse.SUPPRESS)
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 

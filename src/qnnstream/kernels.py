@@ -17,6 +17,12 @@ at once, and every window it completes is gathered and computed as one
 batch. Other stages take a chunk of elements. All cycle counters are
 structural (functions of shapes and the trigger rule alone), so they do
 not depend on scheduling order or on how input is batched.
+
+A conv, fc or join stage that emits codes ends in activation(): the
+ThresholdSets that fold_batchnorm derived for its channels, stacked once
+by stack_thresholds, counted by quant.count_code_floors. The oracle
+counts with the same function against code floors it derives apart, from
+BnQuantizer; nothing here names the oracle's quantizer.
 """
 
 from dataclasses import dataclass
@@ -30,6 +36,7 @@ from .quant import (
     FLOAT32_EXACT,
     FLOAT64_EXACT,
     check_accum_array,
+    count_code_floors,
     popcount_dot,
 )
 
@@ -63,11 +70,6 @@ class StreamShape:
 def line_buffer_capacity(c: int, line_len: int, k: int) -> int:
     """Elements a depth-first sliding window needs: I*L*(K-1) + I*K."""
     return c * (line_len * (k - 1) + k)
-
-
-def width_first_capacity(line_len: int, n_lines: int, c: int, k: int) -> int:
-    """Buffer needed if the stream were scanned plane by plane instead."""
-    return line_len * n_lines * (c - 1) + line_len * (k - 1) + k
 
 
 class LineBuffer:
@@ -135,56 +137,41 @@ class LineBuffer:
         return self.ring[idx - (oldest - oldest % self.size)]
 
 
-# pads a threshold row; no accumulator reaches it, so it never counts
-_NEVER = np.iinfo(np.int64).max
+def stack_thresholds(threshold_sets):
+    """A layer's ThresholdSets from fold_batchnorm as the (sign, floors)
+    that quant.count_code_floors takes.
 
-
-def build_threshold_matrix(threshold_sets):
-    """Stack per-channel ThresholdSets into sign-folded rows.
-
-    Returns (mat, sign): the code for accumulator a on channel j is the
-    count of values in mat[j] that are <= sign[j] * a. An inverted
-    channel counts the thresholds >= a, so its row holds them negated
-    with sign -1 (v >= a iff -v <= -a); ties go up either way. Threshold
-    magnitudes can exceed int64 when gamma * inv_std is tiny; clamping
-    to +/- CODE_FLOOR_LIMIT preserves every comparison against
-    accumulator values, which are far smaller; one clamp runs over the
-    stacked Python ints. Rows are padded to a multiple of 8 columns with
-    a sentinel above the clamp (see apply_threshold_matrix).
+    sign is a (C,) int64 vector and floors a C-contiguous (levels, C)
+    int64 matrix: the code for accumulator a on channel j is the count of
+    floors[:, j] that sign[j] * a reaches. An inverted channel counts the
+    thresholds >= a, so its column holds them negated with sign -1
+    (v >= a iff -a >= -v); ties go up either way. Threshold magnitudes
+    can exceed int64 when gamma * inv_std is tiny; clamping to
+    +/- CODE_FLOOR_LIMIT preserves every comparison against accumulator
+    values, which are far smaller; one clamp runs over the stacked
+    Python ints.
     """
     lim = CODE_FLOOR_LIMIT
     sign = np.array([-1 if ts.inverted else 1 for ts in threshold_sets], dtype=np.int64)
     vals = np.array([ts.values for ts in threshold_sets],
                     dtype=object).clip(-lim, lim).astype(np.int64)
-    mat = np.full((len(vals), -(-vals.shape[1] // 8) * 8), _NEVER, dtype=np.int64)
-    mat[:, :vals.shape[1]] = vals * sign[:, None]
-    return mat, sign
-
-
-def apply_threshold_matrix(accs: np.ndarray, mat: np.ndarray, sign: np.ndarray):
-    """Codes for accumulators whose last axis runs along the rows of mat.
-
-    One comparison per threshold gives a row of 0/1 bytes; each row of
-    mat has a multiple of 8 columns, so the bytes read as whole uint64
-    words and one popcount per word counts 8 comparisons. The padding
-    columns hold a sentinel above the CODE_FLOOR_LIMIT clamp, which no
-    accumulator reaches, so they compare false and count nothing.
-    """
-    hits = ((accs * sign)[..., None] >= mat).view(np.uint64)
-    return np.bitwise_count(hits).sum(axis=-1, dtype=np.int32)
+    return sign, np.ascontiguousarray((vals * sign[:, None]).T)
 
 
 def activation(thresholds):
-    """The epilogue of a conv or fc stage, as a function of its accumulators.
+    """The epilogue of a conv, fc or join stage, as a function of its
+    accumulators.
 
     With per-channel thresholds it is the fused batchnorm + activation and
     emits codes; without, the accumulators pass on as range-checked 16-bit
-    values.
+    values. The codes are exact without quant.check_floor_range: a join's
+    sums are 16-bit, and a conv's accumulators are below 2**53 on a float
+    product (float_signed_matrix) and below 2**n * K on popcount_dot.
     """
     if thresholds is None:
         return lambda accs: check_accum_array(accs, ACCUM_BITS).astype(np.int32)
-    mat, sign = build_threshold_matrix(thresholds)
-    return lambda accs: apply_threshold_matrix(accs, mat, sign)
+    sign, floors = stack_thresholds(thresholds)
+    return lambda accs: count_code_floors(accs, sign, floors)
 
 
 class Stage:
@@ -512,7 +499,7 @@ class ResidualJoinStage(ElementwiseStage):
         super().__init__(name, "join", shape)
         self.skip_fifo = None
         self.skip_out_fifo = None
-        self.thr_mat, self.thr_sign = build_threshold_matrix(thresholds)
+        self.activate = activation(thresholds)
         self.stalled_on_skip = 0
 
     def _advance(self) -> bool:
@@ -525,12 +512,12 @@ class ResidualJoinStage(ElementwiseStage):
         skip = self.skip_fifo.pop(n).astype(np.int64)
         sums = check_accum_array(reg + skip, ACCUM_BITS)
         # laid over the whole pixels it touches, zero padded, the chunk
-        # meets each channel's threshold row in place
+        # meets each channel's floors in place
         c = self.in_shape.c
         head = self.real_el % c
         pixels = np.zeros(-(-(head + n) // c) * c, dtype=np.int64)
         pixels[head:head + n] = sums
-        codes = apply_threshold_matrix(pixels.reshape(-1, c), self.thr_mat, self.thr_sign)
+        codes = self.activate(pixels.reshape(-1, c))
         self._ingested(n)
         self._emit(self.skip_out_fifo, sums.astype(np.int32))
         self._emit(self.out_fifo, codes.reshape(-1)[head:head + n])

@@ -528,17 +528,6 @@ def _quantizes(layout) -> bool:
     return any(not _is_weights(shape) for _, shape in layout)
 
 
-def layer_param_counts(layer: LayerSpec):
-    """(weight floats, batchnorm floats) this layer occupies in a blob."""
-    sizes = [(_is_weights(shape), int(np.prod(shape))) for _, shape in blob_layout(layer)]
-    return (sum(n for w, n in sizes if w), sum(n for w, n in sizes if not w))
-
-
-def param_census(net: NetworkSpec):
-    """Total f32 payload count the blob must carry after the header."""
-    return sum(sum(layer_param_counts(layer)) for layer in net.layers)
-
-
 class _Reader:
     def __init__(self, payload: np.ndarray):
         self.payload = payload

@@ -12,14 +12,15 @@ derive them apart. The engine's thresholds come from fold_batchnorm,
 t0 + alpha * step over one integer denominator, rounded by one floor
 division each. The oracle's code floors come from BnQuantizer's own
 integer form batchnorm(a) / d = (A * a + C) / D:
-code(a) >= k iff sign(A) * a >= ceil((k * D - C) / |A|). This module
-imports nothing from kernels or engine, which tests/test_hygiene.py
-enforces. quantize_dense stacks the floors of a layer's channels into a
-(levels, C) matrix and counts them over the whole map, one comparison
-per code level.
+code(a) >= k iff sign(A) * a >= ceil((k * D - C) / |A|). Only the count
+is shared: quantize_dense stacks the floors of a layer's channels into a
+(levels, C) matrix and hands it to quant.count_code_floors, the counter
+the stages use too. This module imports nothing from kernels or engine
+and names none of the engine's thresholds, which tests/test_hygiene.py
+enforces.
 
 dense_conv builds the im2col matrix with a stride trick and multiplies;
-dense_conv_loops is a deliberately naive nested-loop version kept as a
+tests/reference.py keeps a deliberately naive nested-loop version as a
 cross-check on the cross-check, affordable only on small shapes.
 
 The conv and fc products multiply integers by +/-1 weights. With fan-in
@@ -39,6 +40,7 @@ from .quant import (
     FLOAT64_EXACT,
     BnQuantizer,
     check_accum_array,
+    check_floor_range,
     count_code_floors,
 )
 
@@ -49,7 +51,7 @@ def pad_dense(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, ((p, p), (p, p), (0, 0)))
 
 
-def _signs(raw_w: np.ndarray, dtype=np.int64) -> np.ndarray:
+def _signs(raw_w: np.ndarray, dtype) -> np.ndarray:
     # the sign convention: zero weights count as +1
     signs = (np.asarray(raw_w) >= 0).astype(dtype)
     signs *= 2
@@ -89,26 +91,6 @@ def dense_conv(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
     return _signed_product(cols, w_mat).reshape(oh, ow, out_ch)
 
 
-def dense_conv_loops(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
-    k, _, in_ch, out_ch = raw_w.shape
-    xp = pad_dense(np.asarray(x, dtype=np.int64), p)
-    hp, wp = xp.shape[:2]
-    oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
-    w = _signs(raw_w)
-    out = np.zeros((oh, ow, out_ch), dtype=np.int64)
-    for r in range(oh):
-        for col in range(ow):
-            for o in range(out_ch):
-                acc = 0
-                for kr in range(k):
-                    for kc in range(k):
-                        for ci in range(in_ch):
-                            acc += int(xp[r * s + kr, col * s + kc, ci]) \
-                                * int(w[kr, kc, ci, o])
-                out[r, col, o] = acc
-    return out
-
-
 def dense_maxpool(x: np.ndarray, k: int, s: int, p: int = 0) -> np.ndarray:
     xp = pad_dense(np.asarray(x, dtype=np.int64), p)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))
@@ -141,7 +123,7 @@ def quantize_dense(y: np.ndarray, bn_list, d: float, n: int) -> np.ndarray:
     qs = [BnQuantizer(bn, d, n) for bn in bn_list]
     sign = np.array([q.sign for q in qs], dtype=np.int64)
     floors = np.array([q.floors for q in qs], dtype=np.int64).T
-    return count_code_floors(y, sign, floors)
+    return count_code_floors(check_floor_range(y), sign, floors)
 
 
 def dense_infer(net, params, image: np.ndarray) -> np.ndarray:

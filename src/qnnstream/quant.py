@@ -1,12 +1,20 @@
 """Quantized arithmetic primitives.
 
 Weight binarization, bit-plane popcount dot products, folding of
-batchnorm parameters into integer threshold activations, and the exact
-batchnorm quantizer the oracle checks them against. Everything here is
-pure and exact: thresholds and code floors are derived in Python
-integers from the parameters' exact integer ratios, so the integer
-decision procedure agrees with the mathematical definition on every
-integer accumulator value, not just away from boundaries.
+batchnorm parameters into integer threshold activations, the exact
+batchnorm quantizer the oracle checks them against, and the one counter
+that turns accumulators into activation codes. Everything here is pure
+and exact: thresholds and code floors are derived in Python integers
+from the parameters' exact integer ratios, so the integer decision
+procedure agrees with the mathematical definition on every integer
+accumulator value, not just away from boundaries.
+
+The engine's boundaries and the oracle's are derived apart:
+fold_batchnorm gives the ThresholdSets the stages stack
+(kernels.stack_thresholds), BnQuantizer the code floors the oracle
+stacks, and neither derivation names the other. Both then count with
+count_code_floors: the code of a is the number of integer floors that
+sign * a reaches.
 
 popcount_dot is the modelled XNOR/popcount datapath. A conv stage over
 activation codes runs it unless a float32 product with a +/-1 matrix
@@ -20,11 +28,10 @@ planes packed into the same words, and takes every plane against every
 weight column with one AND + np.bitwise_count over the whole batch; the
 popcounts are summed over the words axis, which in this layout adds
 whole contiguous rows of out_ch counts. The planes combine by
-shift-add. plane_dot, codes_to_planes and quantized_dot are the scalar
-references it is tested against.
+shift-add. tests/reference.py holds the scalar references it is tested
+against.
 """
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +46,26 @@ ACCUM_BITS = 16
 FLOAT32_EXACT = 1 << 24
 FLOAT64_EXACT = 1 << 53
 
-# the code floors of BnQuantizer are clamped to +/- this, so the counting
-# path takes int64 accumulators of magnitude below it
+# code floors and thresholds are clamped to +/- this, so
+# count_code_floors is exact on int64 accumulators of magnitude below it
 CODE_FLOOR_LIMIT = 1 << 62
+
+# the largest comparison array count_code_floors builds at once, in bytes
+# (one per accumulator and code level). Every engine epilogue and every
+# resnet18 map counts its levels in one block; an 8-bit 112 x 112 x 64
+# map takes 51 blocks of 5 levels instead of one 205 MB comparison.
+COUNT_BLOCK_BYTES = 1 << 22
+
+
+def check_floor_range(accums) -> np.ndarray:
+    """accums as int64, refused with a QuantizationError if one has a
+    magnitude of CODE_FLOOR_LIMIT or more, where the clamped floors no
+    longer decide exactly."""
+    accums = np.asarray(accums, dtype=np.int64)
+    if accums.size and (accums.min() <= -CODE_FLOOR_LIMIT
+                        or accums.max() >= CODE_FLOOR_LIMIT):
+        raise QuantizationError("accumulator of magnitude 2**62 or more")
+    return accums
 
 
 def check_accum_array(values: np.ndarray, width: int = ACCUM_BITS) -> np.ndarray:
@@ -102,45 +126,6 @@ class WeightBlock:
         return cls(k=k, in_ch=in_ch, out_ch=out_ch, words=words)
 
 
-def plane_dot(weights: int, plane: int, length: int) -> int:
-    """Dot product of packed +/-1 weights with a packed {0,1} bit plane.
-
-    Equals sum_j w_j * b_j via 2 * popcount(w & b) - popcount(b).
-    """
-    if weights < 0 or plane < 0:
-        raise ShapeError("packed operands must be nonnegative")
-    if weights.bit_length() > length or plane.bit_length() > length:
-        raise ShapeError("operand longer than declared length %d" % length)
-    return 2 * (weights & plane).bit_count() - plane.bit_count()
-
-
-def codes_to_planes(codes, n: int):
-    """Split a sequence of n-bit codes into n packed bit planes (LSB first)."""
-    planes = [0] * n
-    for j, c in enumerate(codes):
-        c = int(c)
-        if not 0 <= c < (1 << n):
-            raise QuantizationError("code %d out of range for %d bits" % (c, n))
-        for b in range(n):
-            if (c >> b) & 1:
-                planes[b] |= 1 << j
-    return planes
-
-
-def quantized_dot(weights: int, codes, length: int, n: int) -> int:
-    """Dot product of packed +/-1 weights with n-bit activation codes.
-
-    Decomposes the codes into n bit planes and combines plane_dot results
-    by shift-add. Exactly equals the scalar integer dot product.
-    """
-    if len(codes) != length:
-        raise ShapeError("expected %d codes, got %d" % (length, len(codes)))
-    total = 0
-    for b, plane in enumerate(codes_to_planes(codes, n)):
-        total += plane_dot(weights, plane, length) << b
-    return total
-
-
 def pack_words(bits: np.ndarray) -> np.ndarray:
     """Pack 0/1 values along the last axis into C-contiguous uint64 words.
 
@@ -162,7 +147,8 @@ _PLANE_WEIGHTS = 2 << np.arange(31, dtype=np.int64)
 
 
 def popcount_dot(weights: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
-    """quantized_dot of every packed weight column against every row of codes.
+    """The dot product of every packed +/-1 weight column with every row
+    of n-bit codes.
 
     weights is WeightBlock.words, (words, out_ch) uint64; codes is
     (N, length) with n-bit values. Returns (N, out_ch) int64. Each bit
@@ -170,8 +156,8 @@ def popcount_dot(weights: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
     every weight column in one AND + popcount, all planes, rows and
     output channels at once. The popcounts are reduced over the words
     axis, a middle axis, so each reduction step adds one contiguous row
-    of out_ch counts. With plane_dot = 2 * popcount(w & b) - popcount(b)
-    the shift-add over planes is 2 * sum_b 2**b * popcount(w & plane_b)
+    of out_ch counts. With the dot of w and a {0,1} plane b equal to
+    2 * popcount(w & b) - popcount(b), the shift-add over planes is 2 * sum_b 2**b * popcount(w & plane_b)
     minus the sum of the codes. This is the datapath of every binarized
     conv and fc stage.
     """
@@ -192,23 +178,6 @@ class BnParams:
 
     def scale(self) -> float:
         return self.gamma * self.inv_std
-
-
-def batchnorm(a, p: BnParams):
-    """The float batchnorm map gamma * (a - mean) * inv_std + bias."""
-    return p.gamma * (a - p.mean) * p.inv_std + p.bias
-
-
-def quantize_reference(y: float, d: float, n: int) -> int:
-    """Uniform quantizer over [0, 2**n * d): clamp(floor(y / d), 0, 2**n - 1).
-
-    Float reference semantics. For exact integer-domain work use
-    BnQuantizer, which composes batchnorm and this quantizer rationally.
-    """
-    if d <= 0:
-        raise QuantizationError("range size d must be positive")
-    code = int(np.floor(y / d))
-    return min(max(code, 0), (1 << n) - 1)
 
 
 @dataclass(frozen=True)
@@ -270,17 +239,6 @@ def fold_batchnorm(p: BnParams, d: float, n: int) -> ThresholdSet:
                         inverted=True, n=n)
 
 
-def apply_threshold(a: int, ts: ThresholdSet) -> int:
-    """Activation code for accumulator a, a pure integer binary search.
-
-    Boundary rule: a equal to a threshold takes the higher code.
-    """
-    a = int(a)
-    if not ts.inverted:
-        return bisect_right(ts.values, a)
-    return len(ts.values) - bisect_left(ts.values, a)
-
-
 class BnQuantizer:
     """Exact composition of batchnorm and the uniform quantizer.
 
@@ -332,26 +290,37 @@ class BnQuantizer:
     def quantize_array(self, accums: np.ndarray) -> np.ndarray:
         """quantize of every element, the same shape in int64: the count
         of code floors that sign * a reaches (count_code_floors)."""
-        return count_code_floors(accums, self.sign, self.floors)
+        return count_code_floors(check_floor_range(accums), self.sign, self.floors)
 
 
 def count_code_floors(accums: np.ndarray, sign, floors) -> np.ndarray:
-    """Codes of int64 accumulators against BnQuantizer code floors.
+    """Activation codes of int64 accumulators against integer code
+    floors, the one code-level counter of the stages and of the oracle.
 
-    The code of a is the count of floors f with sign * a >= f, one
-    whole-array comparison per code level. sign and each floors[k]
-    broadcast against accums: an int and a tuple of ints for one
-    quantizer, or a (C,) vector and a (levels, C) matrix for the
-    channels of the last axis of an (..., C) map. Raises
-    QuantizationError for an accumulator of magnitude CODE_FLOOR_LIMIT
-    or more, where the clamped floors no longer decide exactly.
+    The code of a is the count of floors f with sign * a >= f. sign and
+    each floors[k] broadcast against accums: an int and a tuple of ints
+    for one quantizer, or a (C,) vector and a (levels, C) matrix for the
+    channels of the last axis of an (..., C) map. The floors, made
+    C-contiguous (a transposed view compares several times slower) and
+    shaped (levels, 1, ..., 1, C), meet sign * accums in one broadcast
+    comparison summed over the levels axis. Where that comparison would
+    pass COUNT_BLOCK_BYTES it runs over blocks of levels that stay
+    within it. Returns int64 codes of the shape of accums.
+
+    The count is exact for accumulators of magnitude below
+    CODE_FLOOR_LIMIT. The oracle's may come from anywhere, so it checks
+    them with check_floor_range first; the stages' stay far below by
+    construction (kernels.activation) and take no check, which would
+    cost more than the count on the one-pixel calls of a narrow FIFO.
     """
-    accums = np.asarray(accums, dtype=np.int64)
-    if accums.size and (accums.min() <= -CODE_FLOOR_LIMIT
-                        or accums.max() >= CODE_FLOOR_LIMIT):
-        raise QuantizationError("accumulator of magnitude 2**62 or more")
     signed = accums * sign
-    codes = np.zeros(accums.shape, dtype=np.int64)
-    for f in floors:
-        codes += signed >= f
+    floors = np.ascontiguousarray(floors, dtype=np.int64)
+    floors = floors.reshape(floors.shape[:1] + (1,) * (signed.ndim + 1 - floors.ndim)
+                            + floors.shape[1:])
+    if signed.size * len(floors) <= COUNT_BLOCK_BYTES:
+        return (signed >= floors).sum(axis=0)
+    block = max(COUNT_BLOCK_BYTES // signed.size, 1)
+    codes = np.zeros(signed.shape, dtype=np.int64)
+    for lo in range(0, len(floors), block):
+        codes += (signed >= floors[lo:lo + block]).sum(axis=0)
     return codes

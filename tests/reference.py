@@ -1,14 +1,31 @@
 """Reference implementations the package is tested against.
 
-fold_batchnorm_fraction folds batchnorm in Fractions, the plainest
-exact statement of the threshold rule. quant.fold_batchnorm, which
-works in Python integers, must give the same ThresholdSet for every
-parameter set and raise the same errors.
+Nothing in the package runs these; each states a rule in its plainest
+form, for the tests to hold the fast paths to.
+
+- fold_batchnorm_fraction folds batchnorm in Fractions, the plainest
+  exact statement of the threshold rule. quant.fold_batchnorm, which
+  works in Python integers, must give the same ThresholdSet for every
+  parameter set and raise the same errors.
+- apply_threshold decides one code from a ThresholdSet by binary search,
+  the scalar reference of quant.count_code_floors; batchnorm and
+  quantize_reference are the float semantics both must meet.
+- plane_dot, codes_to_planes and quantized_dot are the scalar XNOR /
+  popcount dot product that quant.popcount_dot vectorizes.
+- dense_conv_loops is the nested-loop convolution oracle.dense_conv
+  must equal.
+- width_first_capacity and param_census are closed forms the tests
+  compare the package's buffer sizes and blob lengths with.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from qnnstream.errors import QuantizationError
+import numpy as np
+
+from qnnstream.errors import QuantizationError, ShapeError
+from qnnstream.netdesc import blob_layout
+from qnnstream.oracle import pad_dense
 from qnnstream.quant import BnParams, ThresholdSet
 
 
@@ -46,3 +63,107 @@ def fold_batchnorm_fraction(p: BnParams, d: float, n: int) -> ThresholdSet:
         values = tuple(_floor_frac(t) for t in reversed(reals))
         inverted = True
     return ThresholdSet(values=values, inverted=inverted, n=n)
+
+
+def apply_threshold(a: int, ts: ThresholdSet) -> int:
+    """Activation code for accumulator a, a pure integer binary search.
+
+    Boundary rule: a equal to a threshold takes the higher code.
+    """
+    a = int(a)
+    if not ts.inverted:
+        return bisect_right(ts.values, a)
+    return len(ts.values) - bisect_left(ts.values, a)
+
+
+def batchnorm(a, p: BnParams):
+    """The float batchnorm map gamma * (a - mean) * inv_std + bias."""
+    return p.gamma * (a - p.mean) * p.inv_std + p.bias
+
+
+def quantize_reference(y: float, d: float, n: int) -> int:
+    """Uniform quantizer over [0, 2**n * d): clamp(floor(y / d), 0, 2**n - 1).
+
+    Float reference semantics. For exact integer-domain work use
+    BnQuantizer, which composes batchnorm and this quantizer rationally.
+    """
+    if d <= 0:
+        raise QuantizationError("range size d must be positive")
+    code = int(np.floor(y / d))
+    return min(max(code, 0), (1 << n) - 1)
+
+
+def plane_dot(weights: int, plane: int, length: int) -> int:
+    """Dot product of packed +/-1 weights with a packed {0,1} bit plane.
+
+    Equals sum_j w_j * b_j via 2 * popcount(w & b) - popcount(b).
+    """
+    if weights < 0 or plane < 0:
+        raise ShapeError("packed operands must be nonnegative")
+    if weights.bit_length() > length or plane.bit_length() > length:
+        raise ShapeError("operand longer than declared length %d" % length)
+    return 2 * (weights & plane).bit_count() - plane.bit_count()
+
+
+def codes_to_planes(codes, n: int):
+    """Split a sequence of n-bit codes into n packed bit planes (LSB first)."""
+    planes = [0] * n
+    for j, c in enumerate(codes):
+        c = int(c)
+        if not 0 <= c < (1 << n):
+            raise QuantizationError("code %d out of range for %d bits" % (c, n))
+        for b in range(n):
+            if (c >> b) & 1:
+                planes[b] |= 1 << j
+    return planes
+
+
+def quantized_dot(weights: int, codes, length: int, n: int) -> int:
+    """Dot product of packed +/-1 weights with n-bit activation codes.
+
+    Decomposes the codes into n bit planes and combines plane_dot results
+    by shift-add. Exactly equals the scalar integer dot product.
+    """
+    if len(codes) != length:
+        raise ShapeError("expected %d codes, got %d" % (length, len(codes)))
+    total = 0
+    for b, plane in enumerate(codes_to_planes(codes, n)):
+        total += plane_dot(weights, plane, length) << b
+    return total
+
+
+def dense_conv_loops(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
+    """oracle.dense_conv as nested loops; zero weights count as +1."""
+    k, _, in_ch, out_ch = raw_w.shape
+    xp = pad_dense(np.asarray(x, dtype=np.int64), p)
+    hp, wp = xp.shape[:2]
+    oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
+    w = np.where(np.asarray(raw_w) >= 0, 1, -1)
+    out = np.zeros((oh, ow, out_ch), dtype=np.int64)
+    for r in range(oh):
+        for col in range(ow):
+            for o in range(out_ch):
+                acc = 0
+                for kr in range(k):
+                    for kc in range(k):
+                        for ci in range(in_ch):
+                            acc += int(xp[r * s + kr, col * s + kc, ci]) \
+                                * int(w[kr, kc, ci, o])
+                out[r, col, o] = acc
+    return out
+
+
+def width_first_capacity(line_len: int, n_lines: int, c: int, k: int) -> int:
+    """Buffer needed if the stream were scanned plane by plane instead."""
+    return line_len * n_lines * (c - 1) + line_len * (k - 1) + k
+
+
+def layer_param_counts(layer):
+    """(weight floats, batchnorm floats) this layer occupies in a blob."""
+    sizes = [(len(shape) == 4, int(np.prod(shape))) for _, shape in blob_layout(layer)]
+    return (sum(n for w, n in sizes if w), sum(n for w, n in sizes if not w))
+
+
+def param_census(net):
+    """Total f32 payload count the blob must carry after the header."""
+    return sum(sum(layer_param_counts(layer)) for layer in net.layers)

@@ -13,6 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import drive_stage, random_image, random_net
+from reference import (
+    apply_threshold,
+    batchnorm,
+    codes_to_planes,
+    plane_dot,
+    quantize_reference,
+    quantized_dot,
+)
 from qnnstream.cli import main
 from qnnstream.engine import (
     ModelConfig,
@@ -26,9 +34,8 @@ from qnnstream.errors import BufferEvictionError
 from qnnstream.kernels import (
     ConvStage,
     StreamShape,
-    apply_threshold_matrix,
-    build_threshold_matrix,
     line_buffer_capacity,
+    stack_thresholds,
 )
 from qnnstream.netdesc import (
     build_resnet18,
@@ -38,17 +45,7 @@ from qnnstream.netdesc import (
     random_params,
 )
 from qnnstream.oracle import dense_conv, dense_infer
-from qnnstream.quant import (
-    BnParams,
-    WeightBlock,
-    apply_threshold,
-    batchnorm,
-    codes_to_planes,
-    fold_batchnorm,
-    plane_dot,
-    quantize_reference,
-    quantized_dot,
-)
+from qnnstream.quant import BnParams, WeightBlock, count_code_floors, fold_batchnorm
 from qnnstream.resources import estimate_resources
 
 REFERENCE_CYCLES = 1_850_000
@@ -115,8 +112,7 @@ def test_02_threshold_fold_equals_float_reference(rng):
             for off in (-2, -1, 0, 1, 2):
                 grid.append(min(max(v + off, -32768), 32767))
         accs = np.asarray(grid, dtype=np.int64)
-        mat, sign = build_threshold_matrix([ts])
-        got = apply_threshold_matrix(accs, mat, sign)
+        got = count_code_floors(accs, *stack_thresholds([ts]))
         y = batchnorm(accs.astype(np.float64), p)
         want = np.clip(np.floor(y / d), 0, (1 << n) - 1).astype(np.int64)
         bad = np.flatnonzero(got != want)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qnnstream.cli
 from qnnstream.cli import CALIBRATION_TARGET_CYCLES, main
 from qnnstream.netdesc import parse_netdesc, random_params
+from qnnstream.quant import WeightBlock
 
 NET_TEXT = """\
 input 8 8 3 8
@@ -129,30 +131,59 @@ def test_compare_match(net_file, capsys):
     assert capsys.readouterr().out.startswith("MATCH")
 
 
-def test_compare_corrupt_weight(net_file, capsys):
+@pytest.fixture
+def corrupt_engine(monkeypatch):
+    """compare builds the engine's graph from params the reference has
+    already run on; flip every weight of the first and of the last
+    weighted layer on the way in. Flipping a layer negates its
+    accumulators. Later layers can absorb the change to the first layer,
+    but the last layer's accumulators reach the outputs directly."""
+    build_graph = qnnstream.cli.build_graph
+
+    def corrupted(net, params, *args, **kwargs):
+        convs = [lp.convs[key] for lp in params for key in ("main", "a", "b")
+                 if lp.convs.get(key) is not None]
+        assert convs
+        for cp in convs[:1] + convs[1:][-1:]:
+            # a weight >= 0 binarizes to +1, so this binarizes to its negation
+            cp.weights = WeightBlock.from_float(np.where(cp.raw_weights >= 0, -1.0, 1.0))
+        return build_graph(net, params, *args, **kwargs)
+
+    monkeypatch.setattr(qnnstream.cli, "build_graph", corrupted)
+
+
+def test_compare_corrupt_weight(net_file, corrupt_engine, capsys):
     rc = main(["compare", "--net", net_file, "--random-params", "1",
-               "--random-image", "1", "--corrupt-weight"])
+               "--random-image", "1"])
     assert rc == 2
     assert capsys.readouterr().out.startswith("MISMATCH at output ")
 
 
-def test_compare_corrupt_weight_felt_on_vgg(capsys):
-    # vgg's outputs do not feel a single flipped weight; the hook flips
-    # every weight of the first and the last weighted layer
+def test_compare_corrupt_weight_felt_on_vgg(corrupt_engine, capsys):
+    # vgg's outputs do not feel a single flipped weight; the fixture
+    # flips every weight of the first and the last weighted layer
     rc = main(["compare", "--builtin", "vgg", "--random-params", "0",
-               "--random-image", "1", "--corrupt-weight"])
+               "--random-image", "1"])
     assert rc == 2
     assert capsys.readouterr().out.startswith("MISMATCH at output ")
 
 
-def test_compare_corrupt_weight_single_layer(tmp_path, capsys):
+def test_compare_corrupt_weight_single_layer(tmp_path, corrupt_engine, capsys):
     # the first weighted layer is also the last: flipped once, not twice
     path = tmp_path / "fc.net"
     path.write_text("input 2 2 1 8\nfc o=3\n")
     rc = main(["compare", "--net", str(path), "--random-params", "1",
-               "--random-image", "1", "--corrupt-weight"])
+               "--random-image", "1"])
     assert rc == 2
     assert capsys.readouterr().out.startswith("MISMATCH at output ")
+
+
+def test_compare_has_no_corrupt_weight_flag(net_file, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["compare", "--net", net_file, "--random-params", "1",
+              "--random-image", "1", "--corrupt-weight"])
+    assert exit_.value.code == 1
+    assert "unrecognized arguments: --corrupt-weight" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +324,7 @@ _VOCABULARY = {
                   "--budget-m20k": _NUMBERS, "--budget-ff": _NUMBERS,
                   "--link-gbps": _NUMBERS, "--clock-mhz": _NUMBERS,
                   "--format": ["human", "json", "junk"]},
-    "compare": {**_NET_FLAGS, **_DATA_FLAGS, "--corrupt-weight": []},
+    "compare": {**_NET_FLAGS, **_DATA_FLAGS},
 }
 
 
@@ -327,7 +358,7 @@ def _argv(draw):
         argv += ["--format", draw(st.sampled_from(["human", "json"]))]
     for flag in draw(st.lists(st.sampled_from(sorted(vocabulary)), max_size=3)):
         argv.append(flag)
-        for _ in range({"--image-dims": 3, "--corrupt-weight": 0}.get(flag, 1)):
+        for _ in range(3 if flag == "--image-dims" else 1):
             argv.append(draw(st.sampled_from(vocabulary[flag] + ["8"])))
     return argv
 

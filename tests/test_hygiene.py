@@ -4,13 +4,23 @@ No field is written without being read: every attribute the package
 stores must be loaded somewhere in the package, the tests or the
 benchmark harness (a load through self counts only in the storing
 class's own lineage), and so must every method and property of its
-classes. No module of the package or the tests imports a name it
-never uses. And the oracle and the stages reach nothing of each other,
-nor the threshold fold anything of the oracle's quantizer.
+classes. Every public module-level function of the package has a
+caller in the package or the benchmark harness, or is exported; what
+only the tests call lives in tests/reference.py. No module of the
+package or the tests imports a name it never uses.
+
+The engine's code boundaries and the oracle's are derived apart, and
+only their count is one function (quant.count_code_floors). So the
+oracle and the stages import nothing of each other, the stages name
+nothing of the oracle's quantizer, the oracle nothing of the engine's
+thresholds, and the threshold fold nothing of the quantizer.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
+
+import qnnstream
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,6 +112,29 @@ def test_no_unreached_methods():
     assert not unreached, "methods and properties nothing loads: %s" % unreached
 
 
+def test_public_functions_have_a_caller():
+    # a caller is a load of the name outside the function's own body, or
+    # a string naming it (perfbench hooks functions by name)
+    refs = Counter()
+    for _, tree in _trees("src", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                refs[getattr(node, "id", getattr(node, "attr", None))] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs[node.value] += 1
+    uncalled = {}
+    for path, tree in _trees("src"):
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_") \
+                    or fn.name in qnnstream.__all__:
+                continue
+            own = sum(1 for n in ast.walk(fn) if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Load) and n.id == fn.name)
+            if refs[fn.name] == own:
+                uncalled[fn.name] = "%s:%d" % (path, fn.lineno)
+    assert not uncalled, "public functions only the tests call: %s" % uncalled
+
+
 def test_no_unused_imports():
     unused = []
     for path, tree in _trees("src", "tests"):
@@ -156,6 +189,26 @@ def test_oracle_imports_nothing_of_the_engine():
     assert not seen & {"qnnstream.kernels", "qnnstream.engine"}, sorted(seen)
 
 
+def _named(node):
+    """Every name node mentions: variables, attributes, parameters,
+    keywords and imported names."""
+    named = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            named.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            named.add(n.attr)
+        elif isinstance(n, (ast.arg, ast.keyword)):
+            named.add(n.arg)
+        elif isinstance(n, ast.alias):
+            named.add(n.asname or n.name)
+    return named
+
+
+def _module_names(name):
+    return _named(ast.parse((ROOT / "src/qnnstream" / name).read_text()))
+
+
 def test_fold_names_nothing_of_the_quantizer():
     # the same holds inside quant.py: fold_batchnorm derives the engine's
     # thresholds from the batchnorm parameters alone, not from the
@@ -165,9 +218,29 @@ def test_fold_names_nothing_of_the_quantizer():
     tree = ast.parse((ROOT / "src/qnnstream/quant.py").read_text())
     fold, = [n for n in tree.body
              if isinstance(n, ast.FunctionDef) and n.name == "fold_batchnorm"]
-    named = {n.id for n in ast.walk(fold) if isinstance(n, ast.Name)}
-    named |= {n.attr for n in ast.walk(fold) if isinstance(n, ast.Attribute)}
+    named = _named(fold)
     assert "as_integer_ratio" in named
+    assert not named & forbidden, sorted(named & forbidden)
+
+
+def test_stages_name_nothing_of_the_quantizer():
+    # the stages count the thresholds fold_batchnorm derived, never the
+    # oracle's quantizer, its coefficients or its stacked floors
+    forbidden = {"BnQuantizer", "bn", "join_bn", "a_coef", "c_coef", "d_coef",
+                 "quantize_dense"}
+    for module in ("kernels.py", "engine.py"):
+        named = _module_names(module)
+        assert "count_code_floors" in named or "thresholds" in named, module
+        assert not named & forbidden, (module, sorted(named & forbidden))
+
+
+def test_oracle_names_nothing_of_the_thresholds():
+    # and the oracle counts BnQuantizer's floors, never the engine's
+    # folded thresholds or their stacked form
+    forbidden = {"thresholds", "join_thresholds", "ThresholdSet",
+                 "fold_batchnorm", "stack_thresholds"}
+    named = _module_names("oracle.py")
+    assert {"BnQuantizer", "count_code_floors"} <= named
     assert not named & forbidden, sorted(named & forbidden)
 
 

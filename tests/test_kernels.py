@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import drive_stage
+from reference import apply_threshold, width_first_capacity
 from qnnstream.engine import WEIGHTED_KINDS, Fifo, window_shape
 from qnnstream.errors import BufferEvictionError, ShapeError
 from qnnstream.netdesc import BUILTIN_BUILDERS, expand_layers
@@ -16,12 +17,10 @@ from qnnstream.kernels import (
     SkipDownsampleStage,
     StreamShape,
     TeeWidenStage,
-    apply_threshold_matrix,
     blas_signs,
-    build_threshold_matrix,
     float_signed_matrix,
     line_buffer_capacity,
-    width_first_capacity,
+    stack_thresholds,
 )
 from qnnstream.oracle import (
     dense_avgpool,
@@ -34,7 +33,7 @@ from qnnstream.quant import (
     BnParams,
     ThresholdSet,
     WeightBlock,
-    apply_threshold,
+    count_code_floors,
     fold_batchnorm,
     popcount_dot,
 )
@@ -124,16 +123,16 @@ def test_line_buffer_gather_and_eviction():
 def test_threshold_matrix_matches_scalar(rng):
     bns = _random_bn(rng, 12)
     sets = _thresholds(bns, 1.7, 2)
-    mat, sign = build_threshold_matrix(sets)
+    sign, floors = stack_thresholds(sets)
     accs = rng.integers(-2000, 2000, size=12)
-    got = apply_threshold_matrix(accs, mat, sign)
+    got = count_code_floors(accs, sign, floors)
     for j, ts in enumerate(sets):
         assert got[j] == apply_threshold(int(accs[j]), ts)
     # every channel at each of its thresholds and one either side
     assert {ts.inverted for ts in sets} == {False, True}
     at = np.array([[ts.values[i] + off for ts in sets]
                    for i in range(len(sets[0].values)) for off in (-1, 0, 1)])
-    got = apply_threshold_matrix(at, mat, sign)
+    got = count_code_floors(at, sign, floors)
     for row, codes in zip(at, got):
         for j, ts in enumerate(sets):
             assert codes[j] == apply_threshold(int(row[j]), ts)
@@ -144,9 +143,9 @@ def test_threshold_matrix_clamps_huge_values():
     # keep every comparison against realistic accumulators intact
     p = BnParams(gamma=1e-30, mean=0.0, inv_std=1.0, bias=-1.0)
     ts = fold_batchnorm(p, 1.0, 1)
-    mat, sign = build_threshold_matrix([ts, ts])
+    sign, floors = stack_thresholds([ts, ts])
     accs = np.array([-30000, 30000])
-    got = apply_threshold_matrix(accs, mat, sign)
+    got = count_code_floors(accs, sign, floors)
     assert got[0] == apply_threshold(-30000, ts)
     assert got[1] == apply_threshold(30000, ts)
 
@@ -223,14 +222,13 @@ def _threshold_sets(draw):
 @given(sets=_threshold_sets(), data=st.data())
 def test_threshold_matrix_matches_scalar_property(sets, data):
     chans = len(sets)
-    mat, sign = build_threshold_matrix(sets)
-    assert mat.shape[0] == chans and mat.shape[1] % 8 == 0
-    assert (mat[:, len(sets[0].values):] > _HUGE).all()
+    sign, floors = stack_thresholds(sets)
+    assert floors.shape == (len(sets[0].values), chans) and floors.flags.c_contiguous
     # each value clamped one at a time, then sign folded
-    assert mat[:, :len(sets[0].values)].tolist() == [
+    assert floors.T.tolist() == [
         [min(max(v, -_HUGE), _HUGE) * (-1 if ts.inverted else 1) for v in ts.values]
         for ts in sets]
-    assert sign.dtype == np.int64 and mat.dtype == np.int64
+    assert sign.dtype == np.int64 and floors.dtype == np.int64
     drawn = data.draw(st.lists(st.integers(-(1 << 15), 1 << 15),
                                min_size=chans, max_size=8 * chans))
     rows = [drawn[i:i + chans] for i in range(0, len(drawn) - chans + 1, chans)]
@@ -242,14 +240,13 @@ def test_threshold_matrix_matches_scalar_property(sets, data):
                     rows.append([0] * chans)
                     rows[-1][j] = v + off
     accs = np.array(rows, dtype=np.int64)
-    got = apply_threshold_matrix(accs, mat, sign)
-    assert got.dtype == np.int32 and got.shape == accs.shape
+    got = count_code_floors(accs, sign, floors)
+    assert got.dtype == np.int64 and got.shape == accs.shape
     want = [[apply_threshold(a, ts) for a, ts in zip(row, sets)] for row in rows]
     assert got.tolist() == want
-    # the join's form: one accumulator per element, its channel's row each
-    ch = np.tile(np.arange(chans), len(rows))
-    flat = apply_threshold_matrix(accs.reshape(-1), mat[ch], sign[ch])
-    assert np.array_equal(flat, got.reshape(-1))
+    # a map of pixels counts the same as its rows: channels stay last
+    pixels = accs.reshape(len(rows), 1, chans)
+    assert np.array_equal(count_code_floors(pixels, sign, floors), got[:, None])
 
 
 # ---------------------------------------------------------------------------

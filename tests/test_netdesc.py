@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_net_text
+from reference import layer_param_counts, param_census
 from qnnstream.errors import NetdescError, ParamsError
 from qnnstream.netdesc import (
     BUILTIN_BUILDERS,
     RESNET18_TEXT,
     emit_netdesc,
     expand_layers,
-    layer_param_counts,
     load_params,
-    param_census,
     parse_netdesc,
     random_params,
     save_params,

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from reference import dense_conv_loops
 from qnnstream.errors import AccumOverflowError, QuantizationError
 from qnnstream.netdesc import load_params, parse_netdesc
 from qnnstream.oracle import (
     dense_avgpool,
     dense_conv,
-    dense_conv_loops,
     dense_infer,
     dense_maxpool,
     dense_skip_adapt,

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, assume, strategies as st
 
-from reference import fold_batchnorm_fraction
+from reference import (
+    apply_threshold,
+    batchnorm,
+    codes_to_planes,
+    fold_batchnorm_fraction,
+    plane_dot,
+    quantize_reference,
+    quantized_dot,
+)
 from qnnstream.errors import AccumOverflowError, QuantizationError, ShapeError
-from qnnstream.kernels import StreamShape, float_signed_matrix
+from qnnstream import quant
+from qnnstream.kernels import StreamShape, float_signed_matrix, stack_thresholds
+from qnnstream.oracle import quantize_dense
 from qnnstream.quant import (
     ACCUM_BITS,
     CODE_FLOOR_LIMIT,
@@ -14,16 +24,11 @@ from qnnstream.quant import (
     BnQuantizer,
     ThresholdSet,
     WeightBlock,
-    apply_threshold,
-    batchnorm,
     check_accum_array,
-    codes_to_planes,
+    count_code_floors,
     fold_batchnorm,
     pack_words,
-    plane_dot,
     popcount_dot,
-    quantize_reference,
-    quantized_dot,
 )
 
 
@@ -380,6 +385,65 @@ def test_code_floors_are_tight(p, d, n):
         assert q.quantize(q.sign * f) >= k > q.quantize(q.sign * (f - 1))
         accs = q.sign * np.arange(f - 2, f + 3, dtype=np.int64)
         assert q.quantize_array(accs).tolist() == [q.quantize(a) for a in accs.tolist()]
+
+
+# an inverted channel, and clamped ones of either direction
+_EDGE_PARAMS = st.sampled_from([
+    BnParams(gamma=-0.75, mean=3.25, inv_std=1.5, bias=-7.0),
+    BnParams(gamma=1.0, mean=0.5, inv_std=5e-324, bias=1e-3),
+    BnParams(gamma=-3.0, mean=-1.0, inv_std=1e-310, bias=2.5),
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ps=st.lists(st.one_of(_wide_params_strategy(), _EDGE_PARAMS), min_size=1, max_size=4),
+       d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8), data=st.data())
+def test_count_code_floors_matches_both_references(ps, d, n, data):
+    # the one counter, fed the engine's stacked thresholds and the
+    # oracle's stacked floors, equals apply_threshold and
+    # BnQuantizer.quantize on every layout the stages and the oracle use:
+    # channels last over rows or a map, or one channel broadcast over all
+    c = len(ps)
+    shape = data.draw(st.sampled_from([
+        (0,), (1, c), (data.draw(st.integers(2, 6)), c),
+        (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), c),
+        (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))]))
+    if shape[-1] != c:
+        ps = ps[:1]  # one channel's floors broadcast over every element
+    sets = [fold_batchnorm(p, d, n) for p in ps]
+    qs = [BnQuantizer(p, d, n) for p in ps]
+    lim = CODE_FLOOR_LIMIT - 1
+    pool = [-lim, lim, 0] + [min(max(v + off, -lim), lim)
+                             for ts in sets for v in ts.values for off in (-1, 0, 1)]
+    picks = data.draw(st.lists(st.sampled_from(pool) | st.integers(-40000, 40000),
+                               min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    accs = np.array(picks, dtype=np.int64).reshape(shape)
+    chans = [idx[-1] % len(ps) for idx in np.ndindex(shape)]
+    engine = count_code_floors(accs, *stack_thresholds(sets))
+    oracle = quantize_dense(accs, ps, d, n) if len(ps) > 1 else qs[0].quantize_array(accs)
+    for got in (engine, oracle):
+        assert got.dtype == np.int64 and got.shape == shape
+    assert engine.reshape(-1).tolist() == [apply_threshold(a, sets[j])
+                                           for a, j in zip(picks, chans)]
+    assert oracle.reshape(-1).tolist() == [qs[j].quantize(a) for a, j in zip(picks, chans)]
+
+
+def test_count_code_floors_in_blocks(rng, monkeypatch):
+    # blocks too small for one level, then of 4 levels with a shorter
+    # last block (255 = 63 * 4 + 3): 8-bit codes count as in one block
+    n, d = 8, 10.0
+    ps = [BnParams(gamma=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)),
+                   mean=float(rng.uniform(-50, 50)), inv_std=float(rng.uniform(0.5, 2.0)),
+                   bias=float(rng.uniform(-3, 3))) for _ in range(5)]
+    sets = [fold_batchnorm(p, d, n) for p in ps]
+    accs = rng.integers(-3000, 3000, size=(6, 4, 5))
+    want = [[[BnQuantizer(p, d, n).quantize(a) for a, p in zip(px, ps)] for px in row]
+            for row in accs.tolist()]
+    assert len({code for row in want for px in row for code in px}) > 30
+    for block in (7, 4 * accs.size):
+        monkeypatch.setattr(quant, "COUNT_BLOCK_BYTES", block)
+        assert count_code_floors(accs, *stack_thresholds(sets)).tolist() == want
+        assert quantize_dense(accs, ps, d, n).tolist() == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -21,11 +21,11 @@ import sys
 
 import numpy as np
 
-from .engine import ModelConfig, build_graph, estimate_cycles, run
+from .engine import CIN_MODES, STALL_MODELS, ModelConfig, build_graph, estimate_cycles, run
 from .errors import PartitionError, QnnError
 from .netdesc import BUILTIN_BUILDERS, load_params, parse_netdesc, random_params
 from .oracle import dense_infer
-from .resources import DeviceBudget, STRATIX_V_5SGSD8, partition_network
+from .resources import MAX_DEVICES, DeviceBudget, STRATIX_V_5SGSD8, partition_network
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -72,10 +72,9 @@ def _add_image_flags(p):
 
 
 def _add_model_flags(p):
-    p.add_argument("--cin-mode", choices=("pixel", "element"), default="pixel")
-    p.add_argument("--stall-model", choices=("chained", "isolated"),
-                   default="chained")
-    p.add_argument("--c-mac", type=int, default=1)
+    p.add_argument("--cin-mode", choices=CIN_MODES, default=ModelConfig.cin_mode)
+    p.add_argument("--stall-model", choices=STALL_MODELS, default=ModelConfig.stall_model)
+    p.add_argument("--c-mac", type=int, default=ModelConfig.c_mac)
 
 
 def _load_net(args):
@@ -270,14 +269,14 @@ def build_parser() -> _Parser:
     _add_net_flags(p_run)
     _add_params_flags(p_run)
     _add_image_flags(p_run)
-    p_run.add_argument("--clock-mhz", type=float, default=105.0)
+    p_run.add_argument("--clock-mhz", type=float, default=ModelConfig.clock_mhz)
     _add_model_flags(p_run)
     p_run.add_argument("--format", choices=("human", "json"), default="human")
     p_run.set_defaults(func=cmd_run)
 
     p_est = sub.add_parser("estimate", help="analytic cycle report")
     _add_net_flags(p_est)
-    p_est.add_argument("--clock-mhz", default="105",
+    p_est.add_argument("--clock-mhz", default=str(ModelConfig.clock_mhz),
                        help="clock in MHz, or a comma list to sweep")
     _add_model_flags(p_est)
     p_est.add_argument("--format", choices=("human", "json"), default="human")
@@ -285,11 +284,11 @@ def build_parser() -> _Parser:
 
     p_part = sub.add_parser("partition", help="place stages onto devices")
     _add_net_flags(p_part)
-    p_part.add_argument("--max-devices", type=int, default=8)
+    p_part.add_argument("--max-devices", type=int, default=MAX_DEVICES)
     p_part.add_argument("--budget-m20k", type=int, default=STRATIX_V_5SGSD8.m20k)
     p_part.add_argument("--budget-ff", type=int, default=STRATIX_V_5SGSD8.ff)
-    p_part.add_argument("--link-gbps", type=float, default=2.0)
-    p_part.add_argument("--clock-mhz", type=float, default=105.0)
+    p_part.add_argument("--link-gbps", type=float, default=ModelConfig.link_gbps)
+    p_part.add_argument("--clock-mhz", type=float, default=ModelConfig.clock_mhz)
     p_part.add_argument("--format", choices=("human", "json"), default="human")
     p_part.set_defaults(func=cmd_partition)
 

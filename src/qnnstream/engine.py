@@ -43,19 +43,23 @@ from .kernels import (
 from .netdesc import expand_layers
 
 
+CIN_MODES = ("pixel", "element")
+STALL_MODELS = ("chained", "isolated")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    cin_mode: str = "pixel"  # pixel | element
-    stall_model: str = "chained"  # chained | isolated
+    cin_mode: str = CIN_MODES[0]
+    stall_model: str = STALL_MODELS[0]
     c_mac: int = 1  # cycles per compute step
     clock_mhz: float = 105.0
     link_gbps: float = 2.0
 
     def __post_init__(self):
-        if self.cin_mode not in ("pixel", "element"):
-            raise QnnError("cin_mode must be pixel or element")
-        if self.stall_model not in ("chained", "isolated"):
-            raise QnnError("stall_model must be chained or isolated")
+        if self.cin_mode not in CIN_MODES:
+            raise QnnError("cin_mode must be %s" % " or ".join(CIN_MODES))
+        if self.stall_model not in STALL_MODELS:
+            raise QnnError("stall_model must be %s" % " or ".join(STALL_MODELS))
         # c_mac at most 2**32, clock and link in [2**-32, 2**32]: every
         # cycle total, wall time and link rate stays finite
         lo, hi = 2.0 ** -32, 2.0 ** 32
@@ -274,10 +278,10 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
 
     Regular FIFOs default to one scan line of elements; fifo_capacity
     overrides them (any value >= 1 preserves outputs, only schedules
-    change). The FIFO into a join's skip input always takes
-    skip_store_elements, the store the memory estimate charges: the
-    fork's whole run-ahead across the block, so the adder never waits
-    on the skip side.
+    change; below 1 it is a ShapeError). The FIFO into a join's skip
+    input always takes skip_store_elements, the store the memory
+    estimate charges: the fork's whole run-ahead across the block, so
+    the adder never waits on the skip side.
     """
     plans = expand_layers(net)
     if params is None or len(params) != len(net.layers):
@@ -285,9 +289,7 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
     stages = [_stage_for(p, params[p.layer_index]) for p in plans]
 
     def regular_cap(shape):
-        if fifo_capacity is not None:
-            return max(1, fifo_capacity)
-        return shape.w * shape.c
+        return shape.w * shape.c if fifo_capacity is None else fifo_capacity
 
     fifos = []
     source_fifo = Fifo(regular_cap(net.input_shape), "source->%s" % plans[0].name)
@@ -348,7 +350,6 @@ class StageCounters:
     """Structural event counts for one stage, schedule independent."""
 
     name: str
-    kind: str
     channels: int  # elements per input pixel, for unit conversion
     real_el: int
     pad_el: int
@@ -360,7 +361,6 @@ class StageCounters:
 @dataclass(frozen=True)
 class StageCycles:
     name: str
-    kind: str
     in_units: int
     compute: int
     busy: int
@@ -402,7 +402,7 @@ def analytic_counters(plans):
             compute = 0
             fill_el = 1
             first = 0
-        out.append(StageCounters(name=p.name, kind=p.kind, channels=ish.c,
+        out.append(StageCounters(name=p.name, channels=ish.c,
                                  real_el=ish.elements, pad_el=pad_el,
                                  compute=compute, fill_el=fill_el,
                                  first_compute=first))
@@ -415,8 +415,7 @@ def measured_counters(graph: StageGraph):
     for plan, stage in zip(graph.plans, graph.stages):
         if stage.fill_el is None:
             raise QnnError("stage %s never produced output" % stage.name)
-        out.append(StageCounters(name=stage.name, kind=plan.kind,
-                                 channels=plan.in_shape.c,
+        out.append(StageCounters(name=stage.name, channels=plan.in_shape.c,
                                  real_el=stage.real_el, pad_el=stage.pad_el,
                                  compute=stage.compute_cycles,
                                  fill_el=stage.fill_el,
@@ -462,7 +461,7 @@ def assemble_report(counters, cfg: ModelConfig, partition=None) -> CycleReport:
         raise QnnError("cycle model inconsistency: total below busiest stage")
     bottleneck = counters[int(np.argmax(busy))].name
     stages = tuple(
-        StageCycles(name=c.name, kind=c.kind, in_units=iu, compute=comp,
+        StageCycles(name=c.name, in_units=iu, compute=comp,
                     busy=bz, stall=total - bz, fill=fl)
         for c, iu, comp, bz, fl in zip(counters, in_units, computes, busy, fills))
     wall_ms = total / (cfg.clock_mhz * 1e3)
@@ -476,6 +475,7 @@ def estimate_cycles(net, cfg: ModelConfig = None, partition=None) -> CycleReport
 
     Equals the counters measured by run() exactly on any network small
     enough to simulate; the test suite holds the two sides together.
+    Under a partition the chained model runs one chain per device.
     """
     cfg = cfg or ModelConfig()
     plans = expand_layers(net)
@@ -497,8 +497,7 @@ class RunResult:
         return int(np.argmax(self.output))
 
 
-def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None,
-        partition=None) -> RunResult:
+def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None) -> RunResult:
     """Execute the pipeline on one input frame.
 
     image is H x W x C, row major, channel fastest, which is already the
@@ -515,8 +514,6 @@ def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None,
     flat = image.reshape(-1).astype(np.int32)
     if flat.min() < 0 or flat.max() >= (1 << ish.bits):
         raise ShapeError("input values exceed %d bits" % ish.bits)
-    if partition is not None:
-        validate_partition(partition, len(graph.plans))
     source = _Source(flat, graph.source_fifo)
     sink = _Sink(graph.sink_fifo, graph.net.output_shape.elements)
     tasks = [source] + list(graph.stages) + [sink]
@@ -524,7 +521,7 @@ def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None,
     for fifo in graph.fifos:
         if fifo.occ:
             raise QnnError("conservation violated on %s" % _occupancy(fifo))
-    report = assemble_report(measured_counters(graph), cfg, partition)
+    report = assemble_report(measured_counters(graph), cfg)
     return RunResult(output=sink.result(), report=report)
 
 
@@ -536,10 +533,6 @@ class Partition:
     """Contiguous stage ranges, one per device, in daisy-chain order."""
 
     ranges: tuple  # ((first_plan, last_plan), ...) inclusive
-
-    @property
-    def devices(self) -> int:
-        return len(self.ranges)
 
 
 def validate_partition(partition: Partition, n_stages: int):
@@ -591,7 +584,6 @@ class LinkCheck:
 
 @dataclass(frozen=True)
 class PartitionReport:
-    partition: Partition
     links: tuple
     all_ok: bool
 
@@ -609,8 +601,7 @@ def check_links(crossing, partition: Partition, link_gbps: float) -> PartitionRe
         req = sum(t.required_mbps for t in crossing[cut])
         links.append(LinkCheck(link=i, required_mbps=req, capacity_mbps=capacity,
                                ok=req <= capacity, traffic=tuple(crossing[cut])))
-    return PartitionReport(partition=partition, links=tuple(links),
-                           all_ok=all(link.ok for link in links))
+    return PartitionReport(links=tuple(links), all_ok=all(link.ok for link in links))
 
 
 def simulate_partition(net, partition: Partition, cfg: ModelConfig = None) -> PartitionReport:

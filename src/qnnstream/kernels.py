@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import BufferEvictionError, ShapeError
 from .quant import (
-    ACCUM_BITS,
     CODE_FLOOR_LIMIT,
     FLOAT32_EXACT,
     FLOAT64_EXACT,
@@ -169,7 +168,7 @@ def activation(thresholds):
     product (float_signed_matrix) and below 2**n * K on popcount_dot.
     """
     if thresholds is None:
-        return lambda accs: check_accum_array(accs, ACCUM_BITS).astype(np.int32)
+        return lambda accs: check_accum_array(accs).astype(np.int32)
     sign, floors = stack_thresholds(thresholds)
     return lambda accs: count_code_floors(accs, sign, floors)
 
@@ -193,9 +192,8 @@ class Stage:
     FIFO.
     """
 
-    def __init__(self, name: str, kind: str, in_shape):
+    def __init__(self, name: str, in_shape):
         self.name = name
-        self.kind = kind
         self.in_shape = in_shape
         self.first_compute = 0  # compute halts before the first output leaves
         # wired by the graph builder
@@ -257,9 +255,9 @@ class WindowedStage(Stage):
     pixel-at-a-time walk: fill_el is taken at the first window fired.
     """
 
-    def __init__(self, name, kind, in_shape, out_shape, k, s, p,
+    def __init__(self, name, in_shape, out_shape, k, s, p,
                  buffer_capacity: int = None):
-        super().__init__(name, kind, in_shape)
+        super().__init__(name, in_shape)
         self.k = k
         self.s = s
         self.p = p
@@ -424,7 +422,7 @@ class ConvStage(WindowedStage):
         if weights.in_ch != in_shape.c:
             raise ShapeError("%s: weights expect %d channels, stream has %d"
                              % (name, weights.in_ch, in_shape.c))
-        super().__init__(name, "conv", in_shape, out_shape, weights.k, s, p,
+        super().__init__(name, in_shape, out_shape, weights.k, s, p,
                          buffer_capacity=buffer_capacity)
         self.out_ch = self.first_compute = weights.out_ch
         signs = blas_signs(name, weights, in_shape)
@@ -444,7 +442,7 @@ class MaxPoolStage(WindowedStage):
     contributing input arrives, no compute halt."""
 
     def __init__(self, name, in_shape, out_shape, k, s, p=0):
-        super().__init__(name, "maxpool", in_shape, out_shape, k, s, p)
+        super().__init__(name, in_shape, out_shape, k, s, p)
 
     def _compute(self, windows):
         return windows.reshape(len(windows), self.k * self.k, -1).max(axis=1)
@@ -458,7 +456,7 @@ class AvgPoolStage(WindowedStage):
     """
 
     def __init__(self, name, in_shape, out_shape, k, s, p=0):
-        super().__init__(name, "avgpool", in_shape, out_shape, k, s, p)
+        super().__init__(name, in_shape, out_shape, k, s, p)
 
     def _compute(self, windows):
         m = self.k * self.k
@@ -474,8 +472,8 @@ class ElementwiseStage(Stage):
     output exists as soon as the first element is in.
     """
 
-    def __init__(self, name, kind, in_shape):
-        super().__init__(name, kind, in_shape)
+    def __init__(self, name, in_shape):
+        super().__init__(name, in_shape)
         self.el_total = in_shape.elements
 
     def _ingested(self, n: int):
@@ -496,7 +494,7 @@ class ResidualJoinStage(ElementwiseStage):
     """
 
     def __init__(self, name, shape, thresholds):
-        super().__init__(name, "join", shape)
+        super().__init__(name, shape)
         self.skip_fifo = None
         self.skip_out_fifo = None
         self.activate = activation(thresholds)
@@ -510,7 +508,7 @@ class ResidualJoinStage(ElementwiseStage):
             return False
         reg = self.in_fifo.pop(n).astype(np.int64)
         skip = self.skip_fifo.pop(n).astype(np.int64)
-        sums = check_accum_array(reg + skip, ACCUM_BITS)
+        sums = check_accum_array(reg + skip)
         # laid over the whole pixels it touches, zero padded, the chunk
         # meets each channel's floors in place
         c = self.in_shape.c
@@ -532,7 +530,7 @@ class TeeWidenStage(ElementwiseStage):
     """
 
     def __init__(self, name, shape):
-        super().__init__(name, "tee", shape)
+        super().__init__(name, shape)
         self.skip_out_fifo = None
 
     def _advance(self) -> bool:
@@ -554,7 +552,7 @@ class SkipDownsampleStage(ElementwiseStage):
     """
 
     def __init__(self, name, in_shape, out_shape, s):
-        super().__init__(name, "subsample", in_shape)
+        super().__init__(name, in_shape)
         if out_shape.c < in_shape.c:
             raise ShapeError("%s: cannot drop skip channels" % name)
         if (in_shape.h - 1) // s + 1 != out_shape.h or (in_shape.w - 1) // s + 1 != out_shape.w:

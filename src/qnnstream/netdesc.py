@@ -329,7 +329,6 @@ class StagePlan:
     s: int = 1
     p: int = 0
     fused: bool = False
-    act_bits: int = 0
     main_src: int = -1  # plan index feeding the main input, -1 = network source
     skip_src: int = None  # joins: plan feeding the skip input
     skip_shape: StreamShape = None  # tee/join: shape of the emitted skip stream
@@ -368,22 +367,17 @@ def expand_layers(net: NetworkSpec):
         if layer.kind != "resblock":
             skip_provider = None
         cur = layer.in_shape
-        if layer.kind == "conv":
-            kind = "firstconv" if cur.kind == "u8" else "conv"
-            plan = add(name=conv_name("conv"), kind=kind,
+        if layer.kind in ("conv", "fc"):
+            kind = "firstconv" if layer.kind == "conv" and cur.kind == "u8" else layer.kind
+            plan = add(name=conv_name(layer.kind), kind=kind,
                        in_shape=cur, out_shape=layer.out_shape, layer_index=li,
                        role="main", k=layer.k, s=layer.s, p=layer.p,
-                       fused=layer.fused, act_bits=layer.act_bits, main_src=prev)
+                       fused=layer.fused, main_src=prev)
             prev = plan.index
         elif layer.kind in ("maxpool", "avgpool"):
             plan = add(name=conv_name("pool"), kind=layer.kind,
                        in_shape=cur, out_shape=layer.out_shape, layer_index=li,
                        k=layer.k, s=layer.s, p=layer.p, main_src=prev)
-            prev = plan.index
-        elif layer.kind == "fc":
-            plan = add(name=conv_name("fc"), kind="fc",
-                       in_shape=cur, out_shape=layer.out_shape, layer_index=li,
-                       role="main", fused=layer.fused, act_bits=layer.act_bits, main_src=prev)
             prev = plan.index
         elif layer.kind == "resblock":
             block_no += 1
@@ -409,12 +403,12 @@ def expand_layers(net: NetworkSpec):
             join = add(name=bname + "_join", kind="join",
                        in_shape=mid,
                        out_shape=StreamShape(mid.h, mid.w, mid.c, "code", layer.act_bits),
-                       layer_index=li, role="join", act_bits=layer.act_bits,
+                       layer_index=li, role="join",
                        main_src=conv_a.index, skip_src=src_idx, skip_shape=mid)
             conv_b = add(name=bname + "_b", kind="conv",
                          in_shape=join.out_shape, out_shape=layer.out_shape,
                          layer_index=li, role="b", k=3, s=1, p=1,
-                         fused=True, act_bits=layer.act_bits, main_src=join.index)
+                         fused=True, main_src=join.index)
             prev = conv_b.index
             skip_provider = (join.index, mid)
     return plans
@@ -464,8 +458,8 @@ def build_alexnet() -> NetworkSpec:
     return parse_netdesc(ALEXNET_TEXT, name="alexnet")
 
 
-def build_vgg_like(input_hw: int = 32) -> NetworkSpec:
-    lines = ["input %d %d 3 8" % (input_hw, input_hw)]
+def build_vgg_like() -> NetworkSpec:
+    lines = ["input 32 32 3 8"]
     for ch in (64, 128, 256):
         lines.append("conv k=3 s=1 p=1 o=%d d=4.0" % ch)
         lines.append("conv k=3 s=1 p=1 o=%d d=4.0" % ch)

@@ -21,9 +21,10 @@ enforces.
 
 dense_conv builds the im2col matrix with a stride trick and multiplies;
 tests/reference.py keeps a deliberately naive nested-loop version as a
-cross-check on the cross-check, affordable only on small shapes.
+cross-check on the cross-check, affordable only on small shapes. It runs
+every conv and fc: an fc is a 1x1 conv over one pixel of h*w*c channels.
 
-The conv and fc products multiply integers by +/-1 weights. With fan-in
+Every product multiplies integers by +/-1 weights. With fan-in
 K every partial sum, in any summation order, is an integer of magnitude
 at most max|x| * K, so the product is exact in any type that holds every
 integer below that bound. _exact_dtype picks the narrowest, once per
@@ -35,7 +36,6 @@ matrix are built directly in it.
 import numpy as np
 
 from .quant import (
-    ACCUM_BITS,
     FLOAT32_EXACT,
     FLOAT64_EXACT,
     BnQuantizer,
@@ -70,12 +70,6 @@ def _exact_dtype(x: np.ndarray, fan_in: int):
     return np.int64
 
 
-def _signed_product(x: np.ndarray, raw_w: np.ndarray) -> np.ndarray:
-    """x @ signs(raw_w) as int64, for x already in the _exact_dtype of
-    its fan-in and a (K, O) weight matrix."""
-    return (x @ _signs(raw_w, x.dtype.type)).astype(np.int64, copy=False)
-
-
 def dense_conv(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
     k, _, in_ch, out_ch = raw_w.shape
     x = np.asarray(x, dtype=np.int64)
@@ -83,12 +77,16 @@ def dense_conv(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
         raise ValueError("input %r does not feed %d-channel weights"
                          % (x.shape, in_ch))
     xp = pad_dense(x.astype(_exact_dtype(x, k * k * in_ch), copy=False), p)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))
-    windows = windows[::s, ::s]  # (oh, ow, C, k, k)
-    oh, ow = windows.shape[:2]
-    cols = windows.transpose(0, 1, 3, 4, 2).reshape(oh * ow, k * k * in_ch)
-    w_mat = raw_w.reshape(k * k * in_ch, out_ch)
-    return _signed_product(cols, w_mat).reshape(oh, ow, out_ch)
+    oh, ow = (xp.shape[0] - k) // s + 1, (xp.shape[1] - k) // s + 1
+    if oh < 1 or ow < 1:
+        raise ValueError("window %d exceeds padded input %r" % (k, xp.shape))
+    # every (k, k, C) window, a row of cols, as a read-only view of xp
+    r, c, e = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (oh, ow, k, k, in_ch), (s * r, s * c, r, c, e), writeable=False)
+    cols = windows.reshape(oh * ow, k * k * in_ch)
+    signs = _signs(raw_w.reshape(k * k * in_ch, out_ch), cols.dtype.type)
+    return (cols @ signs).astype(np.int64, copy=False).reshape(oh, ow, out_ch)
 
 
 def dense_maxpool(x: np.ndarray, k: int, s: int, p: int = 0) -> np.ndarray:
@@ -145,13 +143,15 @@ def dense_infer(net, params, image: np.ndarray) -> np.ndarray:
         lp = params[li]
         if layer.kind != "resblock":
             skip = None
-        if layer.kind == "conv":
+        if layer.kind in ("conv", "fc"):
+            if layer.kind == "fc":  # a 1x1 conv over one pixel of h*w*c channels
+                x = x.reshape(1, 1, -1)
             cp = lp.convs["main"]
             y = dense_conv(x, cp.raw_weights, layer.s, layer.p)
             if layer.fused:
                 x = quantize_dense(y, cp.bn, lp.d, layer.act_bits)
             else:
-                x = check_accum_array(y, ACCUM_BITS)
+                x = check_accum_array(y)
         elif layer.kind == "maxpool":
             x = dense_maxpool(x, layer.k, layer.s, layer.p)
         elif layer.kind == "avgpool":
@@ -161,22 +161,11 @@ def dense_infer(net, params, image: np.ndarray) -> np.ndarray:
                 skip = x.copy()
             if layer.proj:
                 skip = dense_skip_adapt(skip, layer.s, layer.o)
-            a = check_accum_array(
-                dense_conv(x, lp.convs["a"].raw_weights, layer.s, 1), ACCUM_BITS)
-            total = check_accum_array(a + skip, ACCUM_BITS)
+            a = check_accum_array(dense_conv(x, lp.convs["a"].raw_weights, layer.s, 1))
+            total = check_accum_array(a + skip)
             skip = total
             mid = quantize_dense(total, lp.join_bn, lp.d, layer.act_bits)
             cp_b = lp.convs["b"]
             x = quantize_dense(dense_conv(mid, cp_b.raw_weights, 1, 1),
                                cp_b.bn, lp.d, layer.act_bits)
-        elif layer.kind == "fc":
-            cp = lp.convs["main"]
-            flat = x.reshape(-1)
-            flat = flat.astype(_exact_dtype(flat, flat.size), copy=False)
-            w_mat = cp.raw_weights.reshape(flat.size, layer.o)
-            y = _signed_product(flat, w_mat).reshape(1, 1, layer.o)
-            if layer.fused:
-                x = quantize_dense(y, cp.bn, lp.d, layer.act_bits)
-            else:
-                x = check_accum_array(y, ACCUM_BITS)
     return x.reshape(-1).astype(np.int64)

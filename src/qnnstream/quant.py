@@ -68,13 +68,13 @@ def check_floor_range(accums) -> np.ndarray:
     return accums
 
 
-def check_accum_array(values: np.ndarray, width: int = ACCUM_BITS) -> np.ndarray:
-    lo = -(1 << (width - 1))
-    hi = (1 << (width - 1)) - 1
+def check_accum_array(values: np.ndarray) -> np.ndarray:
+    lo = -(1 << (ACCUM_BITS - 1))
+    hi = (1 << (ACCUM_BITS - 1)) - 1
     if values.size and (values.min() < lo or values.max() > hi):
         bad = values[(values < lo) | (values > hi)][0]
         raise AccumOverflowError(
-            "value %d does not fit a signed %d-bit accumulator" % (int(bad), width)
+            "value %d does not fit a signed %d-bit accumulator" % (int(bad), ACCUM_BITS)
         )
     return values
 

@@ -36,7 +36,7 @@ from .engine import (
     skip_store_elements,
     window_shape,
 )
-from .errors import PartitionError
+from .errors import PartitionError, QnnError
 from .netdesc import expand_layers
 
 CACHE_DEPTH_GRANULE = 512
@@ -48,7 +48,6 @@ M20K_BITS = M20K_DEPTH * M20K_WIDTH
 @dataclass(frozen=True)
 class StageResources:
     name: str
-    kind: str
     weight_bits_used: int
     weight_bits: int  # after depth rounding
     bn_bits: int
@@ -86,10 +85,9 @@ def stage_resources(plans):
             m20k += 2 * _ceil_div(p.out_ch, M20K_DEPTH)
         if p.kind in ("conv", "firstconv", "maxpool", "avgpool"):
             buf_bits = _window_fill(p) * p.in_shape.bits
-        out.append(StageResources(name=p.name, kind=p.kind,
-                                  weight_bits_used=w_used, weight_bits=w_bits,
-                                  bn_bits=bn_bits, skip_bits=skip_bits, m20k=m20k,
-                                  ff=buf_bits + skip_bits))
+        out.append(StageResources(name=p.name, weight_bits_used=w_used,
+                                  weight_bits=w_bits, bn_bits=bn_bits,
+                                  skip_bits=skip_bits, m20k=m20k, ff=buf_bits + skip_bits))
     return out
 
 
@@ -131,6 +129,7 @@ class DeviceBudget:
 
 
 STRATIX_V_5SGSD8 = DeviceBudget(name="5SGSD8", m20k=2567, ff=1_050_000)
+MAX_DEVICES = 8
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,12 @@ def _fewest_balanced_ranges(res, budget, allowed):
 
 
 def partition_network(net, budget: DeviceBudget = STRATIX_V_5SGSD8,
-                      max_devices: int = 8, cfg: ModelConfig = None) -> PlacementReport:
+                      max_devices: int = MAX_DEVICES,
+                      cfg: ModelConfig = None) -> PlacementReport:
+    """Place a net's stages onto devices; a malformed limit or budget is a
+    QnnError, a net the limit and budget cannot hold a PartitionError."""
+    if max_devices < 1 or budget.m20k < 0 or budget.ff < 0:
+        raise QnnError("device limit below 1 or negative budget")
     cfg = cfg or ModelConfig()
     plans = expand_layers(net)
     res = stage_resources(plans)

@@ -33,6 +33,7 @@ from qnnstream.engine import (
 from qnnstream.errors import BufferEvictionError
 from qnnstream.kernels import (
     ConvStage,
+    ResidualJoinStage,
     StreamShape,
     line_buffer_capacity,
     stack_thresholds,
@@ -204,7 +205,8 @@ def test_04_buffer_capacities_are_tight(rng):
         for capacity in (1, 2, 3, 7, None):
             graph = build_graph(net, params, fifo_capacity=capacity)
             run(graph, img, ModelConfig())
-            assert all(s.stalled_on_skip == 0 for s in graph.stages if s.kind == "join")
+            assert all(s.stalled_on_skip == 0 for s in graph.stages
+                       if isinstance(s, ResidualJoinStage))
         residual_nets += 1
     assert residual_nets == 12
 

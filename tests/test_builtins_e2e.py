@@ -11,6 +11,7 @@ import pytest
 
 from reference import fold_batchnorm_fraction
 from qnnstream.engine import ModelConfig, build_graph, estimate_cycles, run
+from qnnstream.kernels import ResidualJoinStage
 from qnnstream.netdesc import BUILTIN_BUILDERS, load_params, random_params
 from qnnstream.oracle import dense_infer
 from qnnstream.resources import estimate_resources
@@ -49,7 +50,7 @@ def test_report_matches_estimate(builtin_case):
 
 def test_joins_never_starved(builtin_case):
     name, net, params, img, graph, result = builtin_case
-    joins = [s for s in graph.stages if s.kind == "join"]
+    joins = [s for s in graph.stages if isinstance(s, ResidualJoinStage)]
     assert [j.skip_fifo.capacity for j in joins] == SKIP_STORES[name]
     assert all(j.stalled_on_skip == 0 for j in joins)
     # the simulated skip FIFO is the store the memory estimate charges

@@ -122,6 +122,18 @@ def test_partition_device_limit(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--max-devices", "0"), ("--max-devices", "-1"),
+                                        ("--budget-m20k", "-1"), ("--budget-ff", "-5")])
+def test_partition_malformed_flag_exits_1(flag, value, capsys):
+    # a limit below one device or a negative budget is a malformed flag,
+    # not an infeasible partition
+    rc = main(["partition", "--builtin", "alexnet", flag, value])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # compare
 

@@ -25,6 +25,7 @@ from qnnstream.errors import (
     QnnError,
     ShapeError,
 )
+from qnnstream.kernels import ResidualJoinStage
 from qnnstream.netdesc import (
     BUILTIN_BUILDERS,
     build_resnet18,
@@ -104,7 +105,7 @@ def test_fc_counters_closed_form(rng, text):
     fc = plans[-1]
     ish, o = fc.in_shape, fc.out_ch
     hwc = ish.h * ish.w * ish.c
-    expect = StageCounters(name=fc.name, kind="fc", channels=ish.c, real_el=hwc,
+    expect = StageCounters(name=fc.name, channels=ish.c, real_el=hwc,
                            pad_el=0, compute=o, fill_el=hwc, first_compute=o)
     assert analytic_counters(plans)[-1] == expect
     img = random_image(rng, net)
@@ -204,7 +205,15 @@ def test_tiny_fifo_capacity_same_output(res_case, capacity):
     other = run(graph, img, ModelConfig())
     assert np.array_equal(other.output, base.output)
     assert other.report == base.report
-    assert all(s.stalled_on_skip == 0 for s in graph.stages if s.kind == "join")
+    assert all(s.stalled_on_skip == 0 for s in graph.stages
+               if isinstance(s, ResidualJoinStage))
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_fifo_capacity_below_one_rejected(res_case, capacity):
+    net, params, _ = res_case
+    with pytest.raises(ShapeError):
+        build_graph(net, params, fifo_capacity=capacity)
 
 
 @settings(max_examples=50, deadline=None)
@@ -224,7 +233,7 @@ def test_fifo_capacity_property(seed, residual, capacity):
     assert np.array_equal(other.output, base.output)
     assert other.report == base.report
     charged = estimate_resources(net)
-    for join in (s for s in graph.stages if s.kind == "join"):
+    for join in (s for s in graph.stages if isinstance(s, ResidualJoinStage)):
         assert join.stalled_on_skip == 0
         assert join.skip_fifo.capacity * 16 == charged.stage(join.name).skip_bits
 
@@ -299,7 +308,7 @@ def test_skip_fifo_never_starves_join(res_case):
     net, params, img = res_case
     graph = build_graph(net, params)
     run(graph, img, ModelConfig())
-    joins = [s for s in graph.stages if s.kind == "join"]
+    joins = [s for s in graph.stages if isinstance(s, ResidualJoinStage)]
     assert joins
     assert all(j.stalled_on_skip == 0 for j in joins)
     for f in graph.fifos:
@@ -371,6 +380,38 @@ def test_isolated_total_is_partition_transparent(res_case):
         part = Partition(((0, cut - 1), (cut, n - 1)))
         split = estimate_cycles(net, cfg, partition=part)
         assert split.total_cycles == whole.total_cycles
+
+
+@pytest.mark.parametrize("cin_mode", ["pixel", "element"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_BUILDERS))
+def test_chained_two_device_totals(name, cin_mode):
+    # under the chained model each device is its own chain: one range is
+    # the whole net, and a cut never lengthens the longest chain nor
+    # shortens it below the busiest stage
+    net = BUILTIN_BUILDERS[name]()
+    cfg = ModelConfig(cin_mode=cin_mode)
+    n = len(expand_layers(net))
+    whole = estimate_cycles(net, cfg)
+    assert estimate_cycles(net, cfg, Partition(((0, n - 1),))) == whole
+    for cut in range(1, n):
+        split = estimate_cycles(net, cfg, Partition(((0, cut - 1), (cut, n - 1))))
+        assert max(s.busy for s in split.stages) <= split.total_cycles <= whole.total_cycles
+
+
+@pytest.mark.parametrize("cin_mode,whole,split", [("pixel", 136, 84), ("element", 156, 120)])
+def test_chained_two_device_total_by_hand(cin_mode, whole, split):
+    # 4x4x1 input, two 3x3 pad-1 convs (2 then 3 outputs), a 2x2 pool.
+    # conv1 takes 6x6 = 36 padded units (20 of them pad, 1 channel) and
+    # halts 16 x 2 = 32 cycles; conv2 takes 36 pixels (20 pad) or 72
+    # elements (40 pad) and halts 16 x 3 = 48; the pool adds neither.
+    # One chain: 36 + conv2's pads + 32 + 48. Cut after conv1: device 0
+    # spans 36 + 32 = 68, device 1 conv2's 36 or 72 units + 48.
+    net, _ = _load("input 4 4 1 2\nconv k=3 s=1 p=1 o=2 d=1.0 act=2\n"
+                   "conv k=3 s=1 p=1 o=3 d=1.0 act=2\nmaxpool k=2 s=2\n")
+    cfg = ModelConfig(cin_mode=cin_mode)
+    assert estimate_cycles(net, cfg).total_cycles == whole
+    part = Partition(((0, 0), (1, 2)))
+    assert estimate_cycles(net, cfg, part).total_cycles == split
 
 
 def test_link_bandwidth_frozen_two_bit():

@@ -9,6 +9,13 @@ caller in the package or the benchmark harness, or is exported; what
 only the tests call lives in tests/reference.py. No module of the
 package or the tests imports a name it never uses.
 
+The write-only gate matches attributes by bare name, not by the object
+that loads them: a field counts as read once any object loads an
+attribute of that name, or any string constant spells it. A field whose
+name collides with another's (PlacementReport.devices and a
+Partition.devices, say, or str.partition and a .partition field) is
+invisible to it; such fields are found by reading the code.
+
 The engine's code boundaries and the oracle's are derived apart, and
 only their count is one function (quant.count_code_floors). So the
 oracle and the stages import nothing of each other, the stages name

@@ -13,10 +13,11 @@ loop is written once, in Stage; each stage kind supplies _advance(),
 which consumes one unit of input and emits what that unit completes.
 For a windowed stage the unit is a run of pixels inside one padded row,
 as many as the input FIFO holds: the run is written to the line buffer
-at once, and every window it completes is gathered and computed as one
-batch. Other stages take a chunk of elements. All cycle counters are
-structural (functions of shapes and the trigger rule alone), so they do
-not depend on scheduling order or on how input is batched.
+at once, and every window it completes is read as one slice of a
+strided view of the buffer and computed as one batch. Other stages take
+a chunk of elements. All cycle counters are structural (functions of
+shapes and the trigger rule alone), so they do not depend on scheduling
+order or on how input is batched.
 
 A conv, fc or join stage that emits codes ends in activation(): the
 ThresholdSets that fold_batchnorm derived for its channels, stacked once
@@ -82,16 +83,24 @@ class LineBuffer:
     completed early in a batch are still there when the batch is read;
     the slack never makes a window readable that capacity would evict.
 
+    Every window has the geometry given here: rows rows of row_len
+    contiguous elements, pitch elements apart (a K x K window over C
+    channels is K rows of K * C elements, one padded line of C channels
+    apart), so it spans extent = (rows - 1) * pitch + row_len elements.
+
     The ring is mirrored: it has 2 * size slots, size = capacity + slack,
     and element i is written both at slot i % size and at i % size +
     size. A gathered batch spans fewer than size elements, from its
-    oldest element o on, so with base = o - o % size every index i of it
-    has 0 <= i - base < 2 * size, and slot i - base holds element i (the
-    mirror copy once i - base passes size). gather therefore subtracts
-    one scalar instead of taking a modulo of every index.
+    oldest element o on, so with base = o - o % size every element i of
+    it sits at slot i - base < 2 * size (the mirror copy once i - base
+    passes size): the batch is contiguous in the ring. So the windows
+    are one read-only as_strided view of the ring, built once, whose
+    entry j is the window starting at slot j, and a batch is one slice
+    of it.
     """
 
-    def __init__(self, capacity: int, name: str = "linebuffer", slack: int = 0):
+    def __init__(self, capacity: int, name: str = "linebuffer", slack: int = 0,
+                 rows: int = 1, row_len: int = 1, pitch: int = 0):
         if capacity < 1:
             raise ShapeError("line buffer capacity must be >= 1")
         self.capacity = capacity
@@ -99,6 +108,14 @@ class LineBuffer:
         self.size = capacity + slack
         self.ring = np.zeros(2 * self.size, dtype=np.int32)
         self.total = 0
+        self.extent = (rows - 1) * pitch + row_len
+        # an undersized capacity may leave no slot a window fits from;
+        # gather then faults on the window's width before reading
+        slots = max(2 * self.size - self.extent + 1, 0)
+        item = self.ring.itemsize
+        self.windows = np.lib.stride_tricks.as_strided(
+            self.ring, shape=(slots, rows, row_len),
+            strides=(item, pitch * item, item), writeable=False)
 
     def push(self, arr: np.ndarray):
         n = len(arr)
@@ -117,23 +134,24 @@ class LineBuffer:
             self.ring[:start + n - size] = arr[size - start:]
         self.total += n
 
-    def gather(self, idx: np.ndarray) -> np.ndarray:
-        """Read windows by absolute element index.
-
-        idx is one window, or one window per row; every window has the
-        same offset pattern, its oldest element first and the element
-        that completed it last, and rows are in completion order.
+    def gather(self, starts: range) -> np.ndarray:
+        """The windows starting at the absolute element positions of
+        starts, a non-empty range in completion order, as a read-only
+        (N, rows, row_len) view of the ring. The next push overwrites
+        it, so a reader copies what it keeps.
         """
-        first = idx if idx.ndim == 1 else idx[0]
-        oldest = int(first[0])
-        if int(first[-1]) - oldest >= self.capacity or \
-                oldest < self.total - self.size:
+        # check before slicing: a slice past the view's end would quietly
+        # return fewer windows
+        oldest = starts.start
+        if self.extent > self.capacity or oldest < self.total - self.size:
             raise BufferEvictionError(
                 "%s: element %d already evicted (capacity %d, ingested %d)"
                 % (self.name, oldest, self.capacity, self.total))
-        if int(idx.flat[-1]) >= self.total:
+        last = starts[-1]
+        if last + self.extent > self.total:
             raise ShapeError("%s: read past ingested elements" % self.name)
-        return self.ring[idx - (oldest - oldest % self.size)]
+        slot = oldest % self.size
+        return self.windows[slot:slot + last - oldest + 1:starts.step]
 
 
 def stack_thresholds(threshold_sets):
@@ -251,8 +269,11 @@ class WindowedStage(Stage):
     halted while the pad element is fed in. A run is one FIFO pop, one
     line-buffer write, one gather of every window whose bottom-right
     pixel the run completed (the trigger rule), one _compute over those
-    windows and one emitted array. All counters are those of a
-    pixel-at-a-time walk: fill_el is taken at the first window fired.
+    windows and one emitted array. The line buffer knows the window
+    geometry, so a gather names only the range of the windows' top-left
+    elements, s * C apart, and reads them as one view of the ring. All
+    counters are those of a pixel-at-a-time walk: fill_el is taken at
+    the first window fired.
     """
 
     def __init__(self, name, in_shape, out_shape, k, s, p,
@@ -274,16 +295,15 @@ class WindowedStage(Stage):
             buffer_capacity = line_buffer_capacity(c, self.wp, k)
         # one padded row of slack holds a run's earliest windows until the
         # run is read
-        self.lbuf = LineBuffer(buffer_capacity, name=name, slack=self.wp * c)
+        self.lbuf = LineBuffer(buffer_capacity, name=name, slack=self.wp * c,
+                               rows=k, row_len=k * c, pitch=self.wp * c)
         self.pad_row = np.zeros(self.wp * c, dtype=np.int32)
         self.cursor = 0  # padded pixel index
         self.total_px = self.hp * self.wp
-        # window gather pattern relative to the top-left element
-        rows = (np.arange(k) * self.wp)[:, None] + np.arange(k)[None, :]
-        self.win_offsets = (rows.reshape(-1, 1) * c + np.arange(c)[None, :]).reshape(-1)
 
     def _compute(self, windows: np.ndarray) -> np.ndarray:
-        """(N, K*K*C) windows -> (N, out channels) outputs."""
+        """(N, K, K*C) read-only view of N windows, K rows of K*C
+        elements each -> (N, out channels) outputs in a new array."""
         raise NotImplementedError
 
     def _fire(self, pr: int, done_from: int, done_to: int):
@@ -294,13 +314,14 @@ class WindowedStage(Stage):
         if r0 < 0 or r0 % s:
             return
         lo = -(-max(done_from - (k - 1), 0) // s) * s
-        cols = np.arange(lo, done_to - (k - 1), s)
-        if not len(cols):
+        hi = done_to - (k - 1)
+        if lo >= hi:
             return
+        c = self.in_shape.c
         if self.fill_el is None:
-            self.fill_el = (pr * self.wp + lo + k) * self.in_shape.c
-        bases = (r0 * self.wp + cols) * self.in_shape.c
-        windows = self.lbuf.gather(bases[:, None] + self.win_offsets)
+            self.fill_el = (pr * self.wp + lo + k) * c
+        row = r0 * self.wp
+        windows = self.lbuf.gather(range((row + lo) * c, (row + hi) * c, s * c))
         self._emit(self.out_fifo, self._compute(windows).reshape(-1))
 
     def _advance(self) -> bool:
@@ -405,7 +426,10 @@ class ConvStage(WindowedStage):
     words (WeightBlock.words), the window codes of a run into n bit
     planes of words, and each plane meets each weight row by AND +
     popcount. Internal accumulators are wider than 16 bits; only values
-    that cross an accumulator stream are range checked.
+    that cross an accumulator stream are range checked. The windows
+    arrive as a read-only (N, K, K*C) view of the line buffer; the float
+    path's astype, or the popcount path's reshape to (N, K*K*C), is the
+    one copy of them a fire makes.
 
     A fully connected layer is a 1x1 conv over a one-pixel stream of
     h*w*c channels (engine.window_shape). The depth-first stream order is
@@ -427,9 +451,11 @@ class ConvStage(WindowedStage):
         self.out_ch = self.first_compute = weights.out_ch
         signs = blas_signs(name, weights, in_shape)
         if signs is None:
-            self.dot = lambda windows: popcount_dot(weights.words, windows, in_shape.bits)
+            self.dot = lambda windows: popcount_dot(
+                weights.words, windows.reshape(len(windows), -1), in_shape.bits)
         else:
-            self.dot = lambda windows: (windows.astype(signs.dtype) @ signs).astype(np.int64)
+            self.dot = lambda windows: (windows.astype(signs.dtype).reshape(
+                len(windows), -1) @ signs).astype(np.int64)
         self.activate = activation(thresholds)
 
     def _compute(self, windows):
@@ -445,7 +471,7 @@ class MaxPoolStage(WindowedStage):
         super().__init__(name, in_shape, out_shape, k, s, p)
 
     def _compute(self, windows):
-        return windows.reshape(len(windows), self.k * self.k, -1).max(axis=1)
+        return windows.reshape(len(windows), self.k, self.k, -1).max(axis=(1, 2))
 
 
 class AvgPoolStage(WindowedStage):
@@ -460,7 +486,8 @@ class AvgPoolStage(WindowedStage):
 
     def _compute(self, windows):
         m = self.k * self.k
-        sums = windows.reshape(len(windows), m, -1).sum(axis=1, dtype=np.int64)
+        sums = windows.reshape(len(windows), self.k, self.k, -1).sum(
+            axis=(1, 2), dtype=np.int64)
         rounded = np.sign(sums) * ((2 * np.abs(sums) + m) // (2 * m))
         return rounded.astype(np.int32)
 

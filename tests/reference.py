@@ -16,6 +16,8 @@ form, for the tests to hold the fast paths to.
   must equal.
 - width_first_capacity and param_census are closed forms the tests
   compare the package's buffer sizes and blob lengths with.
+- window_indices is the index arithmetic a windowed stage's strided
+  line-buffer read must agree with.
 """
 
 from bisect import bisect_left, bisect_right
@@ -156,6 +158,18 @@ def dense_conv_loops(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.nda
 def width_first_capacity(line_len: int, n_lines: int, c: int, k: int) -> int:
     """Buffer needed if the stream were scanned plane by plane instead."""
     return line_len * n_lines * (c - 1) + line_len * (k - 1) + k
+
+
+def window_indices(k: int, s: int, c: int, hp: int, wp: int) -> np.ndarray:
+    """The stream index of every element of every K x K window over a
+    padded hp x wp x c depth-first stream, one row per window in scan
+    order: each window's top-left element plus one offset pattern, K
+    rows of K * C elements wp * C apart."""
+    rows = (np.arange(k) * wp)[:, None] + np.arange(k)[None, :]
+    win_offsets = (rows.reshape(-1, 1) * c + np.arange(c)[None, :]).reshape(-1)
+    tops = np.arange(0, hp - k + 1, s)[:, None] * wp + np.arange(0, wp - k + 1, s)
+    bases = tops.reshape(-1) * c
+    return bases[:, None] + win_offsets
 
 
 def layer_param_counts(layer):

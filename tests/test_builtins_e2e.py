@@ -74,3 +74,23 @@ def test_thresholds_equal_fraction_fold(builtin_case):
                                   for p in bn], layer
             folded += len(bn)
     assert folded == {"resnet18": 3904, "alexnet": 9568, "vgg": 1920}[name]
+
+
+@pytest.mark.parametrize("builtin_case", ["resnet18"], indirect=True)
+def test_gather_hook_counts_window_fires(builtin_case):
+    # a tracer times each line buffer by replacing its gather with a
+    # one-argument wrapper, as an instance attribute; the engine must read
+    # every batch of windows through that attribute and nothing else
+    name, net, params, img, graph, result = builtin_case
+    graph = build_graph(net, params)
+    fires = []
+    for stage in graph.stages:
+        lbuf = getattr(stage, "lbuf", None)
+        if lbuf is not None:
+            def call(arg, gather=lbuf.gather):
+                fires.append(1)
+                return gather(arg)
+            lbuf.gather = call
+    hooked = run(graph, img, ModelConfig())
+    assert len(fires) == 590
+    assert np.array_equal(hooked.output, dense_infer(net, params, img))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import drive_stage
-from reference import apply_threshold, width_first_capacity
+from reference import apply_threshold, width_first_capacity, window_indices
 from qnnstream.engine import WEIGHTED_KINDS, Fifo, window_shape
 from qnnstream.errors import BufferEvictionError, ShapeError
 from qnnstream.netdesc import BUILTIN_BUILDERS, expand_layers
@@ -95,29 +95,40 @@ def test_depth_first_beats_width_first(rng):
             width_first_capacity(line, h, c, k)
 
 
+def _line_buffer(capacity, chunks, slack=0, **geometry):
+    # a ring of the given window geometry after pushing chunks
+    lb = LineBuffer(capacity, "t", slack=slack, **geometry)
+    for chunk in chunks:
+        lb.push(np.asarray(chunk, dtype=np.int32))
+    return lb
+
+
 def test_line_buffer_gather_and_eviction():
-    lb = LineBuffer(4, "t")
-    lb.push(np.arange(6, dtype=np.int32))
-    assert np.array_equal(lb.gather(np.array([2, 3, 4, 5])), [2, 3, 4, 5])
+    six = [np.arange(6)]
+    assert _line_buffer(4, six, row_len=4).gather(range(2, 3)).tolist() == \
+        [[[2, 3, 4, 5]]]
     with pytest.raises(BufferEvictionError):
-        lb.gather(np.array([1]))
+        _line_buffer(4, six).gather(range(1, 2))
     with pytest.raises(ShapeError):
-        lb.gather(np.array([6]))
+        _line_buffer(4, six).gather(range(6, 7))
     with pytest.raises(ShapeError):
         LineBuffer(0)
-    # a batch of windows, one per row, read from a ring with slack: the
-    # ring position of element 10 wraps to the front
-    lb = LineBuffer(4, "t", slack=3)
-    lb.push(np.arange(5, dtype=np.int32))
-    lb.push(np.arange(5, 12, dtype=np.int32))
-    got = lb.gather(np.array([[5, 6, 7], [8, 9, 10], [9, 10, 11]]))
-    assert got.tolist() == [[5, 6, 7], [8, 9, 10], [9, 10, 11]]
-    # a window wider than capacity faults even though the ring holds it
+    # batches of windows read from a ring with slack: the ring position
+    # of element 10 wraps to the front
+    pushes = [np.arange(5), np.arange(5, 12)]
+    lb = _line_buffer(4, pushes, slack=3, row_len=3)
+    assert lb.gather(range(5, 9, 3)).tolist() == [[[5, 6, 7]], [[8, 9, 10]]]
+    assert lb.gather(range(9, 10)).tolist() == [[[9, 10, 11]]]
+    # a window wider than capacity faults even though the ring holds it,
+    # as one row of five elements or as two rows of two, three apart
     with pytest.raises(BufferEvictionError):
-        lb.gather(np.array([[6, 7, 8, 9, 10]]))
+        _line_buffer(4, pushes, slack=3, row_len=5).gather(range(6, 7))
+    lb = _line_buffer(4, pushes, slack=3, rows=2, row_len=2, pitch=3)
+    with pytest.raises(BufferEvictionError):
+        lb.gather(range(6, 7))
     # the first window is late: its elements have left the ring
     with pytest.raises(BufferEvictionError):
-        lb.gather(np.array([[3, 4], [10, 11]]))
+        _line_buffer(4, pushes, slack=3, row_len=2).gather(range(3, 11, 7))
 
 
 def test_threshold_matrix_matches_scalar(rng):
@@ -151,48 +162,174 @@ def test_threshold_matrix_clamps_huge_values():
 
 
 def test_line_buffer_windows_straddle_the_wrap(rng):
-    # a mirrored ring reads a window across its wrap point without a
-    # modulo; every window and batch of windows the checks let through
-    # must read the stream back exactly, for every chunking of the pushes
+    # a mirrored ring reads a window across its wrap point as one slice of
+    # its strided view; every window and batch of windows the checks let
+    # through must read the stream back exactly, for every chunking of
+    # the pushes
     capacity, slack = 5, 2
     size = capacity + slack
     stream = (np.arange(200, dtype=np.int32) * 7 + 3) % 1000
-    lb = LineBuffer(capacity, "t", slack=slack)
+    # one ring per window width, all fed the same chunks
+    rings = {width: LineBuffer(capacity, "t", slack=slack, row_len=width)
+             for width in range(1, capacity + 1)}
     straddled = 0
     pos = 0
     while pos < len(stream):
         n = int(rng.integers(0, 2 * size))  # empty, short, longer than the ring
-        lb.push(stream[pos:pos + n])
+        for lb in rings.values():
+            lb.push(stream[pos:pos + n])
         pos = min(pos + n, len(stream))
-        assert lb.total == pos
+        assert all(lb.total == pos for lb in rings.values())
         for oldest in range(max(pos - size, 0), pos):
             for width in range(1, min(capacity, pos - oldest) + 1):
+                lb = rings[width]
                 win = np.arange(oldest, oldest + width)
-                assert np.array_equal(lb.gather(win), stream[win])
+                assert np.array_equal(lb.gather(range(oldest, oldest + 1)),
+                                      stream[win].reshape(1, 1, width))
                 rows = win + np.arange(pos - win[-1])[:, None]
-                assert np.array_equal(lb.gather(rows), stream[rows])
+                got = lb.gather(range(oldest, pos - width + 1))
+                assert np.array_equal(got.reshape(len(rows), width), stream[rows])
                 straddled += oldest % size + width > size
         if pos > size:
             with pytest.raises(BufferEvictionError):
-                lb.gather(np.array([pos - size - 1]))
+                rings[1].gather(range(pos - size - 1, pos - size))
         with pytest.raises(ShapeError):
-            lb.gather(np.array([pos]))
+            rings[1].gather(range(pos, pos + 1))
     assert straddled > 100
 
 
 def test_line_buffer_push_longer_than_ring():
-    lb = LineBuffer(3, "t", slack=1)
-    lb.push(np.arange(2, dtype=np.int32))
-    lb.push(np.arange(2, 12, dtype=np.int32))  # ten elements into four slots
+    pushes = [np.arange(2), np.arange(2, 12)]  # ten elements into four slots
+    lb = _line_buffer(3, pushes, slack=1, row_len=3)
     assert lb.total == 12
-    assert lb.gather(np.array([[8, 9, 10], [9, 10, 11]])).tolist() == \
-        [[8, 9, 10], [9, 10, 11]]
+    assert lb.gather(range(8, 10)).tolist() == [[[8, 9, 10]], [[9, 10, 11]]]
     with pytest.raises(BufferEvictionError):
-        lb.gather(np.array([7, 8]))
-    with pytest.raises(BufferEvictionError):
-        lb.gather(np.array([8, 9, 10, 11]))  # wider than capacity
+        _line_buffer(3, pushes, slack=1, row_len=2).gather(range(7, 8))
+    with pytest.raises(BufferEvictionError):  # wider than capacity
+        _line_buffer(3, pushes, slack=1, row_len=4).gather(range(8, 9))
     with pytest.raises(ShapeError):
-        lb.gather(np.array([10, 11, 12]))
+        lb.gather(range(10, 11))
+
+
+def _record_gathers(lbuf):
+    # wrap gather the way a tracer hooks it, as a one-argument instance
+    # attribute; returns the list of (starts, copied windows) it fills
+    seen = []
+    gather = lbuf.gather
+
+    def call(starts):
+        got = gather(starts)
+        seen.append((starts, got.copy()))
+        return got
+    lbuf.gather = call
+    return seen
+
+
+@settings(max_examples=80, deadline=None)
+@example(fc=True, k=1, s=1, p=0, c=3, h=2, w=4, seed=0)
+@given(fc=st.booleans(), k=st.integers(1, 4), s=st.integers(1, 3), p=st.integers(0, 2),
+       c=st.integers(1, 5), h=st.integers(1, 7), w=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_strided_read_equals_index_arithmetic(fc, k, s, p, c, h, w, seed):
+    # every batch a windowed stage reads as a slice of its ring's strided
+    # view holds exactly the stream elements that per-window index
+    # arithmetic names, for any chunking of the pushes
+    if fc:  # the fc geometry: one window over one pixel of h*w*c channels
+        k, s, p, h, w, c = 1, 1, 0, 1, 1, h * w * c
+    assume(h + 2 * p >= k and w + 2 * p >= k)
+    rng = np.random.default_rng(seed)
+    hp, wp = h + 2 * p, w + 2 * p
+    oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
+    x = rng.integers(0, 4, size=(h, w, c))
+    stage = MaxPoolStage("mp", StreamShape(h, w, c, "code", 2),
+                         StreamShape(oh, ow, c, "code", 2), k, s, p)
+    batches = _record_gathers(stage.lbuf)
+    stage.in_fifo = Fifo(x.size, "in")
+    stage.out_fifo = Fifo(oh * ow * c, "out")
+    stream = x.reshape(-1).astype(np.int32)
+    fed = 0
+    while not stage.finished:
+        n = int(rng.integers(0, 2 * wp * c + 1))  # empty, short, over a row
+        fed += stage.in_fifo.push(stream[fed:fed + n])
+        stage.step()
+    expect = np.pad(x, ((p, p), (p, p), (0, 0))).reshape(-1)[window_indices(k, s, c, hp, wp)]
+    done = 0
+    for starts, got in batches:
+        assert got.shape == (len(starts), k, k * c)
+        assert np.array_equal(got.reshape(len(got), -1), expect[done:done + len(got)])
+        done += len(got)
+    assert done == oh * ow
+    assert np.array_equal(stage.out_fifo.pop(oh * ow * c),
+                          dense_maxpool(x, k, s, p).reshape(-1))
+
+
+def test_undersized_buffer_faults_at_first_fire(rng):
+    # a capacity so far below the window's extent that the mirrored ring
+    # is shorter than one window leaves the strided view no slot; the
+    # stage still builds, and its first fire ends in BufferEvictionError
+    k, h, w, c = 5, 5, 5, 2
+    raw = rng.standard_normal((k, k, c, 2)).astype(np.float32)
+    stage = ConvStage("cv", StreamShape(h, w, c, "code", 2),
+                      StreamShape(3, 3, 2, "accum", 16),
+                      WeightBlock.from_float(raw), 1, 1, buffer_capacity=1)
+    lb = stage.lbuf
+    assert 2 * lb.size < lb.extent and len(lb.windows) == 0
+    fires = _record_gathers(lb)
+    with pytest.raises(BufferEvictionError):
+        drive_stage(stage, rng.integers(0, 4, size=h * w * c))
+    assert stage.fill_el is not None and not fires
+
+
+def test_gathered_windows_are_read_only():
+    lb = _line_buffer(4, [np.arange(6)], rows=2, row_len=1, pitch=2)
+    got = lb.gather(range(2, 4))
+    assert got.tolist() == [[[2], [4]], [[3], [5]]]
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0, 0] = 7
+
+
+def _windowed_stages(rng):
+    # one stage of every windowed kind and dot product path
+    c = 3
+    shape = StreamShape(4, 5, c, "code", 2)
+    raw3 = rng.standard_normal((3, 3, c, 2)).astype(np.float32)
+    raw1 = rng.standard_normal((1, 1, c, 2)).astype(np.float32)
+    wide = StreamShape(2, 3, 1024, "code", 2)
+    raw_wide = rng.standard_normal((1, 1, 1024, 257)).astype(np.float32)
+    flat = StreamShape(1, 1, 4 * 5 * c, "code", 2)
+    raw_fc = rng.standard_normal((1, 1, 4 * 5 * c, 3)).astype(np.float32)
+    assert blas_signs("cv", WeightBlock.from_float(raw_wide), wide) is None
+    return [
+        (MaxPoolStage("mp", shape, StreamShape(4, 5, c, "code", 2), 1, 1), shape),
+        (MaxPoolStage("mp", shape, StreamShape(2, 2, c, "code", 2), 2, 2), shape),
+        (AvgPoolStage("ap", shape, StreamShape(4, 5, c, "accum", 16), 3, 1, 1), shape),
+        (ConvStage("cv", shape, StreamShape(2, 3, 2, "accum", 16),
+                   WeightBlock.from_float(raw3), 1, 0), shape),
+        (ConvStage("cv", shape, StreamShape(2, 3, 2, "accum", 16),
+                   WeightBlock.from_float(raw1), 2, 0), shape),
+        (ConvStage("cv", wide, StreamShape(2, 3, 257, "accum", 16),
+                   WeightBlock.from_float(raw_wide), 1, 0), wide),
+        (ConvStage("fc", flat, StreamShape(1, 1, 3, "accum", 16),
+                   WeightBlock.from_float(raw_fc), 1, 0), flat),
+    ]
+
+
+def test_no_stage_emits_a_view_of_its_ring(rng):
+    # a later push overwrites the ring, so an emitted array that shared
+    # its memory would change after it left; every stage emits a copy
+    for stage, shape in _windowed_stages(rng):
+        emitted = []
+        emit = stage._emit
+
+        def record(fifo, arr, emit=emit, emitted=emitted):
+            emitted.append(arr)
+            emit(fifo, arr)
+        stage._emit = record
+        drive_stage(stage, rng.integers(0, 4, size=shape.elements), capacity=7)
+        assert emitted
+        assert not any(np.shares_memory(arr, stage.lbuf.ring) for arr in emitted), \
+            stage.name
 
 
 _HUGE = 1 << 62

@@ -21,7 +21,15 @@ import sys
 
 import numpy as np
 
-from .engine import CIN_MODES, STALL_MODELS, ModelConfig, build_graph, estimate_cycles, run
+from .engine import (
+    CIN_MODES,
+    STALL_MODELS,
+    ModelConfig,
+    Partition,
+    build_graph,
+    estimate_cycles,
+    run,
+)
 from .errors import PartitionError, QnnError
 from .netdesc import BUILTIN_BUILDERS, load_params, parse_netdesc, random_params
 from .oracle import dense_infer
@@ -209,6 +217,12 @@ def cmd_partition(args) -> int:
     cfg = ModelConfig(clock_mhz=args.clock_mhz, link_gbps=args.link_gbps)
     placement = partition_network(net, budget, max_devices=args.max_devices,
                                   cfg=cfg)
+    # the frame total of the chained model under the placement's ranges
+    ranges, first = [], 0
+    for d in placement.devices:
+        ranges.append((first, first + len(d.stages) - 1))
+        first += len(d.stages)
+    chained = estimate_cycles(net, cfg, Partition(ranges=tuple(ranges))).total_cycles
     if args.format == "json":
         _print_json({
             "devices": [{
@@ -225,6 +239,7 @@ def cmd_partition(args) -> int:
                 "ok": l.ok,
             } for l in placement.links.links],
             "feasible": placement.feasible,
+            "chained_total_cycles": chained,
         })
     else:
         print("devices %d (budget %d M20K, %d FF each)"
@@ -237,6 +252,7 @@ def cmd_partition(args) -> int:
             print(" link %d: %.1f of %.1f Mbps %s"
                   % (l.link, l.required_mbps, l.capacity_mbps,
                      "ok" if l.ok else "OVER"))
+        print("chained total %d cycles" % chained)
         print("feasible" if placement.feasible else "infeasible")
     return EXIT_OK if placement.feasible else EXIT_MISMATCH
 

@@ -9,15 +9,16 @@ evidence about the streaming logic, not a shared code path.
 
 Both sides decide an activation code by integer boundaries, but they
 derive them apart. The engine's thresholds come from fold_batchnorm,
-t0 + alpha * step over one integer denominator, rounded by one floor
-division each. The oracle's code floors come from BnQuantizer's own
-integer form batchnorm(a) / d = (A * a + C) / D:
-code(a) >= k iff sign(A) * a >= ceil((k * D - C) / |A|). Only the count
-is shared: quantize_dense stacks the floors of a layer's channels into a
-(levels, C) matrix and hands it to quant.count_code_floors, the counter
-the stages use too. This module imports nothing from kernels or engine
-and names none of the engine's thresholds, which tests/test_hygiene.py
-enforces.
+t0 + alpha * step over one integer denominator per channel, rounded by
+one floor division each. The oracle's code floors come from one
+BnQuantizer per layer, which scales the rule batchnorm(a) >= k * d of
+every channel to integers A * a + C >= k * D by the channel's least
+power of two: code(a) >= k iff sign(A) * a >= ceil((k * D - C) / |A|),
+a (levels, C) matrix of floors from a few object-array operations.
+Only the count is shared: quantize_dense hands that matrix to
+quant.count_code_floors, the counter the stages use too. This module
+imports nothing from kernels or engine and names none of the engine's
+thresholds, which tests/test_hygiene.py enforces.
 
 dense_conv builds the im2col matrix with a stride trick and multiplies;
 tests/reference.py keeps a deliberately naive nested-loop version as a
@@ -45,10 +46,18 @@ from .quant import (
 )
 
 
-def pad_dense(x: np.ndarray, p: int) -> np.ndarray:
+def pad_dense(x: np.ndarray, p: int, dtype=None) -> np.ndarray:
+    """An H x W x C map with p zeros on each side of both spatial axes,
+    in dtype (x's own by default): one np.zeros and one slice
+    assignment, which also casts, so padding and converting cost one
+    copy. With p zero it is x itself, or x converted once."""
+    dtype = dtype or x.dtype
     if not p:
-        return x
-    return np.pad(x, ((p, p), (p, p), (0, 0)))
+        return x.astype(dtype, copy=False)
+    h, w, c = x.shape
+    out = np.zeros((h + 2 * p, w + 2 * p, c), dtype=dtype)
+    out[p:p + h, p:p + w] = x
+    return out
 
 
 def _signs(raw_w: np.ndarray, dtype) -> np.ndarray:
@@ -76,7 +85,7 @@ def dense_conv(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
     if x.ndim != 3 or x.shape[2] != in_ch:
         raise ValueError("input %r does not feed %d-channel weights"
                          % (x.shape, in_ch))
-    xp = pad_dense(x.astype(_exact_dtype(x, k * k * in_ch), copy=False), p)
+    xp = pad_dense(x, p, _exact_dtype(x, k * k * in_ch))
     oh, ow = (xp.shape[0] - k) // s + 1, (xp.shape[1] - k) // s + 1
     if oh < 1 or ow < 1:
         raise ValueError("window %d exceeds padded input %r" % (k, xp.shape))
@@ -116,12 +125,10 @@ def dense_skip_adapt(skip: np.ndarray, s: int, out_ch: int) -> np.ndarray:
 
 def quantize_dense(y: np.ndarray, bn_list, d: float, n: int) -> np.ndarray:
     """Per-channel exact batchnorm quantization of an (..., C) accumulator
-    map: the BnQuantizer code floors of every channel, stacked into a
-    (levels, C) matrix, counted over the whole map at once."""
-    qs = [BnQuantizer(bn, d, n) for bn in bn_list]
-    sign = np.array([q.sign for q in qs], dtype=np.int64)
-    floors = np.array([q.floors for q in qs], dtype=np.int64).T
-    return count_code_floors(check_floor_range(y), sign, floors)
+    map: the layer's BnQuantizer code floors, a (levels, C) matrix,
+    counted over the whole map at once."""
+    q = BnQuantizer(bn_list, d, n)
+    return count_code_floors(check_floor_range(y), q.sign, q.floors)
 
 
 def dense_infer(net, params, image: np.ndarray) -> np.ndarray:

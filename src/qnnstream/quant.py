@@ -5,16 +5,19 @@ batchnorm parameters into integer threshold activations, the exact
 batchnorm quantizer the oracle checks them against, and the one counter
 that turns accumulators into activation codes. Everything here is pure
 and exact: thresholds and code floors are derived in Python integers
-from the parameters' exact integer ratios, so the integer decision
-procedure agrees with the mathematical definition on every integer
-accumulator value, not just away from boundaries.
+from the parameters' exact values, so the integer decision procedure
+agrees with the mathematical definition on every integer accumulator
+value, not just away from boundaries.
 
 The engine's boundaries and the oracle's are derived apart:
-fold_batchnorm gives the ThresholdSets the stages stack
-(kernels.stack_thresholds), BnQuantizer the code floors the oracle
-stacks, and neither derivation names the other. Both then count with
-count_code_floors: the code of a is the number of integer floors that
-sign * a reaches.
+fold_batchnorm gives each channel's ThresholdSet from exact integer
+ratios (float.as_integer_ratio), and the stages stack them
+(kernels.stack_thresholds). BnQuantizer gives a whole layer's code
+floors at once, from the dyadic mantissas and exponents of its
+parameters (np.frexp), with Python ints in object arrays where the
+scaled coefficients outgrow int64. Neither derivation names the other.
+Both then count with count_code_floors: the code of a is the number of
+integer floors that sign * a reaches.
 
 popcount_dot is the modelled XNOR/popcount datapath. A conv stage over
 activation codes runs it unless a float32 product with a +/-1 matrix
@@ -55,6 +58,12 @@ CODE_FLOOR_LIMIT = 1 << 62
 # resnet18 map counts its levels in one block; an 8-bit 112 x 112 x 64
 # map takes 51 blocks of 5 levels instead of one 205 MB comparison.
 COUNT_BLOCK_BYTES = 1 << 22
+
+# x = m * 2**(e - 53) for the 53-bit mantissa m = ldexp(frac, 53) of
+# frexp's (frac, e), so BnQuantizer's summed frexp exponents of pm (two
+# factors), pm * mm (three), bm and dm less these are each term's
+# exponent plus 53; a shift common to all terms moves no floor
+_EXP_OFFSETS = np.array([[53], [106], [0], [0]])
 
 
 def check_floor_range(accums) -> np.ndarray:
@@ -240,56 +249,63 @@ def fold_batchnorm(p: BnParams, d: float, n: int) -> ThresholdSet:
 
 
 class BnQuantizer:
-    """Exact composition of batchnorm and the uniform quantizer.
+    """Exact composition of batchnorm and the uniform quantizer for the
+    channels of one layer: bn_list holds one BnParams per channel.
 
-    code(a) = clamp(floor(batchnorm(a) / d), 0, 2**n - 1) computed with
-    integer arithmetic, so it is the ground truth the threshold path must
-    reproduce. Parameters are taken rationally via float.as_integer_ratio.
+    code(a) = clamp(floor(batchnorm(a) / d), 0, 2**n - 1), so code(a) >= k
+    iff gamma * inv_std * (a - mean) + bias >= k * d, for k = 1 .. 2**n - 1.
+    It is the ground truth the threshold path must reproduce.
 
-    With batchnorm(a) / d = (A * a + C) / D and D > 0, code(a) >= k iff
-    A * a + C >= k * D, for k = 1 .. 2**n - 1. With sign the sign of A
-    that is sign * a >= floors[k - 1], where the code floor is
-    ceil((k * D - C) / |A|): the same as ceil((kD - C) / A) for A > 0 and
-    -floor((kD - C) / A) for A < 0. The floors are derived here, in
-    Python integers, from these coefficients alone, and clamped to
-    +/- CODE_FLOOR_LIMIT, which decides no accumulator of smaller
-    magnitude differently.
+    Every float is exactly m * 2**e with an integer mantissa m of at most
+    53 bits; np.frexp and np.ldexp(., 53) give them for every field of
+    every channel at once. With pm = gm * sm and pe = ge + se for
+    gamma * inv_std, the rule scaled by 2**-low, low the least exponent of
+    its terms, reads A * a + C >= k * D in integers:
+
+        A = pm * 2**(pe - low)
+        C = bm * 2**(be - low) - pm * mm * 2**(pe + me - low)
+        D = dm * 2**(de - low) > 0
+
+    With sign the sign of A that is sign * a >= ceil((k * D - C) / |A|),
+    the code floor -((C - k * D) // |A|), clamped to +/- CODE_FLOOR_LIMIT,
+    which decides no accumulator of smaller magnitude differently. A, C
+    and D outgrow int64, so they are Python ints in object arrays, and
+    every channel's floors for every k come from a few array operations.
+    sign is (C,) and floors (levels, C), both int64: the layout
+    count_code_floors takes for an (..., C) map.
     """
 
-    def __init__(self, p: BnParams, d: float, n: int):
-        if d <= 0:
+    def __init__(self, bn_list, d: float, n: int):
+        if not d > 0:
             raise QuantizationError("range size d must be positive")
-        gn, gd = float(p.gamma).as_integer_ratio()
-        sn, sd = float(p.inv_std).as_integer_ratio()
-        pn, pd = gn * sn, gd * sd  # gamma * inv_std
-        if pn == 0:
+        # one row per field: gamma, inv_std, mean, bias and d, by channel
+        fields = np.array([(p.gamma, p.inv_std, p.mean, p.bias, d) for p in bn_list],
+                          dtype=np.float64).reshape(-1, 5).T
+        if not np.isfinite(fields).all():
+            raise QuantizationError("batchnorm parameters and d must be finite")
+        frac, exps = np.frexp(fields)
+        mants = np.ldexp(frac, 53).astype(np.int64)
+        # the mantissa product is zero only if a factor is; the float
+        # product also underflows to zero for a pair of subnormals
+        if not mants[:2].all():
             raise QuantizationError("degenerate channel: gamma * inv_std is zero")
-        # batchnorm(a) / d = (A * a + C) / D with D > 0; the ratios are
-        # not reduced, which scales A, C and D alike and moves no floor
-        mn, md = float(p.mean).as_integer_ratio()
-        bn_, bd = float(p.bias).as_integer_ratio()
-        dn, dd = float(d).as_integer_ratio()
-        self.a_coef = dd * pn * bd * md
-        self.c_coef = dd * (bn_ * pd * md - pn * bd * mn)
-        self.d_coef = pd * md * bd * dn
-        self.max_code = (1 << n) - 1
-        self.sign = 1 if self.a_coef > 0 else -1
-        mag, lim = abs(self.a_coef), CODE_FLOOR_LIMIT
-        self.floors = tuple([
-            min(max(-((self.c_coef - k * self.d_coef) // mag), -lim), lim)
-            for k in range(1, self.max_code + 1)])
-
-    def quantize(self, a: int) -> int:
-        code = (self.a_coef * int(a) + self.c_coef) // self.d_coef
-        if code < 0:
-            return 0
-        if code > self.max_code:
-            return self.max_code
-        return int(code)
+        self.sign = ((mants[0] ^ mants[1]) >> 63) | 1
+        # rows gm, pm = gm * sm, pm * mm, bm and dm, as Python ints, and
+        # the sums of their factors' frexp exponents
+        terms = mants.astype(object)
+        np.multiply.accumulate(terms[:3], axis=0, out=terms[:3])
+        np.add.accumulate(exps[:3], axis=0, out=exps[:3])
+        exps = exps[1:] - _EXP_OFFSETS
+        a, pm_mu, b, dm = terms[1:] << (exps - exps.min(axis=0))
+        levels = np.arange(1, 1 << n)[:, None]
+        lim = CODE_FLOOR_LIMIT
+        quot = (b - pm_mu - levels * dm) // np.abs(a)
+        self.floors = -np.minimum(np.maximum(quot, -lim), lim).astype(np.int64)
 
     def quantize_array(self, accums: np.ndarray) -> np.ndarray:
-        """quantize of every element, the same shape in int64: the count
-        of code floors that sign * a reaches (count_code_floors)."""
+        """The codes of an (..., C) accumulator map, or of any shape for
+        one channel, in int64: the count of code floors that sign * a
+        reaches (count_code_floors)."""
         return count_code_floors(check_floor_range(accums), self.sign, self.floors)
 
 
@@ -305,7 +321,9 @@ def count_code_floors(accums: np.ndarray, sign, floors) -> np.ndarray:
     shaped (levels, 1, ..., 1, C), meet sign * accums in one broadcast
     comparison summed over the levels axis. Where that comparison would
     pass COUNT_BLOCK_BYTES it runs over blocks of levels that stay
-    within it. Returns int64 codes of the shape of accums.
+    within it. The sums are uint8 for up to 255 levels (n <= 8), which
+    cannot wrap, and widen to int64 once: returns int64 codes of the
+    shape of accums.
 
     The count is exact for accumulators of magnitude below
     CODE_FLOOR_LIMIT. The oracle's may come from anywhere, so it checks
@@ -317,10 +335,12 @@ def count_code_floors(accums: np.ndarray, sign, floors) -> np.ndarray:
     floors = np.ascontiguousarray(floors, dtype=np.int64)
     floors = floors.reshape(floors.shape[:1] + (1,) * (signed.ndim + 1 - floors.ndim)
                             + floors.shape[1:])
+    # np.add.reduce, not .sum: a one-pixel call pays no Python wrapper
+    count = np.uint8 if len(floors) < 256 else np.int64
     if signed.size * len(floors) <= COUNT_BLOCK_BYTES:
-        return (signed >= floors).sum(axis=0)
+        return np.add.reduce(signed >= floors, axis=0, dtype=count).astype(np.int64)
     block = max(COUNT_BLOCK_BYTES // signed.size, 1)
-    codes = np.zeros(signed.shape, dtype=np.int64)
+    codes = np.zeros(signed.shape, dtype=count)
     for lo in range(0, len(floors), block):
-        codes += (signed >= floors[lo:lo + block]).sum(axis=0)
-    return codes
+        codes += np.add.reduce(signed >= floors[lo:lo + block], axis=0, dtype=count)
+    return codes.astype(np.int64)

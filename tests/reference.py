@@ -7,6 +7,11 @@ form, for the tests to hold the fast paths to.
   exact statement of the threshold rule. quant.fold_batchnorm, which
   works in Python integers, must give the same ThresholdSet for every
   parameter set and raise the same errors.
+- bn_code_fraction is the code of one accumulator under batchnorm and
+  the uniform quantizer, in Fractions; bn_code_floors_fraction states
+  one channel's code floors in Fractions. quant.BnQuantizer, which
+  derives a whole layer's floors from dyadic mantissas, must give the
+  same sign and floors for every channel.
 - apply_threshold decides one code from a ThresholdSet by binary search,
   the scalar reference of quant.count_code_floors; batchnorm and
   quantize_reference are the float semantics both must meet.
@@ -28,7 +33,7 @@ import numpy as np
 from qnnstream.errors import QuantizationError, ShapeError
 from qnnstream.netdesc import blob_layout
 from qnnstream.oracle import pad_dense
-from qnnstream.quant import BnParams, ThresholdSet
+from qnnstream.quant import CODE_FLOOR_LIMIT, BnParams, ThresholdSet
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -67,6 +72,37 @@ def fold_batchnorm_fraction(p: BnParams, d: float, n: int) -> ThresholdSet:
     return ThresholdSet(values=values, inverted=inverted, n=n)
 
 
+def _bn_ratio(p: BnParams, d: float) -> Fraction:
+    if d <= 0:
+        raise QuantizationError("range size d must be positive")
+    gi = Fraction(p.gamma) * Fraction(p.inv_std)
+    if gi == 0:
+        raise QuantizationError("degenerate channel: gamma * inv_std is zero")
+    return gi
+
+
+def bn_code_fraction(a: int, p: BnParams, d: float, n: int) -> int:
+    """clamp(floor((gamma * inv_std * (a - mean) + bias) / d), 0, 2**n - 1)
+    for an integer accumulator a, in Fractions."""
+    gi = _bn_ratio(p, d)
+    y = gi * (int(a) - Fraction(p.mean)) + Fraction(p.bias)
+    return min(max(_floor_frac(y / Fraction(d)), 0), (1 << n) - 1)
+
+
+def bn_code_floors_fraction(p: BnParams, d: float, n: int):
+    """One channel's (sign, floors): floors[k - 1] is the least integer
+    f_k such that sign * a >= f_k iff
+    gamma * inv_std * (a - mean) + bias >= k * d, for k = 1 .. 2**n - 1
+    and sign the sign of gamma * inv_std; each clamped to
+    +/- CODE_FLOOR_LIMIT."""
+    gi = _bn_ratio(p, d)
+    sign = 1 if gi > 0 else -1
+    # gi * (a - mean) + bias >= k * d iff sign * a >= sign * (mean + (k * d - bias) / gi)
+    mean, bias, d = Fraction(p.mean), Fraction(p.bias), Fraction(d)
+    floors = [_ceil_frac(sign * (mean + (k * d - bias) / gi)) for k in range(1, 1 << n)]
+    return sign, [min(max(f, -CODE_FLOOR_LIMIT), CODE_FLOOR_LIMIT) for f in floors]
+
+
 def apply_threshold(a: int, ts: ThresholdSet) -> int:
     """Activation code for accumulator a, a pure integer binary search.
 
@@ -87,7 +123,8 @@ def quantize_reference(y: float, d: float, n: int) -> int:
     """Uniform quantizer over [0, 2**n * d): clamp(floor(y / d), 0, 2**n - 1).
 
     Float reference semantics. For exact integer-domain work use
-    BnQuantizer, which composes batchnorm and this quantizer rationally.
+    bn_code_fraction, which composes batchnorm and this quantizer
+    rationally.
     """
     if d <= 0:
         raise QuantizationError("range size d must be positive")

@@ -109,6 +109,25 @@ def test_partition_alexnet(capsys):
     assert [l["required_mbps"] for l in doc["links"]] == [210.0]
 
 
+@pytest.mark.parametrize("builtin, devices, chained, single", [
+    ("resnet18", 2, 2288028, 2364388),
+    ("alexnet", 2, 706560, 711656),
+    ("vgg", 1, 231906, 231906),
+])
+def test_partition_prints_chained_total(builtin, devices, chained, single, capsys):
+    # the chained frame total under the placement's ranges, against the
+    # one-device total that estimate prints
+    assert main(["partition", "--builtin", builtin, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["devices"]) == devices
+    assert doc["chained_total_cycles"] == chained
+    assert main(["partition", "--builtin", builtin]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["chained total %d cycles" % chained, "feasible"]
+    assert main(["estimate", "--builtin", builtin, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["estimates"][0]["total_cycles"] == single
+
+
 def test_partition_infeasible_link(capsys):
     rc = main(["partition", "--builtin", "alexnet",
                "--link-gbps", "0.0001"])

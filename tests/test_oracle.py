@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import dense_conv_loops
+from reference import bn_code_fraction, dense_conv_loops
 from qnnstream.errors import AccumOverflowError, QuantizationError
 from qnnstream.netdesc import load_params, parse_netdesc
 from qnnstream.oracle import (
@@ -86,14 +86,15 @@ def test_quantize_dense_matches_scalar(rng):
            BnParams(gamma=-1.2, mean=3.0, inv_std=0.8, bias=1.7),
            BnParams(gamma=5e-324, mean=0.0, inv_std=1e-30, bias=1.5),
            BnParams(gamma=-0.05, mean=100.0, inv_std=2.0, bias=-0.3)]
-    qs = [BnQuantizer(bn, 0.9, 2) for bn in bns]
-    assert [abs(f) for f in qs[2].floors] == [CODE_FLOOR_LIMIT] * 3
+    q = BnQuantizer(bns, 0.9, 2)
+    assert q.sign.tolist() == [1, -1, 1, -1]
+    assert np.abs(q.floors[:, 2]).tolist() == [CODE_FLOOR_LIMIT] * 3
     y = rng.integers(-300, 300, size=(3, 5, 4))
     y[0, 0] = CODE_FLOOR_LIMIT - 1
     y[0, 1] = 1 - CODE_FLOOR_LIMIT
     out = quantize_dense(y, bns, 0.9, 2)
     assert out.dtype == np.int64 and out.shape == y.shape
-    want = [[[q.quantize(a) for q, a in zip(qs, pixel)] for pixel in row]
+    want = [[[bn_code_fraction(a, bn, 0.9, 2) for bn, a in zip(bns, pixel)] for pixel in row]
             for row in y.tolist()]
     assert out.tolist() == want
     assert set(out[..., 2].reshape(-1).tolist()) == {1}
@@ -103,7 +104,7 @@ def test_quantize_dense_matches_scalar(rng):
         with pytest.raises(QuantizationError):
             quantize_dense(y, bns, 0.9, 2)
         with pytest.raises(QuantizationError):
-            qs[1].quantize_array(y[..., 1])
+            BnQuantizer(bns[1:2], 0.9, 2).quantize_array(y[..., 1])
 
 
 def test_dense_maxpool_includes_zero_pads():

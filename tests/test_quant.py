@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, assume, strategies as st
 from reference import (
     apply_threshold,
     batchnorm,
+    bn_code_floors_fraction,
+    bn_code_fraction,
     codes_to_planes,
     fold_batchnorm_fraction,
     plane_dot,
@@ -279,7 +281,7 @@ def test_fold_validation():
     with pytest.raises(QuantizationError):
         fold_batchnorm(BnParams(0.0, 0.0, 1.0, 0.0), 1.0, 2)
     with pytest.raises(QuantizationError):
-        BnQuantizer(BnParams(1.0, 0.0, 0.0, 0.0), 1.0, 2)
+        BnQuantizer([BnParams(1.0, 0.0, 0.0, 0.0)], 1.0, 2)
 
 
 def test_threshold_set_validation():
@@ -309,8 +311,9 @@ def _params_strategy():
 def test_threshold_path_equals_exact_quantizer(p, d, n, a):
     assume(p.gamma != 0.0)
     ts = fold_batchnorm(p, d, n)
-    q = BnQuantizer(p, d, n)
-    assert apply_threshold(a, ts) == q.quantize(a)
+    want = bn_code_fraction(a, p, d, n)
+    assert apply_threshold(a, ts) == want
+    assert BnQuantizer([p], d, n).quantize_array(np.array([a])).tolist() == [want]
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,20 +324,25 @@ def test_threshold_path_equals_exact_quantizer(p, d, n, a):
 def test_threshold_path_near_every_threshold(p, d, n):
     assume(p.gamma != 0.0)
     ts = fold_batchnorm(p, d, n)
-    q = BnQuantizer(p, d, n)
-    for t in ts.values:
-        for a in range(t - 2, t + 3):
-            assert apply_threshold(a, ts) == q.quantize(a)
+    accs = [a for t in ts.values for a in range(t - 2, t + 3)]
+    want = [bn_code_fraction(a, p, d, n) for a in accs]
+    assert [apply_threshold(a, ts) for a in accs] == want
+    # the array path takes the accumulators of magnitude below 2**62
+    fits = [abs(a) < CODE_FLOOR_LIMIT for a in accs]
+    got = BnQuantizer([p], d, n).quantize_array(np.array([a for a, ok in zip(accs, fits) if ok],
+                                                         dtype=np.int64))
+    assert got.tolist() == [w for w, ok in zip(want, fits) if ok]
 
 
 def test_quantize_array_matches_scalar(rng):
+    # one channel's floors broadcast over a map of any shape
     p = BnParams(gamma=0.37, mean=-2.5, inv_std=1.9, bias=0.41)
-    q = BnQuantizer(p, 1.3, 3)
+    q = BnQuantizer([p], 1.3, 3)
     accs = rng.integers(-5000, 5000, size=(4, 7))
     out = q.quantize_array(accs)
     assert out.shape == accs.shape
     for idx in np.ndindex(accs.shape):
-        assert out[idx] == q.quantize(int(accs[idx]))
+        assert out[idx] == bn_code_fraction(int(accs[idx]), p, 1.3, 3)
 
 
 def _wide_params_strategy():
@@ -357,7 +365,7 @@ _RANGE_SIZE = st.floats(min_value=1e-3, max_value=16.0)
 @given(p=_wide_params_strategy(), d=_RANGE_SIZE,
        n=st.integers(min_value=1, max_value=8), data=st.data())
 def test_quantize_array_matches_scalar_property(p, d, n, data):
-    q = BnQuantizer(p, d, n)
+    q = BnQuantizer([p], d, n)
     shape = data.draw(st.one_of(
         st.just((0,)),
         st.tuples(st.integers(1, 12)),
@@ -369,22 +377,28 @@ def test_quantize_array_matches_scalar_property(p, d, n, data):
     accs = np.array(picks, dtype=np.int64).reshape(shape)
     out = q.quantize_array(accs)
     assert out.dtype == np.int64 and out.shape == shape
-    assert out.reshape(-1).tolist() == [q.quantize(a) for a in picks]
+    codes = {a: bn_code_fraction(a, p, d, n) for a in pool}
+    assert out.reshape(-1).tolist() == [codes[a] for a in picks]
 
 
 @settings(max_examples=100, deadline=None)
 @given(p=_wide_params_strategy(), d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
 def test_code_floors_are_tight(p, d, n):
     # floor k is the least sign * a whose code is at least k, and the
-    # counting path equals the scalar quantizer around every floor
-    q = BnQuantizer(p, d, n)
-    assert len(q.floors) == (1 << n) - 1
-    for k, f in enumerate(q.floors, start=1):
+    # counting path equals the count of the reference floors around
+    # every floor
+    q = BnQuantizer([p], d, n)
+    sign, floors = bn_code_floors_fraction(p, d, n)
+    assert q.floors.shape == ((1 << n) - 1, 1)
+    assert q.sign.tolist() == [sign] and q.floors[:, 0].tolist() == floors
+    accs = []
+    for k, f in enumerate(floors, start=1):
         if abs(f) >= CODE_FLOOR_LIMIT - 2:
             continue  # clamped: no accumulator in range reaches past it
-        assert q.quantize(q.sign * f) >= k > q.quantize(q.sign * (f - 1))
-        accs = q.sign * np.arange(f - 2, f + 3, dtype=np.int64)
-        assert q.quantize_array(accs).tolist() == [q.quantize(a) for a in accs.tolist()]
+        assert bn_code_fraction(sign * f, p, d, n) >= k > bn_code_fraction(sign * (f - 1), p, d, n)
+        accs += [sign * a for a in range(f - 2, f + 3)]
+    want = [sum(sign * a >= f for f in floors) for a in accs]
+    assert q.quantize_array(np.array(accs, dtype=np.int64)).tolist() == want
 
 
 # an inverted channel, and clamped ones of either direction
@@ -400,8 +414,8 @@ _EDGE_PARAMS = st.sampled_from([
        d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8), data=st.data())
 def test_count_code_floors_matches_both_references(ps, d, n, data):
     # the one counter, fed the engine's stacked thresholds and the
-    # oracle's stacked floors, equals apply_threshold and
-    # BnQuantizer.quantize on every layout the stages and the oracle use:
+    # oracle's floors, equals apply_threshold and bn_code_fraction on
+    # every layout the stages and the oracle use:
     # channels last over rows or a map, or one channel broadcast over all
     c = len(ps)
     shape = data.draw(st.sampled_from([
@@ -411,7 +425,6 @@ def test_count_code_floors_matches_both_references(ps, d, n, data):
     if shape[-1] != c:
         ps = ps[:1]  # one channel's floors broadcast over every element
     sets = [fold_batchnorm(p, d, n) for p in ps]
-    qs = [BnQuantizer(p, d, n) for p in ps]
     lim = CODE_FLOOR_LIMIT - 1
     pool = [-lim, lim, 0] + [min(max(v + off, -lim), lim)
                              for ts in sets for v in ts.values for off in (-1, 0, 1)]
@@ -420,12 +433,14 @@ def test_count_code_floors_matches_both_references(ps, d, n, data):
     accs = np.array(picks, dtype=np.int64).reshape(shape)
     chans = [idx[-1] % len(ps) for idx in np.ndindex(shape)]
     engine = count_code_floors(accs, *stack_thresholds(sets))
-    oracle = quantize_dense(accs, ps, d, n) if len(ps) > 1 else qs[0].quantize_array(accs)
+    oracle = quantize_dense(accs, ps, d, n) if len(ps) > 1 else \
+        BnQuantizer(ps, d, n).quantize_array(accs)
     for got in (engine, oracle):
         assert got.dtype == np.int64 and got.shape == shape
     assert engine.reshape(-1).tolist() == [apply_threshold(a, sets[j])
                                            for a, j in zip(picks, chans)]
-    assert oracle.reshape(-1).tolist() == [qs[j].quantize(a) for a, j in zip(picks, chans)]
+    assert oracle.reshape(-1).tolist() == [bn_code_fraction(a, ps[j], d, n)
+                                           for a, j in zip(picks, chans)]
 
 
 def test_count_code_floors_in_blocks(rng, monkeypatch):
@@ -437,7 +452,7 @@ def test_count_code_floors_in_blocks(rng, monkeypatch):
                    bias=float(rng.uniform(-3, 3))) for _ in range(5)]
     sets = [fold_batchnorm(p, d, n) for p in ps]
     accs = rng.integers(-3000, 3000, size=(6, 4, 5))
-    want = [[[BnQuantizer(p, d, n).quantize(a) for a, p in zip(px, ps)] for px in row]
+    want = [[[bn_code_fraction(a, p, d, n) for a, p in zip(px, ps)] for px in row]
             for row in accs.tolist()]
     assert len({code for row in want for px in row for code in px}) > 30
     for block in (7, 4 * accs.size):
@@ -482,13 +497,136 @@ def test_fold_errors_equal_fraction_fold(p, d, n):
 
 @settings(max_examples=150, deadline=None)
 @given(p=_wide_params_strategy(), d=_RANGE_SIZE)
+# gamma * inv_std is zero as a float product but not as a rational, of
+# either sign
+@example(p=BnParams(gamma=1e-300, mean=0.0, inv_std=1e-300, bias=0.0), d=1.0)
+@example(p=BnParams(gamma=-5e-324, mean=-7.5, inv_std=5e-324, bias=3.0), d=1e-3)
 def test_quantizer_coefficients_equal_fraction_derivation(p, d):
-    # batchnorm(a) / d = (A * a + C) / D, the same rationals as Fraction gives
-    q = BnQuantizer(p, d, 2)
-    gi = Fraction(p.gamma) * Fraction(p.inv_std)
-    assert q.d_coef > 0
-    assert Fraction(q.a_coef, q.d_coef) == gi / Fraction(d)
-    assert Fraction(q.c_coef, q.d_coef) == (Fraction(p.bias) - gi * Fraction(p.mean)) / Fraction(d)
+    # the dyadic coefficients decide as the rationals do: one channel's
+    # sign is that of the exact gamma * inv_std, its floors the Fraction
+    # rule's
+    q = BnQuantizer([p], d, 2)
+    assert q.sign.tolist() == [1 if Fraction(p.gamma) * Fraction(p.inv_std) > 0 else -1]
+    assert q.floors[:, 0].tolist() == bn_code_floors_fraction(p, d, 2)[1]
+
+
+def _layer_equals_fraction(ps, d, n):
+    q = BnQuantizer(ps, d, n)
+    refs = [bn_code_floors_fraction(p, d, n) for p in ps]
+    assert q.sign.dtype == np.int64 and q.floors.dtype == np.int64
+    assert q.sign.shape == (len(ps),) and q.floors.shape == ((1 << n) - 1, len(ps))
+    assert q.sign.tolist() == [sign for sign, _ in refs]
+    for column, (_, floors) in zip(q.floors.T.tolist(), refs):
+        assert column == floors
+
+
+def _negated_inv_std(p):
+    return BnParams(gamma=p.gamma, mean=p.mean, inv_std=-p.inv_std, bias=p.bias)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ps=st.lists(st.one_of(_wide_params_strategy(), _EDGE_PARAMS,
+                             _wide_params_strategy().map(_negated_inv_std)),
+                   min_size=1, max_size=8),
+       d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
+def test_layer_floors_equal_fraction_property(ps, d, n):
+    # a whole layer in one pass: every channel's sign and floor column
+    # equal the Fraction rule's, subnormal, clamped and inverted ones
+    # too, with the sign of gamma or of inv_std negative
+    _layer_equals_fraction(ps, d, n)
+
+
+def test_layer_floors_frozen():
+    # the frozen fold cases, as floors: exact integer boundaries, an
+    # inverted channel by a negative gamma and by a negative inv_std
+    ps = [BnParams(gamma=1.0, mean=13.0, inv_std=1.0, bias=0.0),
+          BnParams(gamma=-1.0, mean=0.0, inv_std=1.0, bias=10.0),
+          BnParams(gamma=1.0, mean=0.0, inv_std=-1.0, bias=10.0)]
+    q = BnQuantizer(ps, 4.0, 2)
+    assert q.sign.tolist() == [1, -1, -1]
+    assert q.floors.T.tolist() == [[17, 21, 25], [-6, -2, 2], [-6, -2, 2]]
+    # k * D - C one unit past a multiple of |A|: the last floor rounds up
+    e = 1 + 2**-52
+    p = BnParams(gamma=e, mean=e, inv_std=e, bias=1.0)
+    assert bn_code_floors_fraction(p, e, 2) == (1, [2, 3, 4])
+    assert BnQuantizer([p], e, 2).floors[:, 0].tolist() == [2, 3, 4]
+
+
+@pytest.mark.parametrize("channels", [1, 512])
+def test_layer_floors_equal_fraction_fixed(channels, rng):
+    # float32 parameters, as load_params gives them, over wide magnitudes
+    draws = rng.standard_normal((channels, 4)) * 10.0 ** rng.integers(-40, 30, (channels, 4))
+    g, m, i, b = np.float32(draws).T.tolist()
+    ps = [BnParams(gamma=gv or 1.0, mean=mv, inv_std=abs(iv) or 1.0, bias=bv)
+          for gv, mv, iv, bv in zip(g, m, i, b)]
+    for d, n in ((0.37, 2), (1e-3, 3), (2.5, 8)):
+        _layer_equals_fraction(ps if n < 8 else ps[:64], d, n)
+
+
+_GOOD = BnParams(gamma=1.5, mean=0.25, inv_std=2.0, bias=-1.0)
+
+
+def _layer_with_bad_last(bad):
+    return [_GOOD, BnParams(**{**vars(_GOOD), **bad})]
+
+
+@pytest.mark.parametrize("bad, d", [
+    ({}, 0.0), ({}, -1.5), ({"gamma": 0.0}, 1.0), ({"gamma": -0.0}, 1.0),
+    ({"inv_std": 0.0}, 1.0),
+], ids=["d_zero", "d_negative", "gamma_zero", "gamma_negzero", "inv_std_zero"])
+def test_quantizer_errors_equal_fraction_rule(bad, d):
+    # a bad last channel fails the whole layer with the Fraction rule's
+    # error
+    ps = _layer_with_bad_last(bad)
+    with pytest.raises(QuantizationError) as ref:
+        bn_code_floors_fraction(ps[1], d, 2)
+    with pytest.raises(QuantizationError) as got:
+        BnQuantizer(ps, d, 2)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("bad, d", [
+    ({}, float("nan")), ({}, float("inf")), ({"gamma": float("nan")}, 1.0),
+    ({"inv_std": float("inf")}, 1.0), ({"mean": float("-inf")}, 1.0),
+    ({"bias": float("nan")}, 1.0),
+], ids=["d_nan", "d_inf", "gamma_nan", "inv_std_inf", "mean_neginf", "bias_nan"])
+def test_quantizer_refuses_non_finite(bad, d):
+    # no float ratio and no mantissa exists for these: a QuantizationError,
+    # not an OverflowError or a floor from a garbage mantissa
+    with pytest.raises(QuantizationError):
+        BnQuantizer(_layer_with_bad_last(bad), d, 2)
+
+
+def test_quantizer_subnormal_pair_is_not_degenerate():
+    # gamma * inv_std underflows to 0.0 as floats; the mantissa product
+    # does not, and the channel quantizes by the rational rule
+    p = BnParams(gamma=-5e-324, mean=0.0, inv_std=5e-324, bias=2.0)
+    assert p.gamma * p.inv_std == 0.0
+    _layer_equals_fraction([p], 1.0, 2)
+
+
+@pytest.mark.parametrize("block", [None, 7, 4 * 120], ids=["one", "per_level", "four"])
+def test_count_code_floors_255_levels(block, rng, monkeypatch):
+    # 8-bit codes: 255 levels, the most a uint8 count holds; in one
+    # block, then over 120 accumulators in blocks too small for one
+    # level, or of 4 levels with a shorter last block (255 = 63 * 4 + 3)
+    n, d = 8, 0.5
+    ps = [BnParams(gamma=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)),
+                   mean=float(rng.uniform(-50, 50)), inv_std=float(rng.uniform(0.5, 2.0)),
+                   bias=float(rng.uniform(-3, 3))) for _ in range(3)]
+    sets = [fold_batchnorm(p, d, n) for p in ps]
+    lo = min(min(ts.values) for ts in sets)
+    hi = max(max(ts.values) for ts in sets)
+    accs = rng.integers(lo - 20, hi + 20, size=(40, 3))
+    accs[0] = lo - 20  # every level below, for every channel
+    accs[1] = hi + 20  # and above
+    if block:
+        monkeypatch.setattr(quant, "COUNT_BLOCK_BYTES", block)
+    got = count_code_floors(accs, *stack_thresholds(sets))
+    assert got.dtype == np.int64
+    want = [[apply_threshold(a, ts) for a, ts in zip(row, sets)] for row in accs.tolist()]
+    assert got.tolist() == want
+    assert {0, 255} <= {code for row in want for code in row}
 
 
 def test_accum_bits_constant():

@@ -25,7 +25,6 @@ from .engine import (
     CIN_MODES,
     STALL_MODELS,
     ModelConfig,
-    Partition,
     build_graph,
     estimate_cycles,
     run,
@@ -218,11 +217,7 @@ def cmd_partition(args) -> int:
     placement = partition_network(net, budget, max_devices=args.max_devices,
                                   cfg=cfg)
     # the frame total of the chained model under the placement's ranges
-    ranges, first = [], 0
-    for d in placement.devices:
-        ranges.append((first, first + len(d.stages) - 1))
-        first += len(d.stages)
-    chained = estimate_cycles(net, cfg, Partition(ranges=tuple(ranges))).total_cycles
+    chained = estimate_cycles(net, cfg, placement.partition).total_cycles
     if args.format == "json":
         _print_json({
             "devices": [{

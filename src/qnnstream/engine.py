@@ -263,8 +263,8 @@ def plan_edges(plans):
     for p in plans:
         if p.main_src >= 0:
             q = plans[p.main_src]
-            on_skip_path = p.kind == "subsample"
-            shape = q.skip_shape if (on_skip_path and q.skip_shape is not None) else q.out_shape
+            on_skip_path = p.kind == "subsample"  # fed by a tee's or a join's skip slot
+            shape = q.skip_shape if on_skip_path else q.out_shape
             edges.append((q.index, p.index, shape, on_skip_path))
         if p.kind == "join":
             q = plans[p.skip_src]
@@ -297,7 +297,7 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
     stages[0].in_fifo = source_fifo
     for src, dst, shape, is_skip in plan_edges(plans):
         p, q = plans[dst], plans[src]
-        into_skip = p.kind == "join" and is_skip and q.index == p.skip_src
+        into_skip = p.kind == "join" and is_skip
         cap = skip_store_elements(plans, p) if into_skip else regular_cap(shape)
         fifo = Fifo(cap, "%s->%s" % (q.name, p.name))
         fifos.append(fifo)

@@ -16,13 +16,18 @@ only where an accumulator consumer follows). fc without d= does the same,
 which is how a classifier head exposes its final accumulators. Pools take
 an optional p= since strided pooling may need edge padding to hit the
 intended output size. A resblock whose shape changes (stride or channel
-growth) must say proj, and only then.
+growth) must say proj, and only then. The parser resolves each layer's
+stream shapes as it reads the layer's line, so an error names the first
+line that is wrong, whether in its syntax or in its shapes.
 
 Parameters travel in a flat little-endian blob: magic QNNP, version,
 layer count, one f32 quantization range d per layer (0 where the layer
 has none), then per layer the raw f32 weights in cache order (output
 channel outer, then row, column, channel fastest) followed by the
-gamma, mean, inv_std, bias arrays. Weights are binarized on load.
+gamma, mean, inv_std, bias arrays. _blob_slots is the one place that
+order is written down: it maps a flat payload to per-layer views, which
+load_params reads, and save_params and random_params assign into.
+Weights are binarized on load.
 """
 
 import math
@@ -38,15 +43,12 @@ from .quant import ACCUM_BITS, BnParams, WeightBlock, fold_batchnorm
 DEFAULT_ACT_BITS = 2
 PARAMS_MAGIC = b"QNNP"
 PARAMS_VERSION = 1
+_HEADER = struct.Struct("<4sII")  # magic, version, layer count
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     kind: str  # input | conv | maxpool | avgpool | resblock | fc
-    h: int = 0
-    w: int = 0
-    c: int = 0
-    bits: int = 0
     k: int = 0
     s: int = 1
     p: int = 0
@@ -57,7 +59,6 @@ class LayerSpec:
     proj: bool = False
     in_shape: StreamShape = None
     out_shape: StreamShape = None
-    src_line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,10 @@ def _act_field(kv, line_no):
 
 
 def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
+    """Parse a description, resolving each layer's stream shapes as its
+    line is read; any error is a NetdescError naming that line."""
     layers = []
+    cur = None  # the shape of the stream the next layer reads
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -155,8 +159,8 @@ def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
                 raise NetdescError("input dims must be positive", line_no)
             if not 1 <= bits <= 8:
                 raise NetdescError("input bits must be 1..8", line_no)
-            layers.append(LayerSpec(kind="input", h=h, w=w, c=c, bits=bits,
-                                    src_line=line_no))
+            cur = StreamShape(h, w, c, "u8" if bits == 8 else "code", bits)
+            layers.append(LayerSpec(kind="input", in_shape=cur, out_shape=cur))
             continue
         if not layers:
             raise NetdescError("first directive must be input", line_no)
@@ -167,22 +171,22 @@ def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
                 raise NetdescError("conv with an activation needs d=", line_no)
             if not fused and "d" in kv:
                 raise NetdescError("conv with act=none takes no d=", line_no)
-            layers.append(LayerSpec(
+            layer = LayerSpec(
                 kind="conv",
                 k=_int_field(kv, "k", line_no, minimum=1),
                 s=_int_field(kv, "s", line_no, minimum=1),
                 p=_int_field(kv, "p", line_no, minimum=0),
                 o=_int_field(kv, "o", line_no, minimum=1),
                 d=_float_field(kv, "d", line_no) if fused else 0.0,
-                fused=fused, act_bits=act, src_line=line_no))
+                fused=fused, act_bits=act, in_shape=cur)
         elif directive in ("maxpool", "avgpool"):
             kv = _kv_tokens(args, line_no, ("k", "s", "p"))
-            layers.append(LayerSpec(
+            layer = LayerSpec(
                 kind=directive,
                 k=_int_field(kv, "k", line_no, minimum=1),
                 s=_int_field(kv, "s", line_no, minimum=1),
                 p=_int_field(kv, "p", line_no, default=0, minimum=0),
-                src_line=line_no))
+                in_shape=cur)
         elif directive == "resblock":
             kv = _kv_tokens(args, line_no, ("o", "s", "d", "act"), flags=("proj",))
             if "d" not in kv:
@@ -190,12 +194,12 @@ def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
             fused, act = _act_field(kv, line_no)
             if not fused:
                 raise NetdescError("resblock activations cannot be turned off", line_no)
-            layers.append(LayerSpec(
+            layer = LayerSpec(
                 kind="resblock", k=3, p=1,
                 s=_int_field(kv, "s", line_no, minimum=1),
                 o=_int_field(kv, "o", line_no, minimum=1),
                 d=_float_field(kv, "d", line_no),
-                act_bits=act, proj=bool(kv.get("proj")), src_line=line_no))
+                act_bits=act, proj=bool(kv.get("proj")), in_shape=cur)
         elif directive == "fc":
             kv = _kv_tokens(args, line_no, ("o", "d", "act"))
             fused, act = _act_field(kv, line_no)
@@ -204,40 +208,28 @@ def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
             if "d" in kv and not fused:
                 raise NetdescError("fc with act=none takes no d=", line_no)
             has_d = "d" in kv
-            layers.append(LayerSpec(
+            layer = LayerSpec(
                 kind="fc", k=1,
                 o=_int_field(kv, "o", line_no, minimum=1),
                 d=_float_field(kv, "d", line_no) if has_d else 0.0,
-                fused=has_d, act_bits=act if has_d else 0, src_line=line_no))
+                fused=has_d, act_bits=act if has_d else 0, in_shape=cur)
         else:
             raise NetdescError("unknown directive %r" % directive, line_no)
+        try:
+            cur = _layer_out_shape(layer)
+        except ShapeError as e:
+            raise NetdescError(str(e), line_no)
+        layers.append(replace(layer, out_shape=cur))
     if not layers:
         raise NetdescError("empty description", 1)
-    return _resolve(NetworkSpec(name=name, layers=tuple(layers)))
+    return NetworkSpec(name=name, layers=tuple(layers))
 
 
-def _resolve(net: NetworkSpec) -> NetworkSpec:
-    """Walk the shape chain, filling in_shape/out_shape and validating."""
-    resolved = []
-    first = net.layers[0]
-    if first.kind != "input":
-        raise NetdescError("description must start with input", 1)
-    kind = "u8" if first.bits == 8 else "code"
-    cur = StreamShape(first.h, first.w, first.c, kind, first.bits)
-    resolved.append(replace(first, in_shape=cur, out_shape=cur))
-    for i, layer in enumerate(net.layers[1:], start=2):
-        if layer.kind == "input":
-            raise NetdescError("duplicate input directive", layer.src_line or i)
-        try:
-            out = _layer_out_shape(layer, cur)
-        except ShapeError as e:
-            raise NetdescError(str(e), layer.src_line or i)
-        resolved.append(replace(layer, in_shape=cur, out_shape=out))
-        cur = out
-    return NetworkSpec(name=net.name, layers=tuple(resolved))
+def _layer_out_shape(layer: LayerSpec) -> StreamShape:
+    """The shape of the stream a non-input layer emits from its in_shape;
+    a ShapeError if the layer cannot read that stream."""
+    cur = layer.in_shape
 
-
-def _layer_out_shape(layer: LayerSpec, cur: StreamShape) -> StreamShape:
     def spatial(h, w, k, s, p):
         hp, wp = h + 2 * p, w + 2 * p
         if hp < k or wp < k:
@@ -269,18 +261,18 @@ def _layer_out_shape(layer: LayerSpec, cur: StreamShape) -> StreamShape:
         if layer.o < cur.c:
             raise ShapeError("resblock cannot shrink channels")
         return StreamShape(oh, ow, layer.o, "code", layer.act_bits)
-    if layer.kind == "fc":
-        if layer.fused:
-            return StreamShape(1, 1, layer.o, "code", layer.act_bits)
-        return StreamShape(1, 1, layer.o, "accum", ACCUM_BITS)
-    raise ShapeError("unknown layer kind %r" % layer.kind)
+    # fc
+    if layer.fused:
+        return StreamShape(1, 1, layer.o, "code", layer.act_bits)
+    return StreamShape(1, 1, layer.o, "accum", ACCUM_BITS)
 
 
 def emit_netdesc(net: NetworkSpec) -> str:
     lines = []
     for layer in net.layers:
         if layer.kind == "input":
-            lines.append("input %d %d %d %d" % (layer.h, layer.w, layer.c, layer.bits))
+            ish = layer.out_shape
+            lines.append("input %d %d %d %d" % (ish.h, ish.w, ish.c, ish.bits))
         elif layer.kind == "conv":
             base = "conv k=%d s=%d p=%d o=%d" % (layer.k, layer.s, layer.p, layer.o)
             if layer.fused:
@@ -513,28 +505,41 @@ def blob_layout(layer: LayerSpec):
     return []
 
 
-def _is_weights(shape) -> bool:
-    return len(shape) == 4
+def _payload_floats(net: NetworkSpec) -> int:
+    return sum(math.prod(shape) for layer in net.layers for _, shape in blob_layout(layer))
 
 
-def _quantizes(layout) -> bool:
-    """A layer carries d exactly when it stores batchnorm arrays."""
-    return any(not _is_weights(shape) for _, shape in layout)
+def _blob_slots(net: NetworkSpec, payload: np.ndarray):
+    """Per layer, {blob_layout key: view of payload}, in blob order.
+
+    This is where the cache order is stated: a weight slot stores output
+    channel outer, then row, column and channel fastest, and its view is
+    (K, K, I, O) over that slot. payload holds _payload_floats(net)
+    floats; loading reads through the views, writing assigns into them.
+    """
+    slots, pos = [], 0
+    for layer in net.layers:
+        views = {}
+        for key, shape in blob_layout(layer):
+            flat = payload[pos:pos + math.prod(shape)]
+            pos += len(flat)
+            if len(shape) == 4:
+                views[key] = np.moveaxis(flat.reshape(shape[3], *shape[:3]), 0, 3)
+            else:
+                views[key] = flat.reshape(shape)
+        slots.append(views)
+    return slots
 
 
-class _Reader:
-    def __init__(self, payload: np.ndarray):
-        self.payload = payload
-        self.pos = 0
-
-    def take(self, count: int) -> np.ndarray:
-        if self.pos + count > len(self.payload):
-            raise ParamsError(
-                "parameter blob too short: wanted %d more floats, have %d"
-                % (count, len(self.payload) - self.pos))
-        out = self.payload[self.pos:self.pos + count]
-        self.pos += count
-        return out
+def _blank_blob(net: NetworkSpec):
+    """A zeroed blob for net with its header and d header written, and
+    the slots of its payload."""
+    count = len(net.layers)
+    blob = bytearray(_HEADER.size + 4 * (count + _payload_floats(net)))
+    _HEADER.pack_into(blob, 0, PARAMS_MAGIC, PARAMS_VERSION, count)
+    floats = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
+    floats[:count] = [layer.d for layer in net.layers]  # 0 where there is no quantizer
+    return blob, _blob_slots(net, floats[count:])
 
 
 def _bn_list(arr: np.ndarray, layer_no: int):
@@ -562,10 +567,9 @@ def load_params(blob: bytes, net: NetworkSpec):
     back binarized; batchnorm parameters come back both raw and folded
     into integer threshold sets.
     """
-    head = struct.calcsize("<4sII")
-    if len(blob) < head:
+    if len(blob) < _HEADER.size:
         raise ParamsError("parameter blob shorter than its header")
-    magic, version, layer_count = struct.unpack_from("<4sII", blob, 0)
+    magic, version, layer_count = _HEADER.unpack_from(blob, 0)
     if magic != PARAMS_MAGIC:
         raise ParamsError("bad magic %r" % magic)
     if version != PARAMS_VERSION:
@@ -573,36 +577,26 @@ def load_params(blob: bytes, net: NetworkSpec):
     if layer_count != len(net.layers):
         raise ParamsError("blob describes %d layers, network has %d"
                           % (layer_count, len(net.layers)))
-    if (len(blob) - head) % 4:
+    if (len(blob) - _HEADER.size) % 4:
         raise ParamsError("parameter blob holds %d bytes after its header, "
-                          "not a whole number of float32 values" % (len(blob) - head))
-    rest = np.frombuffer(blob, dtype="<f4", offset=head)
-    if len(rest) < layer_count:
-        raise ParamsError("parameter blob too short for its d header")
-    d_header = rest[:layer_count]
-    payload = rest[layer_count:]
-    if not (np.isfinite(payload).all() and np.isfinite(d_header).all()):
+                          "not a whole number of float32 values"
+                          % (len(blob) - _HEADER.size))
+    floats = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
+    extra = len(floats) - layer_count - _payload_floats(net)
+    if extra < 0:
+        raise ParamsError("parameter blob too short: %d floats missing" % -extra)
+    if extra > 0:
+        raise ParamsError("parameter blob too long: %d floats left over" % extra)
+    if not np.isfinite(floats).all():
         raise ParamsError("parameter blob contains NaN or infinity")
-    reader = _Reader(payload)
     out = []
-    for li, layer in enumerate(net.layers):
-        d_blob = float(d_header[li])
-        layout = blob_layout(layer)
-        if not _quantizes(layout):
-            if d_blob != 0.0:
-                raise ParamsError("layer %d carries d=%r but has no quantizer"
-                                  % (li, d_blob))
-        elif d_blob != float(np.float32(layer.d)):
+    slots = _blob_slots(net, floats[layer_count:])
+    for li, (layer, t) in enumerate(zip(net.layers, slots)):
+        # the parser gives d to exactly the layers with batchnorm arrays
+        d_blob = float(floats[li])
+        if d_blob != float(np.float32(layer.d)):
             raise ParamsError("layer %d: blob d %r disagrees with description d %r"
                               % (li, d_blob, layer.d))
-        t = {}
-        for key, shape in layout:
-            flat = reader.take(int(np.prod(shape)))
-            if _is_weights(shape):
-                # stored in cache order: O outer, (row, col, channel) inner
-                t[key] = np.moveaxis(flat.reshape(shape[3], *shape[:3]), 0, 3)
-            else:
-                t[key] = flat.reshape(shape)
         lp = LayerParams(d=d_blob)
         if layer.kind in ("conv", "fc"):
             lp.convs["main"] = _conv_params(t["weights"], t.get("bn"), li,
@@ -615,9 +609,6 @@ def load_params(blob: bytes, net: NetworkSpec):
             lp.convs["b"] = _conv_params(t["weights_b"], t["bn_b"], li,
                                          d_blob, layer.act_bits)
         out.append(lp)
-    if reader.pos != len(payload):
-        raise ParamsError("parameter blob too long: %d floats left over"
-                          % (len(payload) - reader.pos))
     return out
 
 
@@ -627,29 +618,23 @@ def save_params(net: NetworkSpec, arrays) -> bytes:
     arrays is aligned with net.layers; parameterless layers take None,
     the others a dict holding every key of the layer's blob_layout.
     """
-    chunks = [struct.pack("<4sII", PARAMS_MAGIC, PARAMS_VERSION, len(net.layers))]
-    d_header = np.zeros(len(net.layers), dtype="<f4")
-    payload = []
-    for li, (layer, entry) in enumerate(zip(net.layers, arrays)):
-        layout = blob_layout(layer)
-        if not layout:
+    if len(arrays) != len(net.layers):
+        raise ParamsError("%d parameter entries for %d layers"
+                          % (len(arrays), len(net.layers)))
+    blob, slots = _blank_blob(net)
+    for li, (entry, views) in enumerate(zip(arrays, slots)):
+        if not views:
             if entry is not None:
                 raise ParamsError("layer %d takes no parameters" % li)
             continue
         if entry is None:
             raise ParamsError("layer %d needs parameters" % li)
-        if _quantizes(layout):
-            d_header[li] = np.float32(layer.d)
-        for key, shape in layout:
-            arr = np.asarray(entry[key], dtype=np.float32)
-            if arr.shape != shape:
-                raise ParamsError("%s array %r does not match %r" % (key, arr.shape, shape))
-            if _is_weights(shape):
-                arr = np.moveaxis(arr, 3, 0)
-            payload.append(arr.reshape(-1).astype("<f4"))
-    chunks.append(d_header.tobytes())
-    chunks.extend(arr.tobytes() for arr in payload)
-    return b"".join(chunks)
+        for key, view in views.items():
+            arr = np.asarray(entry[key])
+            if arr.shape != view.shape:
+                raise ParamsError("%s array %r does not match %r" % (key, arr.shape, view.shape))
+            view[...] = arr
+    return bytes(blob)
 
 
 def _random_bn(rng, o, fan_in, vmax, d, n):
@@ -661,31 +646,26 @@ def _random_bn(rng, o, fan_in, vmax, d, n):
     inv_std = rng.uniform(0.5, 1.5, o) / sigma
     span = d * (1 << n)
     bias = rng.uniform(0.0, span * 0.75, o)
-    return np.stack([gamma, mean, inv_std, bias]).astype(np.float32)
+    return np.stack([gamma, mean, inv_std, bias])
 
 
 def random_params(net: NetworkSpec, rng) -> bytes:
-    """A well-scaled random parameter blob for testing and demos."""
-    arrays = []
-    for layer in net.layers:
-        layout = blob_layout(layer)
-        if not layout:
-            arrays.append(None)
-            continue
+    """A well-scaled random parameter blob for testing and demos. Each
+    draw is written straight into its slot, rounded to float32 there."""
+    blob, slots = _blank_blob(net)
+    for layer, views in zip(net.layers, slots):
         cur = layer.in_shape
         # accum streams hold pooled code values in practice, not full 16-bit
         vmax = 7 if cur.kind == "accum" else (1 << cur.bits) - 1
-        entry = {}
-        for key, shape in layout:
-            if _is_weights(shape):
-                entry[key] = rng.normal(0, 1, shape).astype(np.float32)
-                fan = shape[0] * shape[1] * shape[2]
+        for key, view in views.items():
+            if view.ndim == 4:
+                view[...] = rng.normal(0, 1, view.shape)
+                fan = math.prod(view.shape[:3])
                 if key == "weights_b":  # a resblock's conv b reads the join's codes
                     vmax = (1 << layer.act_bits) - 1
             else:
                 # the join sums one more term, the skip value
                 fan_in = fan + 1 if key == "bn_join" else fan
-                entry[key] = _random_bn(rng, layer.o, fan_in, vmax, layer.d,
-                                        layer.act_bits)
-        arrays.append(entry)
-    return save_params(net, arrays)
+                view[...] = _random_bn(rng, layer.o, fan_in, vmax, layer.d,
+                                       layer.act_bits)
+    return bytes(blob)

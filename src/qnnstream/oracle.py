@@ -15,7 +15,8 @@ BnQuantizer per layer, which scales the rule batchnorm(a) >= k * d of
 every channel to integers A * a + C >= k * D by the channel's least
 power of two: code(a) >= k iff sign(A) * a >= ceil((k * D - C) / |A|),
 a (levels, C) matrix of floors from a few object-array operations.
-Only the count is shared: quantize_dense hands that matrix to
+Only the count is shared: quantize_dense calls
+BnQuantizer.quantize_array, which hands that matrix to
 quant.count_code_floors, the counter the stages use too. This module
 imports nothing from kernels or engine and names none of the engine's
 thresholds, which tests/test_hygiene.py enforces.
@@ -36,14 +37,7 @@ matrix are built directly in it.
 
 import numpy as np
 
-from .quant import (
-    FLOAT32_EXACT,
-    FLOAT64_EXACT,
-    BnQuantizer,
-    check_accum_array,
-    check_floor_range,
-    count_code_floors,
-)
+from .quant import FLOAT32_EXACT, FLOAT64_EXACT, BnQuantizer, check_accum_array
 
 
 def pad_dense(x: np.ndarray, p: int, dtype=None) -> np.ndarray:
@@ -127,8 +121,7 @@ def quantize_dense(y: np.ndarray, bn_list, d: float, n: int) -> np.ndarray:
     """Per-channel exact batchnorm quantization of an (..., C) accumulator
     map: the layer's BnQuantizer code floors, a (levels, C) matrix,
     counted over the whole map at once."""
-    q = BnQuantizer(bn_list, d, n)
-    return count_code_floors(check_floor_range(y), q.sign, q.floors)
+    return BnQuantizer(bn_list, d, n).quantize_array(y)
 
 
 def dense_infer(net, params, image: np.ndarray) -> np.ndarray:

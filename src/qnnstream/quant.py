@@ -185,9 +185,6 @@ class BnParams:
     inv_std: float
     bias: float
 
-    def scale(self) -> float:
-        return self.gamma * self.inv_std
-
 
 @dataclass(frozen=True)
 class ThresholdSet:

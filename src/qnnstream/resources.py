@@ -144,6 +144,7 @@ class DeviceReport:
 @dataclass(frozen=True)
 class PlacementReport:
     devices: tuple
+    partition: Partition
     links: object  # engine.PartitionReport
 
     @property
@@ -226,4 +227,4 @@ def partition_network(net, budget: DeviceBudget = STRATIX_V_5SGSD8,
             m20k=sum(res[i].m20k for i in range(a, b + 1)),
             ff=sum(res[i].ff for i in range(a, b + 1)),
             bram_bits=sum(res[i].bram_bits for i in range(a, b + 1))))
-    return PlacementReport(devices=tuple(devices), links=links)
+    return PlacementReport(devices=tuple(devices), partition=partition, links=links)

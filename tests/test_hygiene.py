@@ -247,8 +247,14 @@ def test_oracle_names_nothing_of_the_thresholds():
     forbidden = {"thresholds", "join_thresholds", "ThresholdSet",
                  "fold_batchnorm", "stack_thresholds"}
     named = _module_names("oracle.py")
-    assert {"BnQuantizer", "count_code_floors"} <= named
+    assert {"BnQuantizer", "quantize_array"} <= named
     assert not named & forbidden, sorted(named & forbidden)
+    # quantize_array, in turn, checks the floors' range and counts them
+    # with the stages' counter
+    tree = ast.parse((ROOT / "src/qnnstream/quant.py").read_text())
+    method, = [n for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef) and n.name == "quantize_array"]
+    assert {"count_code_floors", "check_floor_range"} <= _named(method)
 
 
 def test_kernels_import_nothing_of_the_oracle():

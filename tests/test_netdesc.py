@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -73,6 +74,9 @@ def test_emit_roundtrip_random(rng):
     ("input 4 4 1 2\nconv k=3 s=1 p=0 o=1 d=1 act=none\n", 2, "takes no d="),
     ("input 4 4 1 2\nconv k=0 s=1 p=0 o=1 d=1 act=1\n", 2, "k"),
     ("input 4 4 1 2\nconv k=9 s=1 p=0 o=1 d=1 act=1\n", 2, "exceeds"),
+    # shapes resolve as each line is read: the first bad line is named,
+    # even when a later line has a parse error
+    ("input 4 4 1 2\nmaxpool k=9 s=1\nwat k=1\n", 2, "exceeds"),
     ("input 4 4 1 2\nresblock o=2 s=2 d=1\n", 2, "proj"),
     ("input 4 4 2 2\nresblock o=2 s=1 d=1 proj\n", 2, "proj"),
     ("input 4 4 4 2\nresblock o=2 s=1 d=1 proj\n", 2, "shrink"),
@@ -241,8 +245,26 @@ def test_blob_rejects_degenerate_bn(rng):
         load_params(blob, net)
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_BUILDERS))
+def test_blob_one_float_off_refused(name):
+    # the length is checked against the layout before any float is read,
+    # so a zero-filled blob one float short or long is enough
+    net = BUILTIN_BUILDERS[name]()
+    count = len(net.layers)
+    head = struct.pack("<4sII", b"QNNP", 1, count)
+    for extra, frag in ((-1, "short"), (1, "left over")):
+        blob = head + bytes(4 * (count + param_census(net) + extra))
+        with pytest.raises(ParamsError, match=frag):
+            load_params(blob, net)
+
+
 def test_save_params_validation():
     net = parse_netdesc("input 2 2 1 2\nconv k=1 s=1 p=0 o=1 d=1.0 act=1\n")
+    entry = {"weights": np.ones((1, 1, 1, 1), dtype=np.float32),
+             "bn": np.ones((4, 1), dtype=np.float32)}
+    for arrays in ([None], [None, entry, None]):  # one entry too few, one too many
+        with pytest.raises(ParamsError, match="entries"):
+            save_params(net, arrays)
     with pytest.raises(ParamsError, match="needs parameters"):
         save_params(net, [None, None])
     with pytest.raises(ParamsError, match="takes no parameters"):

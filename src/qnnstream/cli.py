@@ -9,10 +9,11 @@ Four commands share the network loading flags:
                by side and verify they agree exactly
 
 Exit codes: 0 success, 1 invalid input (bad description, parameters,
-image, or flags), 2 semantic failure (engine/reference mismatch or an
-infeasible partition). Images are raw bytes, one per element in stream
-order, with the dimensions given on the command line. JSON output is
-byte stable: the same invocation always prints the same bytes.
+image or flags, or a network too big to allocate), 2 semantic failure
+(engine/reference mismatch or an infeasible partition). Images are raw
+bytes, one per element in stream order, with the dimensions given on
+the command line. JSON output is byte stable: the same invocation
+always prints the same bytes.
 """
 
 import argparse
@@ -325,6 +326,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except OSError as e:
         sys.stderr.write("error: %s\n" % e)
+        return EXIT_INVALID
+    except MemoryError as e:  # a net too big to allocate
+        sys.stderr.write("error: out of memory: %s\n" % (str(e) or "allocation failed"))
         return EXIT_INVALID
 
 

@@ -36,6 +36,7 @@ from .kernels import (
     MaxPoolStage,
     ResidualJoinStage,
     SkipDownsampleStage,
+    Stage,
     StreamShape,
     TeeWidenStage,
     line_buffer_capacity,
@@ -120,51 +121,39 @@ class Fifo:
 _EMPTY = np.empty(0, dtype=np.int32)
 
 
-class _Source:
-    """Feeds the flattened input stream into the first FIFO."""
+class _Source(Stage):
+    """Feeds the flattened input stream into the first FIFO: it emits the
+    frame once, and pending pushes it as the FIFO takes it."""
 
     def __init__(self, data: np.ndarray, fifo: Fifo):
+        super().__init__("source", None)
         self.data = data
-        self.fifo = fifo
-        self.pos = 0
-        self.name = "source"
+        self.out_fifo = fifo
 
-    def step(self) -> bool:
-        if self.pos >= len(self.data):
-            return False
-        taken = self.fifo.push(self.data[self.pos:])
-        self.pos += taken
-        return taken > 0
-
-    @property
-    def finished(self) -> bool:
-        return self.pos >= len(self.data)
-
-
-class _Sink:
-    """Drains the final FIFO into the result buffer."""
-
-    def __init__(self, fifo: Fifo, expected: int):
-        self.fifo = fifo
-        self.expected = expected
-        self.got = []
-        self.count = 0
-        self.name = "sink"
-
-    def step(self) -> bool:
-        chunk = self.fifo.pop(self.expected - self.count)
-        if not len(chunk):
-            return False
-        self.got.append(chunk)
-        self.count += len(chunk)
+    def _advance(self) -> bool:
+        self.ingest_done = True
+        self._emit(self.out_fifo, self.data)
         return True
 
-    @property
-    def finished(self) -> bool:
-        return self.count >= self.expected
 
-    def result(self) -> np.ndarray:
-        return np.concatenate(self.got).astype(np.int64)
+class _Sink(Stage):
+    """Drains the final FIFO into got, counting what it has received in
+    real_el."""
+
+    def __init__(self, fifo: Fifo, expected: int):
+        super().__init__("sink", None)
+        self.in_fifo = fifo
+        self.expected = expected
+        self.got = []
+
+    def _advance(self) -> bool:
+        if not self.in_fifo.occ:
+            return False
+        chunk = self.in_fifo.pop(self.expected - self.real_el)
+        self.got.append(chunk)
+        self.real_el += len(chunk)
+        self.ingest_done = self.real_el == self.expected
+        return True
 
 
 class StageGraph:
@@ -177,8 +166,9 @@ class StageGraph:
         self.sink_fifo = sink_fifo
 
 
-# plan kinds that run on ConvStage
+# plan kinds that run on ConvStage, and those that slide a window
 WEIGHTED_KINDS = ("firstconv", "conv", "fc")
+WINDOWED_KINDS = WEIGHTED_KINDS + ("maxpool", "avgpool")
 
 
 def window_shape(plan) -> StreamShape:
@@ -254,7 +244,10 @@ def skip_store_elements(plans, join_plan) -> int:
 
 
 def plan_edges(plans):
-    """Structural edge list: (src plan, dst plan, stream shape, is_skip).
+    """Structural edge list: (src plan, dst plan, stream shape, from_skip,
+    into_skip), the shape being the stream dst reads. from_skip says src
+    emits the edge from its skip slot (a tee or a join feeding the skip
+    path), into_skip that the edge is a join's skip input.
 
     The source feed and the final output are not included; they never
     cross a device link.
@@ -262,14 +255,11 @@ def plan_edges(plans):
     edges = []
     for p in plans:
         if p.main_src >= 0:
-            q = plans[p.main_src]
-            on_skip_path = p.kind == "subsample"  # fed by a tee's or a join's skip slot
-            shape = q.skip_shape if on_skip_path else q.out_shape
-            edges.append((q.index, p.index, shape, on_skip_path))
+            # a subsample reads a tee's or a join's skip slot
+            edges.append((p.main_src, p.index, p.in_shape, p.kind == "subsample", False))
         if p.kind == "join":
-            q = plans[p.skip_src]
-            shape = q.skip_shape if q.kind in ("tee", "join") else q.out_shape
-            edges.append((q.index, p.index, shape, True))
+            from_skip = plans[p.skip_src].kind != "subsample"
+            edges.append((p.skip_src, p.index, p.in_shape, from_skip, True))
     return edges
 
 
@@ -295,23 +285,12 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
     source_fifo = Fifo(regular_cap(net.input_shape), "source->%s" % plans[0].name)
     fifos.append(source_fifo)
     stages[0].in_fifo = source_fifo
-    for src, dst, shape, is_skip in plan_edges(plans):
-        p, q = plans[dst], plans[src]
-        into_skip = p.kind == "join" and is_skip
-        cap = skip_store_elements(plans, p) if into_skip else regular_cap(shape)
-        fifo = Fifo(cap, "%s->%s" % (q.name, p.name))
+    for src, dst, shape, from_skip, into_skip in plan_edges(plans):
+        cap = skip_store_elements(plans, plans[dst]) if into_skip else regular_cap(shape)
+        fifo = Fifo(cap, "%s->%s" % (plans[src].name, plans[dst].name))
         fifos.append(fifo)
-        consumer = stages[dst]
-        if into_skip:
-            consumer.skip_fifo = fifo
-        else:
-            consumer.in_fifo = fifo
-        producer = stages[src]
-        from_skip_slot = is_skip and q.kind in ("tee", "join")
-        if from_skip_slot:
-            producer.skip_out_fifo = fifo
-        else:
-            producer.out_fifo = fifo
+        setattr(stages[dst], "skip_fifo" if into_skip else "in_fifo", fifo)
+        setattr(stages[src], "skip_out_fifo" if from_skip else "out_fifo", fifo)
     sink_fifo = Fifo(regular_cap(net.output_shape), "%s->sink" % plans[-1].name)
     fifos.append(sink_fifo)
     stages[-1].out_fifo = sink_fifo
@@ -390,7 +369,7 @@ def analytic_counters(plans):
     out = []
     for p in plans:
         ish = p.in_shape
-        if p.kind in WEIGHTED_KINDS + ("maxpool", "avgpool"):
+        if p.kind in WINDOWED_KINDS:
             hp, wp = ish.h + 2 * p.p, ish.w + 2 * p.p
             pad_el = (hp * wp - ish.h * ish.w) * ish.c
             is_conv = p.kind in WEIGHTED_KINDS
@@ -522,7 +501,7 @@ def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None) -> RunRes
         if fifo.occ:
             raise QnnError("conservation violated on %s" % _occupancy(fifo))
     report = assemble_report(measured_counters(graph), cfg)
-    return RunResult(output=sink.result(), report=report)
+    return RunResult(output=np.concatenate(sink.got).astype(np.int64), report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +544,7 @@ def cut_traffic(plans, clock_mhz: float):
     two 16-bit streams and is usually avoided.
     """
     cuts = [[] for _ in range(len(plans) + 1)]
-    for src, dst, shape, _ in plan_edges(plans):
+    for src, dst, shape, *_ in plan_edges(plans):
         traffic = LinkTraffic(edge="%s->%s" % (plans[src].name, plans[dst].name),
                               required_mbps=shape.bits * clock_mhz)
         for t in range(src + 1, dst + 1):

@@ -201,13 +201,14 @@ class Stage:
     _advance(): consume one unit of input (a run of pixels, or a chunk of
     elements), emit what that unit completes, and say whether it moved.
 
-    _advance() runs only when nothing is pending and emits at most one
-    array per FIFO, so pending output is one array per destination FIFO.
-    A stage with two outputs (a join feeding both the skip chain and the
-    next conv) must not let a momentarily full skip FIFO hold up codes
-    bound elsewhere: the codes are what ultimately drain that skip FIFO,
-    so serializing the two would deadlock. Order is still preserved per
-    FIFO.
+    _emit pushes at once; pending keeps only the tail a full FIFO
+    refused. _advance() runs only when nothing is pending and emits at
+    most one array per FIFO, so pending output is one array per
+    destination FIFO. A stage with two outputs (a join feeding both the
+    skip chain and the next conv) must not let a momentarily full skip
+    FIFO hold up codes bound elsewhere: the codes are what ultimately
+    drain that skip FIFO, so serializing the two would deadlock. Order is
+    still preserved per FIFO.
     """
 
     def __init__(self, name: str, in_shape):
@@ -227,7 +228,9 @@ class Stage:
 
     def _emit(self, fifo, arr: np.ndarray):
         if fifo is not None:
-            self.pending[fifo] = arr
+            taken = fifo.push(arr)
+            if taken < len(arr):
+                self.pending[fifo] = arr[taken:]
 
     def _flush(self) -> bool:
         progressed = False
@@ -253,8 +256,6 @@ class Stage:
             if not self._advance():
                 break
             progressed = True
-            if self.pending:
-                self._flush()
         return progressed
 
 

@@ -18,7 +18,10 @@ an optional p= since strided pooling may need edge padding to hit the
 intended output size. A resblock whose shape changes (stride or channel
 growth) must say proj, and only then. The parser resolves each layer's
 stream shapes as it reads the layer's line, so an error names the first
-line that is wrong, whether in its syntax or in its shapes.
+line that is wrong, whether in its syntax or in its shapes. One table,
+_INT_KEYS, states each directive's integer keys, their order, minimums
+and defaults; parse_netdesc reads every line through it and emit_netdesc
+writes every line from it.
 
 Parameters travel in a flat little-endian blob: magic QNNP, version,
 layer count, one f32 quantization range d per layer (0 where the layer
@@ -120,19 +123,45 @@ def _float_field(kv, key, line_no):
     return val
 
 
-def _act_field(kv, line_no):
-    """Returns (fused, act_bits)."""
-    if "act" not in kv:
-        return True, DEFAULT_ACT_BITS
-    if kv["act"] == "none":
-        return False, 0
-    try:
-        n = int(kv["act"])
-    except ValueError:
-        raise NetdescError("act wants a bit-width or none, got %r" % kv["act"], line_no)
-    if not 1 <= n <= 8:
-        raise NetdescError("activation bit-width must be 1..8", line_no)
-    return True, n
+def _activation(kind, kv, line_no):
+    """(fused, act_bits) of a conv, resblock or fc line. act defaults to
+    DEFAULT_ACT_BITS, but to none on an fc without d=; a fused layer
+    needs d=, a layer with act=none takes no d=, and a resblock cannot
+    turn its activation off."""
+    default = "none" if kind == "fc" and "d" not in kv else str(DEFAULT_ACT_BITS)
+    act = kv.get("act", default)
+    fused, n = act != "none", 0
+    if fused:
+        try:
+            n = int(act)
+        except ValueError:
+            raise NetdescError("act wants a bit-width or none, got %r" % act, line_no)
+        if not 1 <= n <= 8:
+            raise NetdescError("activation bit-width must be 1..8", line_no)
+    if kind == "resblock" and not fused:
+        raise NetdescError("resblock activations cannot be turned off", line_no)
+    if fused and "d" not in kv:
+        raise NetdescError("%s with an activation needs d=" % kind, line_no)
+    if not fused and "d" in kv:
+        raise NetdescError("%s with act=none takes no d=" % kind, line_no)
+    return fused, n
+
+
+# The grammar of every directive but input: its integer keys in line
+# order, as (key, minimum, default), a default of None marking a required
+# key. The windows of resblock and fc are fixed; conv, resblock and fc
+# also take d= and act= (_activation), and resblock the proj flag.
+_INT_KEYS = {
+    "conv": (("k", 1, None), ("s", 1, None), ("p", 0, None), ("o", 1, None)),
+    "maxpool": (("k", 1, None), ("s", 1, None), ("p", 0, 0)),
+    "avgpool": (("k", 1, None), ("s", 1, None), ("p", 0, 0)),
+    "resblock": (("o", 1, None), ("s", 1, None)),
+    "fc": (("o", 1, None),),
+}
+_FIXED = {"resblock": {"k": 3, "p": 1}, "fc": {"k": 1}}
+_ACTIVATED = ("conv", "resblock", "fc")
+_ALLOWED = {kind: tuple(key for key, _, _ in keys) + ("d", "act") * (kind in _ACTIVATED)
+            for kind, keys in _INT_KEYS.items()}
 
 
 def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
@@ -164,57 +193,18 @@ def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
             continue
         if not layers:
             raise NetdescError("first directive must be input", line_no)
-        if directive == "conv":
-            kv = _kv_tokens(args, line_no, ("k", "s", "p", "o", "d", "act"))
-            fused, act = _act_field(kv, line_no)
-            if fused and "d" not in kv:
-                raise NetdescError("conv with an activation needs d=", line_no)
-            if not fused and "d" in kv:
-                raise NetdescError("conv with act=none takes no d=", line_no)
-            layer = LayerSpec(
-                kind="conv",
-                k=_int_field(kv, "k", line_no, minimum=1),
-                s=_int_field(kv, "s", line_no, minimum=1),
-                p=_int_field(kv, "p", line_no, minimum=0),
-                o=_int_field(kv, "o", line_no, minimum=1),
-                d=_float_field(kv, "d", line_no) if fused else 0.0,
-                fused=fused, act_bits=act, in_shape=cur)
-        elif directive in ("maxpool", "avgpool"):
-            kv = _kv_tokens(args, line_no, ("k", "s", "p"))
-            layer = LayerSpec(
-                kind=directive,
-                k=_int_field(kv, "k", line_no, minimum=1),
-                s=_int_field(kv, "s", line_no, minimum=1),
-                p=_int_field(kv, "p", line_no, default=0, minimum=0),
-                in_shape=cur)
-        elif directive == "resblock":
-            kv = _kv_tokens(args, line_no, ("o", "s", "d", "act"), flags=("proj",))
-            if "d" not in kv:
-                raise NetdescError("resblock needs d=", line_no)
-            fused, act = _act_field(kv, line_no)
-            if not fused:
-                raise NetdescError("resblock activations cannot be turned off", line_no)
-            layer = LayerSpec(
-                kind="resblock", k=3, p=1,
-                s=_int_field(kv, "s", line_no, minimum=1),
-                o=_int_field(kv, "o", line_no, minimum=1),
-                d=_float_field(kv, "d", line_no),
-                act_bits=act, proj=bool(kv.get("proj")), in_shape=cur)
-        elif directive == "fc":
-            kv = _kv_tokens(args, line_no, ("o", "d", "act"))
-            fused, act = _act_field(kv, line_no)
-            if "act" in kv and "d" not in kv and fused:
-                raise NetdescError("fc with an activation needs d=", line_no)
-            if "d" in kv and not fused:
-                raise NetdescError("fc with act=none takes no d=", line_no)
-            has_d = "d" in kv
-            layer = LayerSpec(
-                kind="fc", k=1,
-                o=_int_field(kv, "o", line_no, minimum=1),
-                d=_float_field(kv, "d", line_no) if has_d else 0.0,
-                fused=has_d, act_bits=act if has_d else 0, in_shape=cur)
-        else:
+        if directive not in _INT_KEYS:
             raise NetdescError("unknown directive %r" % directive, line_no)
+        kv = _kv_tokens(args, line_no, _ALLOWED[directive],
+                        flags=("proj",) if directive == "resblock" else ())
+        fields = dict(_FIXED.get(directive, {}), proj="proj" in kv)
+        if directive in _ACTIVATED:
+            fields["fused"], fields["act_bits"] = _activation(directive, kv, line_no)
+        for key, minimum, default in _INT_KEYS[directive]:
+            fields[key] = _int_field(kv, key, line_no, default, minimum)
+        if "d" in kv:
+            fields["d"] = _float_field(kv, "d", line_no)
+        layer = LayerSpec(kind=directive, in_shape=cur, **fields)
         try:
             cur = _layer_out_shape(layer)
         except ShapeError as e:
@@ -268,39 +258,21 @@ def _layer_out_shape(layer: LayerSpec) -> StreamShape:
 
 
 def emit_netdesc(net: NetworkSpec) -> str:
-    lines = []
-    for layer in net.layers:
-        if layer.kind == "input":
-            ish = layer.out_shape
-            lines.append("input %d %d %d %d" % (ish.h, ish.w, ish.c, ish.bits))
-        elif layer.kind == "conv":
-            base = "conv k=%d s=%d p=%d o=%d" % (layer.k, layer.s, layer.p, layer.o)
-            if layer.fused:
-                base += " d=%r" % layer.d
-                if layer.act_bits != DEFAULT_ACT_BITS:
-                    base += " act=%d" % layer.act_bits
-            else:
-                base += " act=none"
-            lines.append(base)
-        elif layer.kind in ("maxpool", "avgpool"):
-            base = "%s k=%d s=%d" % (layer.kind, layer.k, layer.s)
-            if layer.p:
-                base += " p=%d" % layer.p
-            lines.append(base)
-        elif layer.kind == "resblock":
-            base = "resblock o=%d s=%d d=%r" % (layer.o, layer.s, layer.d)
+    ish = net.input_shape
+    lines = ["input %d %d %d %d" % (ish.h, ish.w, ish.c, ish.bits)]
+    for layer in net.layers[1:]:
+        words = [layer.kind] + ["%s=%d" % (key, getattr(layer, key))
+                                for key, _, default in _INT_KEYS[layer.kind]
+                                if getattr(layer, key) != default]
+        if layer.d:  # 0 exactly where a layer has no activation
+            words.append("d=%r" % layer.d)
             if layer.act_bits != DEFAULT_ACT_BITS:
-                base += " act=%d" % layer.act_bits
-            if layer.proj:
-                base += " proj"
-            lines.append(base)
-        elif layer.kind == "fc":
-            base = "fc o=%d" % layer.o
-            if layer.fused:
-                base += " d=%r" % layer.d
-                if layer.act_bits != DEFAULT_ACT_BITS:
-                    base += " act=%d" % layer.act_bits
-            lines.append(base)
+                words.append("act=%d" % layer.act_bits)
+        elif layer.kind == "conv":
+            words.append("act=none")
+        if layer.proj:
+            words.append("proj")
+        lines.append(" ".join(words))
     return "\n".join(lines) + "\n"
 
 
@@ -323,7 +295,6 @@ class StagePlan:
     fused: bool = False
     main_src: int = -1  # plan index feeding the main input, -1 = network source
     skip_src: int = None  # joins: plan feeding the skip input
-    skip_shape: StreamShape = None  # tee/join: shape of the emitted skip stream
 
     @property
     def out_ch(self) -> int:
@@ -380,7 +351,7 @@ def expand_layers(net: NetworkSpec):
                 wide_in = StreamShape(cur.h, cur.w, cur.c, "accum", ACCUM_BITS)
                 tee = add(name=bname + "_tee", kind="tee",
                           in_shape=cur, out_shape=cur, layer_index=li, role="tee",
-                          main_src=prev, skip_shape=wide_in)
+                          main_src=prev)
                 prev = tee.index
                 skip_provider = (tee.index, wide_in)
             conv_a = add(name=bname + "_a", kind="conv",
@@ -396,7 +367,7 @@ def expand_layers(net: NetworkSpec):
                        in_shape=mid,
                        out_shape=StreamShape(mid.h, mid.w, mid.c, "code", layer.act_bits),
                        layer_index=li, role="join",
-                       main_src=conv_a.index, skip_src=src_idx, skip_shape=mid)
+                       main_src=conv_a.index, skip_src=src_idx)
             conv_b = add(name=bname + "_b", kind="conv",
                          in_shape=join.out_shape, out_shape=layer.out_shape,
                          layer_index=li, role="b", k=3, s=1, p=1,

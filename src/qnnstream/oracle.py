@@ -37,6 +37,7 @@ matrix are built directly in it.
 
 import numpy as np
 
+from .errors import ParamsError, ShapeError
 from .quant import FLOAT32_EXACT, FLOAT64_EXACT, BnQuantizer, check_accum_array
 
 
@@ -77,12 +78,12 @@ def dense_conv(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
     k, _, in_ch, out_ch = raw_w.shape
     x = np.asarray(x, dtype=np.int64)
     if x.ndim != 3 or x.shape[2] != in_ch:
-        raise ValueError("input %r does not feed %d-channel weights"
+        raise ShapeError("input %r does not feed %d-channel weights"
                          % (x.shape, in_ch))
     xp = pad_dense(x, p, _exact_dtype(x, k * k * in_ch))
     oh, ow = (xp.shape[0] - k) // s + 1, (xp.shape[1] - k) // s + 1
     if oh < 1 or ow < 1:
-        raise ValueError("window %d exceeds padded input %r" % (k, xp.shape))
+        raise ShapeError("window %d exceeds padded input %r" % (k, xp.shape))
     # every (k, k, C) window, a row of cols, as a read-only view of xp
     r, c, e = xp.strides
     windows = np.lib.stride_tricks.as_strided(
@@ -110,7 +111,7 @@ def dense_skip_adapt(skip: np.ndarray, s: int, out_ch: int) -> np.ndarray:
     sub = skip[::s, ::s, :]
     extra = out_ch - sub.shape[2]
     if extra < 0:
-        raise ValueError("skip channels cannot shrink")
+        raise ShapeError("skip channels cannot shrink")
     if extra:
         zeros = np.zeros(sub.shape[:2] + (extra,), dtype=sub.dtype)
         sub = np.concatenate([sub, zeros], axis=2)
@@ -129,12 +130,15 @@ def dense_infer(net, params, image: np.ndarray) -> np.ndarray:
 
     params is the list load_params produces, aligned with net.layers.
     Raises the same overflow error the engine would when a value that
-    crosses a 16-bit stream goes out of range.
+    crosses a 16-bit stream goes out of range, and the engine's error
+    types for a wrong-shaped image or a params list of the wrong length.
     """
+    if params is None or len(params) != len(net.layers):
+        raise ParamsError("parameter list does not match the network")
     ish = net.input_shape
     x = np.asarray(image, dtype=np.int64)
     if x.shape != (ish.h, ish.w, ish.c):
-        raise ValueError("input is %r, network wants %r"
+        raise ShapeError("input is %r, network wants %r"
                          % (x.shape, (ish.h, ish.w, ish.c)))
     skip = None
     for li, layer in enumerate(net.layers):

@@ -29,6 +29,7 @@ from .engine import (
     ModelConfig,
     Partition,
     WEIGHTED_KINDS,
+    WINDOWED_KINDS,
     _ceil_div,
     _window_fill,
     check_links,
@@ -38,6 +39,7 @@ from .engine import (
 )
 from .errors import PartitionError, QnnError
 from .netdesc import expand_layers
+from .quant import ACCUM_BITS
 
 CACHE_DEPTH_GRANULE = 512
 M20K_DEPTH = 512
@@ -79,11 +81,12 @@ def stage_resources(plans):
         if p.kind in WEIGHTED_KINDS:
             w_used, w_bits, m20k = _cache(p.out_ch, p.k * p.k * window_shape(p).c)
         elif p.kind == "join":
-            skip_bits = skip_store_elements(plans, p) * 16
+            skip_bits = skip_store_elements(plans, p) * p.in_shape.bits
         if p.fused or p.kind == "join":
-            bn_bits = p.out_ch * 64
+            bn_bits = p.out_ch * 4 * ACCUM_BITS
             m20k += 2 * _ceil_div(p.out_ch, M20K_DEPTH)
-        if p.kind in ("conv", "firstconv", "maxpool", "avgpool"):
+        # an fc's frame store is left uncharged (ROADMAP item 6, "The fc frame store")
+        if p.kind in WINDOWED_KINDS and p.kind != "fc":
             buf_bits = _window_fill(p) * p.in_shape.bits
         out.append(StageResources(name=p.name, weight_bits_used=w_used,
                                   weight_bits=w_bits, bn_bits=bn_bits,

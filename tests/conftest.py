@@ -113,6 +113,21 @@ def random_net(rng, name="rand", force_residual=None):
     return parse_netdesc(random_net_text(rng, force_residual), name=name)
 
 
+def residual_overflow_chain():
+    """A residual chain whose first out-of-range value is a join's sum.
+
+    20 blocks of 64 channels, every weight +1 and every batchnorm gamma
+    1, mean 0, inv_std 1, bias 100: on an image of 3s every code is 3,
+    so each block's conv a adds 9 * 64 * 3 = 1728 to the skip chain.
+    Returns (description text, save_params arrays, image).
+    """
+    w = np.ones((3, 3, 64, 64))
+    bn = np.array([[1.0] * 64, [0.0] * 64, [1.0] * 64, [100.0] * 64])
+    block = {"weights_a": w, "bn_join": bn, "weights_b": w, "bn_b": bn}
+    text = "input 4 4 64 2\n" + "resblock o=64 s=1 d=1.0\n" * 20
+    return text, [None] + [block] * 20, np.full((4, 4, 64), 3, dtype=np.uint8)
+
+
 def random_image(rng, net):
     ish = net.input_shape
     return rng.integers(0, 1 << ish.bits, size=(ish.h, ish.w, ish.c),

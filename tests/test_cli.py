@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qnnstream.cli
+from conftest import residual_overflow_chain
 from qnnstream.cli import CALIBRATION_TARGET_CYCLES, main
-from qnnstream.netdesc import parse_netdesc, random_params
+from qnnstream.netdesc import parse_netdesc, random_params, save_params
 from qnnstream.quant import WeightBlock
 
 NET_TEXT = """\
@@ -207,6 +208,36 @@ def test_compare_corrupt_weight_single_layer(tmp_path, corrupt_engine, capsys):
                "--random-image", "1"])
     assert rc == 2
     assert capsys.readouterr().out.startswith("MISMATCH at output ")
+
+
+def test_compare_overflow_exits_1(tmp_path, capsys):
+    # a join's sum leaves 16 bits: an error line and exit 1, not a
+    # mismatch
+    text, arrays, img = residual_overflow_chain()
+    paths = {"net": tmp_path / "chain.net", "params": tmp_path / "chain.bin",
+             "image": tmp_path / "chain.raw"}
+    paths["net"].write_text(text)
+    paths["params"].write_bytes(save_params(parse_netdesc(text), arrays))
+    paths["image"].write_bytes(img.tobytes())
+    rc = main(["compare", "--net", str(paths["net"]), "--params", str(paths["params"]),
+               "--image", str(paths["image"]), "--image-dims", *map(str, img.shape)])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: value 32835 does not fit a signed 16-bit accumulator\n"
+
+
+@pytest.mark.parametrize("name", ["build_graph", "random_params"])
+def test_out_of_memory_exits_1(net_file, monkeypatch, name, capsys):
+    # a net too big to allocate fails in the line-buffer ring or in the
+    # parameter blob; the allocation is faked, a real one could exhaust
+    # the host's memory under overcommit
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.80 TiB")
+    monkeypatch.setattr(qnnstream.cli, name, too_big)
+    assert main(["run", "--net", net_file, "--random-params", "1",
+                 "--random-image", "1"]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 4.80 TiB\n"
 
 
 def test_compare_has_no_corrupt_weight_flag(net_file, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_image, random_net
+from conftest import random_image, random_net, residual_overflow_chain
 from qnnstream.engine import (
     Fifo,
     ModelConfig,
@@ -20,7 +20,9 @@ from qnnstream.engine import (
     _Source,
 )
 from qnnstream.errors import (
+    AccumOverflowError,
     DeadlockError,
+    ParamsError,
     PartitionError,
     QnnError,
     ShapeError,
@@ -33,6 +35,7 @@ from qnnstream.netdesc import (
     load_params,
     parse_netdesc,
     random_params,
+    save_params,
 )
 from qnnstream.oracle import dense_infer
 from qnnstream.resources import _cache, estimate_resources
@@ -353,6 +356,45 @@ def test_top_class(res_case):
     res = run(build_graph(net, params), img, ModelConfig())
     assert res.top_class == int(np.argmax(res.output))
     assert len(res.output) == 5
+
+
+# ---------------------------------------------------------------------------
+# the engine and the oracle fail alike
+
+def test_oracle_raises_the_engine_errors(res_case):
+    net, params, img = res_case
+    graph = build_graph(net, params)
+    for infer in (lambda image: run(graph, image),
+                  lambda image: dense_infer(net, params, image)):
+        with pytest.raises(ShapeError):
+            infer(img[:, :-1])
+    for bad in (params[:-1], params + [params[-1]]):
+        for infer in (build_graph, lambda net, bad: dense_infer(net, bad, img)):
+            with pytest.raises(ParamsError):
+                infer(net, bad)
+
+
+def _overflow_case(name):
+    if name == "residual_chain":
+        text, arrays, img = residual_overflow_chain()
+    else:
+        # an unfused conv whose fan-in can overflow 16 bits: all +1
+        # weights on a saturated 3-bit image reach 11 * 11 * 40 * 7
+        text = "input 11 11 40 3\nconv k=11 s=1 p=0 o=4 act=none\n"
+        arrays = [None, {"weights": np.ones((11, 11, 40, 4))}]
+        img = np.full((11, 11, 40), 7, dtype=np.uint8)
+    net = parse_netdesc(text)
+    return net, load_params(save_params(net, arrays), net), img
+
+
+@pytest.mark.parametrize("name,value", [("unfused_conv", 33880),
+                                        ("residual_chain", 32835)])
+def test_engine_and_oracle_overflow_alike(name, value):
+    net, params, img = _overflow_case(name)
+    for infer in (lambda: run(build_graph(net, params), img),
+                  lambda: dense_infer(net, params, img)):
+        with pytest.raises(AccumOverflowError, match="value %d does not fit" % value):
+            infer()
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,14 @@ def test_emit_roundtrip_random(rng):
         assert emit_netdesc(parse_netdesc(text)) == text
 
 
+def test_emit_omits_defaults():
+    text = ("input 6 6 2 2\nconv k=3 s=1 p=0 o=2 d=1.0 act=2\nmaxpool k=2 s=1 p=0\n"
+            "avgpool k=2 s=1 p=1\nfc o=3 d=0.5 act=3\n")
+    assert emit_netdesc(parse_netdesc(text)) == (
+        "input 6 6 2 2\nconv k=3 s=1 p=0 o=2 d=1.0\nmaxpool k=2 s=1\n"
+        "avgpool k=2 s=1 p=1\nfc o=3 d=0.5 act=3\n")
+
+
 @pytest.mark.parametrize("text,line,frag", [
     ("conv k=1 s=1 p=0 o=1 d=1 act=1\n", 1, "first directive"),
     ("input 4 4 1 2\ninput 4 4 1 2\n", 2, "first directive"),
@@ -89,6 +97,16 @@ def test_emit_roundtrip_random(rng):
     ("input 4 4 1 2\nfc o=1 d=3.5e38\n", 2, "finite"),
     ("input 4 4 1 2\nresblock o=1 s=1 d=1e-46\n", 2, "positive"),
     ("", 1, "empty"),
+    # every directive reads through one table: activation first, then the
+    # integer keys in line order
+    ("input 4 4 1 2\nresblock o=1 s=1\n", 2, "resblock with an activation needs d="),
+    ("input 4 4 1 2\nresblock o=1 s=1 act=none\n", 2, "cannot be turned off"),
+    ("input 4 4 1 2\nresblock o=1 s=1 act=x\n", 2, "act wants"),
+    ("input 4 4 1 2\nresblock d=1\n", 2, "key 'o'"),
+    ("input 4 4 1 2\nfc o=1 act=3\n", 2, "fc with an activation needs d="),
+    ("input 4 4 1 2\nfc o=1 d=1 act=none\n", 2, "fc with act=none takes no d="),
+    ("input 4 4 1 2\nmaxpool k=2 s=1 d=1\n", 2, "unknown key 'd'"),
+    ("input 4 4 1 2\nconv k=1 s=1 p=0 o=1 d=1 proj\n", 2, "expected key=value"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_parse_errors_carry_line_numbers(text, line, frag):

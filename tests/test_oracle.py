@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from reference import bn_code_fraction, dense_conv_loops
-from qnnstream.errors import AccumOverflowError, QuantizationError
-from qnnstream.netdesc import load_params, parse_netdesc
+from qnnstream.errors import QuantizationError
 from qnnstream.oracle import (
     dense_avgpool,
     dense_conv,
-    dense_infer,
     dense_maxpool,
     dense_skip_adapt,
     pad_dense,
@@ -133,17 +131,3 @@ def test_dense_skip_adapt():
     same = dense_skip_adapt(x, 1, 2)
     assert np.array_equal(same, x)
 
-
-def test_dense_infer_flags_wide_accumulators():
-    # an unfused conv whose fan-in can overflow 16 bits must refuse:
-    # all-positive weights on a saturated 3-bit image reach
-    # 11 * 11 * 40 * 7 = 33880, past the signed 16-bit limit
-    from qnnstream.netdesc import save_params
-
-    net = parse_netdesc("input 11 11 40 3\nconv k=11 s=1 p=0 o=4 act=none\n")
-    arrays = [None,
-              {"weights": np.ones((11, 11, 40, 4), dtype=np.float32)}]
-    params = load_params(save_params(net, arrays), net)
-    img = np.full((11, 11, 40), 7, dtype=np.uint8)
-    with pytest.raises(AccumOverflowError):
-        dense_infer(net, params, img)

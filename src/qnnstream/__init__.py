@@ -3,7 +3,7 @@
 The package splits into layers that mirror the hardware it models:
 
     quant      bit-packed weights, popcount dot products, exact
-               batchnorm folding into integer thresholds
+               per-layer batchnorm folding into integer thresholds
     kernels    streaming stages with minimal line buffers
     engine     the FIFO graph, its sweep driver, cycle model
     netdesc    the network description language and parameter blobs

@@ -20,8 +20,8 @@ shapes and the trigger rule alone), so they do not depend on scheduling
 order or on how input is batched.
 
 A conv, fc or join stage that emits codes ends in activation(): the
-ThresholdSets that fold_batchnorm derived for its channels, stacked once
-by stack_thresholds, counted by quant.count_code_floors. The oracle
+ThresholdSet that fold_batchnorm derived for its layer's channels,
+counted by quant.count_code_floors. The oracle
 counts with the same function against code floors it derives apart, from
 BnQuantizer; nothing here names the oracle's quantizer.
 """
@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import BufferEvictionError, ShapeError
 from .quant import (
-    CODE_FLOOR_LIMIT,
     FLOAT32_EXACT,
     FLOAT64_EXACT,
     check_accum_array,
@@ -154,41 +153,21 @@ class LineBuffer:
         return self.windows[slot:slot + last - oldest + 1:starts.step]
 
 
-def stack_thresholds(threshold_sets):
-    """A layer's ThresholdSets from fold_batchnorm as the (sign, floors)
-    that quant.count_code_floors takes.
-
-    sign is a (C,) int64 vector and floors a C-contiguous (levels, C)
-    int64 matrix: the code for accumulator a on channel j is the count of
-    floors[:, j] that sign[j] * a reaches. An inverted channel counts the
-    thresholds >= a, so its column holds them negated with sign -1
-    (v >= a iff -a >= -v); ties go up either way. Threshold magnitudes
-    can exceed int64 when gamma * inv_std is tiny; clamping to
-    +/- CODE_FLOOR_LIMIT preserves every comparison against accumulator
-    values, which are far smaller; one clamp runs over the stacked
-    Python ints.
-    """
-    lim = CODE_FLOOR_LIMIT
-    sign = np.array([-1 if ts.inverted else 1 for ts in threshold_sets], dtype=np.int64)
-    vals = np.array([ts.values for ts in threshold_sets],
-                    dtype=object).clip(-lim, lim).astype(np.int64)
-    return sign, np.ascontiguousarray((vals * sign[:, None]).T)
-
-
 def activation(thresholds):
     """The epilogue of a conv, fc or join stage, as a function of its
     accumulators.
 
-    With per-channel thresholds it is the fused batchnorm + activation and
-    emits codes; without, the accumulators pass on as range-checked 16-bit
-    values. The codes are exact without quant.check_floor_range: a join's
-    sums are 16-bit, and a conv's accumulators are below 2**53 on a float
-    product (float_signed_matrix) and below 2**n * K on popcount_dot.
+    With the layer's ThresholdSet it is the fused batchnorm + activation
+    and emits codes, counting its values against sign * a; without, the
+    accumulators pass on as range-checked 16-bit values. The codes are
+    exact without quant.check_floor_range: a join's sums are 16-bit, and
+    a conv's accumulators are below 2**53 on a float product
+    (float_signed_matrix) and below 2**n * K on popcount_dot.
     """
     if thresholds is None:
         return lambda accs: check_accum_array(accs).astype(np.int32)
-    sign, floors = stack_thresholds(thresholds)
-    return lambda accs: count_code_floors(accs, sign, floors)
+    sign, values = thresholds.sign, thresholds.values
+    return lambda accs: count_code_floors(accs, sign, values)
 
 
 class Stage:

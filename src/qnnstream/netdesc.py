@@ -30,7 +30,8 @@ channel outer, then row, column, channel fastest) followed by the
 gamma, mean, inv_std, bias arrays. _blob_slots is the one place that
 order is written down: it maps a flat payload to per-layer views, which
 load_params reads, and save_params and random_params assign into.
-Weights are binarized on load.
+Weights are binarized on load, and each batchnorm slot is folded once,
+a whole layer at a time, into the ThresholdSet its stage counts.
 """
 
 import math
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import NetdescError, ParamsError, ShapeError
 from .kernels import StreamShape
-from .quant import ACCUM_BITS, BnParams, WeightBlock, fold_batchnorm
+from .quant import ACCUM_BITS, BnParams, ThresholdSet, WeightBlock, fold_batchnorm
 
 DEFAULT_ACT_BITS = 2
 PARAMS_MAGIC = b"QNNP"
@@ -447,16 +448,16 @@ class ConvParams:
 
     raw_weights: np.ndarray  # float32 (K, K, I, O)
     weights: WeightBlock
-    bn: list = None  # [BnParams] per output channel
-    thresholds: list = None  # [ThresholdSet] per output channel
+    bn: BnParams = None
+    thresholds: ThresholdSet = None  # bn folded, every output channel
 
 
 @dataclass
 class LayerParams:
     d: float = 0.0
     convs: dict = field(default_factory=dict)  # 'main' or 'a'/'b'
-    join_bn: list = None
-    join_thresholds: list = None
+    join_bn: BnParams = None
+    join_thresholds: ThresholdSet = None
 
 
 def blob_layout(layer: LayerSpec):
@@ -495,7 +496,7 @@ def _blob_slots(net: NetworkSpec, payload: np.ndarray):
             flat = payload[pos:pos + math.prod(shape)]
             pos += len(flat)
             if len(shape) == 4:
-                views[key] = np.moveaxis(flat.reshape(shape[3], *shape[:3]), 0, 3)
+                views[key] = flat.reshape(shape[3], *shape[:3]).transpose(1, 2, 3, 0)
             else:
                 views[key] = flat.reshape(shape)
         slots.append(views)
@@ -513,21 +514,23 @@ def _blank_blob(net: NetworkSpec):
     return blob, _blob_slots(net, floats[count:])
 
 
-def _bn_list(arr: np.ndarray, layer_no: int):
-    out = []
-    for ch, (g, m, i, b) in enumerate(arr.T.tolist()):
-        if g * i == 0:
-            raise ParamsError("layer %d channel %d: gamma * inv_std is zero"
-                              % (layer_no, ch))
-        out.append(BnParams(gamma=g, mean=m, inv_std=i, bias=b))
-    return out
+def _bn(slot: np.ndarray, layer_no: int) -> BnParams:
+    """The layer's BnParams, views of the rows of its (4, C) slot, once
+    no channel's gamma * inv_std is zero. The product is taken in
+    float64, where two nonzero float32 factors never underflow to 0."""
+    bn = BnParams(*slot)
+    product = np.multiply(bn.gamma, bn.inv_std, dtype=np.float64)
+    if not product.all():
+        raise ParamsError("layer %d channel %d: gamma * inv_std is zero"
+                          % (layer_no, np.flatnonzero(product == 0)[0]))
+    return bn
 
 
 def _conv_params(raw, bn, layer_no, d, n):
     cp = ConvParams(raw_weights=raw, weights=WeightBlock.from_float(raw))
     if bn is not None:
-        cp.bn = _bn_list(bn, layer_no)
-        cp.thresholds = [fold_batchnorm(p, d, n) for p in cp.bn]
+        cp.bn = _bn(bn, layer_no)
+        cp.thresholds = fold_batchnorm(cp.bn, d, n)
     return cp
 
 
@@ -535,8 +538,10 @@ def load_params(blob: bytes, net: NetworkSpec):
     """Parse and validate a parameter blob against a network description.
 
     Returns a list of LayerParams aligned with net.layers. Weights come
-    back binarized; batchnorm parameters come back both raw and folded
-    into integer threshold sets.
+    back binarized. Each batchnorm slot comes back twice, one object per
+    layer and none per channel: raw, as a BnParams of views of the
+    slot's rows, and folded by fold_batchnorm into the layer's
+    ThresholdSet, the form its stage counts.
     """
     if len(blob) < _HEADER.size:
         raise ParamsError("parameter blob shorter than its header")
@@ -574,9 +579,8 @@ def load_params(blob: bytes, net: NetworkSpec):
                                             d_blob, layer.act_bits)
         elif layer.kind == "resblock":
             lp.convs["a"] = _conv_params(t["weights_a"], None, li, 0.0, 0)
-            lp.join_bn = _bn_list(t["bn_join"], li)
-            lp.join_thresholds = [fold_batchnorm(p, d_blob, layer.act_bits)
-                                  for p in lp.join_bn]
+            lp.join_bn = _bn(t["bn_join"], li)
+            lp.join_thresholds = fold_batchnorm(lp.join_bn, d_blob, layer.act_bits)
             lp.convs["b"] = _conv_params(t["weights_b"], t["bn_b"], li,
                                          d_blob, layer.act_bits)
         out.append(lp)

@@ -8,8 +8,9 @@ would cross a 16-bit stream. Agreement with the engine is therefore
 evidence about the streaming logic, not a shared code path.
 
 Both sides decide an activation code by integer boundaries, but they
-derive them apart. The engine's thresholds come from fold_batchnorm,
-t0 + alpha * step over one integer denominator per channel, rounded by
+derive them apart, each from the same per-layer BnParams arrays. The
+engine's thresholds come from fold_batchnorm, t0 + alpha * step over one
+integer denominator per channel from exact integer ratios, rounded by
 one floor division each. The oracle's code floors come from one
 BnQuantizer per layer, which scales the rule batchnorm(a) >= k * d of
 every channel to integers A * a + C >= k * D by the channel's least
@@ -118,11 +119,11 @@ def dense_skip_adapt(skip: np.ndarray, s: int, out_ch: int) -> np.ndarray:
     return sub
 
 
-def quantize_dense(y: np.ndarray, bn_list, d: float, n: int) -> np.ndarray:
+def quantize_dense(y: np.ndarray, bn, d: float, n: int) -> np.ndarray:
     """Per-channel exact batchnorm quantization of an (..., C) accumulator
-    map: the layer's BnQuantizer code floors, a (levels, C) matrix,
-    counted over the whole map at once."""
-    return BnQuantizer(bn_list, d, n).quantize_array(y)
+    map by the layer's BnParams bn: the layer's BnQuantizer code floors,
+    a (levels, C) matrix, counted over the whole map at once."""
+    return BnQuantizer(bn, d, n).quantize_array(y)
 
 
 def dense_infer(net, params, image: np.ndarray) -> np.ndarray:

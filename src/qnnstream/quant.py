@@ -9,15 +9,15 @@ from the parameters' exact values, so the integer decision procedure
 agrees with the mathematical definition on every integer accumulator
 value, not just away from boundaries.
 
-The engine's boundaries and the oracle's are derived apart:
-fold_batchnorm gives each channel's ThresholdSet from exact integer
-ratios (float.as_integer_ratio), and the stages stack them
-(kernels.stack_thresholds). BnQuantizer gives a whole layer's code
-floors at once, from the dyadic mantissas and exponents of its
-parameters (np.frexp), with Python ints in object arrays where the
-scaled coefficients outgrow int64. Neither derivation names the other.
-Both then count with count_code_floors: the code of a is the number of
-integer floors that sign * a reaches.
+The engine's boundaries and the oracle's are derived apart, each a
+whole layer at once from the (C,) arrays of its BnParams, with Python
+ints in object arrays where exact values outgrow int64.
+fold_batchnorm gives a layer's ThresholdSet from exact integer ratios
+(float.as_integer_ratio), already in the (sign, ascending columns) form
+the stages count. BnQuantizer gives its code floors from the dyadic
+mantissas and exponents of the parameters (np.frexp). Neither
+derivation names the other. Both then count with count_code_floors:
+the code of a is the number of integer floors that sign * a reaches.
 
 popcount_dot is the modelled XNOR/popcount datapath. A conv stage over
 activation codes runs it unless a float32 product with a +/-1 matrix
@@ -130,7 +130,7 @@ class WeightBlock:
         if k != k2:
             raise ShapeError("filter window must be square, got %d x %d" % (k, k2))
         # (K, K, I, O) -> (O, K*K*I) with channel fastest inside each row
-        flat = np.moveaxis(raw >= 0, 3, 0).reshape(out_ch, k * k * in_ch)
+        flat = (raw >= 0).transpose(3, 0, 1, 2).reshape(out_ch, k * k * in_ch)
         words = np.ascontiguousarray(pack_words(flat).T)
         return cls(k=k, in_ch=in_ch, out_ch=out_ch, words=words)
 
@@ -176,78 +176,104 @@ def popcount_dot(weights: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
     return acc - codes.sum(axis=-1, dtype=np.int64)[:, None]
 
 
-@dataclass(frozen=True)
+# float.as_integer_ratio element by element: (numerators, denominators)
+_integer_ratios = np.frompyfunc(float.as_integer_ratio, 1, 2)
+
+
+@dataclass(frozen=True, eq=False)
 class BnParams:
-    """Per-channel batchnorm parameters: scale, mean, inverse std, bias."""
+    """Batchnorm parameters of one layer: scale, mean, inverse std and
+    bias, one (C,) array each, one value per output channel.
 
-    gamma: float
-    mean: float
-    inv_std: float
-    bias: float
-
-
-@dataclass(frozen=True)
-class ThresholdSet:
-    """Folded batchnorm + activation for one output channel.
-
-    values holds integer thresholds in ascending order. With inverted
-    False the code for accumulator a is the count of values <= a; with
-    inverted True the comparison direction flips (negative gamma * inv_std).
-    The real thresholds of fold_batchnorm are strictly monotone; their
-    integer roundings in values may repeat when |step| < 1.
+    The fields are in the order of a parameter blob's (4, C) batchnorm
+    slot, so BnParams(*slot) holds views of its rows.
     """
 
-    values: tuple
-    inverted: bool
+    gamma: np.ndarray
+    mean: np.ndarray
+    inv_std: np.ndarray
+    bias: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class ThresholdSet:
+    """Folded batchnorm + activation for the channels of one layer, in
+    the form count_code_floors takes.
+
+    sign is (C,) int64, each channel's sign of gamma * inv_std, and
+    values a C-contiguous (2**n - 1, C) int64 matrix: the code for
+    accumulator a on channel j is the count of values[:, j] that
+    sign[j] * a reaches, ties going up. Every column ascends, an
+    inverted channel's too (negative gamma * inv_std: it counts the
+    thresholds a stays at or below, as v >= a iff -a >= -v). The real
+    thresholds of fold_batchnorm are strictly monotone; their integer
+    roundings may repeat when |step| < 1.
+    """
+
+    sign: np.ndarray
+    values: np.ndarray
     n: int
 
     def __post_init__(self):
-        if len(self.values) != (1 << self.n) - 1:
-            raise QuantizationError(
-                "need %d thresholds for %d-bit codes" % ((1 << self.n) - 1, self.n)
-            )
-        if any(b < a for a, b in zip(self.values, self.values[1:])):
-            raise QuantizationError("threshold list must be ascending")
+        sign, values = self.sign, self.values
+        levels = (1 << self.n) - 1
+        if values.shape != (levels,) + sign.shape:
+            raise QuantizationError("need %d thresholds for %d-bit codes on each "
+                                    "of %r signs, got %r"
+                                    % (levels, self.n, sign.shape, values.shape))
+        if sign.dtype != np.int64 or values.dtype != np.int64 \
+                or not values.flags.c_contiguous:
+            raise QuantizationError("thresholds must be int64, their values C-contiguous")
+        if (values[1:] < values[:-1]).any():
+            raise QuantizationError("threshold columns must be ascending")
 
 
-def fold_batchnorm(p: BnParams, d: float, n: int) -> ThresholdSet:
-    """Fold batchnorm into integer activation thresholds.
+def fold_batchnorm(bn: BnParams, d: float, n: int) -> ThresholdSet:
+    """Fold a layer's batchnorm into integer activation thresholds.
 
-    t0 = mean - bias / (gamma * inv_std), step = d / (gamma * inv_std),
-    real thresholds t_alpha = t0 + alpha * step for alpha = 1 .. 2**n - 1.
-    Rounding to integers keeps the decision exact on integer accumulators:
-    ceil for an ascending ladder (t <= a iff ceil(t) <= a), floor for a
-    descending one (a <= t iff a <= floor(t)). The parameters are taken
-    exactly via float.as_integer_ratio, so t_alpha = (t + alpha * s) / den
-    over one integer den, and each threshold is one floor division.
+    Per channel, t0 = mean - bias / (gamma * inv_std) and
+    step = d / (gamma * inv_std) give the real thresholds
+    t_alpha = t0 + alpha * step for alpha = 1 .. 2**n - 1. Rounding to
+    integers keeps the decision exact on integer accumulators: ceil for
+    an ascending ladder (t <= a iff ceil(t) <= a), floor for a
+    descending one (a <= t iff -a >= ceil(-t)), counted on -a. Every
+    field is taken exactly by float.as_integer_ratio, element by element
+    through np.frompyfunc, so t_alpha = (t + alpha * s) / den over one
+    integer den of the sign of gamma * inv_std, with s > 0, and in
+    either orientation threshold alpha is ceil((t + alpha * s) / |den|),
+    ascending in alpha: one floor division per value, over object arrays
+    of Python ints, each clamped to +/- CODE_FLOOR_LIMIT, which decides
+    no accumulator of smaller magnitude differently.
     """
     if d <= 0:
         raise QuantizationError("range size d must be positive")
     if n < 1:
         raise QuantizationError("activation bit-width must be >= 1")
-    gn, gd = p.gamma.as_integer_ratio()
-    sn, sd = p.inv_std.as_integer_ratio()
-    pn, pd = gn * sn, gd * sd  # gamma * inv_std, pd > 0
-    if pn == 0:
+    fields = np.array([bn.gamma, bn.inv_std, bn.mean, bn.bias], dtype=np.float64)
+    # a product of two nonzero rationals is nonzero
+    if not fields[:2].all():
         raise QuantizationError("degenerate channel: gamma * inv_std is zero")
-    mn, md = p.mean.as_integer_ratio()
-    bn_, bd = p.bias.as_integer_ratio()
+    # numerators and denominators of gamma, inv_std, mean and bias
+    (gn, sn, mn, cn), (gd, sd, md, cd) = _integer_ratios(fields)
+    pn, pd = gn * sn, gd * sd  # gamma * inv_std, pd > 0
     dn, dd = d.as_integer_ratio()
     # t0 = t / den and step = s / den, den of the sign of gamma * inv_std
-    den = md * bd * pn * dd
-    t = (mn * bd * pn - bn_ * pd * md) * dd
-    s = dn * pd * md * bd
-    alphas = range(1, 1 << n)
-    if pn > 0:
-        return ThresholdSet(values=tuple([-((-t - a * s) // den) for a in alphas]),
-                            inverted=False, n=n)
-    return ThresholdSet(values=tuple([(t + a * s) // den for a in reversed(alphas)]),
-                        inverted=True, n=n)
+    mcd = md * cd
+    den = mcd * pn * dd
+    t = (mn * cd * pn - cn * pd * md) * dd
+    s = dn * pd * mcd
+    scale = np.abs(den)
+    lim = CODE_FLOOR_LIMIT
+    alphas = np.arange(1, 1 << n)[:, None]
+    values = np.minimum(np.maximum((t + scale - 1 + alphas * s) // scale, -lim), lim)
+    # the float product may underflow to zero, but keeps the sign
+    sign = np.where(np.signbit(fields[0] * fields[1]), -1, 1)
+    return ThresholdSet(sign=sign, values=values.astype(np.int64), n=n)
 
 
 class BnQuantizer:
     """Exact composition of batchnorm and the uniform quantizer for the
-    channels of one layer: bn_list holds one BnParams per channel.
+    channels of one layer, from the arrays of its BnParams.
 
     code(a) = clamp(floor(batchnorm(a) / d), 0, 2**n - 1), so code(a) >= k
     iff gamma * inv_std * (a - mean) + bias >= k * d, for k = 1 .. 2**n - 1.
@@ -272,12 +298,13 @@ class BnQuantizer:
     count_code_floors takes for an (..., C) map.
     """
 
-    def __init__(self, bn_list, d: float, n: int):
+    def __init__(self, bn: BnParams, d: float, n: int):
         if not d > 0:
             raise QuantizationError("range size d must be positive")
         # one row per field: gamma, inv_std, mean, bias and d, by channel
-        fields = np.array([(p.gamma, p.inv_std, p.mean, p.bias, d) for p in bn_list],
-                          dtype=np.float64).reshape(-1, 5).T
+        fields = np.empty((5, len(bn.gamma)))
+        fields[:4] = bn.gamma, bn.inv_std, bn.mean, bn.bias
+        fields[4] = d
         if not np.isfinite(fields).all():
             raise QuantizationError("batchnorm parameters and d must be finite")
         frac, exps = np.frexp(fields)

@@ -14,7 +14,11 @@ from qnnstream.engine import Fifo
 from qnnstream.netdesc import parse_netdesc
 
 
-def random_net_text(rng, force_residual=None):
+def random_net_text(rng, force_residual=None, max_act_bits=3):
+    """A random description; every activation is 1 to max_act_bits bits
+    wide. The default of 3 keeps the draws, and so every seeded corpus,
+    as they have always been. Up to 8 makes layer folds of 255 levels,
+    and the 16-bit budget above no longer holds for the worst case."""
     h = int(rng.integers(5, 17))
     w = int(rng.integers(5, 17))
     c = int(rng.integers(1, 9))
@@ -65,7 +69,7 @@ def random_net_text(rng, force_residual=None):
                 kind = "accum"
                 wide = True
             else:
-                n = int(rng.integers(1, 4))
+                n = int(rng.integers(1, max_act_bits + 1))
                 lines.append("conv k=%d s=%d p=%d o=%d d=%r act=%d"
                              % (k, s, p, o, d_val(), n))
                 kind = "code"
@@ -86,7 +90,7 @@ def random_net_text(rng, force_residual=None):
             s = int(rng.choice([1, 1, 2]))
             o = int(rng.integers(c, 9))
             proj = " proj" if (s != 1 or o != c) else ""
-            n = int(rng.integers(1, 4))
+            n = int(rng.integers(1, max_act_bits + 1))
             lines.append("resblock o=%d s=%d d=%r act=%d%s"
                          % (o, s, d_val(), n, proj))
             h, w = (h - 1) // s + 1, (w - 1) // s + 1
@@ -96,7 +100,7 @@ def random_net_text(rng, force_residual=None):
             o = int(rng.integers(1, 17))
             if rng.random() < 0.5:
                 lines.append("fc o=%d d=%r act=%d"
-                             % (o, d_val(), int(rng.integers(1, 4))))
+                             % (o, d_val(), int(rng.integers(1, max_act_bits + 1))))
                 kind = "code"
                 h = w = 1
                 c = o
@@ -109,8 +113,8 @@ def random_net_text(rng, force_residual=None):
     return "\n".join(lines) + "\n"
 
 
-def random_net(rng, name="rand", force_residual=None):
-    return parse_netdesc(random_net_text(rng, force_residual), name=name)
+def random_net(rng, name="rand", force_residual=None, max_act_bits=3):
+    return parse_netdesc(random_net_text(rng, force_residual, max_act_bits), name=name)
 
 
 def residual_overflow_chain():

@@ -3,17 +3,20 @@
 Nothing in the package runs these; each states a rule in its plainest
 form, for the tests to hold the fast paths to.
 
-- fold_batchnorm_fraction folds batchnorm in Fractions, the plainest
-  exact statement of the threshold rule. quant.fold_batchnorm, which
-  works in Python integers, must give the same ThresholdSet for every
-  parameter set and raise the same errors.
+- BnChannel is one channel's batchnorm parameters, and bn_layer stacks
+  channels into the per-layer BnParams the package folds.
+- fold_batchnorm_fraction folds batchnorm in Fractions, one channel at
+  a time, the plainest exact statement of the threshold rule.
+  quant.fold_batchnorm, which folds a whole layer in Python integers,
+  must give the same ThresholdSet for every parameter set and raise the
+  same errors.
 - bn_code_fraction is the code of one accumulator under batchnorm and
   the uniform quantizer, in Fractions; bn_code_floors_fraction states
   one channel's code floors in Fractions. quant.BnQuantizer, which
   derives a whole layer's floors from dyadic mantissas, must give the
   same sign and floors for every channel.
-- apply_threshold decides one code from a ThresholdSet by binary search,
-  the scalar reference of quant.count_code_floors; batchnorm and
+- apply_threshold decides one channel's code from a ThresholdSet by
+  binary search, the scalar reference of quant.count_code_floors; batchnorm and
   quantize_reference are the float semantics both must meet.
 - plane_dot, codes_to_planes and quantized_dot are the scalar XNOR /
   popcount dot product that quant.popcount_dot vectorizes.
@@ -25,7 +28,8 @@ form, for the tests to hold the fast paths to.
   line-buffer read must agree with.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -44,35 +48,55 @@ def _floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def fold_batchnorm_fraction(p: BnParams, d: float, n: int) -> ThresholdSet:
-    """Fold batchnorm into integer activation thresholds.
+# one channel's batchnorm parameters, in the order of a blob's slot rows
+BnChannel = namedtuple("BnChannel", "gamma mean inv_std bias")
+
+
+def bn_layer(channels) -> BnParams:
+    """The BnParams of a layer of BnChannels, as float64 arrays."""
+    rows = np.array([tuple(p) for p in channels], dtype=np.float64).reshape(-1, 4).T
+    return BnParams(*rows)
+
+
+def fold_batchnorm_fraction(bn: BnParams, d: float, n: int) -> ThresholdSet:
+    """Fold a layer's batchnorm into integer activation thresholds, one
+    channel at a time.
 
     t0 = mean - bias / (gamma * inv_std), step = d / (gamma * inv_std),
     real thresholds t_alpha = t0 + alpha * step for alpha = 1 .. 2**n - 1.
     Rounding to integers keeps the decision exact on integer accumulators:
     ceil for an ascending ladder (t <= a iff ceil(t) <= a), floor for a
-    descending one (a <= t iff a <= floor(t)).
+    descending one (a <= t iff a <= floor(t)). A descending channel is
+    stored as ThresholdSet counts it, on -a: sign -1 and its floors
+    negated, which reverses them into ascending order. Each value is
+    clamped to +/- CODE_FLOOR_LIMIT.
     """
     if d <= 0:
         raise QuantizationError("range size d must be positive")
     if n < 1:
         raise QuantizationError("activation bit-width must be >= 1")
-    gi = Fraction(p.gamma) * Fraction(p.inv_std)
-    if gi == 0:
-        raise QuantizationError("degenerate channel: gamma * inv_std is zero")
-    t0 = Fraction(p.mean) - Fraction(p.bias) / gi
-    step = Fraction(d) / gi
-    reals = [t0 + alpha * step for alpha in range(1, 1 << n)]
-    if gi > 0:
-        values = tuple(_ceil_frac(t) for t in reals)
-        inverted = False
-    else:
-        values = tuple(_floor_frac(t) for t in reversed(reals))
-        inverted = True
-    return ThresholdSet(values=values, inverted=inverted, n=n)
+    signs, columns = [], []
+    rows = (np.asarray(row, dtype=np.float64).tolist()
+            for row in (bn.gamma, bn.mean, bn.inv_std, bn.bias))
+    for p in map(BnChannel._make, zip(*rows)):
+        gi = Fraction(p.gamma) * Fraction(p.inv_std)
+        if gi == 0:
+            raise QuantizationError("degenerate channel: gamma * inv_std is zero")
+        t0 = Fraction(p.mean) - Fraction(p.bias) / gi
+        step = Fraction(d) / gi
+        reals = [t0 + alpha * step for alpha in range(1, 1 << n)]
+        if gi > 0:
+            signs.append(1)
+            values = [_ceil_frac(t) for t in reals]
+        else:
+            signs.append(-1)
+            values = [-_floor_frac(t) for t in reals]
+        columns.append([min(max(v, -CODE_FLOOR_LIMIT), CODE_FLOOR_LIMIT) for v in values])
+    return ThresholdSet(sign=np.array(signs, dtype=np.int64),
+                        values=np.array(columns, dtype=np.int64).T.copy(), n=n)
 
 
-def _bn_ratio(p: BnParams, d: float) -> Fraction:
+def _bn_ratio(p: BnChannel, d: float) -> Fraction:
     if d <= 0:
         raise QuantizationError("range size d must be positive")
     gi = Fraction(p.gamma) * Fraction(p.inv_std)
@@ -81,7 +105,7 @@ def _bn_ratio(p: BnParams, d: float) -> Fraction:
     return gi
 
 
-def bn_code_fraction(a: int, p: BnParams, d: float, n: int) -> int:
+def bn_code_fraction(a: int, p: BnChannel, d: float, n: int) -> int:
     """clamp(floor((gamma * inv_std * (a - mean) + bias) / d), 0, 2**n - 1)
     for an integer accumulator a, in Fractions."""
     gi = _bn_ratio(p, d)
@@ -89,7 +113,7 @@ def bn_code_fraction(a: int, p: BnParams, d: float, n: int) -> int:
     return min(max(_floor_frac(y / Fraction(d)), 0), (1 << n) - 1)
 
 
-def bn_code_floors_fraction(p: BnParams, d: float, n: int):
+def bn_code_floors_fraction(p: BnChannel, d: float, n: int):
     """One channel's (sign, floors): floors[k - 1] is the least integer
     f_k such that sign * a >= f_k iff
     gamma * inv_std * (a - mean) + bias >= k * d, for k = 1 .. 2**n - 1
@@ -103,18 +127,16 @@ def bn_code_floors_fraction(p: BnParams, d: float, n: int):
     return sign, [min(max(f, -CODE_FLOOR_LIMIT), CODE_FLOOR_LIMIT) for f in floors]
 
 
-def apply_threshold(a: int, ts: ThresholdSet) -> int:
-    """Activation code for accumulator a, a pure integer binary search.
+def apply_threshold(a: int, ts: ThresholdSet, j: int = 0) -> int:
+    """Activation code for accumulator a on channel j, a pure integer
+    binary search over the channel's ascending column for sign * a.
 
     Boundary rule: a equal to a threshold takes the higher code.
     """
-    a = int(a)
-    if not ts.inverted:
-        return bisect_right(ts.values, a)
-    return len(ts.values) - bisect_left(ts.values, a)
+    return bisect_right(ts.values[:, j], int(ts.sign[j]) * int(a))
 
 
-def batchnorm(a, p: BnParams):
+def batchnorm(a, p: BnChannel):
     """The float batchnorm map gamma * (a - mean) * inv_std + bias."""
     return p.gamma * (a - p.mean) * p.inv_std + p.bias
 

@@ -14,8 +14,10 @@ import pytest
 
 from conftest import drive_stage, random_image, random_net
 from reference import (
+    BnChannel,
     apply_threshold,
     batchnorm,
+    bn_layer,
     codes_to_planes,
     plane_dot,
     quantize_reference,
@@ -36,7 +38,6 @@ from qnnstream.kernels import (
     ResidualJoinStage,
     StreamShape,
     line_buffer_capacity,
-    stack_thresholds,
 )
 from qnnstream.netdesc import (
     build_resnet18,
@@ -46,7 +47,7 @@ from qnnstream.netdesc import (
     random_params,
 )
 from qnnstream.oracle import dense_conv, dense_infer
-from qnnstream.quant import BnParams, WeightBlock, count_code_floors, fold_batchnorm
+from qnnstream.quant import WeightBlock, count_code_floors, fold_batchnorm
 from qnnstream.resources import estimate_resources
 
 REFERENCE_CYCLES = 1_850_000
@@ -99,21 +100,21 @@ def test_02_threshold_fold_equals_float_reference(rng):
     negative_scales = 0
     for draw in range(1000):
         sign = -1.0 if rng.random() < 0.4 else 1.0
-        p = BnParams(gamma=sign * 10.0 ** rng.uniform(-2, 2),
-                     mean=float(rng.normal(0, 60)),
-                     inv_std=10.0 ** rng.uniform(-2, 1),
-                     bias=float(rng.normal(0, 15)))
+        p = BnChannel(gamma=sign * 10.0 ** rng.uniform(-2, 2),
+                      mean=float(rng.normal(0, 60)),
+                      inv_std=10.0 ** rng.uniform(-2, 1),
+                      bias=float(rng.normal(0, 15)))
         d = 10.0 ** rng.uniform(-1.5, 0.8)
         n = int(rng.integers(1, 4))
         if p.gamma * p.inv_std < 0:
             negative_scales += 1
-        ts = fold_batchnorm(p, d, n)
+        ts = fold_batchnorm(bn_layer([p]), d, n)
         grid = rng.integers(-32768, 32768, size=10_000).tolist()
-        for v in ts.values:
+        for v in (ts.values[:, 0] * ts.sign[0]).tolist():
             for off in (-2, -1, 0, 1, 2):
                 grid.append(min(max(v + off, -32768), 32767))
         accs = np.asarray(grid, dtype=np.int64)
-        got = count_code_floors(accs, *stack_thresholds([ts]))
+        got = count_code_floors(accs, ts.sign, ts.values)
         y = batchnorm(accs.astype(np.float64), p)
         want = np.clip(np.floor(y / d), 0, (1 << n) - 1).astype(np.int64)
         bad = np.flatnonzero(got != want)

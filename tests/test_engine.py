@@ -241,6 +241,31 @@ def test_fifo_capacity_property(seed, residual, capacity):
         assert join.skip_fifo.capacity * 16 == charged.stage(join.name).skip_bits
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), residual=st.booleans(),
+       image=st.sampled_from(["random", "zero", "max"]))
+def test_wide_activations_end_to_end(seed, residual, image):
+    # activations of 1 to 8 bits, so layer folds of up to 255 levels run
+    # whole pipelines, on random and on saturating images: engine ==
+    # oracle and analytic == measured cycles. A wide code may push an
+    # accumulator past 16 bits; then both sides raise the same error
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, force_residual=residual, max_act_bits=8)
+    params = load_params(random_params(net, rng), net)
+    img = random_image(rng, net)
+    if image != "random":
+        img[...] = 0 if image == "zero" else (1 << net.input_shape.bits) - 1
+    try:
+        result = run(build_graph(net, params), img, ModelConfig())
+    except AccumOverflowError as e:
+        with pytest.raises(AccumOverflowError) as ref:
+            dense_infer(net, params, img)
+        assert str(ref.value) == str(e)
+        return
+    assert np.array_equal(result.output, dense_infer(net, params, img))
+    assert result.report == estimate_cycles(net, ModelConfig())
+
+
 @pytest.mark.parametrize("capacity", [None, 1, 3], ids=["default", "1", "3"])
 def test_no_stage_writes_a_popped_chunk(monkeypatch, capacity):
     # a tee pushes the chunk it popped to both of its outputs, which is

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import drive_stage
-from reference import apply_threshold, width_first_capacity, window_indices
+from reference import (
+    BnChannel,
+    apply_threshold,
+    bn_code_fraction,
+    bn_layer,
+    width_first_capacity,
+    window_indices,
+)
 from qnnstream.engine import WEIGHTED_KINDS, Fifo, window_shape
 from qnnstream.errors import BufferEvictionError, ShapeError
 from qnnstream.netdesc import BUILTIN_BUILDERS, expand_layers
@@ -20,7 +27,6 @@ from qnnstream.kernels import (
     blas_signs,
     float_signed_matrix,
     line_buffer_capacity,
-    stack_thresholds,
 )
 from qnnstream.oracle import (
     dense_avgpool,
@@ -30,7 +36,7 @@ from qnnstream.oracle import (
     quantize_dense,
 )
 from qnnstream.quant import (
-    BnParams,
+    CODE_FLOOR_LIMIT,
     ThresholdSet,
     WeightBlock,
     count_code_floors,
@@ -40,20 +46,17 @@ from qnnstream.quant import (
 
 
 def _random_bn(rng, o, allow_negative=True):
+    """A layer's BnParams for o channels."""
     lo = -2.0 if allow_negative else 0.1
     out = []
     while len(out) < o:
         g = float(rng.uniform(lo, 2.0))
         if abs(g) < 1e-3:
             continue
-        out.append(BnParams(gamma=g, mean=float(rng.uniform(-4, 4)),
-                            inv_std=float(rng.uniform(0.2, 2.0)),
-                            bias=float(rng.uniform(-3, 3))))
-    return out
-
-
-def _thresholds(bns, d, n):
-    return [fold_batchnorm(p, d, n) for p in bns]
+        out.append(BnChannel(gamma=g, mean=float(rng.uniform(-4, 4)),
+                             inv_std=float(rng.uniform(0.2, 2.0)),
+                             bias=float(rng.uniform(-3, 3))))
+    return bn_layer(out)
 
 
 def _out_hw(h, w, k, s, p):
@@ -132,33 +135,31 @@ def test_line_buffer_gather_and_eviction():
 
 
 def test_threshold_matrix_matches_scalar(rng):
-    bns = _random_bn(rng, 12)
-    sets = _thresholds(bns, 1.7, 2)
-    sign, floors = stack_thresholds(sets)
+    ts = fold_batchnorm(_random_bn(rng, 12), 1.7, 2)
     accs = rng.integers(-2000, 2000, size=12)
-    got = count_code_floors(accs, sign, floors)
-    for j, ts in enumerate(sets):
-        assert got[j] == apply_threshold(int(accs[j]), ts)
-    # every channel at each of its thresholds and one either side
-    assert {ts.inverted for ts in sets} == {False, True}
-    at = np.array([[ts.values[i] + off for ts in sets]
-                   for i in range(len(sets[0].values)) for off in (-1, 0, 1)])
-    got = count_code_floors(at, sign, floors)
+    got = count_code_floors(accs, ts.sign, ts.values)
+    for j in range(12):
+        assert got[j] == apply_threshold(int(accs[j]), ts, j)
+    # every channel at each of its thresholds and one either side, an
+    # inverted channel's at -value
+    assert set(ts.sign.tolist()) == {1, -1}
+    at = np.array([row * ts.sign + off for row in ts.values for off in (-1, 0, 1)])
+    got = count_code_floors(at, ts.sign, ts.values)
     for row, codes in zip(at, got):
-        for j, ts in enumerate(sets):
-            assert codes[j] == apply_threshold(int(row[j]), ts)
+        for j in range(12):
+            assert codes[j] == apply_threshold(int(row[j]), ts, j)
 
 
 def test_threshold_matrix_clamps_huge_values():
     # a microscopic scale makes thresholds overflow int64; the clamp must
     # keep every comparison against realistic accumulators intact
-    p = BnParams(gamma=1e-30, mean=0.0, inv_std=1.0, bias=-1.0)
-    ts = fold_batchnorm(p, 1.0, 1)
-    sign, floors = stack_thresholds([ts, ts])
+    p = BnChannel(gamma=1e-30, mean=0.0, inv_std=1.0, bias=-1.0)
+    ts = fold_batchnorm(bn_layer([p, p]), 1.0, 1)
+    assert ts.values.tolist() == [[CODE_FLOOR_LIMIT, CODE_FLOOR_LIMIT]]
     accs = np.array([-30000, 30000])
-    got = count_code_floors(accs, sign, floors)
-    assert got[0] == apply_threshold(-30000, ts)
-    assert got[1] == apply_threshold(30000, ts)
+    got = count_code_floors(accs, ts.sign, ts.values)
+    assert got[0] == apply_threshold(-30000, ts, 0) == bn_code_fraction(-30000, p, 1.0, 1)
+    assert got[1] == apply_threshold(30000, ts, 1) == bn_code_fraction(30000, p, 1.0, 1)
 
 
 def test_line_buffer_windows_straddle_the_wrap(rng):
@@ -336,50 +337,46 @@ _HUGE = 1 << 62
 
 
 @st.composite
-def _threshold_sets(draw):
-    """Ascending ladders for 1 to 4 channels of n-bit codes, n 1..8, with
-    inverted channels and runs of thresholds beyond the +/-2**62 clamp
-    at either end."""
+def _threshold_set(draw):
+    """A layer's ThresholdSet for 1 to 4 channels of n-bit codes, n
+    1..8: ascending columns, with inverted channels and runs of
+    thresholds clamped to +/-2**62 at either end."""
     n = draw(st.integers(1, 8))
     m = (1 << n) - 1
-    sets = []
+    signs, columns = [], []
     for _ in range(draw(st.integers(1, 4))):
         steps = draw(st.lists(st.integers(0, 300), min_size=m, max_size=m))
         values = (draw(st.integers(-(1 << 15) - 300, 1 << 15))
                   + np.cumsum(steps)).tolist()
         low = draw(st.integers(0, m))
         high = draw(st.integers(0, m - low))
-        values[:low] = [-_HUGE - 5 * (low - i) for i in range(low)]
-        values[m - high:] = [_HUGE + i for i in range(high)]
-        sets.append(ThresholdSet(values=tuple(values), inverted=draw(st.booleans()), n=n))
-    return sets
+        values[:low] = [-_HUGE] * low
+        values[m - high:] = [_HUGE] * high
+        columns.append(values)
+        signs.append(draw(st.sampled_from([1, -1])))
+    return ThresholdSet(sign=np.array(signs, dtype=np.int64),
+                        values=np.array(columns, dtype=np.int64).T.copy(), n=n)
 
 
 @settings(max_examples=80, deadline=None)
-@given(sets=_threshold_sets(), data=st.data())
-def test_threshold_matrix_matches_scalar_property(sets, data):
-    chans = len(sets)
-    sign, floors = stack_thresholds(sets)
-    assert floors.shape == (len(sets[0].values), chans) and floors.flags.c_contiguous
-    # each value clamped one at a time, then sign folded
-    assert floors.T.tolist() == [
-        [min(max(v, -_HUGE), _HUGE) * (-1 if ts.inverted else 1) for v in ts.values]
-        for ts in sets]
-    assert sign.dtype == np.int64 and floors.dtype == np.int64
+@given(ts=_threshold_set(), data=st.data())
+def test_threshold_matrix_matches_scalar_property(ts, data):
+    chans = len(ts.sign)
+    sign, floors = ts.sign, ts.values
     drawn = data.draw(st.lists(st.integers(-(1 << 15), 1 << 15),
                                min_size=chans, max_size=8 * chans))
     rows = [drawn[i:i + chans] for i in range(0, len(drawn) - chans + 1, chans)]
     rows += [[-(1 << 15)] * chans, [1 << 15] * chans]
-    for j, ts in enumerate(sets):  # each threshold and one either side
-        for v in ts.values:
+    for j in range(chans):  # each threshold and one either side
+        for v in floors[:, j].tolist():
             if abs(v) <= 1 << 15:
                 for off in (-1, 0, 1):
                     rows.append([0] * chans)
-                    rows[-1][j] = v + off
+                    rows[-1][j] = int(sign[j]) * v + off
     accs = np.array(rows, dtype=np.int64)
     got = count_code_floors(accs, sign, floors)
     assert got.dtype == np.int64 and got.shape == accs.shape
-    want = [[apply_threshold(a, ts) for a, ts in zip(row, sets)] for row in rows]
+    want = [[apply_threshold(a, ts, j) for j, a in enumerate(row)] for row in rows]
     assert got.tolist() == want
     # a map of pixels counts the same as its rows: channels stay last
     pixels = accs.reshape(len(rows), 1, chans)
@@ -403,7 +400,7 @@ def _conv_case(rng, k, s, p, fused=True):
         d = float(rng.uniform(0.5, 4.0))
         bns = _random_bn(rng, o)
         out_shape = StreamShape(oh, ow, o, "code", 2)
-        thresholds = _thresholds(bns, d, 2)
+        thresholds = fold_batchnorm(bns, d, 2)
         ref = quantize_dense(dense_conv(x, raw, s, p), bns, d, 2)
     else:
         out_shape = StreamShape(oh, ow, o, "accum", 16)
@@ -436,7 +433,7 @@ def test_first_conv_stage_matches_dense(rng):
         oh, ow = _out_hw(h, w, k, s, p)
         out, _ = _drive(lambda: ConvStage(
             "fc0", StreamShape(h, w, c, "u8", 8), StreamShape(oh, ow, o, "code", 2),
-            WeightBlock.from_float(raw), s, p, thresholds=_thresholds(bns, 2.0, 2)),
+            WeightBlock.from_float(raw), s, p, thresholds=fold_batchnorm(bns, 2.0, 2)),
             x.reshape(-1))
         ref = quantize_dense(dense_conv(x, raw, s, p), bns, 2.0, 2)
         assert np.array_equal(out, ref.reshape(-1))
@@ -524,7 +521,7 @@ def test_join_adds_and_requantizes(rng):
     accs = rng.integers(-300, 300, size=(3, 3, o))
     skip = rng.integers(-300, 300, size=(3, 3, o))
     out, skip_out = _drive(
-        lambda: ResidualJoinStage("jn", shape, _thresholds(bns, d, n)),
+        lambda: ResidualJoinStage("jn", shape, fold_batchnorm(bns, d, n)),
         accs.reshape(-1), skip_data=skip.reshape(-1))
     total = accs + skip
     assert np.array_equal(skip_out, total.reshape(-1))
@@ -682,7 +679,7 @@ def test_fc_stage_matches_dense(rng):
     bns = _random_bn(rng, o)
     out, _ = _drive(lambda: ConvStage("fc", in_shape, StreamShape(1, 1, o, "code", n),
                                       WeightBlock.from_float(raw), 1, 0,
-                                      thresholds=_thresholds(bns, 1.3, n)),
+                                      thresholds=fold_batchnorm(bns, 1.3, n)),
                     x.reshape(-1))
     ref = quantize_dense((x.reshape(-1) @ signs).reshape(1, 1, o), bns, 1.3, n)
     assert np.array_equal(out, ref.reshape(-1))

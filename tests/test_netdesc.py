@@ -18,6 +18,7 @@ from qnnstream.netdesc import (
     random_params,
     save_params,
 )
+from qnnstream.quant import CODE_FLOOR_LIMIT
 
 SMALL = """\
 input 8 8 3 8
@@ -182,21 +183,19 @@ def test_blob_length_and_roundtrip(rng):
     assert len(blob) == 12 + 4 * len(net.layers) + 4 * param_census(net)
     params = load_params(blob, net)
 
+    def stack(bn):
+        # a layer's BnParams holds its slot's rows, in slot order
+        return np.stack([bn.gamma, bn.mean, bn.inv_std, bn.bias])
+
     arrays = []
     for layer, lp in zip(net.layers, params):
         if layer.kind in ("conv", "fc"):
             cp = lp.convs["main"]
             entry = {"weights": cp.raw_weights}
             if layer.fused:
-                entry["bn"] = np.stack(
-                    [[p.gamma for p in cp.bn], [p.mean for p in cp.bn],
-                     [p.inv_std for p in cp.bn], [p.bias for p in cp.bn]])
+                entry["bn"] = stack(cp.bn)
             arrays.append(entry)
         elif layer.kind == "resblock":
-            def stack(bns):
-                return np.stack(
-                    [[p.gamma for p in bns], [p.mean for p in bns],
-                     [p.inv_std for p in bns], [p.bias for p in bns]])
             arrays.append({"weights_a": lp.convs["a"].raw_weights,
                            "bn_join": stack(lp.join_bn),
                            "weights_b": lp.convs["b"].raw_weights,
@@ -263,6 +262,60 @@ def test_blob_rejects_degenerate_bn(rng):
         load_params(blob, net)
 
 
+_TINY_NET = "input 3 3 2 2\nconv k=1 s=1 p=0 o=3 d=1.0\nresblock o=3 s=1 d=1.0\n"
+
+
+def _tiny_arrays(bad_slot=None, channel=0, field=0):
+    """Parameters for _TINY_NET. Every batchnorm slot has a sound
+    channel 0, a channel 1 with gamma = inv_std = 1e-30 and a sound
+    channel 2; field (0 gamma, 2 inv_std) of channel of bad_slot is 0."""
+    bn = np.array([[1.0, 1e-30, -1.0], [0.0, 0.0, 0.5],
+                   [1.0, 1e-30, 0.5], [1.0, 1.5, 2.0]], dtype=np.float32)
+    slots = {key: bn.copy() for key in ("bn", "bn_join", "bn_b")}
+    if bad_slot:
+        slots[bad_slot][field, channel] = 0.0
+    w = np.ones((1, 1, 2, 3), dtype=np.float32)
+    return [None, {"weights": w, "bn": slots["bn"]},
+            {"weights_a": np.ones((3, 3, 3, 3), dtype=np.float32),
+             "bn_join": slots["bn_join"],
+             "weights_b": -np.ones((3, 3, 3, 3), dtype=np.float32),
+             "bn_b": slots["bn_b"]}]
+
+
+def test_blob_accepts_gamma_inv_std_underflowing_in_float32(rng):
+    # 1e-30 * 1e-30 is 0 in float32 but not in float64 or as a rational:
+    # the channel is not degenerate, it loads, and engine == oracle on it
+    from qnnstream.engine import ModelConfig, build_graph, run
+    from qnnstream.oracle import dense_infer
+
+    tiny = np.float32(1e-30)
+    assert tiny * tiny == 0 and float(tiny) * float(tiny) != 0
+    net = parse_netdesc(_TINY_NET)
+    params = load_params(save_params(net, _tiny_arrays()), net)
+    for ts in (params[1].convs["main"].thresholds, params[2].join_thresholds,
+               params[2].convs["b"].thresholds):
+        # bias 1.5 over d = 1 and a vanishing scale: code 1 throughout
+        assert ts.values[:, 1].tolist() == [-CODE_FLOOR_LIMIT, CODE_FLOOR_LIMIT, CODE_FLOOR_LIMIT]
+    for _ in range(4):
+        img = rng.integers(0, 4, size=(3, 3, 2), dtype=np.uint8)
+        out = run(build_graph(net, params), img, ModelConfig()).output
+        assert np.array_equal(out, dense_infer(net, params, img))
+        assert set(out[1::3].tolist()) == {1}
+
+
+@pytest.mark.parametrize("slot, layer", [("bn", 1), ("bn_join", 2), ("bn_b", 2)])
+@pytest.mark.parametrize("channel", [1, 2])
+@pytest.mark.parametrize("field", [0, 2], ids=["gamma", "inv_std"])
+def test_blob_rejects_zero_gamma_inv_std_on_a_later_channel(slot, layer, channel, field):
+    # an exact zero factor is degenerate wherever it sits, and the error
+    # names its layer and channel
+    net = parse_netdesc(_TINY_NET)
+    blob = save_params(net, _tiny_arrays(slot, channel, field))
+    with pytest.raises(ParamsError, match=r"^layer %d channel %d: gamma \* inv_std is zero$"
+                       % (layer, channel)):
+        load_params(blob, net)
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_BUILDERS))
 def test_blob_one_float_off_refused(name):
     # the length is checked against the layout before any float is read,
@@ -300,7 +353,7 @@ def test_random_params_spread_codes(rng):
 
     net = parse_netdesc("input 12 12 2 2\nconv k=3 s=1 p=1 o=8 d=1.0 act=2\n")
     params = load_params(random_params(net, rng), net)
-    assert len(params[1].convs["main"].thresholds) == 8
+    assert params[1].convs["main"].thresholds.values.shape == (3, 8)
     img = rng.integers(0, 4, size=(12, 12, 2), dtype=np.uint8)
     res = run(build_graph(net, params), img, ModelConfig())
     assert len(np.unique(res.output)) >= 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import bn_code_fraction, dense_conv_loops
+from reference import BnChannel, bn_code_fraction, bn_layer, dense_conv_loops
 from qnnstream.errors import QuantizationError
 from qnnstream.oracle import (
     dense_avgpool,
@@ -15,7 +15,6 @@ from qnnstream.quant import (
     CODE_FLOOR_LIMIT,
     FLOAT32_EXACT,
     FLOAT64_EXACT,
-    BnParams,
     BnQuantizer,
 )
 
@@ -80,17 +79,17 @@ def test_dense_conv_exact_near_float64_limit(top, sign):
 def test_quantize_dense_matches_scalar(rng):
     # gamma of both signs, and a channel whose |A| is so small that every
     # code floor clamps to +/- CODE_FLOOR_LIMIT (its code is 1 throughout)
-    bns = [BnParams(gamma=0.37, mean=-2.5, inv_std=1.9, bias=0.41),
-           BnParams(gamma=-1.2, mean=3.0, inv_std=0.8, bias=1.7),
-           BnParams(gamma=5e-324, mean=0.0, inv_std=1e-30, bias=1.5),
-           BnParams(gamma=-0.05, mean=100.0, inv_std=2.0, bias=-0.3)]
-    q = BnQuantizer(bns, 0.9, 2)
+    bns = [BnChannel(gamma=0.37, mean=-2.5, inv_std=1.9, bias=0.41),
+           BnChannel(gamma=-1.2, mean=3.0, inv_std=0.8, bias=1.7),
+           BnChannel(gamma=5e-324, mean=0.0, inv_std=1e-30, bias=1.5),
+           BnChannel(gamma=-0.05, mean=100.0, inv_std=2.0, bias=-0.3)]
+    q = BnQuantizer(bn_layer(bns), 0.9, 2)
     assert q.sign.tolist() == [1, -1, 1, -1]
     assert np.abs(q.floors[:, 2]).tolist() == [CODE_FLOOR_LIMIT] * 3
     y = rng.integers(-300, 300, size=(3, 5, 4))
     y[0, 0] = CODE_FLOOR_LIMIT - 1
     y[0, 1] = 1 - CODE_FLOOR_LIMIT
-    out = quantize_dense(y, bns, 0.9, 2)
+    out = quantize_dense(y, bn_layer(bns), 0.9, 2)
     assert out.dtype == np.int64 and out.shape == y.shape
     want = [[[bn_code_fraction(a, bn, 0.9, 2) for bn, a in zip(bns, pixel)] for pixel in row]
             for row in y.tolist()]
@@ -100,9 +99,9 @@ def test_quantize_dense_matches_scalar(rng):
     for bad in (CODE_FLOOR_LIMIT, -CODE_FLOOR_LIMIT):
         y[2, 4, 1] = bad
         with pytest.raises(QuantizationError):
-            quantize_dense(y, bns, 0.9, 2)
+            quantize_dense(y, bn_layer(bns), 0.9, 2)
         with pytest.raises(QuantizationError):
-            BnQuantizer(bns[1:2], 0.9, 2).quantize_array(y[..., 1])
+            BnQuantizer(bn_layer(bns[1:2]), 0.9, 2).quantize_array(y[..., 1])
 
 
 def test_dense_maxpool_includes_zero_pads():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings, assume, strategies as st
 
 from reference import (
+    BnChannel,
     apply_threshold,
     batchnorm,
     bn_code_floors_fraction,
     bn_code_fraction,
+    bn_layer,
     codes_to_planes,
     fold_batchnorm_fraction,
     plane_dot,
@@ -17,12 +19,11 @@ from reference import (
 )
 from qnnstream.errors import AccumOverflowError, QuantizationError, ShapeError
 from qnnstream import quant
-from qnnstream.kernels import StreamShape, float_signed_matrix, stack_thresholds
+from qnnstream.kernels import StreamShape, float_signed_matrix
 from qnnstream.oracle import quantize_dense
 from qnnstream.quant import (
     ACCUM_BITS,
     CODE_FLOOR_LIMIT,
-    BnParams,
     BnQuantizer,
     ThresholdSet,
     WeightBlock,
@@ -229,10 +230,10 @@ def test_quantized_dot_length_check():
 # batchnorm folding: frozen cases
 
 def test_fold_ascending_frozen():
-    ts = fold_batchnorm(BnParams(gamma=1.0, mean=13.0, inv_std=1.0, bias=0.0),
+    ts = fold_batchnorm(bn_layer([BnChannel(gamma=1.0, mean=13.0, inv_std=1.0, bias=0.0)]),
                         d=4.0, n=2)
-    assert ts.values == (17, 21, 25)
-    assert not ts.inverted
+    assert ts.values[:, 0].tolist() == [17, 21, 25]
+    assert ts.sign.tolist() == [1]
     assert apply_threshold(16, ts) == 0
     assert apply_threshold(17, ts) == 1  # boundary takes the higher code
     assert apply_threshold(18, ts) == 1
@@ -243,21 +244,23 @@ def test_fold_ascending_frozen():
 
 
 def test_fold_descending_frozen():
-    ts = fold_batchnorm(BnParams(gamma=-1.0, mean=0.0, inv_std=1.0, bias=10.0),
+    # the descending ladder's floors are -2, 2, 6; the column counts
+    # them on -a, negated into ascending order
+    ts = fold_batchnorm(bn_layer([BnChannel(gamma=-1.0, mean=0.0, inv_std=1.0, bias=10.0)]),
                         d=4.0, n=2)
-    assert ts.values == (-2, 2, 6)
-    assert ts.inverted
+    assert ts.values[:, 0].tolist() == [-6, -2, 2]
+    assert ts.sign.tolist() == [-1]
     for a in range(-20, 21):
-        ref = quantize_reference(batchnorm(a, BnParams(-1.0, 0.0, 1.0, 10.0)),
+        ref = quantize_reference(batchnorm(a, BnChannel(-1.0, 0.0, 1.0, 10.0)),
                                  4.0, 2)
         assert apply_threshold(a, ts) == ref, a
 
 
 def test_fold_coarse_step_repeats_thresholds():
     # |step| < 1 collapses several codes onto the same integer threshold
-    ts = fold_batchnorm(BnParams(gamma=8.0, mean=0.0, inv_std=1.0, bias=0.0),
+    ts = fold_batchnorm(bn_layer([BnChannel(gamma=8.0, mean=0.0, inv_std=1.0, bias=0.0)]),
                         d=1.0, n=2)
-    assert ts.values == (1, 1, 1)
+    assert ts.values[:, 0].tolist() == [1, 1, 1]
     assert apply_threshold(0, ts) == 0
     assert apply_threshold(1, ts) == 3
 
@@ -273,22 +276,42 @@ def test_quantize_reference_frozen():
 
 
 def test_fold_validation():
-    p = BnParams(1.0, 0.0, 1.0, 0.0)
+    bn = bn_layer([BnChannel(1.0, 0.0, 1.0, 0.0)])
     with pytest.raises(QuantizationError):
-        fold_batchnorm(p, -1.0, 2)
+        fold_batchnorm(bn, -1.0, 2)
     with pytest.raises(QuantizationError):
-        fold_batchnorm(p, 1.0, 0)
+        fold_batchnorm(bn, 1.0, 0)
     with pytest.raises(QuantizationError):
-        fold_batchnorm(BnParams(0.0, 0.0, 1.0, 0.0), 1.0, 2)
+        fold_batchnorm(bn_layer([BnChannel(0.0, 0.0, 1.0, 0.0)]), 1.0, 2)
     with pytest.raises(QuantizationError):
-        BnQuantizer([BnParams(1.0, 0.0, 0.0, 0.0)], 1.0, 2)
+        BnQuantizer(bn_layer([BnChannel(1.0, 0.0, 0.0, 0.0)]), 1.0, 2)
+
+
+def _threshold_set(sign, columns, n):
+    return ThresholdSet(sign=np.array(sign, dtype=np.int64),
+                        values=np.array(columns, dtype=np.int64).T.copy(), n=n)
 
 
 def test_threshold_set_validation():
-    with pytest.raises(QuantizationError):
-        ThresholdSet(values=(1, 2), inverted=False, n=2)
-    with pytest.raises(QuantizationError):
-        ThresholdSet(values=(3, 2, 1), inverted=False, n=2)
+    with pytest.raises(QuantizationError, match="need 3 thresholds"):
+        _threshold_set([1], [[1, 2]], 2)
+    with pytest.raises(QuantizationError, match="ascending"):
+        _threshold_set([1], [[3, 2, 1]], 2)
+    # an inverted channel's column ascends too; its descending floors,
+    # as the negative ladder gives them, are refused
+    with pytest.raises(QuantizationError, match="ascending"):
+        _threshold_set([1, -1], [[17, 21, 25], [6, 2, -2]], 2)
+    assert _threshold_set([1, -1], [[17, 21, 25], [-6, -2, 2]], 2).n == 2
+    # one column per sign
+    with pytest.raises(QuantizationError, match=r"on each of \(2,\) signs, got \(3, 3\)"):
+        ThresholdSet(sign=np.ones(2, dtype=np.int64),
+                     values=np.zeros((3, 3), dtype=np.int64), n=2)
+    for sign, values in ((np.ones(1, dtype=np.int64), np.zeros((3, 1))),
+                         (np.ones(1), np.zeros((3, 1), dtype=np.int64)),
+                         (np.ones(2, dtype=np.int64),
+                          np.zeros((2, 3), dtype=np.int64).T)):
+        with pytest.raises(QuantizationError, match="int64"):
+            ThresholdSet(sign=sign, values=values, n=2)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +322,7 @@ def _params_strategy():
                   allow_nan=False, allow_infinity=False)
     pos = st.floats(min_value=1e-3, max_value=8.0,
                     allow_nan=False, allow_infinity=False)
-    return st.builds(BnParams, gamma=f, mean=f, inv_std=pos, bias=f)
+    return st.builds(BnChannel, gamma=f, mean=f, inv_std=pos, bias=f)
 
 
 @settings(max_examples=150, deadline=None)
@@ -310,10 +333,10 @@ def _params_strategy():
        a=st.integers(min_value=-40000, max_value=40000))
 def test_threshold_path_equals_exact_quantizer(p, d, n, a):
     assume(p.gamma != 0.0)
-    ts = fold_batchnorm(p, d, n)
+    ts = fold_batchnorm(bn_layer([p]), d, n)
     want = bn_code_fraction(a, p, d, n)
     assert apply_threshold(a, ts) == want
-    assert BnQuantizer([p], d, n).quantize_array(np.array([a])).tolist() == [want]
+    assert BnQuantizer(bn_layer([p]), d, n).quantize_array(np.array([a])).tolist() == [want]
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,21 +346,23 @@ def test_threshold_path_equals_exact_quantizer(p, d, n, a):
        n=st.integers(min_value=1, max_value=3))
 def test_threshold_path_near_every_threshold(p, d, n):
     assume(p.gamma != 0.0)
-    ts = fold_batchnorm(p, d, n)
-    accs = [a for t in ts.values for a in range(t - 2, t + 3)]
+    ts = fold_batchnorm(bn_layer([p]), d, n)
+    # the column counts sign * a, so its thresholds sit at sign * value
+    sign = int(ts.sign[0])
+    accs = [sign * a for t in ts.values[:, 0].tolist() for a in range(t - 2, t + 3)]
+    # both paths decide exactly the accumulators of magnitude below
+    # 2**62, the folded thresholds' clamp and the array path's range
+    accs = [a for a in accs if abs(a) < CODE_FLOOR_LIMIT]
     want = [bn_code_fraction(a, p, d, n) for a in accs]
     assert [apply_threshold(a, ts) for a in accs] == want
-    # the array path takes the accumulators of magnitude below 2**62
-    fits = [abs(a) < CODE_FLOOR_LIMIT for a in accs]
-    got = BnQuantizer([p], d, n).quantize_array(np.array([a for a, ok in zip(accs, fits) if ok],
-                                                         dtype=np.int64))
-    assert got.tolist() == [w for w, ok in zip(want, fits) if ok]
+    got = BnQuantizer(bn_layer([p]), d, n).quantize_array(np.array(accs, dtype=np.int64))
+    assert got.tolist() == want
 
 
 def test_quantize_array_matches_scalar(rng):
     # one channel's floors broadcast over a map of any shape
-    p = BnParams(gamma=0.37, mean=-2.5, inv_std=1.9, bias=0.41)
-    q = BnQuantizer([p], 1.3, 3)
+    p = BnChannel(gamma=0.37, mean=-2.5, inv_std=1.9, bias=0.41)
+    q = BnQuantizer(bn_layer([p]), 1.3, 3)
     accs = rng.integers(-5000, 5000, size=(4, 7))
     out = q.quantize_array(accs)
     assert out.shape == accs.shape
@@ -354,7 +379,7 @@ def _wide_params_strategy():
                         st.floats(min_value=0.0, max_value=1e-30, exclude_min=True,
                                   allow_subnormal=True))
     f = st.floats(min_value=-40000.0, max_value=40000.0)
-    return st.builds(BnParams, gamma=gamma.filter(bool), mean=f,
+    return st.builds(BnChannel, gamma=gamma.filter(bool), mean=f,
                      inv_std=inv_std, bias=f)
 
 
@@ -365,7 +390,7 @@ _RANGE_SIZE = st.floats(min_value=1e-3, max_value=16.0)
 @given(p=_wide_params_strategy(), d=_RANGE_SIZE,
        n=st.integers(min_value=1, max_value=8), data=st.data())
 def test_quantize_array_matches_scalar_property(p, d, n, data):
-    q = BnQuantizer([p], d, n)
+    q = BnQuantizer(bn_layer([p]), d, n)
     shape = data.draw(st.one_of(
         st.just((0,)),
         st.tuples(st.integers(1, 12)),
@@ -387,7 +412,7 @@ def test_code_floors_are_tight(p, d, n):
     # floor k is the least sign * a whose code is at least k, and the
     # counting path equals the count of the reference floors around
     # every floor
-    q = BnQuantizer([p], d, n)
+    q = BnQuantizer(bn_layer([p]), d, n)
     sign, floors = bn_code_floors_fraction(p, d, n)
     assert q.floors.shape == ((1 << n) - 1, 1)
     assert q.sign.tolist() == [sign] and q.floors[:, 0].tolist() == floors
@@ -403,9 +428,9 @@ def test_code_floors_are_tight(p, d, n):
 
 # an inverted channel, and clamped ones of either direction
 _EDGE_PARAMS = st.sampled_from([
-    BnParams(gamma=-0.75, mean=3.25, inv_std=1.5, bias=-7.0),
-    BnParams(gamma=1.0, mean=0.5, inv_std=5e-324, bias=1e-3),
-    BnParams(gamma=-3.0, mean=-1.0, inv_std=1e-310, bias=2.5),
+    BnChannel(gamma=-0.75, mean=3.25, inv_std=1.5, bias=-7.0),
+    BnChannel(gamma=1.0, mean=0.5, inv_std=5e-324, bias=1e-3),
+    BnChannel(gamma=-3.0, mean=-1.0, inv_std=1e-310, bias=2.5),
 ])
 
 
@@ -413,7 +438,7 @@ _EDGE_PARAMS = st.sampled_from([
 @given(ps=st.lists(st.one_of(_wide_params_strategy(), _EDGE_PARAMS), min_size=1, max_size=4),
        d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8), data=st.data())
 def test_count_code_floors_matches_both_references(ps, d, n, data):
-    # the one counter, fed the engine's stacked thresholds and the
+    # the one counter, fed the engine's folded thresholds and the
     # oracle's floors, equals apply_threshold and bn_code_fraction on
     # every layout the stages and the oracle use:
     # channels last over rows or a map, or one channel broadcast over all
@@ -424,94 +449,108 @@ def test_count_code_floors_matches_both_references(ps, d, n, data):
         (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))]))
     if shape[-1] != c:
         ps = ps[:1]  # one channel's floors broadcast over every element
-    sets = [fold_batchnorm(p, d, n) for p in ps]
+    ts = fold_batchnorm(bn_layer(ps), d, n)
     lim = CODE_FLOOR_LIMIT - 1
-    pool = [-lim, lim, 0] + [min(max(v + off, -lim), lim)
-                             for ts in sets for v in ts.values for off in (-1, 0, 1)]
+    # every threshold and one either side, as accumulators: sign * value
+    pool = [-lim, lim, 0] + [min(max(s * v + off, -lim), lim)
+                             for s, column in zip(ts.sign.tolist(), ts.values.T.tolist())
+                             for v in column for off in (-1, 0, 1)]
     picks = data.draw(st.lists(st.sampled_from(pool) | st.integers(-40000, 40000),
                                min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
     accs = np.array(picks, dtype=np.int64).reshape(shape)
     chans = [idx[-1] % len(ps) for idx in np.ndindex(shape)]
-    engine = count_code_floors(accs, *stack_thresholds(sets))
-    oracle = quantize_dense(accs, ps, d, n) if len(ps) > 1 else \
-        BnQuantizer(ps, d, n).quantize_array(accs)
+    engine = count_code_floors(accs, ts.sign, ts.values)
+    oracle = quantize_dense(accs, bn_layer(ps), d, n) if len(ps) > 1 else \
+        BnQuantizer(bn_layer(ps), d, n).quantize_array(accs)
     for got in (engine, oracle):
         assert got.dtype == np.int64 and got.shape == shape
-    assert engine.reshape(-1).tolist() == [apply_threshold(a, sets[j])
+    assert engine.reshape(-1).tolist() == [apply_threshold(a, ts, j)
                                            for a, j in zip(picks, chans)]
     assert oracle.reshape(-1).tolist() == [bn_code_fraction(a, ps[j], d, n)
                                            for a, j in zip(picks, chans)]
+
+
+def _random_channels(rng, count):
+    return [BnChannel(gamma=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)),
+                      mean=float(rng.uniform(-50, 50)), inv_std=float(rng.uniform(0.5, 2.0)),
+                      bias=float(rng.uniform(-3, 3))) for _ in range(count)]
 
 
 def test_count_code_floors_in_blocks(rng, monkeypatch):
     # blocks too small for one level, then of 4 levels with a shorter
     # last block (255 = 63 * 4 + 3): 8-bit codes count as in one block
     n, d = 8, 10.0
-    ps = [BnParams(gamma=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)),
-                   mean=float(rng.uniform(-50, 50)), inv_std=float(rng.uniform(0.5, 2.0)),
-                   bias=float(rng.uniform(-3, 3))) for _ in range(5)]
-    sets = [fold_batchnorm(p, d, n) for p in ps]
+    ps = _random_channels(rng, 5)
+    ts = fold_batchnorm(bn_layer(ps), d, n)
     accs = rng.integers(-3000, 3000, size=(6, 4, 5))
     want = [[[bn_code_fraction(a, p, d, n) for a, p in zip(px, ps)] for px in row]
             for row in accs.tolist()]
     assert len({code for row in want for px in row for code in px}) > 30
     for block in (7, 4 * accs.size):
         monkeypatch.setattr(quant, "COUNT_BLOCK_BYTES", block)
-        assert count_code_floors(accs, *stack_thresholds(sets)).tolist() == want
-        assert quantize_dense(accs, ps, d, n).tolist() == want
+        assert count_code_floors(accs, ts.sign, ts.values).tolist() == want
+        assert quantize_dense(accs, bn_layer(ps), d, n).tolist() == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(p=_wide_params_strategy(), d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
 # negative gamma: a descending ladder, stored inverted
-@example(p=BnParams(gamma=-0.75, mean=3.25, inv_std=1.5, bias=-7.0), d=0.5, n=3)
+@example(p=BnChannel(gamma=-0.75, mean=3.25, inv_std=1.5, bias=-7.0), d=0.5, n=3)
 # subnormal inv_std: thresholds far past int64
-@example(p=BnParams(gamma=1.0, mean=0.5, inv_std=5e-324, bias=1e-3), d=2.0, n=2)
-@example(p=BnParams(gamma=-3.0, mean=-1.0, inv_std=1e-310, bias=2.5), d=1e-3, n=4)
-# gamma * inv_std is zero as a float product but not as a rational
-@example(p=BnParams(gamma=1e-300, mean=0.0, inv_std=1e-300, bias=0.0), d=1.0, n=2)
+@example(p=BnChannel(gamma=1.0, mean=0.5, inv_std=5e-324, bias=1e-3), d=2.0, n=2)
+@example(p=BnChannel(gamma=-3.0, mean=-1.0, inv_std=1e-310, bias=2.5), d=1e-3, n=4)
+# gamma * inv_std is zero as a float product but not as a rational, of
+# either sign
+@example(p=BnChannel(gamma=1e-300, mean=0.0, inv_std=1e-300, bias=0.0), d=1.0, n=2)
+@example(p=BnChannel(gamma=-5e-324, mean=-7.5, inv_std=5e-324, bias=3.0), d=1e-3, n=2)
 # |step| < 1: several codes round to the same integer threshold
-@example(p=BnParams(gamma=7.0, mean=0.3, inv_std=2.0, bias=0.1), d=1.0, n=8)
+@example(p=BnChannel(gamma=7.0, mean=0.3, inv_std=2.0, bias=0.1), d=1.0, n=8)
 def test_fold_equals_fraction_fold(p, d, n):
-    ts = fold_batchnorm(p, d, n)
-    assert ts == fold_batchnorm_fraction(p, d, n)
-    assert all(type(v) is int for v in ts.values)
+    ts = fold_batchnorm(bn_layer([p]), d, n)
+    ref = fold_batchnorm_fraction(bn_layer([p]), d, n)
+    assert ts.n == ref.n == n
+    assert ts.sign.tolist() == ref.sign.tolist()
+    assert ts.values.tolist() == ref.values.tolist()
+    assert ts.sign.dtype == ts.values.dtype == np.int64 and ts.values.flags.c_contiguous
 
 
 @pytest.mark.parametrize("p, d, n", [
-    (BnParams(1.0, 0.0, 1.0, 0.0), 0.0, 2),
-    (BnParams(1.0, 0.0, 1.0, 0.0), -1.5, 2),
-    (BnParams(1.0, 0.0, 1.0, 0.0), 1.0, 0),
-    (BnParams(0.0, 0.0, 1.0, 0.0), 1.0, 2),
-    (BnParams(-0.0, 2.0, 3.0, 1.0), 1.0, 2),
-    (BnParams(2.0, 2.0, 0.0, 1.0), 1.0, 2),
+    (BnChannel(1.0, 0.0, 1.0, 0.0), 0.0, 2),
+    (BnChannel(1.0, 0.0, 1.0, 0.0), -1.5, 2),
+    (BnChannel(1.0, 0.0, 1.0, 0.0), 1.0, 0),
+    (BnChannel(0.0, 0.0, 1.0, 0.0), 1.0, 2),
+    (BnChannel(-0.0, 2.0, 3.0, 1.0), 1.0, 2),
+    (BnChannel(2.0, 2.0, 0.0, 1.0), 1.0, 2),
 ], ids=["d_zero", "d_negative", "n_zero", "gamma_zero", "gamma_negzero",
         "inv_std_zero"])
 def test_fold_errors_equal_fraction_fold(p, d, n):
-    with pytest.raises(QuantizationError) as ref:
-        fold_batchnorm_fraction(p, d, n)
-    with pytest.raises(QuantizationError) as got:
-        fold_batchnorm(p, d, n)
-    assert str(got.value) == str(ref.value)
+    # alone, and as the last channel of a layer whose first is sound
+    good = BnChannel(1.5, 0.25, 2.0, -1.0)
+    for bn in (bn_layer([p]), bn_layer([good, p])):
+        with pytest.raises(QuantizationError) as ref:
+            fold_batchnorm_fraction(bn, d, n)
+        with pytest.raises(QuantizationError) as got:
+            fold_batchnorm(bn, d, n)
+        assert str(got.value) == str(ref.value)
 
 
 @settings(max_examples=150, deadline=None)
 @given(p=_wide_params_strategy(), d=_RANGE_SIZE)
 # gamma * inv_std is zero as a float product but not as a rational, of
 # either sign
-@example(p=BnParams(gamma=1e-300, mean=0.0, inv_std=1e-300, bias=0.0), d=1.0)
-@example(p=BnParams(gamma=-5e-324, mean=-7.5, inv_std=5e-324, bias=3.0), d=1e-3)
+@example(p=BnChannel(gamma=1e-300, mean=0.0, inv_std=1e-300, bias=0.0), d=1.0)
+@example(p=BnChannel(gamma=-5e-324, mean=-7.5, inv_std=5e-324, bias=3.0), d=1e-3)
 def test_quantizer_coefficients_equal_fraction_derivation(p, d):
     # the dyadic coefficients decide as the rationals do: one channel's
     # sign is that of the exact gamma * inv_std, its floors the Fraction
     # rule's
-    q = BnQuantizer([p], d, 2)
+    q = BnQuantizer(bn_layer([p]), d, 2)
     assert q.sign.tolist() == [1 if Fraction(p.gamma) * Fraction(p.inv_std) > 0 else -1]
     assert q.floors[:, 0].tolist() == bn_code_floors_fraction(p, d, 2)[1]
 
 
 def _layer_equals_fraction(ps, d, n):
-    q = BnQuantizer(ps, d, n)
+    q = BnQuantizer(bn_layer(ps), d, n)
     refs = [bn_code_floors_fraction(p, d, n) for p in ps]
     assert q.sign.dtype == np.int64 and q.floors.dtype == np.int64
     assert q.sign.shape == (len(ps),) and q.floors.shape == ((1 << n) - 1, len(ps))
@@ -521,14 +560,16 @@ def _layer_equals_fraction(ps, d, n):
 
 
 def _negated_inv_std(p):
-    return BnParams(gamma=p.gamma, mean=p.mean, inv_std=-p.inv_std, bias=p.bias)
+    return p._replace(inv_std=-p.inv_std)
+
+
+_LAYER = st.lists(st.one_of(_wide_params_strategy(), _EDGE_PARAMS,
+                            _wide_params_strategy().map(_negated_inv_std)),
+                  min_size=1, max_size=8)
 
 
 @settings(max_examples=100, deadline=None)
-@given(ps=st.lists(st.one_of(_wide_params_strategy(), _EDGE_PARAMS,
-                             _wide_params_strategy().map(_negated_inv_std)),
-                   min_size=1, max_size=8),
-       d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
+@given(ps=_LAYER, d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
 def test_layer_floors_equal_fraction_property(ps, d, n):
     # a whole layer in one pass: every channel's sign and floor column
     # equal the Fraction rule's, subnormal, clamped and inverted ones
@@ -536,20 +577,42 @@ def test_layer_floors_equal_fraction_property(ps, d, n):
     _layer_equals_fraction(ps, d, n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(ps=_LAYER, d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
+@example(ps=[BnChannel(gamma=1.0, mean=13.0, inv_std=1.0, bias=0.0),
+             BnChannel(gamma=-1.0, mean=0.0, inv_std=1.0, bias=10.0),
+             BnChannel(gamma=1.0, mean=0.0, inv_std=-1.0, bias=10.0)], d=4.0, n=2)
+def test_fold_columns_ascend_on_inverted_channels(ps, d, n):
+    # a whole layer folds in one pass into ascending columns, an inverted
+    # channel's (negative gamma or inv_std) too: each equals the
+    # channel-by-channel Fraction fold and the oracle's floors, derived
+    # apart, and ThresholdSet refuses the layer's columns reversed
+    ts = fold_batchnorm(bn_layer(ps), d, n)
+    ref = fold_batchnorm_fraction(bn_layer(ps), d, n)
+    q = BnQuantizer(bn_layer(ps), d, n)
+    assert ts.values.shape == ((1 << n) - 1, len(ps)) and ts.values.flags.c_contiguous
+    assert (ts.values[1:] >= ts.values[:-1]).all()
+    assert ts.sign.tolist() == ref.sign.tolist() == q.sign.tolist()
+    assert ts.values.tolist() == ref.values.tolist() == q.floors.tolist()
+    if n > 1 and (ts.values[-1] > ts.values[0]).any():
+        with pytest.raises(QuantizationError, match="ascending"):
+            ThresholdSet(sign=ts.sign, values=ts.values[::-1].copy(), n=n)
+
+
 def test_layer_floors_frozen():
     # the frozen fold cases, as floors: exact integer boundaries, an
     # inverted channel by a negative gamma and by a negative inv_std
-    ps = [BnParams(gamma=1.0, mean=13.0, inv_std=1.0, bias=0.0),
-          BnParams(gamma=-1.0, mean=0.0, inv_std=1.0, bias=10.0),
-          BnParams(gamma=1.0, mean=0.0, inv_std=-1.0, bias=10.0)]
-    q = BnQuantizer(ps, 4.0, 2)
+    ps = [BnChannel(gamma=1.0, mean=13.0, inv_std=1.0, bias=0.0),
+          BnChannel(gamma=-1.0, mean=0.0, inv_std=1.0, bias=10.0),
+          BnChannel(gamma=1.0, mean=0.0, inv_std=-1.0, bias=10.0)]
+    q = BnQuantizer(bn_layer(ps), 4.0, 2)
     assert q.sign.tolist() == [1, -1, -1]
     assert q.floors.T.tolist() == [[17, 21, 25], [-6, -2, 2], [-6, -2, 2]]
     # k * D - C one unit past a multiple of |A|: the last floor rounds up
     e = 1 + 2**-52
-    p = BnParams(gamma=e, mean=e, inv_std=e, bias=1.0)
+    p = BnChannel(gamma=e, mean=e, inv_std=e, bias=1.0)
     assert bn_code_floors_fraction(p, e, 2) == (1, [2, 3, 4])
-    assert BnQuantizer([p], e, 2).floors[:, 0].tolist() == [2, 3, 4]
+    assert BnQuantizer(bn_layer([p]), e, 2).floors[:, 0].tolist() == [2, 3, 4]
 
 
 @pytest.mark.parametrize("channels", [1, 512])
@@ -557,17 +620,17 @@ def test_layer_floors_equal_fraction_fixed(channels, rng):
     # float32 parameters, as load_params gives them, over wide magnitudes
     draws = rng.standard_normal((channels, 4)) * 10.0 ** rng.integers(-40, 30, (channels, 4))
     g, m, i, b = np.float32(draws).T.tolist()
-    ps = [BnParams(gamma=gv or 1.0, mean=mv, inv_std=abs(iv) or 1.0, bias=bv)
+    ps = [BnChannel(gamma=gv or 1.0, mean=mv, inv_std=abs(iv) or 1.0, bias=bv)
           for gv, mv, iv, bv in zip(g, m, i, b)]
     for d, n in ((0.37, 2), (1e-3, 3), (2.5, 8)):
         _layer_equals_fraction(ps if n < 8 else ps[:64], d, n)
 
 
-_GOOD = BnParams(gamma=1.5, mean=0.25, inv_std=2.0, bias=-1.0)
+_GOOD = BnChannel(gamma=1.5, mean=0.25, inv_std=2.0, bias=-1.0)
 
 
 def _layer_with_bad_last(bad):
-    return [_GOOD, BnParams(**{**vars(_GOOD), **bad})]
+    return bn_layer([_GOOD, _GOOD._replace(**bad)])
 
 
 @pytest.mark.parametrize("bad, d", [
@@ -577,11 +640,10 @@ def _layer_with_bad_last(bad):
 def test_quantizer_errors_equal_fraction_rule(bad, d):
     # a bad last channel fails the whole layer with the Fraction rule's
     # error
-    ps = _layer_with_bad_last(bad)
     with pytest.raises(QuantizationError) as ref:
-        bn_code_floors_fraction(ps[1], d, 2)
+        bn_code_floors_fraction(_GOOD._replace(**bad), d, 2)
     with pytest.raises(QuantizationError) as got:
-        BnQuantizer(ps, d, 2)
+        BnQuantizer(_layer_with_bad_last(bad), d, 2)
     assert str(got.value) == str(ref.value)
 
 
@@ -600,7 +662,7 @@ def test_quantizer_refuses_non_finite(bad, d):
 def test_quantizer_subnormal_pair_is_not_degenerate():
     # gamma * inv_std underflows to 0.0 as floats; the mantissa product
     # does not, and the channel quantizes by the rational rule
-    p = BnParams(gamma=-5e-324, mean=0.0, inv_std=5e-324, bias=2.0)
+    p = BnChannel(gamma=-5e-324, mean=0.0, inv_std=5e-324, bias=2.0)
     assert p.gamma * p.inv_std == 0.0
     _layer_equals_fraction([p], 1.0, 2)
 
@@ -611,20 +673,18 @@ def test_count_code_floors_255_levels(block, rng, monkeypatch):
     # block, then over 120 accumulators in blocks too small for one
     # level, or of 4 levels with a shorter last block (255 = 63 * 4 + 3)
     n, d = 8, 0.5
-    ps = [BnParams(gamma=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)),
-                   mean=float(rng.uniform(-50, 50)), inv_std=float(rng.uniform(0.5, 2.0)),
-                   bias=float(rng.uniform(-3, 3))) for _ in range(3)]
-    sets = [fold_batchnorm(p, d, n) for p in ps]
-    lo = min(min(ts.values) for ts in sets)
-    hi = max(max(ts.values) for ts in sets)
+    ps = _random_channels(rng, 3)
+    ts = fold_batchnorm(bn_layer(ps), d, n)
+    thresholds = ts.values * ts.sign  # each channel's, in accumulator terms
+    lo, hi = int(thresholds.min()), int(thresholds.max())
     accs = rng.integers(lo - 20, hi + 20, size=(40, 3))
     accs[0] = lo - 20  # every level below, for every channel
     accs[1] = hi + 20  # and above
     if block:
         monkeypatch.setattr(quant, "COUNT_BLOCK_BYTES", block)
-    got = count_code_floors(accs, *stack_thresholds(sets))
+    got = count_code_floors(accs, ts.sign, ts.values)
     assert got.dtype == np.int64
-    want = [[apply_threshold(a, ts) for a, ts in zip(row, sets)] for row in accs.tolist()]
+    want = [[apply_threshold(a, ts, j) for j, a in enumerate(row)] for row in accs.tolist()]
     assert got.tolist() == want
     assert {0, 255} <= {code for row in want for code in row}
 

@@ -495,12 +495,9 @@ class ResidualJoinStage(ElementwiseStage):
     The sum is split two ways: raw accumulators continue down the skip
     chain, and a thresholded copy feeds the next convolution. Both paths
     carry the identical sum. Consumption is pairwise elementwise; the
-    stalled_on_skip counter records any step that begins with data on the
-    regular path but none on the skip path. Running dry partway through a
-    step is only the end of that step's batch: the skip producer refills
-    the FIFO on its own next step, which the sweep runs before the join's.
-    It stays 0: the skip FIFO holds engine.skip_store_elements, the
-    fork's whole run-ahead.
+    stalled_on_skip counter records any step where the regular path had
+    data but the skip path did not. It stays 0: the skip FIFO holds
+    engine.skip_store_elements, the fork's whole run-ahead.
     """
 
     def __init__(self, name, shape, thresholds):
@@ -510,14 +507,11 @@ class ResidualJoinStage(ElementwiseStage):
         self.activate = activation(thresholds)
         self.stalled_on_skip = 0
 
-    def step(self) -> bool:
-        if self.in_fifo.occ and not self.skip_fifo.occ:
-            self.stalled_on_skip += 1
-        return super().step()
-
     def _advance(self) -> bool:
         n = min(self.in_fifo.occ, self.skip_fifo.occ, self.el_total - self.real_el)
         if not n:
+            if self.in_fifo.occ:
+                self.stalled_on_skip += 1
             return False
         reg = self.in_fifo.pop(n).astype(np.int64)
         skip = self.skip_fifo.pop(n).astype(np.int64)

@@ -344,12 +344,22 @@ def test_threshold_path_equals_exact_quantizer(p, d, n, a):
        d=st.floats(min_value=1e-2, max_value=16.0,
                    allow_nan=False, allow_infinity=False),
        n=st.integers(min_value=1, max_value=3))
+# subnormal gamma: every threshold clamped, to +2**62 and to -2**62
+@example(p=BnChannel(gamma=5e-324, mean=0.0, inv_std=1.0, bias=0.0), d=1.0, n=2)
+@example(p=BnChannel(gamma=5e-324, mean=0.0, inv_std=1.0, bias=8.0), d=1.0, n=3)
 def test_threshold_path_near_every_threshold(p, d, n):
     assume(p.gamma != 0.0)
     ts = fold_batchnorm(bn_layer([p]), d, n)
     # the column counts sign * a, so its thresholds sit at sign * value
     sign = int(ts.sign[0])
     accs = [sign * a for t in ts.values[:, 0].tolist() for a in range(t - 2, t + 3)]
+    # past the clamp the column saturates: sign * a at or above 2**62
+    # passes every threshold, below -2**62 none
+    for a in accs:
+        if sign * a >= CODE_FLOOR_LIMIT:
+            assert apply_threshold(a, ts) == (1 << n) - 1
+        elif sign * a < -CODE_FLOOR_LIMIT:
+            assert apply_threshold(a, ts) == 0
     # both paths decide exactly the accumulators of magnitude below
     # 2**62, the folded thresholds' clamp and the array path's range
     accs = [a for a in accs if abs(a) < CODE_FLOOR_LIMIT]

@@ -72,10 +72,15 @@ class ModelConfig:
 class Fifo:
     """Bounded element FIFO carrying numpy chunks.
 
-    push accepts as many leading elements as capacity allows and reports
-    the count, so producers with a full peer make partial progress
-    instead of dropping or blocking. pop hands back up to the requested
-    number of elements. Occupancy can never exceed capacity.
+    The hop contract every stage relies on: push(arr) takes as many
+    leading elements of arr as there is room for and returns that count,
+    0 when full, so a producer with a full peer makes partial progress
+    instead of dropping or blocking. pop(want) returns the oldest
+    min(want, occ) elements in push order: a slice of one pushed chunk
+    when they lie in it, or one new array joining the chunks they span.
+    push keeps the array it is given, or a leading slice of it, without
+    a copy, and neither call writes into it. occ never exceeds capacity;
+    max_occ is its high-water mark.
     """
 
     def __init__(self, capacity: int, name: str):
@@ -84,38 +89,50 @@ class Fifo:
         self.capacity = capacity
         self.name = name
         self.chunks = deque()
-        self.head = 0
+        self.head = 0  # elements of chunks[0] already popped
         self.occ = 0
         self.max_occ = 0
 
     def push(self, arr) -> int:
-        take = min(self.capacity - self.occ, len(arr))
-        if take:
-            self.chunks.append(arr[:take] if take < len(arr) else arr)
-            self.occ += take
-            if self.occ > self.max_occ:
-                self.max_occ = self.occ
-        return take
+        n = len(arr)
+        room = self.capacity - self.occ
+        if n > room:
+            if not room:
+                return 0
+            n = room
+            arr = arr[:n]
+        if n:
+            self.chunks.append(arr)
+            occ = self.occ = self.occ + n
+            if occ > self.max_occ:
+                self.max_occ = occ
+        return n
 
     def pop(self, want: int) -> np.ndarray:
-        want = min(want, self.occ)
+        if want > self.occ:
+            want = self.occ
         if not want:
             return _EMPTY
-        parts = []
-        need = want
-        while need:
-            first = self.chunks[0]
-            take = min(need, len(first) - self.head)
-            parts.append(first[self.head:self.head + take])
-            self.head += take
-            need -= take
-            if self.head == len(first):
-                self.chunks.popleft()
-                self.head = 0
         self.occ -= want
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+        chunks, head = self.chunks, self.head
+        first = chunks[0]
+        end = head + want  # where the pop ends, counted from first's start
+        parts = []
+        while end > len(first):  # whole chunks before the one it ends in
+            parts.append(first[head:])
+            chunks.popleft()
+            end -= len(first)
+            head = 0
+            first = chunks[0]
+        last = first[head:end]
+        if end == len(first):
+            chunks.popleft()
+            end = 0
+        self.head = end
+        if parts:
+            parts.append(last)
+            return np.concatenate(parts)
+        return last
 
 
 _EMPTY = np.empty(0, dtype=np.int32)
@@ -301,16 +318,20 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
 # execution driver
 
 def _drive_sweep(tasks, fifos):
+    """Step every unfinished task once per sweep, in order, until all are
+    finished. A task's state changes only in its own step, and a finished
+    one (input ingested, nothing pending) stays finished, so the finished
+    are dropped once a sweep ends."""
     live = [t for t in tasks if not t.finished]
     while live:
-        progressed = False
-        still = []
+        progressed = ended = False
         for t in live:
             if t.step():
                 progressed = True
-            if not t.finished:
-                still.append(t)
-        live = still
+            if t.ingest_done and not t.pending:
+                ended = True
+        if ended:
+            live = [t for t in live if not t.finished]
         if live and not progressed:
             raise DeadlockError([t.name for t in live],
                                 [_occupancy(f) for f in fifos if f.occ == f.capacity],

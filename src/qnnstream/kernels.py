@@ -123,14 +123,16 @@ class LineBuffer:
             self.total += n - size
             arr = arr[n - size:]
             n = size
+        ring = self.ring
         start = self.total % size
-        # the first copy never wraps: start + n <= 2 * size
-        self.ring[start:start + n] = arr
-        if start + n <= size:
-            self.ring[start + size:start + size + n] = arr
+        end = start + n
+        # the first copy never wraps: end <= 2 * size
+        ring[start:end] = arr
+        if end <= size:
+            ring[start + size:end + size] = arr
         else:
-            self.ring[start + size:] = arr[:size - start]
-            self.ring[:start + n - size] = arr[size - start:]
+            ring[start + size:] = arr[:size - start]
+            ring[:end - size] = arr[size - start:]
         self.total += n
 
     def gather(self, starts: range) -> np.ndarray:
@@ -173,12 +175,17 @@ def activation(thresholds):
 class Stage:
     """Base class: the step loop, counters, pending output.
 
-    step() is the one step loop. It offers any pending output to its
-    FIFOs, then calls _advance() until that returns False (the input is
-    not there), output is left pending (a FIFO is full) or the whole
-    input is ingested. It never blocks. Each stage kind supplies only
-    _advance(): consume one unit of input (a run of pixels, or a chunk of
-    elements), emit what that unit completes, and say whether it moved.
+    step() is the one step loop, and its order of FIFO calls is the
+    schedule. It offers any pending output to its FIFOs and returns if
+    some is still refused or the whole input is ingested. Otherwise it
+    calls _advance() until that returns False (the input is not there),
+    output is left pending (a FIFO is full) or the whole input is
+    ingested. It returns whether anything moved, and never blocks. Each
+    stage kind supplies only _advance(): consume one unit of input (a
+    run of pixels, or a chunk of elements), emit what that unit
+    completes, and say whether it moved. A stage's state changes only
+    inside its own step, and a finished stage (input ingested, nothing
+    pending) stays finished.
 
     _emit pushes at once; pending keeps only the tail a full FIFO
     refused. _advance() runs only when nothing is pending and emits at
@@ -211,17 +218,6 @@ class Stage:
             if taken < len(arr):
                 self.pending[fifo] = arr[taken:]
 
-    def _flush(self) -> bool:
-        progressed = False
-        for fifo, arr in list(self.pending.items()):
-            taken = fifo.push(arr)
-            if taken == len(arr):
-                del self.pending[fifo]
-            elif taken:
-                self.pending[fifo] = arr[taken:]
-            progressed = progressed or taken > 0
-        return progressed
-
     @property
     def finished(self) -> bool:
         return self.ingest_done and not self.pending
@@ -230,11 +226,26 @@ class Stage:
         raise NotImplementedError
 
     def step(self) -> bool:
-        progressed = self._flush() if self.pending else False
-        while not (self.pending or self.ingest_done):
-            if not self._advance():
-                break
+        progressed = False
+        pending = self.pending  # the one dict _emit fills
+        if pending:
+            for fifo, arr in list(pending.items()):
+                taken = fifo.push(arr)
+                if taken:
+                    progressed = True
+                    if taken == len(arr):
+                        del pending[fifo]
+                    else:
+                        pending[fifo] = arr[taken:]
+            if pending:
+                return progressed
+        if self.ingest_done:
+            return progressed
+        advance = self._advance
+        while advance():
             progressed = True
+            if pending or self.ingest_done:
+                break
         return progressed
 
 
@@ -280,6 +291,8 @@ class WindowedStage(Stage):
         self.pad_row = np.zeros(self.wp * c, dtype=np.int32)
         self.cursor = 0  # padded pixel index
         self.total_px = self.hp * self.wp
+        # the padded pixel indices of the real rows
+        self.real_px = range(p * self.wp, (p + in_shape.h) * self.wp)
 
     def _compute(self, windows: np.ndarray) -> np.ndarray:
         """(N, K, K*C) read-only view of N windows, K rows of K*C
@@ -305,29 +318,31 @@ class WindowedStage(Stage):
         self._emit(self.out_fifo, self._compute(windows).reshape(-1))
 
     def _advance(self) -> bool:
-        c, p, wp = self.in_shape.c, self.p, self.wp
-        pr, pc = divmod(self.cursor, wp)
-        if p <= pr < p + self.in_shape.h:
-            if not self.in_fifo.occ:
-                return False
-            left = max(p - pc, 0)
-            want = (p + self.in_shape.w - pc - left) * c - self.real_el % c
+        cursor = self.cursor
+        real_row = cursor in self.real_px
+        if real_row and not self.in_fifo.occ:
+            return False
+        c, p, wp, pad_row = self.in_shape.c, self.p, self.wp, self.pad_row
+        real_el, pad_el = self.real_el, self.pad_el
+        pr, pc = divmod(cursor, wp)
+        if real_row:
+            left = p - pc if pc < p else 0
+            want = (p + self.in_shape.w - pc - left) * c - real_el % c
             run = got = self.in_fifo.pop(want)
             right = p if len(got) == want else 0
             if left or right:
-                run = np.concatenate((self.pad_row[:left * c], got,
-                                      self.pad_row[:right * c]))
-            self.real_el += len(got)
-            self.pad_el += (left + right) * c
+                run = np.concatenate((pad_row[:left * c], got, pad_row[:right * c]))
+            real_el = self.real_el = real_el + len(got)
+            pad_el = self.pad_el = pad_el + (left + right) * c
         else:
-            run = self.pad_row[pc * c:]
-            self.pad_el += len(run)
+            run = pad_row[pc * c:]
+            pad_el = self.pad_el = pad_el + len(run)
         self.lbuf.push(run)
-        self.cursor = (self.real_el + self.pad_el) // c
-        done_to = self.cursor - pr * wp
+        cursor = self.cursor = (real_el + pad_el) // c
+        done_to = cursor - pr * wp
         if done_to == pc:
             return True  # the run ended inside a pixel
-        self.ingest_done = self.cursor == self.total_px
+        self.ingest_done = cursor == self.total_px
         self._fire(pr, pc, done_to)
         return True
 
@@ -494,10 +509,16 @@ class ResidualJoinStage(ElementwiseStage):
 
     The sum is split two ways: raw accumulators continue down the skip
     chain, and a thresholded copy feeds the next convolution. Both paths
-    carry the identical sum. Consumption is pairwise elementwise; the
-    stalled_on_skip counter records any step where the regular path had
-    data but the skip path did not. It stays 0: the skip FIFO holds
-    engine.skip_store_elements, the fork's whole run-ahead.
+    carry the identical sum. Consumption is pairwise elementwise.
+
+    stalled_on_skip counts the steps whose _advance loop stops with
+    regular data waiting and the skip FIFO empty, a step that summed
+    some elements first included, so the step schedule, not the data
+    alone, decides it. With the skip FIFO at engine.skip_store_elements,
+    the fork's whole run-ahead, it has read 0 at the default FIFO
+    capacities on every net tested; at other regular capacities a skip
+    producer can fall a step behind, and a few generated residual nets
+    read 1 with outputs and cycle reports unchanged.
     """
 
     def __init__(self, name, shape, thresholds):
@@ -508,13 +529,14 @@ class ResidualJoinStage(ElementwiseStage):
         self.stalled_on_skip = 0
 
     def _advance(self) -> bool:
-        n = min(self.in_fifo.occ, self.skip_fifo.occ, self.el_total - self.real_el)
+        in_fifo, skip_fifo = self.in_fifo, self.skip_fifo
+        n = min(in_fifo.occ, skip_fifo.occ, self.el_total - self.real_el)
         if not n:
-            if self.in_fifo.occ:
+            if in_fifo.occ:
                 self.stalled_on_skip += 1
             return False
-        reg = self.in_fifo.pop(n).astype(np.int64)
-        skip = self.skip_fifo.pop(n).astype(np.int64)
+        reg = in_fifo.pop(n).astype(np.int64)
+        skip = skip_fifo.pop(n).astype(np.int64)
         sums = check_accum_array(reg + skip)
         # laid over the whole pixels it touches, zero padded, the chunk
         # meets each channel's floors in place

@@ -36,6 +36,7 @@ a whole layer at a time, into the ThresholdSet its stage counts.
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -165,11 +166,22 @@ _ALLOWED = {kind: tuple(key for key, _, _ in keys) + ("d", "act") * (kind in _AC
             for kind, keys in _INT_KEYS.items()}
 
 
+# The most elements a stream, a padded stream or a net's parameters may
+# hold. A stage keeps at most 16 bytes per element of its padded input
+# (a mirrored int32 line-buffer ring of up to two padded frames), and
+# a blob 4 per parameter, so below this every allocation's byte count
+# is an index-sized integer and a net too big to allocate fails as a
+# MemoryError, not an OverflowError or a ValueError.
+SIZE_LIMIT = sys.maxsize // 16
+
+
 def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
     """Parse a description, resolving each layer's stream shapes as its
-    line is read; any error is a NetdescError naming that line."""
+    line is read; any error is a NetdescError naming that line, among
+    them a layer past SIZE_LIMIT."""
     layers = []
     cur = None  # the shape of the stream the next layer reads
+    payload = 0  # parameter floats up to this line
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -190,27 +202,35 @@ def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
             if not 1 <= bits <= 8:
                 raise NetdescError("input bits must be 1..8", line_no)
             cur = StreamShape(h, w, c, "u8" if bits == 8 else "code", bits)
-            layers.append(LayerSpec(kind="input", in_shape=cur, out_shape=cur))
-            continue
-        if not layers:
-            raise NetdescError("first directive must be input", line_no)
-        if directive not in _INT_KEYS:
-            raise NetdescError("unknown directive %r" % directive, line_no)
-        kv = _kv_tokens(args, line_no, _ALLOWED[directive],
-                        flags=("proj",) if directive == "resblock" else ())
-        fields = dict(_FIXED.get(directive, {}), proj="proj" in kv)
-        if directive in _ACTIVATED:
-            fields["fused"], fields["act_bits"] = _activation(directive, kv, line_no)
-        for key, minimum, default in _INT_KEYS[directive]:
-            fields[key] = _int_field(kv, key, line_no, default, minimum)
-        if "d" in kv:
-            fields["d"] = _float_field(kv, "d", line_no)
-        layer = LayerSpec(kind=directive, in_shape=cur, **fields)
-        try:
-            cur = _layer_out_shape(layer)
-        except ShapeError as e:
-            raise NetdescError(str(e), line_no)
-        layers.append(replace(layer, out_shape=cur))
+            layer = LayerSpec(kind="input", in_shape=cur, out_shape=cur)
+        else:
+            if not layers:
+                raise NetdescError("first directive must be input", line_no)
+            if directive not in _INT_KEYS:
+                raise NetdescError("unknown directive %r" % directive, line_no)
+            kv = _kv_tokens(args, line_no, _ALLOWED[directive],
+                            flags=("proj",) if directive == "resblock" else ())
+            fields = dict(_FIXED.get(directive, {}), proj="proj" in kv)
+            if directive in _ACTIVATED:
+                fields["fused"], fields["act_bits"] = _activation(directive, kv, line_no)
+            for key, minimum, default in _INT_KEYS[directive]:
+                fields[key] = _int_field(kv, key, line_no, default, minimum)
+            if "d" in kv:
+                fields["d"] = _float_field(kv, "d", line_no)
+            layer = LayerSpec(kind=directive, in_shape=cur, **fields)
+            try:
+                cur = _layer_out_shape(layer)
+            except ShapeError as e:
+                raise NetdescError(str(e), line_no)
+            layer = replace(layer, out_shape=cur)
+        for _, shape in blob_layout(layer):
+            payload += math.prod(shape)
+        ish, p = layer.in_shape, layer.p
+        padded = (ish.h + 2 * p) * (ish.w + 2 * p) * ish.c
+        if max(padded, cur.elements, payload) > SIZE_LIMIT:
+            raise NetdescError("too large: a stream or the parameters pass %d elements"
+                               % SIZE_LIMIT, line_no)
+        layers.append(layer)
     if not layers:
         raise NetdescError("empty description", 1)
     return NetworkSpec(name=name, layers=tuple(layers))

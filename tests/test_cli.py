@@ -352,6 +352,22 @@ def test_non_utf8_net_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("conv", ["conv k=3 s=1 p=1 o=99999999999999999999 d=1",
+                                  "conv k=3 s=1 p=99999999999999999999 o=4 d=1"],
+                         ids=["channels", "pad"])
+def test_oversized_layer_exits_1(tmp_path, conv, capsys):
+    # sizes past an index-sized integer once overflowed in the blob's
+    # bytearray or the line buffer's ring; the parser refuses the line
+    path = tmp_path / "big.net"
+    path.write_text("input 8 8 3 8\n%s\n" % conv)
+    rc = main(["run", "--net", str(path), "--random-params", "1",
+               "--random-image", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: too large")
+
+
 @pytest.mark.parametrize("flag,seed", [("--random-params", "-1"),
                                        ("--random-image", "-3")])
 def test_negative_seed_exits_1(net_file, flag, seed, capsys):

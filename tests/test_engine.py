@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_image, random_net, residual_overflow_chain
 from qnnstream.engine import (
@@ -27,6 +27,7 @@ from qnnstream.errors import (
     QnnError,
     ShapeError,
 )
+from qnnstream import kernels
 from qnnstream.kernels import ResidualJoinStage
 from qnnstream.netdesc import (
     BUILTIN_BUILDERS,
@@ -219,6 +220,34 @@ def test_fifo_capacity_below_one_rejected(res_case, capacity):
         build_graph(net, params, fifo_capacity=capacity)
 
 
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 9),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(1, 12)), max_size=40))
+# a pop inside one chunk, of exactly the rest of one, of one whole
+# chunk, and across three chunks
+@example(capacity=9, ops=[(True, 4), (False, 1), (False, 3), (True, 2),
+                          (False, 2), (True, 3), (True, 3), (True, 2),
+                          (False, 8), (False, 5)])
+def test_fifo_matches_list_model(capacity, ops):
+    # Fifo against a plain list of elements: each op pushes a chunk of
+    # fresh values or pops up to that many
+    fifo, model, fresh, peak = Fifo(capacity, "f"), [], 0, 0
+    for is_push, n in ops:
+        if is_push:
+            chunk = np.arange(fresh, fresh + n, dtype=np.int32)
+            fresh += n
+            taken = fifo.push(chunk)
+            assert taken == min(n, capacity - len(model))
+            model += chunk[:taken].tolist()
+        else:
+            got = fifo.pop(n)
+            assert got.tolist() == model[:n]
+            del model[:n]
+        peak = max(peak, len(model))
+        assert fifo.occ == len(model)
+        assert fifo.max_occ == peak <= capacity
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), residual=st.booleans(),
        capacity=st.sampled_from(list(range(1, 10)) + [None]))
@@ -241,14 +270,33 @@ def test_fifo_capacity_property(seed, residual, capacity):
         assert join.skip_fifo.capacity * 16 == charged.stage(join.name).skip_bits
 
 
+wide_case = given(seed=st.integers(0, 2 ** 32 - 1), residual=st.booleans(),
+                  image=st.sampled_from(["random", "zero", "max"]))
+
+
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), residual=st.booleans(),
-       image=st.sampled_from(["random", "zero", "max"]))
+@wide_case
 def test_wide_activations_end_to_end(seed, residual, image):
     # activations of 1 to 8 bits, so layer folds of up to 255 levels run
     # whole pipelines, on random and on saturating images: engine ==
     # oracle and analytic == measured cycles. A wide code may push an
     # accumulator past 16 bits; then both sides raise the same error
+    _check_wide_activations(seed, residual, image)
+
+
+@settings(max_examples=100, deadline=None)
+@wide_case
+def test_wide_activations_end_to_end_popcount(seed, residual, image):
+    # the same nets with no float32 sign matrix allowed: every conv over
+    # codes runs the XNOR/popcount datapath (quant.popcount_dot) at every
+    # activation width, which the float product otherwise takes on
+    # generated nets
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "FLOAT32_SIGNS_MAX_BYTES", 0)
+        _check_wide_activations(seed, residual, image)
+
+
+def _check_wide_activations(seed, residual, image):
     rng = np.random.default_rng(seed)
     net = random_net(rng, force_residual=residual, max_act_bits=8)
     params = load_params(random_params(net, rng), net)

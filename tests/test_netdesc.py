@@ -11,6 +11,7 @@ from qnnstream.errors import NetdescError, ParamsError
 from qnnstream.netdesc import (
     BUILTIN_BUILDERS,
     RESNET18_TEXT,
+    SIZE_LIMIT,
     emit_netdesc,
     expand_layers,
     load_params,
@@ -108,6 +109,13 @@ def test_emit_omits_defaults():
     ("input 4 4 1 2\nfc o=1 d=1 act=none\n", 2, "fc with act=none takes no d="),
     ("input 4 4 1 2\nmaxpool k=2 s=1 d=1\n", 2, "unknown key 'd'"),
     ("input 4 4 1 2\nconv k=1 s=1 p=0 o=1 d=1 proj\n", 2, "expected key=value"),
+    # every stream, padded stream and the summed parameters stay within
+    # SIZE_LIMIT elements: here the input, then conv 1's pads, then the
+    # five parameters per channel of conv 1 plus conv 2's fan-in
+    ("input %d 1 1 2\n" % (SIZE_LIMIT + 1), 1, "too large"),
+    ("input %d 1 1 2\nconv k=1 s=1 p=1 o=1 d=1\n" % SIZE_LIMIT, 2, "too large"),
+    ("input 1 1 1 2\nconv k=1 s=1 p=0 o=%d d=1\nconv k=1 s=1 p=0 o=1 d=1\n"
+     % (SIZE_LIMIT // 6 + 1), 3, "too large"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_parse_errors_carry_line_numbers(text, line, frag):

@@ -178,7 +178,8 @@ SIZE_LIMIT = sys.maxsize // 16
 def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
     """Parse a description, resolving each layer's stream shapes as its
     line is read; any error is a NetdescError naming that line, among
-    them a layer past SIZE_LIMIT."""
+    them a layer past SIZE_LIMIT and an input line with no layer after
+    it."""
     layers = []
     cur = None  # the shape of the stream the next layer reads
     payload = 0  # parameter floats up to this line
@@ -203,6 +204,7 @@ def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
                 raise NetdescError("input bits must be 1..8", line_no)
             cur = StreamShape(h, w, c, "u8" if bits == 8 else "code", bits)
             layer = LayerSpec(kind="input", in_shape=cur, out_shape=cur)
+            input_line = line_no
         else:
             if not layers:
                 raise NetdescError("first directive must be input", line_no)
@@ -233,6 +235,8 @@ def parse_netdesc(text: str, name: str = "net") -> NetworkSpec:
         layers.append(layer)
     if not layers:
         raise NetdescError("empty description", 1)
+    if len(layers) == 1:
+        raise NetdescError("input needs a layer after it", input_line)
     return NetworkSpec(name=name, layers=tuple(layers))
 
 

@@ -9,9 +9,10 @@ evidence about the streaming logic, not a shared code path.
 
 Both sides decide an activation code by integer boundaries, but they
 derive them apart, each from the same per-layer BnParams arrays. The
-engine's thresholds come from fold_batchnorm, t0 + alpha * step over one
-integer denominator per channel from exact integer ratios, rounded by
-one floor division each. The oracle's code floors come from one
+engine's thresholds come from fold_batchnorm, t0 + alpha * step rounded
+up: from float64 candidates with a rigorous error bound, and from exact
+integer ratios by one floor division each where a candidate is within
+its bound of an integer. The oracle's code floors come from one
 BnQuantizer per layer, which scales the rule batchnorm(a) >= k * d of
 every channel to integers A * a + C >= k * D by the channel's least
 power of two: code(a) >= k iff sign(A) * a >= ceil((k * D - C) / |A|),

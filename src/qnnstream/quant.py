@@ -4,20 +4,26 @@ Weight binarization, bit-plane popcount dot products, folding of
 batchnorm parameters into integer threshold activations, the exact
 batchnorm quantizer the oracle checks them against, and the one counter
 that turns accumulators into activation codes. Everything here is pure
-and exact: thresholds and code floors are derived in Python integers
-from the parameters' exact values, so the integer decision procedure
+and exact: every threshold and code floor is the exact integer the
+parameters' exact values give, so the integer decision procedure
 agrees with the mathematical definition on every integer accumulator
 value, not just away from boundaries.
 
 The engine's boundaries and the oracle's are derived apart, each a
-whole layer at once from the (C,) arrays of its BnParams, with Python
-ints in object arrays where exact values outgrow int64.
-fold_batchnorm gives a layer's ThresholdSet from exact integer ratios
-(float.as_integer_ratio), already in the (sign, ascending columns) form
-the stages count. BnQuantizer gives its code floors from the dyadic
-mantissas and exponents of the parameters (np.frexp). Neither
-derivation names the other. Both then count with count_code_floors:
-the code of a is the number of integer floors that sign * a reaches.
+whole layer at once from the (C,) arrays of its BnParams.
+fold_batchnorm gives a layer's ThresholdSet, already in the
+(sign, ascending columns) form the stages count, as a filter and an
+exact fallback: each threshold is first a float64 candidate x with a
+rigorous bound err on its distance from the exact real threshold, and
+where ceil(x - err) == ceil(x + err), clamped, that ceil is the
+threshold. Only a channel with a candidate within its bound of an
+integer, or with a zero, subnormal or non-finite gamma * inv_std, is
+derived from exact integer ratios (float.as_integer_ratio), in Python
+ints in object arrays. Its docstring derives the bound. BnQuantizer
+gives its code floors from the dyadic mantissas and exponents of the
+parameters (np.frexp), in Python ints throughout. Neither derivation
+names the other. Both then count with count_code_floors: the code of a
+is the number of integer floors that sign * a reaches.
 
 popcount_dot is the modelled XNOR/popcount datapath. A conv stage over
 activation codes runs it unless a float32 product with a +/-1 matrix
@@ -179,6 +185,17 @@ def popcount_dot(weights: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
 # float.as_integer_ratio element by element: (numerators, denominators)
 _integer_ratios = np.frompyfunc(float.as_integer_ratio, 1, 2)
 
+# fold_batchnorm's error bound: 2**-51 and 2**-50 are 4u and 8u for the
+# unit roundoff u = 2**-53, its absolute term counts least subnormals,
+# and it holds for a p from the least normal to the largest finite
+# float64; the ends x - err and x + err come from one product with the
+# (2, 1, 1) column
+_FOLD_REL = 2.0 ** -51
+_FOLD_ABS = 2.0 ** -1074
+_NORMAL_MIN = np.finfo(np.float64).tiny
+_FLOAT64_MAX = np.finfo(np.float64).max
+_LOWER_UPPER = np.array([-1.0, 1.0])[:, None, None]
+
 
 @dataclass(frozen=True, eq=False)
 class BnParams:
@@ -236,39 +253,99 @@ def fold_batchnorm(bn: BnParams, d: float, n: int) -> ThresholdSet:
     t_alpha = t0 + alpha * step for alpha = 1 .. 2**n - 1. Rounding to
     integers keeps the decision exact on integer accumulators: ceil for
     an ascending ladder (t <= a iff ceil(t) <= a), floor for a
-    descending one (a <= t iff -a >= ceil(-t)), counted on -a. Every
-    field is taken exactly by float.as_integer_ratio, element by element
-    through np.frompyfunc, so t_alpha = (t + alpha * s) / den over one
-    integer den of the sign of gamma * inv_std, with s > 0, and in
-    either orientation threshold alpha is ceil((t + alpha * s) / |den|),
-    ascending in alpha: one floor division per value, over object arrays
-    of Python ints, each clamped to +/- CODE_FLOOR_LIMIT, which decides
+    descending one (a <= t iff -a >= ceil(-t)), counted on -a. So with
+    sign the sign of gamma * inv_std, threshold alpha is
+    ceil(sign * t_alpha), clamped to +/- CODE_FLOOR_LIMIT, which decides
     no accumulator of smaller magnitude differently.
+
+    Candidates. p = gamma * inv_std is rounded to float64 and sign read
+    from its sign bit, which an underflow to -0.0 keeps. With
+    q = bias / |p|, t = sign * mean - q and s = d / |p|, each rounded,
+    the candidate x_alpha = t + alpha * s (two more roundings) is
+    sign * t_alpha up to
+
+        err_alpha = 2**-51 * (|t| + |q|) + 2**-50 * alpha * s
+                    + 2**(n + 2) * 2**-1074,
+
+    and where ceil(x_alpha - err_alpha) == ceil(x_alpha + err_alpha),
+    each end clamped, that ceil is the threshold.
+
+    The bound. Let u = 2**-53. A float64 operation returns its exact
+    result r up to u * |r|, and an underflowing product or quotient up
+    to eta = 2**-1075 (a sum is exact there). For a normal p, |p| is
+    |gamma * inv_std| up to u * |p|, so q and s are bias and d over the
+    exact |gamma * inv_std| up to (2 + 3u) * u times |q| and s, plus
+    (1 + 2u) * eta; t adds u * |t|, alpha * s adds u * |alpha * s| + eta
+    and the sum u * |x_alpha|. As |x_alpha| <= (1 + u) * (|t| +
+    (1 + u) * alpha * s + eta), x_alpha is sign * t_alpha up to
+    u * ((2 + u) * |t| + (2 + 3u) * |q| + (4 + 7u) * alpha * s)
+    + (2 + alpha) * (1 + 3u) * eta. Each end x_alpha +/- err_alpha is
+    rounded once more, by up to u * (|x_alpha| + err_alpha), so the
+    rounded ends enclose sign * t_alpha when err_alpha * (1 - u) is at
+    least u * ((3 + 2u) * |t| + (2 + 3u) * |q| + (5 + 9u) * alpha * s)
+    + (3 + alpha) * (1 + 3u) * eta. err_alpha, at 4u, 4u and 8u and
+    2**(n + 3) * eta, exceeds that with room for its own few roundings.
+    Clamping and ceil are monotone, so the clamped ceils of the ends
+    enclose the threshold, and equal ends pin it.
+
+    Refinement. A channel is derived exactly instead when one of its
+    candidates is ambiguous, or when p is zero, subnormal or not finite.
+    A q, t or s that is not finite makes err_alpha infinite or NaN, and
+    so ambiguous; a candidate that overflows from finite terms lies far
+    past the clamp and decides there. The exact derivation takes every
+    field by float.as_integer_ratio, element by element through
+    np.frompyfunc, so that sign * t_alpha = (t_num + alpha * s_num) / |den|
+    over integers, with s_num > 0, and threshold alpha is
+    ceil((t_num + alpha * s_num) / |den|): one floor division per value,
+    over object arrays of Python ints. It replaces whole columns, so each
+    column comes from one derivation and ascends.
     """
     if d <= 0:
         raise QuantizationError("range size d must be positive")
     if n < 1:
         raise QuantizationError("activation bit-width must be >= 1")
-    fields = np.array([bn.gamma, bn.inv_std, bn.mean, bn.bias], dtype=np.float64)
     # a product of two nonzero rationals is nonzero
-    if not fields[:2].all():
+    if np.count_nonzero(bn.gamma) + np.count_nonzero(bn.inv_std) < 2 * len(bn.gamma):
         raise QuantizationError("degenerate channel: gamma * inv_std is zero")
-    # numerators and denominators of gamma, inv_std, mean and bias
-    (gn, sn, mn, cn), (gd, sd, md, cd) = _integer_ratios(fields)
-    pn, pd = gn * sn, gd * sd  # gamma * inv_std, pd > 0
-    dn, dd = d.as_integer_ratio()
-    # t0 = t / den and step = s / den, den of the sign of gamma * inv_std
-    mcd = md * cd
-    den = mcd * pn * dd
-    t = (mn * cd * pn - cn * pd * md) * dd
-    s = dn * pd * mcd
-    scale = np.abs(den)
-    lim = CODE_FLOOR_LIMIT
-    alphas = np.arange(1, 1 << n)[:, None]
-    values = np.minimum(np.maximum((t + scale - 1 + alphas * s) // scale, -lim), lim)
-    # the float product may underflow to zero, but keeps the sign
-    sign = np.where(np.signbit(fields[0] * fields[1]), -1, 1)
-    return ThresholdSet(sign=sign, values=values.astype(np.int64), n=n)
+    alphas = np.arange(1.0, 1 << n)[:, None]
+    lim = float(CODE_FLOOR_LIMIT)
+    # overflow, division by zero and NaN reach only the columns that
+    # are derived exactly below
+    with np.errstate(all="ignore"):
+        p = np.multiply(bn.gamma, bn.inv_std, dtype=np.float64)
+        orient = np.copysign(1.0, p)  # the sign bit, as np.signbit reads it
+        mag = np.abs(p)
+        q = bn.bias / mag
+        t = orient * bn.mean - q
+        s = d / mag
+        x = t + alphas * s
+        err = (_FOLD_REL * (np.abs(t) + np.abs(q)) + (4 << n) * _FOLD_ABS) \
+            + alphas * (2 * _FOLD_REL * s)
+        ends = x + err * _LOWER_UPPER
+        np.maximum(ends, -lim, out=ends)
+        np.minimum(ends, lim, out=ends)
+        lo, hi = np.ceil(ends, out=ends)
+        values = hi.astype(np.int64)
+    ambiguous = lo != hi
+    abnormal = (mag < _NORMAL_MIN) | (mag > _FLOAT64_MAX)
+    if np.count_nonzero(ambiguous) or np.count_nonzero(abnormal):
+        cols = np.flatnonzero(np.logical_or.reduce(ambiguous, axis=0) | abnormal)
+        fields = np.array([bn.gamma, bn.inv_std, bn.mean, bn.bias], dtype=np.float64)
+        # numerators and denominators of gamma, inv_std, mean and bias
+        (gn, sn, mn, cn), (gd, sd, md, cd) = _integer_ratios(fields[:, cols])
+        pn, pd = gn * sn, gd * sd  # gamma * inv_std, pd > 0
+        dn, dd = d.as_integer_ratio()
+        # t0 = t_num / den and step = s_num / den, den of the sign of
+        # gamma * inv_std
+        mcd = md * cd
+        den = mcd * pn * dd
+        t_num = (mn * cd * pn - cn * pd * md) * dd
+        s_num = dn * pd * mcd
+        scale = np.abs(den)
+        levels = np.arange(1, 1 << n)[:, None]
+        exact = (t_num + scale - 1 + levels * s_num) // scale
+        values[:, cols] = np.minimum(np.maximum(exact, -CODE_FLOOR_LIMIT), CODE_FLOOR_LIMIT)
+    return ThresholdSet(sign=orient.astype(np.int64), values=values, n=n)
 
 
 class BnQuantizer:

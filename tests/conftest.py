@@ -9,9 +9,11 @@ runs are capped at four blocks so chained skip sums stay in range.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qnnstream.engine import Fifo
 from qnnstream.netdesc import parse_netdesc
+from reference import BnChannel
 
 
 def random_net_text(rng, force_residual=None, max_act_bits=3):
@@ -130,6 +132,35 @@ def residual_overflow_chain():
     block = {"weights_a": w, "bn_join": bn, "weights_b": w, "bn_b": bn}
     text = "input 4 4 64 2\n" + "resblock o=64 s=1 d=1.0\n" * 20
     return text, [None] + [block] * 20, np.full((4, 4, 64), 3, dtype=np.uint8)
+
+
+def wide_params_strategy():
+    """One channel's batchnorm parameters: nonzero gamma and inv_std
+    down to subnormals, of either sign for gamma, so that a tiny
+    gamma * inv_std gives huge integer coefficients and thresholds past
+    the clamp."""
+    small = st.floats(min_value=-1e-30, max_value=1e-30, allow_subnormal=True)
+    gamma = st.one_of(st.floats(min_value=-8.0, max_value=8.0), small)
+    inv_std = st.one_of(st.floats(min_value=1e-3, max_value=8.0),
+                        st.floats(min_value=0.0, max_value=1e-30, exclude_min=True,
+                                  allow_subnormal=True))
+    f = st.floats(min_value=-40000.0, max_value=40000.0)
+    return st.builds(BnChannel, gamma=gamma.filter(bool), mean=f,
+                     inv_std=inv_std, bias=f)
+
+
+_FLOAT32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+
+def as_float32_channel(p):
+    """p as a parameter blob holds it: every field rounded to float32,
+    and a gamma or inv_std that rounds to zero raised to the least
+    float32 subnormal of its sign, so gamma * inv_std stays nonzero."""
+    def scale(v):
+        return float(np.float32(v)) or np.copysign(_FLOAT32_TINY, v)
+
+    return BnChannel(gamma=scale(p.gamma), mean=float(np.float32(p.mean)),
+                     inv_std=scale(p.inv_std), bias=float(np.float32(p.bias)))
 
 
 def random_image(rng, net):

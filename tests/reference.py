@@ -7,7 +7,8 @@ form, for the tests to hold the fast paths to.
   channels into the per-layer BnParams the package folds.
 - fold_batchnorm_fraction folds batchnorm in Fractions, one channel at
   a time, the plainest exact statement of the threshold rule.
-  quant.fold_batchnorm, which folds a whole layer in Python integers,
+  quant.fold_batchnorm, which folds a whole layer from float64
+  candidates and derives exactly only the channels they cannot decide,
   must give the same ThresholdSet for every parameter set and raise the
   same errors.
 - bn_code_fraction is the code of one accumulator under batchnorm and

@@ -352,6 +352,22 @@ def test_non_utf8_net_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate"], ["partition"], ["run", "--random-params", "1", "--random-image", "1"],
+    ["compare", "--random-params", "1", "--random-image", "1"]],
+    ids=["estimate", "partition", "run", "compare"])
+def test_input_only_net_exits_1(tmp_path, argv, capsys):
+    # a description with no layer after its input once parsed, and every
+    # command then ended in a traceback; the parser refuses the line
+    path = tmp_path / "input_only.net"
+    path.write_text("input 4 4 1 2\n")
+    rc = main(argv[:1] + ["--net", str(path)] + argv[1:])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: input needs a layer after it")
+
+
 @pytest.mark.parametrize("conv", ["conv k=3 s=1 p=1 o=99999999999999999999 d=1",
                                   "conv k=3 s=1 p=99999999999999999999 o=4 d=1"],
                          ids=["channels", "pad"])

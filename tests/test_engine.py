@@ -1,8 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_image, random_net, residual_overflow_chain
+from conftest import (
+    as_float32_channel,
+    random_image,
+    random_net,
+    residual_overflow_chain,
+    wide_params_strategy,
+)
 from qnnstream.engine import (
     Fifo,
     ModelConfig,
@@ -31,6 +39,7 @@ from qnnstream import kernels
 from qnnstream.kernels import ResidualJoinStage
 from qnnstream.netdesc import (
     BUILTIN_BUILDERS,
+    blob_layout,
     build_resnet18,
     expand_layers,
     load_params,
@@ -270,37 +279,61 @@ def test_fifo_capacity_property(seed, residual, capacity):
         assert join.skip_fifo.capacity * 16 == charged.stage(join.name).skip_bits
 
 
+# batchnorm channels of tiny and huge scale, as float32 blobs hold them,
+# replace a few of the well-scaled ones random_params draws
 wide_case = given(seed=st.integers(0, 2 ** 32 - 1), residual=st.booleans(),
-                  image=st.sampled_from(["random", "zero", "max"]))
+                  image=st.sampled_from(["random", "zero", "max"]),
+                  channels=st.lists(wide_params_strategy().map(as_float32_channel),
+                                    max_size=4))
 
 
 @settings(max_examples=100, deadline=None)
 @wide_case
-def test_wide_activations_end_to_end(seed, residual, image):
+def test_wide_activations_end_to_end(seed, residual, image, channels):
     # activations of 1 to 8 bits, so layer folds of up to 255 levels run
-    # whole pipelines, on random and on saturating images: engine ==
-    # oracle and analytic == measured cycles. A wide code may push an
-    # accumulator past 16 bits; then both sides raise the same error
-    _check_wide_activations(seed, residual, image)
+    # whole pipelines, on random and on saturating images, and so do
+    # clamped thresholds and subnormal scales: engine == oracle and
+    # analytic == measured cycles. A wide code may push an accumulator
+    # past 16 bits; then both sides raise the same error
+    _check_wide_activations(seed, residual, image, channels)
 
 
 @settings(max_examples=100, deadline=None)
 @wide_case
-def test_wide_activations_end_to_end_popcount(seed, residual, image):
+def test_wide_activations_end_to_end_popcount(seed, residual, image, channels):
     # the same nets with no float32 sign matrix allowed: every conv over
     # codes runs the XNOR/popcount datapath (quant.popcount_dot) at every
     # activation width, which the float product otherwise takes on
     # generated nets
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "FLOAT32_SIGNS_MAX_BYTES", 0)
-        _check_wide_activations(seed, residual, image)
+        _check_wide_activations(seed, residual, image, channels)
 
 
-def _check_wide_activations(seed, residual, image):
+def _bn_slots(net, blob):
+    """The (4, C) batchnorm slots of a writable blob, in blob order: the
+    payload ends the blob, and blob_layout gives every slot's size."""
+    shapes = [shape for layer in net.layers for _, shape in blob_layout(layer)]
+    floats = np.frombuffer(blob, dtype="<f4",
+                           offset=len(blob) - 4 * sum(math.prod(s) for s in shapes))
+    slots, pos = [], 0
+    for shape in shapes:
+        if len(shape) == 2:
+            slots.append(floats[pos:pos + math.prod(shape)].reshape(shape))
+        pos += math.prod(shape)
+    return slots
+
+
+def _check_wide_activations(seed, residual, image, channels):
     rng = np.random.default_rng(seed)
     net = random_net(rng, force_residual=residual, max_act_bits=8)
-    params = load_params(random_params(net, rng), net)
+    blob = bytearray(random_params(net, rng))
     img = random_image(rng, net)
+    slots = _bn_slots(net, blob)
+    for p in channels if slots else ():
+        slot = slots[rng.integers(len(slots))]
+        slot[:, rng.integers(slot.shape[1])] = p
+    params = load_params(bytes(blob), net)
     if image != "random":
         img[...] = 0 if image == "zero" else (1 << net.input_shape.bits) - 1
     try:

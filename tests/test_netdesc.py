@@ -99,6 +99,10 @@ def test_emit_omits_defaults():
     ("input 4 4 1 2\nfc o=1 d=3.5e38\n", 2, "finite"),
     ("input 4 4 1 2\nresblock o=1 s=1 d=1e-46\n", 2, "positive"),
     ("", 1, "empty"),
+    # an input alone is no network: the input line is named, past the
+    # comments and blank lines around it
+    ("input 4 4 1 2\n", 1, "needs a layer after it"),
+    ("# head\n\ninput 4 4 1 2  # alone\n\n", 3, "needs a layer after it"),
     # every directive reads through one table: activation first, then the
     # integer keys in line order
     ("input 4 4 1 2\nresblock o=1 s=1\n", 2, "resblock with an activation needs d="),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, assume, strategies as st
 
+from conftest import wide_params_strategy
 from reference import (
     BnChannel,
     apply_threshold,
@@ -380,24 +381,11 @@ def test_quantize_array_matches_scalar(rng):
         assert out[idx] == bn_code_fraction(int(accs[idx]), p, 1.3, 3)
 
 
-def _wide_params_strategy():
-    # nonzero gamma and inv_std down to subnormals, of either sign for
-    # gamma: a tiny gamma * inv_std gives huge integer coefficients
-    small = st.floats(min_value=-1e-30, max_value=1e-30, allow_subnormal=True)
-    gamma = st.one_of(st.floats(min_value=-8.0, max_value=8.0), small)
-    inv_std = st.one_of(st.floats(min_value=1e-3, max_value=8.0),
-                        st.floats(min_value=0.0, max_value=1e-30, exclude_min=True,
-                                  allow_subnormal=True))
-    f = st.floats(min_value=-40000.0, max_value=40000.0)
-    return st.builds(BnChannel, gamma=gamma.filter(bool), mean=f,
-                     inv_std=inv_std, bias=f)
-
-
 _RANGE_SIZE = st.floats(min_value=1e-3, max_value=16.0)
 
 
 @settings(max_examples=150, deadline=None)
-@given(p=_wide_params_strategy(), d=_RANGE_SIZE,
+@given(p=wide_params_strategy(), d=_RANGE_SIZE,
        n=st.integers(min_value=1, max_value=8), data=st.data())
 def test_quantize_array_matches_scalar_property(p, d, n, data):
     q = BnQuantizer(bn_layer([p]), d, n)
@@ -417,7 +405,7 @@ def test_quantize_array_matches_scalar_property(p, d, n, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(p=_wide_params_strategy(), d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
+@given(p=wide_params_strategy(), d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
 def test_code_floors_are_tight(p, d, n):
     # floor k is the least sign * a whose code is at least k, and the
     # counting path equals the count of the reference floors around
@@ -445,7 +433,7 @@ _EDGE_PARAMS = st.sampled_from([
 
 
 @settings(max_examples=100, deadline=None)
-@given(ps=st.lists(st.one_of(_wide_params_strategy(), _EDGE_PARAMS), min_size=1, max_size=4),
+@given(ps=st.lists(st.one_of(wide_params_strategy(), _EDGE_PARAMS), min_size=1, max_size=4),
        d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8), data=st.data())
 def test_count_code_floors_matches_both_references(ps, d, n, data):
     # the one counter, fed the engine's folded thresholds and the
@@ -503,7 +491,7 @@ def test_count_code_floors_in_blocks(rng, monkeypatch):
 
 
 @settings(max_examples=150, deadline=None)
-@given(p=_wide_params_strategy(), d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
+@given(p=wide_params_strategy(), d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
 # negative gamma: a descending ladder, stored inverted
 @example(p=BnChannel(gamma=-0.75, mean=3.25, inv_std=1.5, bias=-7.0), d=0.5, n=3)
 # subnormal inv_std: thresholds far past int64
@@ -515,6 +503,15 @@ def test_count_code_floors_in_blocks(rng, monkeypatch):
 @example(p=BnChannel(gamma=-5e-324, mean=-7.5, inv_std=5e-324, bias=3.0), d=1e-3, n=2)
 # |step| < 1: several codes round to the same integer threshold
 @example(p=BnChannel(gamma=7.0, mean=0.3, inv_std=2.0, bias=0.1), d=1.0, n=8)
+# float64 rounding crosses an integer: bias / p = -1e-20 is lost when t
+# is rounded, so the candidates are integers one short of the thresholds
+# [5, 6, 7] (sign 1) and [-1, 0, 1] (sign -1), and are derived exactly
+@example(p=BnChannel(gamma=1.0, mean=3.0, inv_std=1.0, bias=-1e-20), d=1.0, n=2)
+@example(p=BnChannel(gamma=-1.0, mean=3.0, inv_std=1.0, bias=-1e-20), d=1.0, n=2)
+# 3 * float(1/3) rounds up to p = 1.0 from just below it, so threshold
+# alpha lies just past its candidate alpha: a bound too small to outlast
+# the rounding of x_alpha +/- err_alpha would keep alpha
+@example(p=BnChannel(gamma=3.0, mean=0.0, inv_std=1 / 3, bias=0.0), d=1.0, n=2)
 def test_fold_equals_fraction_fold(p, d, n):
     ts = fold_batchnorm(bn_layer([p]), d, n)
     ref = fold_batchnorm_fraction(bn_layer([p]), d, n)
@@ -522,6 +519,44 @@ def test_fold_equals_fraction_fold(p, d, n):
     assert ts.sign.tolist() == ref.sign.tolist()
     assert ts.values.tolist() == ref.values.tolist()
     assert ts.sign.dtype == ts.values.dtype == np.int64 and ts.values.flags.c_contiguous
+
+
+def test_fold_refines_candidates_near_integers():
+    # the float64 candidates of both channels are integers, a plain ceil
+    # of them is one short of every threshold, and the fold derives the
+    # channels exactly
+    ps = [BnChannel(gamma=1.0, mean=3.0, inv_std=1.0, bias=-1e-20),
+          BnChannel(gamma=-1.0, mean=3.0, inv_std=1.0, bias=-1e-20)]
+    ts = fold_batchnorm(bn_layer(ps), 1.0, 2)
+    assert ts.sign.tolist() == [1, -1]
+    assert ts.values.T.tolist() == [[5, 6, 7], [-1, 0, 1]]
+    # sign * mean - bias / |gamma * inv_std|, rounded, then plus alpha * d
+    t = np.array([3.0, -3.0]) + 1e-20
+    assert np.ceil(t + np.arange(1, 4)[:, None]).T.tolist() == [[4, 5, 6], [-2, -1, 0]]
+
+
+def _near_integer_params():
+    # thresholds at integers, give or take far less than one float64
+    # rounding: power-of-two gamma and inv_std, an integer mean, and a
+    # bias of zero or tiny against them
+    power = st.integers(-6, 6).map(lambda k: 2.0 ** k)
+    gamma = st.builds(lambda sign, g: sign * g, st.sampled_from([-1.0, 1.0]), power)
+    tiny = float(np.finfo(np.float32).smallest_subnormal)
+    bias = st.sampled_from([0.0, 2.0 ** -60, -2.0 ** -60, 1e-20, -1e-20, tiny, -tiny])
+    return st.builds(BnChannel, gamma=gamma, mean=st.integers(-50, 50).map(float),
+                     inv_std=power, bias=bias)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ps=st.lists(_near_integer_params(), min_size=1, max_size=6),
+       d=st.integers(1, 8).map(float), n=st.integers(min_value=1, max_value=4))
+def test_fold_near_integers_equals_fraction_fold(ps, d, n):
+    # with an integer d as well, most candidates are within their error
+    # bound of an integer: the exact refinement decides them
+    ts = fold_batchnorm(bn_layer(ps), d, n)
+    ref = fold_batchnorm_fraction(bn_layer(ps), d, n)
+    assert ts.sign.tolist() == ref.sign.tolist()
+    assert ts.values.tolist() == ref.values.tolist()
 
 
 @pytest.mark.parametrize("p, d, n", [
@@ -545,7 +580,7 @@ def test_fold_errors_equal_fraction_fold(p, d, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(p=_wide_params_strategy(), d=_RANGE_SIZE)
+@given(p=wide_params_strategy(), d=_RANGE_SIZE)
 # gamma * inv_std is zero as a float product but not as a rational, of
 # either sign
 @example(p=BnChannel(gamma=1e-300, mean=0.0, inv_std=1e-300, bias=0.0), d=1.0)
@@ -573,8 +608,8 @@ def _negated_inv_std(p):
     return p._replace(inv_std=-p.inv_std)
 
 
-_LAYER = st.lists(st.one_of(_wide_params_strategy(), _EDGE_PARAMS,
-                            _wide_params_strategy().map(_negated_inv_std)),
+_LAYER = st.lists(st.one_of(wide_params_strategy(), _EDGE_PARAMS,
+                            wide_params_strategy().map(_negated_inv_std)),
                   min_size=1, max_size=8)
 
 
@@ -592,6 +627,14 @@ def test_layer_floors_equal_fraction_property(ps, d, n):
 @example(ps=[BnChannel(gamma=1.0, mean=13.0, inv_std=1.0, bias=0.0),
              BnChannel(gamma=-1.0, mean=0.0, inv_std=1.0, bias=10.0),
              BnChannel(gamma=1.0, mean=0.0, inv_std=-1.0, bias=10.0)], d=4.0, n=2)
+# channels whose candidates are ambiguous among easy ones: the exact
+# columns replace theirs and every column ascends
+@example(ps=[BnChannel(gamma=1.5, mean=0.25, inv_std=2.0, bias=-1.0),
+             BnChannel(gamma=1.0, mean=3.0, inv_std=1.0, bias=-1e-20),
+             BnChannel(gamma=-0.75, mean=3.25, inv_std=1.5, bias=-7.0),
+             BnChannel(gamma=-1.0, mean=3.0, inv_std=1.0, bias=-1e-20),
+             BnChannel(gamma=3.0, mean=0.0, inv_std=1 / 3, bias=0.0),
+             BnChannel(gamma=0.5, mean=-2.5, inv_std=1.25, bias=0.5)], d=1.0, n=2)
 def test_fold_columns_ascend_on_inverted_channels(ps, d, n):
     # a whole layer folds in one pass into ascending columns, an inverted
     # channel's (negative gamma or inv_std) too: each equals the

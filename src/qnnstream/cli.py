@@ -222,31 +222,31 @@ def cmd_partition(args) -> int:
     if args.format == "json":
         _print_json({
             "devices": [{
-                "device": d.device,
+                "device": i,
                 "stages": list(d.stages),
                 "m20k": d.m20k,
                 "ff": d.ff,
                 "bram_bits": d.bram_bits,
-            } for d in placement.devices],
+            } for i, d in enumerate(placement.devices)],
             "links": [{
-                "link": l.link,
+                "link": i,
                 "required_mbps": l.required_mbps,
                 "capacity_mbps": l.capacity_mbps,
                 "ok": l.ok,
-            } for l in placement.links.links],
+            } for i, l in enumerate(placement.links)],
             "feasible": placement.feasible,
             "chained_total_cycles": chained,
         })
     else:
         print("devices %d (budget %d M20K, %d FF each)"
               % (len(placement.devices), budget.m20k, budget.ff))
-        for d in placement.devices:
+        for i, d in enumerate(placement.devices):
             print(" device %d: %s .. %s  m20k %d  ff %d  bram %.2f Mbit"
-                  % (d.device, d.stages[0], d.stages[-1], d.m20k, d.ff,
+                  % (i, d.stages[0], d.stages[-1], d.m20k, d.ff,
                      d.bram_bits / 1e6))
-        for l in placement.links.links:
+        for i, l in enumerate(placement.links):
             print(" link %d: %.1f of %.1f Mbps %s"
-                  % (l.link, l.required_mbps, l.capacity_mbps,
+                  % (i, l.required_mbps, l.capacity_mbps,
                      "ok" if l.ok else "OVER"))
         print("chained total %d cycles" % chained)
         print("feasible" if placement.feasible else "infeasible")

@@ -3,9 +3,10 @@
 Stages talk only through bounded FIFOs, so any schedule that respects
 FIFO order computes the same streams (the graph is a Kahn network: one
 producer and one consumer per edge, consumption order fixed by stage
-state). The engine exploits that: its driver sweeps stages round-robin
-until every stage is done, and any other schedule would produce the
-same outputs and the same cycle reports.
+state). The engine exploits that: its driver sweeps the source and the
+stages round-robin until every stage is done, and any other schedule
+would produce the same outputs and the same cycle reports. The output
+collects in the last FIFO.
 
 Cycle numbers never come from wall time. Stages count structural events
 (elements ingested, pads injected, compute halts, ingest depth at first
@@ -153,26 +154,6 @@ class _Source(Stage):
         return True
 
 
-class _Sink(Stage):
-    """Drains the final FIFO into got, counting what it has received in
-    real_el."""
-
-    def __init__(self, fifo: Fifo, expected: int):
-        super().__init__("sink", None)
-        self.in_fifo = fifo
-        self.expected = expected
-        self.got = []
-
-    def _advance(self) -> bool:
-        if not self.in_fifo.occ:
-            return False
-        chunk = self.in_fifo.pop(self.expected - self.real_el)
-        self.got.append(chunk)
-        self.real_el += len(chunk)
-        self.ingest_done = self.real_el == self.expected
-        return True
-
-
 class StageGraph:
     def __init__(self, net, plans, stages, fifos, source_fifo, sink_fifo):
         self.net = net
@@ -283,12 +264,13 @@ def plan_edges(plans):
 def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
     """Instantiate stages and FIFOs for a network.
 
-    Regular FIFOs default to one scan line of elements; fifo_capacity
-    overrides them (any value >= 1 preserves outputs, only schedules
-    change; below 1 it is a ShapeError). The FIFO into a join's skip
-    input always takes skip_store_elements, the store the memory
-    estimate charges: the fork's whole run-ahead across the block, so
-    the adder never waits on the skip side.
+    The source and inter-stage FIFOs default to one scan line of
+    elements; fifo_capacity overrides them (any value >= 1 preserves
+    outputs, only schedules change; below 1 it is a ShapeError). The
+    FIFO into a join's skip input always takes skip_store_elements, the
+    store the memory estimate charges: the fork's whole run-ahead across
+    the block, so the adder never waits on the skip side. The sink FIFO
+    after the last stage holds the net's whole output.
     """
     plans = expand_layers(net)
     if params is None or len(params) != len(net.layers):
@@ -308,7 +290,7 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
         fifos.append(fifo)
         setattr(stages[dst], "skip_fifo" if into_skip else "in_fifo", fifo)
         setattr(stages[src], "skip_out_fifo" if from_skip else "out_fifo", fifo)
-    sink_fifo = Fifo(regular_cap(net.output_shape), "%s->sink" % plans[-1].name)
+    sink_fifo = Fifo(net.output_shape.elements, "%s->sink" % plans[-1].name)
     fifos.append(sink_fifo)
     stages[-1].out_fifo = sink_fifo
     return StageGraph(net, plans, stages, fifos, source_fifo, sink_fifo)
@@ -501,9 +483,11 @@ def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None) -> RunRes
     """Execute the pipeline on one input frame.
 
     image is H x W x C, row major, channel fastest, which is already the
-    depth-first stream order. The cycle report is assembled from the
-    structural counters the stages collect, so repeated runs give
-    identical reports.
+    depth-first stream order. The output is what the sink FIFO holds
+    once every stage is done: exactly the net's output elements, or a
+    QnnError (a stage that emits more deadlocks on the full FIFO). The
+    cycle report is assembled from the structural counters the stages
+    collect, so repeated runs give identical reports.
     """
     cfg = cfg or ModelConfig()
     ish = graph.net.input_shape
@@ -514,15 +498,17 @@ def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None) -> RunRes
     flat = image.reshape(-1).astype(np.int32)
     if flat.min() < 0 or flat.max() >= (1 << ish.bits):
         raise ShapeError("input values exceed %d bits" % ish.bits)
-    source = _Source(flat, graph.source_fifo)
-    sink = _Sink(graph.sink_fifo, graph.net.output_shape.elements)
-    tasks = [source] + list(graph.stages) + [sink]
-    _drive_sweep(tasks, graph.fifos)
+    _drive_sweep([_Source(flat, graph.source_fifo), *graph.stages], graph.fifos)
+    sink, want = graph.sink_fifo, graph.net.output_shape.elements
+    if sink.occ != want:
+        raise QnnError("%s: the net emitted %d of its %d output elements"
+                       % (sink.name, sink.occ, want))
+    output = sink.pop(want).astype(np.int64)
     for fifo in graph.fifos:
         if fifo.occ:
             raise QnnError("conservation violated on %s" % _occupancy(fifo))
     report = assemble_report(measured_counters(graph), cfg)
-    return RunResult(output=np.concatenate(sink.got).astype(np.int64), report=report)
+    return RunResult(output=output, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -548,66 +534,44 @@ def validate_partition(partition: Partition, n_stages: int):
 
 
 @dataclass(frozen=True)
-class LinkTraffic:
-    edge: str
-    required_mbps: float
-
-
-def cut_traffic(plans, clock_mhz: float):
-    """The streams crossing every cut position, in Mbps.
-
-    Entry t holds the LinkTraffic of each edge crossing cut t, the link
-    between plan t - 1 and plan t, in plan_edges order. Pixels cross at
-    one element per cycle peak, so a stream needs its element bits x
-    clock. The daisy chain routes an edge (src, dst), src < dst, over
-    every link between its ends: it crosses cut t iff src < t <= dst,
-    wherever the other cuts fall. Cutting inside a residual block costs
-    two 16-bit streams and is usually avoided.
-    """
-    cuts = [[] for _ in range(len(plans) + 1)]
-    for src, dst, shape, *_ in plan_edges(plans):
-        traffic = LinkTraffic(edge="%s->%s" % (plans[src].name, plans[dst].name),
-                              required_mbps=shape.bits * clock_mhz)
-        for t in range(src + 1, dst + 1):
-            cuts[t].append(traffic)
-    return cuts
-
-
-@dataclass(frozen=True)
 class LinkCheck:
-    link: int  # between device i and i+1
     required_mbps: float
     capacity_mbps: float
     ok: bool
-    traffic: tuple
+    traffic: tuple  # "src->dst" name of each edge crossing the cut
 
 
-@dataclass(frozen=True)
-class PartitionReport:
-    links: tuple
-    all_ok: bool
+def cut_links(plans, cfg: ModelConfig):
+    """The link a cut at each position needs, and whether it fits.
 
-
-def check_links(crossing, partition: Partition, link_gbps: float) -> PartitionReport:
-    """Check every device-to-device link against its bandwidth budget.
-
-    crossing is the cut_traffic table. Link i, between device i and
-    i + 1, is the cut before the first stage of device i + 1 and carries
-    every stream crossing that cut.
+    Entry t is the LinkCheck of cut t, the link between plan t - 1 and
+    plan t. Pixels cross at one element per cycle peak, so a stream
+    needs its element bits x clock. The daisy chain routes an edge
+    (src, dst), src < dst, over every link between its ends: it crosses
+    cut t iff src < t <= dst, wherever the other cuts fall. A cut's Mbps
+    are summed over its edges in plan_edges order, and it fits if they
+    come to at most link_gbps * 1000. Cutting inside a residual block
+    costs two 16-bit streams and is usually avoided.
     """
-    capacity = link_gbps * 1000.0
-    links = []
-    for i, (cut, _) in enumerate(partition.ranges[1:]):
-        req = sum(t.required_mbps for t in crossing[cut])
-        links.append(LinkCheck(link=i, required_mbps=req, capacity_mbps=capacity,
-                               ok=req <= capacity, traffic=tuple(crossing[cut])))
-    return PartitionReport(links=tuple(links), all_ok=all(link.ok for link in links))
+    capacity = cfg.link_gbps * 1000.0
+    required = [0] * (len(plans) + 1)
+    traffic = [[] for _ in required]
+    for src, dst, shape, *_ in plan_edges(plans):
+        edge = "%s->%s" % (plans[src].name, plans[dst].name)
+        for t in range(src + 1, dst + 1):
+            required[t] += shape.bits * cfg.clock_mhz
+            traffic[t].append(edge)
+    return [LinkCheck(required_mbps=req, capacity_mbps=capacity, ok=req <= capacity,
+                      traffic=tuple(edges))
+            for req, edges in zip(required, traffic)]
 
 
-def simulate_partition(net, partition: Partition, cfg: ModelConfig = None) -> PartitionReport:
+def simulate_partition(net, partition: Partition, cfg: ModelConfig = None) -> tuple:
     """Check every device-to-device link of a net's partition: the
-    ranges must cover its stages, then check_links over its cut_traffic."""
+    cut_links entry of the cut before each device's first stage, in
+    chain order. The ranges must cover the net's stages."""
     cfg = cfg or ModelConfig()
     plans = expand_layers(net)
     validate_partition(partition, len(plans))
-    return check_links(cut_traffic(plans, cfg.clock_mhz), partition, cfg.link_gbps)
+    checks = cut_links(plans, cfg)
+    return tuple(checks[a] for a, _ in partition.ranges[1:])

@@ -32,8 +32,7 @@ from .engine import (
     WINDOWED_KINDS,
     _ceil_div,
     _window_fill,
-    check_links,
-    cut_traffic,
+    cut_links,
     skip_store_elements,
     window_shape,
 )
@@ -137,7 +136,6 @@ MAX_DEVICES = 8
 
 @dataclass(frozen=True)
 class DeviceReport:
-    device: int
     stages: tuple
     m20k: int
     ff: int
@@ -148,11 +146,11 @@ class DeviceReport:
 class PlacementReport:
     devices: tuple
     partition: Partition
-    links: object  # engine.PartitionReport
+    links: tuple  # engine.LinkCheck of each device-to-device link, in chain order
 
     @property
     def feasible(self) -> bool:
-        return self.links.all_ok
+        return all(link.ok for link in self.links)
 
 
 def _fewest_balanced_ranges(res, budget, allowed):
@@ -209,10 +207,8 @@ def partition_network(net, budget: DeviceBudget = STRATIX_V_5SGSD8,
         if not budget.fits(r.m20k, r.ff):
             raise PartitionError("stage %s alone exceeds the %s budget"
                                  % (r.name, budget.name))
-    crossing = cut_traffic(plans, cfg.clock_mhz)
-    capacity = cfg.link_gbps * 1000.0
-    allowed = [sum(t.required_mbps for t in streams) <= capacity for streams in crossing]
-    ranges = _fewest_balanced_ranges(res, budget, allowed)
+    checks = cut_links(plans, cfg)
+    ranges = _fewest_balanced_ranges(res, budget, [c.ok for c in checks])
     if ranges is None:
         # no bandwidth-clean placement; fall back and let the link
         # report say which cut is over
@@ -220,14 +216,12 @@ def partition_network(net, budget: DeviceBudget = STRATIX_V_5SGSD8,
     if len(ranges) > max_devices:
         raise PartitionError("network needs %d devices, limit is %d"
                              % (len(ranges), max_devices))
-    partition = Partition(ranges=tuple(ranges))
-    links = check_links(crossing, partition, cfg.link_gbps)
     devices = []
-    for dev, (a, b) in enumerate(partition.ranges):
+    for a, b in ranges:
         devices.append(DeviceReport(
-            device=dev,
             stages=tuple(plans[i].name for i in range(a, b + 1)),
             m20k=sum(res[i].m20k for i in range(a, b + 1)),
             ff=sum(res[i].ff for i in range(a, b + 1)),
             bram_bits=sum(res[i].bram_bits for i in range(a, b + 1))))
-    return PlacementReport(devices=tuple(devices), partition=partition, links=links)
+    return PlacementReport(devices=tuple(devices), partition=Partition(ranges=tuple(ranges)),
+                           links=tuple(checks[a] for a, _ in ranges[1:]))

@@ -257,8 +257,8 @@ def test_07_two_bit_link_reports_exact_rate():
     net = parse_netdesc("input 6 6 2 2\nconv k=3 s=1 p=1 o=3 d=1.0 act=2\n"
                         "maxpool k=2 s=2\n", name="tiny")
     rep = simulate_partition(net, Partition(((0, 0), (1, 1))), ModelConfig())
-    assert len(rep.links) == 1
-    assert rep.links[0].required_mbps == 210.0
+    assert len(rep) == 1
+    assert rep[0].required_mbps == 210.0
 
 
 def test_08_memory_accounting():

@@ -110,6 +110,20 @@ def test_partition_alexnet(capsys):
     assert [l["required_mbps"] for l in doc["links"]] == [210.0]
 
 
+def test_partition_json_numbers_devices_and_links_in_order(capsys):
+    # three devices: "device" counts 0..2 and "link" 0..1 in chain order,
+    # link i being the cut in front of device i + 1
+    assert main(["partition", "--builtin", "resnet18", "--budget-m20k", "300",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(d["device"], d["stages"][0], d["stages"][-1], d["m20k"])
+            for d in doc["devices"]] == [(0, "conv1", "block5_b", 275),
+                                         (1, "block6_a", "block7_b", 298),
+                                         (2, "block8_a", "fc1", 262)]
+    assert [(l["link"], l["required_mbps"], l["ok"]) for l in doc["links"]] \
+        == [(0, 1890.0, True), (1, 1890.0, True)]
+
+
 @pytest.mark.parametrize("builtin, devices, chained, single", [
     ("resnet18", 2, 2288028, 2364388),
     ("alexnet", 2, 706560, 711656),

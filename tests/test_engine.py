@@ -457,6 +457,33 @@ def test_starved_pipeline_deadlocks(res_case):
     assert "%s 56/56" % skip.name in listing["full FIFOs"]
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_output_count_checked(res_case, extra):
+    # the fc at the end fires once; made to emit one element too few or
+    # too many, the run fails instead of returning that output
+    net, params, img = res_case
+    graph = build_graph(net, params)
+    last, sink = graph.stages[-1], graph.sink_fifo
+    compute = last._compute
+
+    def skewed(windows):
+        out = compute(windows).reshape(-1)
+        return out[:extra] if extra < 0 else np.append(out, out[:extra])
+
+    last._compute = skewed
+    with pytest.raises(QnnError) as err:
+        run(graph, img, ModelConfig())
+    want = net.output_shape.elements
+    assert sink.capacity == want
+    if extra < 0:
+        assert not isinstance(err.value, DeadlockError)
+        assert "emitted %d of its %d output elements" % (want - 1, want) in str(err.value)
+    else:
+        listing = _deadlock_listing(err)
+        assert listing["blocked stages"] == [last.name]
+        assert listing["full FIFOs"] == ["%s %d/%d" % (sink.name, want, want)]
+
+
 def test_top_class(res_case):
     net, params, img = res_case
     res = run(build_graph(net, params), img, ModelConfig())
@@ -568,10 +595,9 @@ def test_link_bandwidth_frozen_two_bit():
                    "maxpool k=2 s=2\n")
     part = Partition(((0, 0), (1, 1)))
     rep = simulate_partition(net, part, ModelConfig())
-    assert len(rep.links) == 1
-    assert rep.links[0].required_mbps == 210.0
-    assert rep.links[0].ok
-    assert rep.all_ok
+    assert len(rep) == 1
+    assert rep[0].required_mbps == 210.0
+    assert rep[0].ok
 
 
 def test_link_overload_flagged():
@@ -579,8 +605,7 @@ def test_link_overload_flagged():
                    "maxpool k=2 s=2\n")
     part = Partition(((0, 0), (1, 1)))
     rep = simulate_partition(net, part, ModelConfig(link_gbps=0.2))
-    assert not rep.links[0].ok
-    assert not rep.all_ok
+    assert not rep[0].ok
 
 
 def test_skip_edge_loads_every_link_it_spans():
@@ -593,8 +618,8 @@ def test_skip_edge_loads_every_link_it_spans():
     join = names.index("block1_join")
     part = Partition(((0, a - 1), (a, join - 1), (join, len(plans) - 1)))
     rep = simulate_partition(net, part, ModelConfig())
-    for link in rep.links:
-        assert any("block1_tee" in t.edge for t in link.traffic)
+    for link in rep:
+        assert any("block1_tee" in edge for edge in link.traffic)
 
 
 def test_backward_edge_rejected():

@@ -115,8 +115,8 @@ def test_resnet_placement_two_devices():
     assert pl.feasible
     # the cut lands on a block boundary: one activation stream plus one
     # skip stream, comfortably under a 2 Gbps link
-    assert len(pl.links.links) == 1
-    assert pl.links.links[0].required_mbps == 1890.0
+    assert len(pl.links) == 1
+    assert pl.links[0].required_mbps == 1890.0
     for dev in pl.devices:
         assert dev.m20k <= STRATIX_V_5SGSD8.m20k
         assert dev.ff <= STRATIX_V_5SGSD8.ff
@@ -127,7 +127,7 @@ def test_alexnet_placement():
                            cfg=ModelConfig())
     assert len(pl.devices) == 2
     assert pl.feasible
-    assert pl.links.links[0].required_mbps == 210.0
+    assert pl.links[0].required_mbps == 210.0
 
 
 def test_vgg_fits_one_device():
@@ -135,7 +135,7 @@ def test_vgg_fits_one_device():
                            cfg=ModelConfig())
     assert len(pl.devices) == 1
     assert pl.feasible
-    assert pl.links.links == ()
+    assert pl.links == ()
 
 
 def test_placement_respects_max_devices():
@@ -156,7 +156,7 @@ def test_infeasible_link_budget_reported_not_raised():
     pl = partition_network(BUILTIN_BUILDERS["alexnet"](), STRATIX_V_5SGSD8,
                            cfg=ModelConfig(link_gbps=0.001))
     assert not pl.feasible
-    assert any(not l.ok for l in pl.links.links)
+    assert any(not l.ok for l in pl.links)
 
 
 def test_builtin_devices_fit_m20k_budget():
@@ -205,7 +205,7 @@ def test_partition_is_fewest_devices_then_balanced(seed):
     max_devices = int(rng.integers(1, 7))
     # a cut is clean when its link alone fits, whatever the other cuts
     clean = [t for t in range(1, n) if simulate_partition(
-        net, Partition(((0, t - 1), (t, n - 1))), cfg).links[0].ok]
+        net, Partition(((0, t - 1), (t, n - 1))), cfg)[0].ok]
     best = _fewest_then_balanced(res, budget, clean)
     feasible = best is not None
     if not feasible:

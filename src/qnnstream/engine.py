@@ -3,10 +3,10 @@
 Stages talk only through bounded FIFOs, so any schedule that respects
 FIFO order computes the same streams (the graph is a Kahn network: one
 producer and one consumer per edge, consumption order fixed by stage
-state). The engine exploits that: its driver sweeps the source and the
-stages round-robin until every stage is done, and any other schedule
-would produce the same outputs and the same cycle reports. The output
-collects in the last FIFO.
+state). The engine exploits that: run puts the whole frame in the
+first FIFO and its driver sweeps the stages round-robin until every
+stage is done, and any other schedule would produce the same outputs
+and the same cycle reports. The output collects in the last FIFO.
 
 Cycle numbers never come from wall time. Stages count structural events
 (elements ingested, pads injected, compute halts, ingest depth at first
@@ -37,7 +37,6 @@ from .kernels import (
     MaxPoolStage,
     ResidualJoinStage,
     SkipDownsampleStage,
-    Stage,
     StreamShape,
     TeeWidenStage,
     line_buffer_capacity,
@@ -71,17 +70,19 @@ class ModelConfig:
 
 
 class Fifo:
-    """Bounded element FIFO carrying numpy chunks.
+    """Element FIFO carrying numpy chunks, bounded by what it shows.
 
-    The hop contract every stage relies on: push(arr) takes as many
-    leading elements of arr as there is room for and returns that count,
-    0 when full, so a producer with a full peer makes partial progress
-    instead of dropping or blocking. pop(want) returns the oldest
-    min(want, occ) elements in push order: a slice of one pushed chunk
-    when they lie in it, or one new array joining the chunks they span.
-    push keeps the array it is given, or a leading slice of it, without
-    a copy, and neither call writes into it. occ never exceeds capacity;
-    max_occ is its high-water mark.
+    The hop contract every stage relies on: push(arr) keeps the whole
+    array, without a copy, and returns its length. held counts the
+    elements pushed and not yet popped; occ, the count pop may return,
+    is min(held, capacity), so a consumer never sees more than capacity
+    and the excess moves in as it pops. A producer whose push leaves
+    held above capacity waits until pops bring it back down
+    (kernels.Stage).
+    pop(want) returns the oldest min(want, occ) elements in push order:
+    a slice of one pushed chunk when they lie in it, or one new array
+    joining the chunks they span. Neither call writes into an array it
+    is given. max_occ is the high-water mark of occ.
     """
 
     def __init__(self, capacity: int, name: str):
@@ -91,20 +92,17 @@ class Fifo:
         self.name = name
         self.chunks = deque()
         self.head = 0  # elements of chunks[0] already popped
+        self.held = 0
         self.occ = 0
         self.max_occ = 0
 
     def push(self, arr) -> int:
         n = len(arr)
-        room = self.capacity - self.occ
-        if n > room:
-            if not room:
-                return 0
-            n = room
-            arr = arr[:n]
         if n:
             self.chunks.append(arr)
-            occ = self.occ = self.occ + n
+            held = self.held = self.held + n
+            cap = self.capacity
+            occ = self.occ = held if held < cap else cap
             if occ > self.max_occ:
                 self.max_occ = occ
         return n
@@ -114,7 +112,9 @@ class Fifo:
             want = self.occ
         if not want:
             return _EMPTY
-        self.occ -= want
+        held = self.held = self.held - want
+        cap = self.capacity
+        self.occ = held if held < cap else cap
         chunks, head = self.chunks, self.head
         first = chunks[0]
         end = head + want  # where the pop ends, counted from first's start
@@ -137,21 +137,6 @@ class Fifo:
 
 
 _EMPTY = np.empty(0, dtype=np.int32)
-
-
-class _Source(Stage):
-    """Feeds the flattened input stream into the first FIFO: it emits the
-    frame once, and pending pushes it as the FIFO takes it."""
-
-    def __init__(self, data: np.ndarray, fifo: Fifo):
-        super().__init__("source", None)
-        self.data = data
-        self.out_fifo = fifo
-
-    def _advance(self) -> bool:
-        self.ingest_done = True
-        self._emit(self.out_fifo, self.data)
-        return True
 
 
 class StageGraph:
@@ -299,18 +284,19 @@ def build_graph(net, params, fifo_capacity: int = None) -> StageGraph:
 # ---------------------------------------------------------------------------
 # execution driver
 
-def _drive_sweep(tasks, fifos):
-    """Step every unfinished task once per sweep, in order, until all are
-    finished. A task's state changes only in its own step, and a finished
-    one (input ingested, nothing pending) stays finished, so the finished
-    are dropped once a sweep ends."""
-    live = [t for t in tasks if not t.finished]
+def _drive_sweep(stages, fifos):
+    """Step every unfinished stage once per sweep, in order, until all
+    are finished. A stage's state changes only in its own step, and a
+    finished one (input ingested, no FIFO it feeds over capacity) pushes
+    nothing more, so it stays finished and is dropped once a sweep ends.
+    A sweep in which no step moved anything is a deadlock."""
+    live = [t for t in stages if not t.finished]
     while live:
         progressed = ended = False
         for t in live:
             if t.step():
                 progressed = True
-            if t.ingest_done and not t.pending:
+            if t.ingest_done and not t.over:
                 ended = True
         if ended:
             live = [t for t in live if not t.finished]
@@ -483,12 +469,17 @@ def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None) -> RunRes
     """Execute the pipeline on one input frame.
 
     image is H x W x C, row major, channel fastest, which is already the
-    depth-first stream order. The output is what the sink FIFO holds
-    once every stage is done: exactly the net's output elements, or a
-    QnnError (a stage that emits more deadlocks on the full FIFO). The
-    cycle report is assembled from the structural counters the stages
-    collect, so repeated runs give identical reports.
+    depth-first stream order. The flattened frame goes into the source
+    FIFO whole, and the first stage takes it in as it pops. The output
+    is what the sink FIFO holds once every stage is done: exactly the
+    net's output elements, or a QnnError (a stage that emits more
+    deadlocks on the full FIFO). The cycle report is assembled from the
+    structural counters the stages collect, so runs of fresh graphs
+    give identical reports. A graph runs one frame: a second run on it
+    is a QnnError.
     """
+    if graph.source_fifo.max_occ:  # the source FIFO has been fed
+        raise QnnError("this graph has already run a frame; build a new one")
     cfg = cfg or ModelConfig()
     ish = graph.net.input_shape
     image = np.asarray(image)
@@ -498,14 +489,15 @@ def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None) -> RunRes
     flat = image.reshape(-1).astype(np.int32)
     if flat.min() < 0 or flat.max() >= (1 << ish.bits):
         raise ShapeError("input values exceed %d bits" % ish.bits)
-    _drive_sweep([_Source(flat, graph.source_fifo), *graph.stages], graph.fifos)
+    graph.source_fifo.push(flat)
+    _drive_sweep(graph.stages, graph.fifos)
     sink, want = graph.sink_fifo, graph.net.output_shape.elements
-    if sink.occ != want:
+    if sink.held != want:
         raise QnnError("%s: the net emitted %d of its %d output elements"
-                       % (sink.name, sink.occ, want))
+                       % (sink.name, sink.held, want))
     output = sink.pop(want).astype(np.int64)
     for fifo in graph.fifos:
-        if fifo.occ:
+        if fifo.held:
             raise QnnError("conservation violated on %s" % _occupancy(fifo))
     report = assemble_report(measured_counters(graph), cfg)
     return RunResult(output=output, report=report)

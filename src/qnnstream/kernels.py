@@ -8,16 +8,19 @@ element that has already been evicted is a hard fault, which is how the
 buffer sizing formula is validated.
 
 Stages are driven by an external scheduler through step(). A step makes
-as much progress as the attached FIFOs allow and never blocks. The step
-loop is written once, in Stage; each stage kind supplies _advance(),
-which consumes one unit of input and emits what that unit completes.
-For a windowed stage the unit is a run of pixels inside one padded row,
-as many as the input FIFO holds: the run is written to the line buffer
-at once, and every window it completes is read as one slice of a
-strided view of the buffer and computed as one batch. Other stages take
-a chunk of elements. All cycle counters are structural (functions of
-shapes and the trigger rule alone), so they do not depend on scheduling
-order or on how input is batched.
+as much progress as the attached FIFOs allow and never blocks. A FIFO
+keeps all a stage emits into it and shows its consumer at most its
+capacity; a stage that leaves one over capacity stops until the
+consumer's pops bring it back down. The step loop is written once, in
+Stage; each stage kind supplies _advance(), which consumes one unit of
+input and emits what that unit completes. For a windowed stage the
+unit is a run of pixels inside one padded row, as many as the input
+FIFO shows: the run is written to the line buffer at once, and every
+window it completes is read as one slice of a strided view of the
+buffer and computed as one batch. Other stages take a chunk of
+elements. All cycle counters are structural (functions of shapes and
+the trigger rule alone), so they do not depend on scheduling order or
+on how input is batched.
 
 A conv, fc or join stage that emits codes ends in activation(): the
 ThresholdSet that fold_batchnorm derived for its layer's channels,
@@ -173,28 +176,27 @@ def activation(thresholds):
 
 
 class Stage:
-    """Base class: the step loop, counters, pending output.
+    """Base class: the step loop and counters.
 
     step() is the one step loop, and its order of FIFO calls is the
-    schedule. It offers any pending output to its FIFOs and returns if
-    some is still refused or the whole input is ingested. Otherwise it
-    calls _advance() until that returns False (the input is not there),
-    output is left pending (a FIFO is full) or the whole input is
+    schedule. It returns at once if the whole input is ingested or a
+    FIFO the stage feeds still holds more than its capacity. Otherwise
+    it calls _advance() until that returns False (the input is not
+    there), a push leaves a FIFO over capacity or the whole input is
     ingested. It returns whether anything moved, and never blocks. Each
     stage kind supplies only _advance(): consume one unit of input (a
     run of pixels, or a chunk of elements), emit what that unit
     completes, and say whether it moved. A stage's state changes only
-    inside its own step, and a finished stage (input ingested, nothing
-    pending) stays finished.
+    inside its own step, and a finished stage (input ingested, no FIFO
+    it feeds over capacity) stays finished.
 
-    _emit pushes at once; pending keeps only the tail a full FIFO
-    refused. _advance() runs only when nothing is pending and emits at
-    most one array per FIFO, so pending output is one array per
-    destination FIFO. A stage with two outputs (a join feeding both the
-    skip chain and the next conv) must not let a momentarily full skip
-    FIFO hold up codes bound elsewhere: the codes are what ultimately
-    drain that skip FIFO, so serializing the two would deadlock. Order is
-    still preserved per FIFO.
+    _emit pushes the whole array at once (engine.Fifo keeps it and shows
+    the consumer at most capacity), and sets over when that leaves the
+    FIFO above capacity. A stage with two outputs (a join feeding both
+    the skip chain and the next conv) emits to both before it stops, so
+    a momentarily full skip FIFO does not hold up codes bound elsewhere:
+    the codes are what ultimately drain that skip FIFO, so serializing
+    the two would deadlock. Order is still preserved per FIFO.
     """
 
     def __init__(self, name: str, in_shape):
@@ -204,47 +206,42 @@ class Stage:
         # wired by the graph builder
         self.in_fifo = None
         self.out_fifo = None
+        self.skip_out_fifo = None
         # structural counters
         self.real_el = 0
         self.pad_el = 0
         self.compute_cycles = 0
         self.fill_el = None  # elements ingested when the first output appeared
         self.ingest_done = False
-        self.pending = {}  # fifo -> the part of an emitted array it has not taken
+        self.over = False  # a push left a FIFO it feeds above capacity
 
     def _emit(self, fifo, arr: np.ndarray):
         if fifo is not None:
-            taken = fifo.push(arr)
-            if taken < len(arr):
-                self.pending[fifo] = arr[taken:]
+            fifo.push(arr)
+            if fifo.held > fifo.capacity:
+                self.over = True
+
+    def _still_over(self) -> bool:
+        """Recheck over against the FIFOs the stage feeds."""
+        self.over = any(f is not None and f.held > f.capacity
+                        for f in (self.out_fifo, self.skip_out_fifo))
+        return self.over
 
     @property
     def finished(self) -> bool:
-        return self.ingest_done and not self.pending
+        return self.ingest_done and not (self.over and self._still_over())
 
     def _advance(self) -> bool:
         raise NotImplementedError
 
     def step(self) -> bool:
+        if (self.over and self._still_over()) or self.ingest_done:
+            return False
         progressed = False
-        pending = self.pending  # the one dict _emit fills
-        if pending:
-            for fifo, arr in list(pending.items()):
-                taken = fifo.push(arr)
-                if taken:
-                    progressed = True
-                    if taken == len(arr):
-                        del pending[fifo]
-                    else:
-                        pending[fifo] = arr[taken:]
-            if pending:
-                return progressed
-        if self.ingest_done:
-            return progressed
         advance = self._advance
         while advance():
             progressed = True
-            if pending or self.ingest_done:
+            if self.over or self.ingest_done:
                 break
         return progressed
 
@@ -515,16 +512,17 @@ class ResidualJoinStage(ElementwiseStage):
     regular data waiting and the skip FIFO empty, a step that summed
     some elements first included, so the step schedule, not the data
     alone, decides it. With the skip FIFO at engine.skip_store_elements,
-    the fork's whole run-ahead, it has read 0 at the default FIFO
-    capacities on every net tested; at other regular capacities a skip
-    producer can fall a step behind, and a few generated residual nets
-    read 1 with outputs and cycle reports unchanged.
+    the fork's whole run-ahead, it has read 0 on every net tested at the
+    default FIFO capacities, and at any capacity where a tee or a join
+    feeds the skip FIFO. A SkipDownsampleStage feeding it can
+    fall a step behind: stopped on its full output, it takes in more
+    only at its next step. A few generated residual nets then read 1 at
+    other regular capacities, with outputs and cycle reports unchanged.
     """
 
     def __init__(self, name, shape, thresholds):
         super().__init__(name, shape)
         self.skip_fifo = None
-        self.skip_out_fifo = None
         self.activate = activation(thresholds)
         self.stalled_on_skip = 0
 
@@ -557,10 +555,6 @@ class TeeWidenStage(ElementwiseStage):
     Codes pass through unchanged on the regular path; the same values,
     widened to accumulators, seed the skip chain.
     """
-
-    def __init__(self, name, shape):
-        super().__init__(name, shape)
-        self.skip_out_fifo = None
 
     def _advance(self) -> bool:
         got = self.in_fifo.pop(self.el_total - self.real_el)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qnnstream.engine import Fifo
+from qnnstream.kernels import ResidualJoinStage, TeeWidenStage
 from qnnstream.netdesc import parse_netdesc
 from reference import BnChannel
 
@@ -172,26 +173,28 @@ def random_image(rng, net):
 def drive_stage(stage, in_data, skip_data=None, capacity=None):
     """Run one stage to completion.
 
-    Without a capacity every FIFO is ample and the whole input is queued
-    before the first step. With one, every FIFO has that capacity, input
-    is fed step by step and outputs are drained between steps, so the
-    stage runs its partial-progress paths. Returns (main output, skip
-    output or None) as int64 arrays.
+    Every FIFO gets the capacity, or an ample one without it, and each
+    input FIFO is topped up to its capacity before every step. Without a
+    capacity the whole input is queued before the first step. With one,
+    input is fed step by step and outputs are drained by what their
+    FIFOs show between steps, so the stage runs its partial-progress
+    paths. Returns (main output, skip output or None) as int64 arrays.
     """
     cap = capacity or max(len(in_data), 1) * 8 + 64
     feeds = [("in_fifo", np.asarray(in_data, dtype=np.int32))]
     if skip_data is not None:
         feeds.append(("skip_fifo", np.asarray(skip_data, dtype=np.int32)))
     outputs = {"out_fifo": []}
-    if hasattr(stage, "skip_out_fifo"):
+    if isinstance(stage, (ResidualJoinStage, TeeWidenStage)):
         outputs["skip_out_fifo"] = []
     for attr in [a for a, _ in feeds] + list(outputs):
         setattr(stage, attr, Fifo(cap, attr))
     fed = [0] * len(feeds)
-    while not stage.finished:
+    while not stage.finished or any(getattr(stage, a).held for a in outputs):
         moved = False
         for i, (attr, data) in enumerate(feeds):
-            took = getattr(stage, attr).push(data[fed[i]:])
+            fifo = getattr(stage, attr)
+            took = fifo.push(data[fed[i]:fed[i] + cap - fifo.held])
             fed[i] += took
             moved = moved or took > 0
         moved = stage.step() or moved

@@ -25,7 +25,6 @@ from qnnstream.engine import (
     skip_store_elements,
     validate_partition,
     _drive_sweep,
-    _Source,
 )
 from qnnstream.errors import (
     AccumOverflowError,
@@ -237,23 +236,27 @@ def test_fifo_capacity_below_one_rejected(res_case, capacity):
 @example(capacity=9, ops=[(True, 4), (False, 1), (False, 3), (True, 2),
                           (False, 2), (True, 3), (True, 3), (True, 2),
                           (False, 8), (False, 5)])
+# a push onto a full FIFO, whose elements move in as pops make room
+@example(capacity=3, ops=[(True, 3), (True, 4), (False, 2), (False, 5),
+                          (False, 1)])
 def test_fifo_matches_list_model(capacity, ops):
     # Fifo against a plain list of elements: each op pushes a chunk of
-    # fresh values or pops up to that many
+    # fresh values, which the FIFO keeps whole, or pops up to that many
+    # of the capacity it shows
     fifo, model, fresh, peak = Fifo(capacity, "f"), [], 0, 0
     for is_push, n in ops:
         if is_push:
             chunk = np.arange(fresh, fresh + n, dtype=np.int32)
             fresh += n
-            taken = fifo.push(chunk)
-            assert taken == min(n, capacity - len(model))
-            model += chunk[:taken].tolist()
+            assert fifo.push(chunk) == n
+            model += chunk.tolist()
         else:
-            got = fifo.pop(n)
-            assert got.tolist() == model[:n]
-            del model[:n]
-        peak = max(peak, len(model))
-        assert fifo.occ == len(model)
+            shown = min(n, fifo.occ)
+            assert fifo.pop(n).tolist() == model[:shown]
+            del model[:shown]
+        assert fifo.held == len(model)
+        assert fifo.occ == min(len(model), capacity)
+        peak = max(peak, fifo.occ)
         assert fifo.max_occ == peak <= capacity
 
 
@@ -277,6 +280,29 @@ def test_fifo_capacity_property(seed, residual, capacity):
     for join in (s for s in graph.stages if isinstance(s, ResidualJoinStage)):
         assert join.stalled_on_skip == 0
         assert join.skip_fifo.capacity * 16 == charged.stage(join.name).skip_bits
+
+
+@pytest.mark.parametrize("seed,capacity", [
+    (671, 6), (103, 7),
+    pytest.param(854, 8, marks=pytest.mark.xfail(strict=True, reason=(
+        "a subsample-fed join still stalls: a SkipDownsampleStage stopped "
+        "on its full output resumes only at its next step (ROADMAP item 1)"))),
+])
+def test_skip_producer_keeps_up(seed, capacity):
+    # test_fifo_capacity_property's draws on which block1_join once
+    # waited on its skip FIFO: tee-fed at 671 and 103, subsample-fed at 854
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, force_residual=True)
+    params = load_params(random_params(net, rng), net)
+    img = random_image(rng, net)
+    base = run(build_graph(net, params), img, ModelConfig())
+    graph = build_graph(net, params, fifo_capacity=capacity)
+    other = run(graph, img, ModelConfig())
+    assert np.array_equal(other.output, base.output)
+    assert other.report == base.report
+    joins = [s for s in graph.stages if isinstance(s, ResidualJoinStage)]
+    assert joins
+    assert all(j.stalled_on_skip == 0 for j in joins)
 
 
 # batchnorm channels of tiny and huge scale, as float32 blobs hold them,
@@ -445,10 +471,9 @@ def test_starved_pipeline_deadlocks(res_case):
     graph = build_graph(net, params)
     stages = {s.name: s for s in graph.stages}
     branch, skip = stages["block1_a"].in_fifo, stages["block1_join"].skip_fifo
-    source = _Source(img.reshape(-1).astype(np.int32), graph.source_fifo)
+    graph.source_fifo.push(img.reshape(-1).astype(np.int32))
     with pytest.raises(DeadlockError) as err:
-        _drive_sweep([source] + [s for s in graph.stages if s.name != "block1_a"],
-                     graph.fifos)
+        _drive_sweep([s for s in graph.stages if s.name != "block1_a"], graph.fifos)
     listing = _deadlock_listing(err)
     sink = graph.sink_fifo
     assert "%s %d/%d" % (branch.name, branch.capacity, branch.capacity) \
@@ -482,6 +507,17 @@ def test_output_count_checked(res_case, extra):
         listing = _deadlock_listing(err)
         assert listing["blocked stages"] == [last.name]
         assert listing["full FIFOs"] == ["%s %d/%d" % (sink.name, want, want)]
+
+
+def test_graph_runs_one_frame(res_case):
+    # a graph's stages and FIFOs are spent by its frame; a second run
+    # says so instead of reporting a deadlock or a short output
+    net, params, img = res_case
+    graph = build_graph(net, params)
+    run(graph, img, ModelConfig())
+    with pytest.raises(QnnError, match="already run a frame") as err:
+        run(graph, img, ModelConfig())
+    assert not isinstance(err.value, DeadlockError)
 
 
 def test_top_class(res_case):

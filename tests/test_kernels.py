@@ -69,7 +69,11 @@ def _drive(make_stage, in_data, skip_data=None):
     same structural counters."""
     roomy, narrow = make_stage(), make_stage()
     ample = drive_stage(roomy, in_data, skip_data)
+    steps, step = [], narrow.step
+    narrow.step = lambda: steps.append(1) or step()
     tight = drive_stage(narrow, in_data, skip_data, capacity=1)
+    # fed one element at a time, the stage takes in at most one a step
+    assert len(steps) >= len(in_data) > 1
     for a, b in zip(ample, tight):
         assert (a is None and b is None) or np.array_equal(a, b)
     for counter in ("real_el", "pad_el", "compute_cycles", "fill_el"):

@@ -42,6 +42,7 @@ from .kernels import (
     line_buffer_capacity,
 )
 from .netdesc import expand_layers
+from .quant import check_input_array
 
 
 CIN_MODES = ("pixel", "element")
@@ -486,9 +487,7 @@ def run(graph: StageGraph, image: np.ndarray, cfg: ModelConfig = None) -> RunRes
     if image.shape != (ish.h, ish.w, ish.c):
         raise ShapeError("input is %r, network wants %r"
                          % (image.shape, (ish.h, ish.w, ish.c)))
-    flat = image.reshape(-1).astype(np.int32)
-    if flat.min() < 0 or flat.max() >= (1 << ish.bits):
-        raise ShapeError("input values exceed %d bits" % ish.bits)
+    flat = check_input_array(image, ish.bits).reshape(-1).astype(np.int32)
     graph.source_fifo.push(flat)
     _drive_sweep(graph.stages, graph.fifos)
     sink, want = graph.sink_fifo, graph.net.output_shape.elements

@@ -24,9 +24,10 @@ on how input is batched.
 
 A conv, fc or join stage that emits codes ends in activation(): the
 ThresholdSet that fold_batchnorm derived for its layer's channels,
-counted by quant.count_code_floors. The oracle
-counts with the same function against code floors it derives apart, from
-BnQuantizer; nothing here names the oracle's quantizer.
+counted by quant.count_code_floors in the dtype of the stage's
+accumulators. The oracle counts with the same function against code
+floors it derives apart, from BnQuantizer; nothing here names the
+oracle's quantizer.
 """
 
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ from .quant import (
     FLOAT64_EXACT,
     check_accum_array,
     count_code_floors,
+    floors_as,
     popcount_dot,
 )
 
@@ -158,20 +160,24 @@ class LineBuffer:
         return self.windows[slot:slot + last - oldest + 1:starts.step]
 
 
-def activation(thresholds):
+def activation(thresholds, dtype):
     """The epilogue of a conv, fc or join stage, as a function of its
-    accumulators.
+    accumulators, which come in dtype: the dtype of the stage's dot
+    product, int64 for popcount_dot and a join's sums.
 
     With the layer's ThresholdSet it is the fused batchnorm + activation
-    and emits codes, counting its values against sign * a; without, the
+    and emits codes, uint8 for up to 8 bits: its sign and values are
+    rounded to dtype once, here (quant.floors_as), and each batch of
+    accumulators is counted against them in its own dtype. Without, the
     accumulators pass on as range-checked 16-bit values. The codes are
-    exact without quant.check_floor_range: a join's sums are 16-bit, and
-    a conv's accumulators are below 2**53 on a float product
-    (float_signed_matrix) and below 2**n * K on popcount_dot.
+    exact without quant.check_floor_range: a join's sums are 16-bit, a
+    float product's accumulators stay below the first integer its float
+    cannot hold (float_signed_matrix), and popcount_dot's are int64
+    below 2**n * K.
     """
     if thresholds is None:
         return lambda accs: check_accum_array(accs).astype(np.int32)
-    sign, values = thresholds.sign, thresholds.values
+    sign, values = floors_as(dtype, thresholds.sign, thresholds.values)
     return lambda accs: count_code_floors(accs, sign, values)
 
 
@@ -413,15 +419,16 @@ class ConvStage(WindowedStage):
     it multiplies the windows by a float sign matrix through BLAS, in
     the narrowest float that keeps every sum exact: float32 for small
     layers over activation codes and for the 8-bit first conv, float64
-    for wide accumulator inputs. Or it runs the XNOR/popcount datapath
-    (quant.popcount_dot): the weights are already packed into 64-bit
-    words (WeightBlock.words), the window codes of a run into n bit
-    planes of words, and each plane meets each weight row by AND +
-    popcount. Internal accumulators are wider than 16 bits; only values
-    that cross an accumulator stream are range checked. The windows
-    arrive as a read-only (N, K, K*C) view of the line buffer; the float
-    path's astype, or the popcount path's reshape to (N, K*K*C), is the
-    one copy of them a fire makes.
+    for wide accumulator inputs; the product stays in that float, and
+    activation() counts its codes there. Or it runs the XNOR/popcount
+    datapath (quant.popcount_dot): the weights are already packed into
+    64-bit words (WeightBlock.words), the window codes of a run into n
+    bit planes of words, and each plane meets each weight row by AND +
+    popcount, in int64. Internal accumulators are wider than 16 bits;
+    only values that cross an accumulator stream are range checked. The
+    windows arrive as a read-only (N, K, K*C) view of the line buffer;
+    the float path's astype, or the popcount path's reshape to
+    (N, K*K*C), is the one copy of them a fire makes.
 
     A fully connected layer is a 1x1 conv over a one-pixel stream of
     h*w*c channels (engine.window_shape). The depth-first stream order is
@@ -445,10 +452,11 @@ class ConvStage(WindowedStage):
         if signs is None:
             self.dot = lambda windows: popcount_dot(
                 weights.words, windows.reshape(len(windows), -1), in_shape.bits)
+            self.activate = activation(thresholds, np.int64)
         else:
-            self.dot = lambda windows: (windows.astype(signs.dtype).reshape(
-                len(windows), -1) @ signs).astype(np.int64)
-        self.activate = activation(thresholds)
+            self.dot = lambda windows: windows.astype(signs.dtype).reshape(
+                len(windows), -1) @ signs
+            self.activate = activation(thresholds, signs.dtype)
 
     def _compute(self, windows):
         self.compute_cycles += len(windows) * self.out_ch
@@ -523,7 +531,7 @@ class ResidualJoinStage(ElementwiseStage):
     def __init__(self, name, shape, thresholds):
         super().__init__(name, shape)
         self.skip_fifo = None
-        self.activate = activation(thresholds)
+        self.activate = activation(thresholds, np.int64)
         self.stalled_on_skip = 0
 
     def _advance(self) -> bool:

@@ -1,11 +1,12 @@
 """Dense reference implementation of the whole pipeline.
 
-Everything here works on full H x W x C integer arrays with none of the
-streaming machinery: no line buffers, no FIFOs. Weights are signed
-straight from the raw floats, activations go through the exact rational
-batchnorm quantizer, and range checks fire on exactly the values that
-would cross a 16-bit stream. Agreement with the engine is therefore
-evidence about the streaming logic, not a shared code path.
+Everything here works on full H x W x C maps of integer values, held in
+integer or exact float dtypes, with none of the streaming machinery: no
+line buffers, no FIFOs. Weights are signed straight from the raw
+floats, activations go through the exact rational batchnorm quantizer,
+and range checks fire on exactly the values that would cross a 16-bit
+stream. Agreement with the engine is therefore evidence about the
+streaming logic, not a shared code path.
 
 Both sides decide an activation code by integer boundaries, but they
 derive them apart, each from the same per-layer BnParams arrays. The
@@ -34,13 +35,25 @@ at most max|x| * K, so the product is exact in any type that holds every
 integer below that bound. _exact_dtype picks the narrowest, once per
 product and before im2col: float32 (sgemm) below 2**24, float64 (dgemm)
 below 2**53, int64 (no BLAS) otherwise. The window matrix and the sign
-matrix are built directly in it.
+matrix are built directly in it, and the product stays in it:
+quantize_dense counts a layer's codes in that dtype, against its floors
+rounded to it once (quant.floors_as), which is exact for every
+accumulator the float holds. The codes pass on between layers in the
+count's narrow dtype, uint8 for up to 8-bit codes, never widened to
+int64; a sum over them widens first (dense_avgpool's int64, a residual
+sum's float or int64 product), so no narrow arithmetic can wrap.
 """
 
 import numpy as np
 
 from .errors import ParamsError, ShapeError
-from .quant import FLOAT32_EXACT, FLOAT64_EXACT, BnQuantizer, check_accum_array
+from .quant import (
+    FLOAT32_EXACT,
+    FLOAT64_EXACT,
+    BnQuantizer,
+    check_accum_array,
+    check_input_array,
+)
 
 
 def pad_dense(x: np.ndarray, p: int, dtype=None) -> np.ndarray:
@@ -76,33 +89,53 @@ def _exact_dtype(x: np.ndarray, fan_in: int):
     return np.int64
 
 
+def _out_hw(xp: np.ndarray, k: int, s: int):
+    """The output rows and columns of a k x k window at stride s over the
+    padded map xp."""
+    oh, ow = (xp.shape[0] - k) // s + 1, (xp.shape[1] - k) // s + 1
+    if oh < 1 or ow < 1:
+        raise ShapeError("window %d exceeds padded input %r" % (k, xp.shape))
+    return oh, ow
+
+
 def dense_conv(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.ndarray:
+    """The exact conv of an H x W x C integer map x with the signs of
+    raw_w, in the dtype _exact_dtype picks for it: float32, float64 or
+    int64, whichever it holds every partial sum in."""
     k, _, in_ch, out_ch = raw_w.shape
-    x = np.asarray(x, dtype=np.int64)
+    x = np.asarray(x)
     if x.ndim != 3 or x.shape[2] != in_ch:
         raise ShapeError("input %r does not feed %d-channel weights"
                          % (x.shape, in_ch))
     xp = pad_dense(x, p, _exact_dtype(x, k * k * in_ch))
-    oh, ow = (xp.shape[0] - k) // s + 1, (xp.shape[1] - k) // s + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError("window %d exceeds padded input %r" % (k, xp.shape))
+    oh, ow = _out_hw(xp, k, s)
     # every (k, k, C) window, a row of cols, as a read-only view of xp
     r, c, e = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp, (oh, ow, k, k, in_ch), (s * r, s * c, r, c, e), writeable=False)
     cols = windows.reshape(oh * ow, k * k * in_ch)
     signs = _signs(raw_w.reshape(k * k * in_ch, out_ch), cols.dtype.type)
-    return (cols @ signs).astype(np.int64, copy=False).reshape(oh, ow, out_ch)
+    return (cols @ signs).reshape(oh, ow, out_ch)
 
 
 def dense_maxpool(x: np.ndarray, k: int, s: int, p: int = 0) -> np.ndarray:
-    xp = pad_dense(np.asarray(x, dtype=np.int64), p)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))
-    return windows[::s, ::s].max(axis=(3, 4))
+    """The channelwise max over each k x k window at stride s, pads
+    counting as zeros, in x's dtype: a running np.maximum over the k * k
+    strided slices of the padded map, one per window offset."""
+    xp = pad_dense(np.asarray(x), p)
+    oh, ow = _out_hw(xp, k, s)
+    rows, cols = (oh - 1) * s + 1, (ow - 1) * s + 1
+    out = xp[:rows:s, :cols:s].copy()
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                np.maximum(out, xp[i:i + rows:s, j:j + cols:s], out=out)
+    return out
 
 
 def dense_avgpool(x: np.ndarray, k: int, s: int, p: int = 0) -> np.ndarray:
-    xp = pad_dense(np.asarray(x, dtype=np.int64), p)
+    # widened before the sum, so that no narrow code dtype can wrap
+    xp = pad_dense(np.asarray(x), p, np.int64)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))
     sums = windows[::s, ::s].sum(axis=(3, 4))
     m = k * k  # divisor includes pad positions
@@ -133,15 +166,17 @@ def dense_infer(net, params, image: np.ndarray) -> np.ndarray:
     params is the list load_params produces, aligned with net.layers.
     Raises the same overflow error the engine would when a value that
     crosses a 16-bit stream goes out of range, and the engine's error
-    types for a wrong-shaped image or a params list of the wrong length.
+    types for a wrong-shaped image, an image value that is not an
+    integer in [0, 2**bits) or a params list of the wrong length.
     """
     if params is None or len(params) != len(net.layers):
         raise ParamsError("parameter list does not match the network")
     ish = net.input_shape
-    x = np.asarray(image, dtype=np.int64)
+    x = np.asarray(image)
     if x.shape != (ish.h, ish.w, ish.c):
         raise ShapeError("input is %r, network wants %r"
                          % (x.shape, (ish.h, ish.w, ish.c)))
+    check_input_array(x, ish.bits)
     skip = None
     for li, layer in enumerate(net.layers):
         if layer.kind == "input":

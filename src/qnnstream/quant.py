@@ -23,7 +23,12 @@ ints in object arrays. Its docstring derives the bound. BnQuantizer
 gives its code floors from the dyadic mantissas and exponents of the
 parameters (np.frexp), in Python ints throughout. Neither derivation
 names the other. Both then count with count_code_floors: the code of a
-is the number of integer floors that sign * a reaches.
+is the number of integer floors that sign * a reaches. It counts in the
+dtype the accumulators came in, int64 or the float32 or float64 an
+exact product came out in, with the floors rounded to that float once
+(floors_as), which decides every accumulator the float holds exactly as
+the integer floors do; check_floor_range refuses the rest. The codes
+stay in the count's narrow dtype, uint8 for up to 8-bit codes.
 
 popcount_dot is the modelled XNOR/popcount datapath. A conv stage over
 activation codes runs it unless a float32 product with a +/-1 matrix
@@ -73,14 +78,32 @@ _EXP_OFFSETS = np.array([[53], [106], [0], [0]])
 
 
 def check_floor_range(accums) -> np.ndarray:
-    """accums as int64, refused with a QuantizationError if one has a
-    magnitude of CODE_FLOOR_LIMIT or more, where the clamped floors no
-    longer decide exactly."""
-    accums = np.asarray(accums, dtype=np.int64)
-    if accums.size and (accums.min() <= -CODE_FLOOR_LIMIT
-                        or accums.max() >= CODE_FLOOR_LIMIT):
-        raise QuantizationError("accumulator of magnitude 2**62 or more")
+    """accums as an array of its own dtype, refused with a
+    QuantizationError where count_code_floors would not decide it
+    exactly: a float accumulator of magnitude at or past the first
+    integer its float cannot hold (FLOAT32_EXACT, FLOAT64_EXACT), an
+    integer one at or past CODE_FLOOR_LIMIT, where the clamped floors no
+    longer decide, and a NaN."""
+    accums = np.asarray(accums)
+    limit = CODE_FLOOR_LIMIT
+    if accums.dtype.kind == "f":
+        limit = min(limit, 1 << (np.finfo(accums.dtype).nmant + 1))
+    if accums.size and not (accums.min() > -limit and accums.max() < limit):
+        raise QuantizationError("accumulator of magnitude 2**%d or more"
+                                % (limit.bit_length() - 1))
     return accums
+
+
+def check_input_array(values: np.ndarray, bits: int) -> np.ndarray:
+    """values as given, refused with a ShapeError unless each is an
+    integer in [0, 2**bits): the input frame both the engine and the
+    oracle take. A float array must hold integral values; only a
+    non-integer dtype is checked for that."""
+    if values.dtype.kind not in "biu" and not np.array_equal(values, np.trunc(values)):
+        raise ShapeError("input values must be integers")
+    if values.size and (values.min() < 0 or values.max() >= 1 << bits):
+        raise ShapeError("input values exceed %d bits" % bits)
+    return values
 
 
 def check_accum_array(values: np.ndarray) -> np.ndarray:
@@ -405,14 +428,26 @@ class BnQuantizer:
 
     def quantize_array(self, accums: np.ndarray) -> np.ndarray:
         """The codes of an (..., C) accumulator map, or of any shape for
-        one channel, in int64: the count of code floors that sign * a
-        reaches (count_code_floors)."""
-        return count_code_floors(check_floor_range(accums), self.sign, self.floors)
+        one channel: the count of code floors that sign * a reaches,
+        counted in the accumulators' own dtype (count_code_floors)."""
+        accums = check_floor_range(accums)
+        return count_code_floors(accums, *floors_as(accums.dtype, self.sign, self.floors))
+
+
+def floors_as(dtype, sign, floors):
+    """A layer's int64 sign and code floors for accumulators of dtype,
+    rounded once: to that float for a float dtype, so that
+    count_code_floors compares in it, and as they are for an integer
+    one. Rounding to nearest is monotone, which is all the count needs
+    (count_code_floors)."""
+    if np.dtype(dtype).kind != "f":
+        return sign, floors
+    return sign.astype(dtype), floors.astype(dtype)
 
 
 def count_code_floors(accums: np.ndarray, sign, floors) -> np.ndarray:
-    """Activation codes of int64 accumulators against integer code
-    floors, the one code-level counter of the stages and of the oracle.
+    """Activation codes of accumulators against code floors, the one
+    code-level counter of the stages and of the oracle.
 
     The code of a is the count of floors f with sign * a >= f. sign and
     each floors[k] broadcast against accums: an int and a tuple of ints
@@ -423,25 +458,39 @@ def count_code_floors(accums: np.ndarray, sign, floors) -> np.ndarray:
     comparison summed over the levels axis. Where that comparison would
     pass COUNT_BLOCK_BYTES it runs over blocks of levels that stay
     within it. The sums are uint8 for up to 255 levels (n <= 8), which
-    cannot wrap, and widen to int64 once: returns int64 codes of the
-    shape of accums.
+    cannot wrap, and int64 past that: returns codes of the shape of
+    accums in that count dtype, unwidened.
 
-    The count is exact for accumulators of magnitude below
-    CODE_FLOOR_LIMIT. The oracle's may come from anywhere, so it checks
-    them with check_floor_range first; the stages' stay far below by
-    construction (kernels.activation) and take no check, which would
-    cost more than the count on the one-pixel calls of a narrow FIFO.
+    The comparison runs in the accumulators' own dtype: int64, or the
+    float an exact product came out in, with sign and floors rounded to
+    it once (floors_as). That is exact. Take an integer accumulator a
+    with |a| below L, L = 2**24 for float32 and 2**53 for float64, and
+    an integer floor f rounded monotonically to that float. If |f| <= L
+    the rounded floor is f itself. If f > L its rounding is at least L,
+    which is more than sign * a, so both sign * a >= f and the rounded
+    comparison are false. If f < -L its rounding is at most -L, which
+    is less than sign * a, so both are true. An int64 accumulator
+    compares with the int64 floors as they are, clamped to +/-
+    CODE_FLOOR_LIMIT, which decide every accumulator of smaller
+    magnitude as the unclamped floors do.
+
+    So the count is exact for accumulators of magnitude below
+    CODE_FLOOR_LIMIT and below their float's L. The oracle's may come
+    from anywhere, so it checks them with check_floor_range first; the
+    stages' stay far below by construction (kernels.activation) and
+    take no check, which would cost more than the count on the
+    one-pixel calls of a narrow FIFO.
     """
     signed = accums * sign
-    floors = np.ascontiguousarray(floors, dtype=np.int64)
+    floors = np.ascontiguousarray(floors)
     floors = floors.reshape(floors.shape[:1] + (1,) * (signed.ndim + 1 - floors.ndim)
                             + floors.shape[1:])
     # np.add.reduce, not .sum: a one-pixel call pays no Python wrapper
     count = np.uint8 if len(floors) < 256 else np.int64
     if signed.size * len(floors) <= COUNT_BLOCK_BYTES:
-        return np.add.reduce(signed >= floors, axis=0, dtype=count).astype(np.int64)
+        return np.add.reduce(signed >= floors, axis=0, dtype=count)
     block = max(COUNT_BLOCK_BYTES // signed.size, 1)
     codes = np.zeros(signed.shape, dtype=count)
     for lo in range(0, len(floors), block):
         codes += np.add.reduce(signed >= floors[lo:lo + block], axis=0, dtype=count)
-    return codes.astype(np.int64)
+    return codes

@@ -22,7 +22,8 @@ form, for the tests to hold the fast paths to.
 - plane_dot, codes_to_planes and quantized_dot are the scalar XNOR /
   popcount dot product that quant.popcount_dot vectorizes.
 - dense_conv_loops is the nested-loop convolution oracle.dense_conv
-  must equal.
+  must equal, and dense_maxpool_loops the nested-loop max pool
+  oracle.dense_maxpool must equal.
 - width_first_capacity and param_census are closed forms the tests
   compare the package's buffer sizes and blob lengths with.
 - window_indices is the index arithmetic a windowed stage's strided
@@ -212,6 +213,20 @@ def dense_conv_loops(x: np.ndarray, raw_w: np.ndarray, s: int, p: int) -> np.nda
                             acc += int(xp[r * s + kr, col * s + kc, ci]) \
                                 * int(w[kr, kc, ci, o])
                 out[r, col, o] = acc
+    return out
+
+
+def dense_maxpool_loops(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
+    """oracle.dense_maxpool as nested loops; pads count as zeros."""
+    xp = pad_dense(np.asarray(x, dtype=np.int64), p)
+    hp, wp, c = xp.shape
+    oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
+    out = np.zeros((oh, ow, c), dtype=np.int64)
+    for r in range(oh):
+        for col in range(ow):
+            for ch in range(c):
+                out[r, col, ch] = max(int(xp[r * s + kr, col * s + kc, ch])
+                                      for kr in range(k) for kc in range(k))
     return out
 
 

@@ -186,14 +186,27 @@ def test_model_config_validation():
 # execution semantics
 
 def test_run_validates_input(res_case):
+    # the engine and the oracle refuse the same images: a wrong shape, a
+    # value outside [0, 2**bits) and a value that is not an integer,
+    # while an image of integral floats runs as its integer one
     net, params, img = res_case
+    assert net.input_shape.bits == 2
     graph = build_graph(net, params)
     with pytest.raises(ShapeError):
         run(graph, img[:-1], ModelConfig())
-    bad = img.copy().astype(np.int32)
-    bad[0, 0, 0] = 4  # out of range for 2-bit codes
-    with pytest.raises(QnnError):
-        run(build_graph(net, params), bad, ModelConfig())
+    with pytest.raises(ShapeError):
+        dense_infer(net, params, img[:-1])
+    for value in (4, 7, -1, 2.7, float("nan")):
+        bad = img.astype(np.int32 if isinstance(value, int) else np.float64)
+        bad[0, 0, 0] = value
+        with pytest.raises(ShapeError):
+            run(build_graph(net, params), bad, ModelConfig())
+        with pytest.raises(ShapeError):
+            dense_infer(net, params, bad)
+    want = dense_infer(net, params, img)
+    for dtype in (np.float32, np.float64):
+        assert np.array_equal(run(build_graph(net, params), img.astype(dtype)).output, want)
+        assert np.array_equal(dense_infer(net, params, img.astype(dtype)), want)
 
 
 def test_fifo_conservation(res_case):

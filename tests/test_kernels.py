@@ -379,7 +379,7 @@ def test_threshold_matrix_matches_scalar_property(ts, data):
                     rows[-1][j] = int(sign[j]) * v + off
     accs = np.array(rows, dtype=np.int64)
     got = count_code_floors(accs, sign, floors)
-    assert got.dtype == np.int64 and got.shape == accs.shape
+    assert got.dtype == np.uint8 and got.shape == accs.shape
     want = [[apply_threshold(a, ts, j) for j, a in enumerate(row)] for row in rows]
     assert got.tolist() == want
     # a map of pixels counts the same as its rows: channels stay last

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from reference import BnChannel, bn_code_fraction, bn_layer, dense_conv_loops
+from reference import (
+    BnChannel,
+    bn_code_fraction,
+    bn_layer,
+    dense_conv_loops,
+    dense_maxpool_loops,
+)
 from qnnstream.errors import QuantizationError
 from qnnstream.oracle import (
     dense_avgpool,
@@ -60,7 +66,8 @@ def test_dense_conv_exact_near_float64_limit(top, sign):
     # fan-in K = 2 * 2 * 1 = 4, so max|x| * K is just below, at and just
     # above 2**53 (2**24): the float64 (float32) product below the limit,
     # the next wider type from it on
-    narrow, limit = (np.float32, FLOAT32_EXACT) if top < 2**23 else (float, FLOAT64_EXACT)
+    narrow, wide, limit = (np.float32, np.float64, FLOAT32_EXACT) if top < 2**23 \
+        else (np.float64, np.int64, FLOAT64_EXACT)
     x = sign * (top - np.array([[0, 1, 0], [1, 0, 2], [0, 0, 1]], dtype=np.int64))
     raw = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [1.0, 2.0]],
                    dtype=np.float32).reshape(2, 2, 1, 2)
@@ -69,7 +76,7 @@ def test_dense_conv_exact_near_float64_limit(top, sign):
                  for i in range(2) for j in range(2))
              for o in range(2)]
             for r in range(2) for c in range(2)]
-    assert got.dtype == np.int64
+    assert got.dtype == (narrow if 4 * top < limit else wide)
     assert got.reshape(4, 2).tolist() == want
     if 4 * top > limit:
         # some sum is odd and past the limit, which the narrower type cannot hold
@@ -90,7 +97,7 @@ def test_quantize_dense_matches_scalar(rng):
     y[0, 0] = CODE_FLOOR_LIMIT - 1
     y[0, 1] = 1 - CODE_FLOOR_LIMIT
     out = quantize_dense(y, bn_layer(bns), 0.9, 2)
-    assert out.dtype == np.int64 and out.shape == y.shape
+    assert out.dtype == np.uint8 and out.shape == y.shape
     want = [[[bn_code_fraction(a, bn, 0.9, 2) for bn, a in zip(bns, pixel)] for pixel in row]
             for row in y.tolist()]
     assert out.tolist() == want
@@ -111,6 +118,23 @@ def test_dense_maxpool_includes_zero_pads():
     assert out.min() == -7 or out.max() == 0
     assert out.shape == (2, 2, 1)
     assert out[0, 0, 0] == 0  # corner window is 3 pads + one -7
+
+
+def test_dense_maxpool_agrees_with_loops(rng):
+    # the running maximum over strided slices against the nested loops,
+    # on narrow codes and on negative accumulators, which the zero pads
+    # outrank; the result keeps the map's dtype
+    for _ in range(40):
+        k = int(rng.integers(1, 5))
+        s = int(rng.integers(1, 4))
+        p = int(rng.integers(0, k))
+        h, w = (int(v) for v in rng.integers(max(1, k - 2 * p), k + 7, size=2))
+        c = int(rng.integers(1, 5))
+        for x in (rng.integers(0, 4, size=(h, w, c), dtype=np.uint8),
+                  rng.integers(-300, 50, size=(h, w, c), dtype=np.int32)):
+            got = dense_maxpool(x, k, s, p)
+            assert got.dtype == x.dtype
+            assert np.array_equal(got, dense_maxpool_loops(x, k, s, p))
 
 
 def test_dense_avgpool_rounding():

@@ -25,11 +25,15 @@ from qnnstream.oracle import quantize_dense
 from qnnstream.quant import (
     ACCUM_BITS,
     CODE_FLOOR_LIMIT,
+    FLOAT32_EXACT,
+    FLOAT64_EXACT,
     BnQuantizer,
     ThresholdSet,
     WeightBlock,
     check_accum_array,
+    check_floor_range,
     count_code_floors,
+    floors_as,
     fold_batchnorm,
     pack_words,
     popcount_dot,
@@ -399,7 +403,7 @@ def test_quantize_array_matches_scalar_property(p, d, n, data):
                                max_size=int(np.prod(shape))))
     accs = np.array(picks, dtype=np.int64).reshape(shape)
     out = q.quantize_array(accs)
-    assert out.dtype == np.int64 and out.shape == shape
+    assert out.dtype == np.uint8 and out.shape == shape
     codes = {a: bn_code_fraction(a, p, d, n) for a in pool}
     assert out.reshape(-1).tolist() == [codes[a] for a in picks]
 
@@ -458,14 +462,52 @@ def test_count_code_floors_matches_both_references(ps, d, n, data):
     accs = np.array(picks, dtype=np.int64).reshape(shape)
     chans = [idx[-1] % len(ps) for idx in np.ndindex(shape)]
     engine = count_code_floors(accs, ts.sign, ts.values)
-    oracle = quantize_dense(accs, bn_layer(ps), d, n) if len(ps) > 1 else \
-        BnQuantizer(bn_layer(ps), d, n).quantize_array(accs)
+    quantize = (lambda y: quantize_dense(y, bn_layer(ps), d, n)) if len(ps) > 1 else \
+        BnQuantizer(bn_layer(ps), d, n).quantize_array
+    oracle = quantize(accs)
     for got in (engine, oracle):
-        assert got.dtype == np.int64 and got.shape == shape
+        assert got.dtype == np.uint8 and got.shape == shape
     assert engine.reshape(-1).tolist() == [apply_threshold(a, ts, j)
                                            for a, j in zip(picks, chans)]
     assert oracle.reshape(-1).tolist() == [bn_code_fraction(a, ps[j], d, n)
                                            for a, j in zip(picks, chans)]
+    # counted in an exact float, the accumulators it holds (the rest set
+    # to 0) get their int64 codes on both sides
+    for dtype, limit in ((np.float32, FLOAT32_EXACT), (np.float64, FLOAT64_EXACT)):
+        held = np.where(np.abs(accs) < limit, accs, 0)
+        as_float = held.astype(dtype)
+        assert np.array_equal(
+            count_code_floors(as_float, *floors_as(dtype, ts.sign, ts.values)),
+            count_code_floors(held, ts.sign, ts.values))
+        assert np.array_equal(quantize(as_float), quantize(held))
+
+
+@pytest.mark.parametrize("dtype, limit", [(np.float32, FLOAT32_EXACT),
+                                          (np.float64, FLOAT64_EXACT)],
+                         ids=["float32", "float64"])
+def test_float_count_equals_int64_count(dtype, limit):
+    # accumulators the float holds, up to the last integer below the
+    # first one it cannot, against floors either side of that integer
+    # and at the clamp: counted in the float against the floors rounded
+    # to it, where limit + 1 becomes limit, each code is the int64 one
+    assert dtype(limit + 1) == limit and dtype(limit - 1) != limit
+    edge = [limit - 1, limit, limit + 1, limit + 2, CODE_FLOOR_LIMIT]
+    column = sorted(edge + [-f for f in edge])
+    floors = np.array([column, column], dtype=np.int64).T.copy()
+    sign = np.array([1, -1], dtype=np.int64)
+    held = [0, 1, -1, limit - 1, 1 - limit]
+    accs = np.array([[a, a] for a in held], dtype=np.int64)
+    want = [[sum(s * a >= f for f in column) for s in (1, -1)] for a in held]
+    assert count_code_floors(accs, sign, floors).tolist() == want
+    rounded = floors_as(dtype, sign, floors)
+    assert [a.dtype for a in rounded] == [dtype, dtype]
+    got = count_code_floors(accs.astype(dtype), *rounded)
+    assert got.dtype == np.uint8 and got.tolist() == want
+    # check_floor_range keeps the float and refuses what it cannot decide
+    assert check_floor_range(accs.astype(dtype)).dtype == dtype
+    for bad in (limit, -limit, float("nan")):
+        with pytest.raises(QuantizationError):
+            check_floor_range(np.array([0, bad], dtype=dtype))
 
 
 def _random_channels(rng, count):
@@ -736,7 +778,7 @@ def test_count_code_floors_255_levels(block, rng, monkeypatch):
     if block:
         monkeypatch.setattr(quant, "COUNT_BLOCK_BYTES", block)
     got = count_code_floors(accs, ts.sign, ts.values)
-    assert got.dtype == np.int64
+    assert got.dtype == np.uint8
     want = [[apply_threshold(a, ts, j) for j, a in enumerate(row)] for row in accs.tolist()]
     assert got.tolist() == want
     assert {0, 255} <= {code for row in want for code in row}

@@ -141,8 +141,7 @@ def _model_config(args, clock_mhz: float) -> ModelConfig:
 
 
 def _print_json(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    sys.stdout.write("\n")
+    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 def _stage_rows(report):
@@ -260,9 +259,7 @@ def cmd_compare(args) -> int:
     reference = dense_infer(net, params, image)
     graph = build_graph(net, params)
     result = run(graph, image)
-    same = result.output.shape == reference.shape \
-        and bool(np.array_equal(result.output, reference))
-    if same:
+    if np.array_equal(result.output, reference):
         print("MATCH class %d (%d outputs)"
               % (result.top_class, result.output.size))
         return EXIT_OK
@@ -321,10 +318,7 @@ def main(argv=None) -> int:
     except PartitionError as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_MISMATCH
-    except QnnError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return EXIT_INVALID
-    except OSError as e:
+    except (QnnError, OSError) as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_INVALID
     except MemoryError as e:  # a net too big to allocate

@@ -168,6 +168,9 @@ def window_shape(plan) -> StreamShape:
     return ish
 
 
+_POOLS = {"maxpool": MaxPoolStage, "avgpool": AvgPoolStage}
+
+
 def _stage_for(plan, layer_params):
     if plan.kind in WEIGHTED_KINDS:
         cp = layer_params.convs.get(plan.role)
@@ -175,12 +178,9 @@ def _stage_for(plan, layer_params):
             raise ParamsError("missing weights for stage %s" % plan.name)
         return ConvStage(plan.name, window_shape(plan), plan.out_shape, cp.weights,
                          plan.s, plan.p, thresholds=cp.thresholds)
-    if plan.kind == "maxpool":
-        return MaxPoolStage(plan.name, plan.in_shape, plan.out_shape,
-                            plan.k, plan.s, plan.p)
-    if plan.kind == "avgpool":
-        return AvgPoolStage(plan.name, plan.in_shape, plan.out_shape,
-                            plan.k, plan.s, plan.p)
+    if plan.kind in _POOLS:
+        return _POOLS[plan.kind](plan.name, plan.in_shape, plan.out_shape,
+                                 plan.k, plan.s, plan.p)
     if plan.kind == "join":
         if layer_params.join_thresholds is None:
             raise ParamsError("missing batchnorm for stage %s" % plan.name)

@@ -25,9 +25,10 @@ on how input is batched.
 A conv, fc or join stage that emits codes ends in activation(): the
 ThresholdSet that fold_batchnorm derived for its layer's channels,
 counted by quant.count_code_floors in the dtype of the stage's
-accumulators. The oracle counts with the same function against code
-floors it derives apart, from BnQuantizer; nothing here names the
-oracle's quantizer.
+accumulators. The oracle counts with the same function against the
+code floors of BnQuantizer, through which fold_batchnorm also refines
+the few channels its float64 candidates cannot decide; nothing here
+names the oracle's quantizer.
 """
 
 from dataclasses import dataclass
@@ -237,9 +238,6 @@ class Stage:
     def finished(self) -> bool:
         return self.ingest_done and not (self.over and self._still_over())
 
-    def _advance(self) -> bool:
-        raise NotImplementedError
-
     def step(self) -> bool:
         if (self.over and self._still_over()) or self.ingest_done:
             return False
@@ -267,10 +265,12 @@ class WindowedStage(Stage):
     geometry, so a gather names only the range of the windows' top-left
     elements, s * C apart, and reads them as one view of the ring. All
     counters are those of a pixel-at-a-time walk: fill_el is taken at
-    the first window fired.
+    the first window fired. Each kind supplies _compute: the (N, K, K*C)
+    read-only view of N windows, K rows of K*C elements each, to
+    (N, out channels) outputs in a new array.
     """
 
-    def __init__(self, name, in_shape, out_shape, k, s, p,
+    def __init__(self, name, in_shape, out_shape, k, s, p=0,
                  buffer_capacity: int = None):
         super().__init__(name, in_shape)
         self.k = k
@@ -296,11 +296,6 @@ class WindowedStage(Stage):
         self.total_px = self.hp * self.wp
         # the padded pixel indices of the real rows
         self.real_px = range(p * self.wp, (p + in_shape.h) * self.wp)
-
-    def _compute(self, windows: np.ndarray) -> np.ndarray:
-        """(N, K, K*C) read-only view of N windows, K rows of K*C
-        elements each -> (N, out channels) outputs in a new array."""
-        raise NotImplementedError
 
     def _fire(self, pr: int, done_from: int, done_to: int):
         """Fire the windows whose bottom-right pixel is in padded row pr,
@@ -467,9 +462,6 @@ class MaxPoolStage(WindowedStage):
     """Channelwise window max. Free: output appears on the cycle the last
     contributing input arrives, no compute halt."""
 
-    def __init__(self, name, in_shape, out_shape, k, s, p=0):
-        super().__init__(name, in_shape, out_shape, k, s, p)
-
     def _compute(self, windows):
         return windows.reshape(len(windows), self.k, self.k, -1).max(axis=(1, 2))
 
@@ -480,9 +472,6 @@ class AvgPoolStage(WindowedStage):
     Divides by the full window size including pads. Emits accumulators;
     code inputs are widened (their integer values are unchanged).
     """
-
-    def __init__(self, name, in_shape, out_shape, k, s, p=0):
-        super().__init__(name, in_shape, out_shape, k, s, p)
 
     def _compute(self, windows):
         m = self.k * self.k

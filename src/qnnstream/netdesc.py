@@ -244,30 +244,11 @@ def _layer_out_shape(layer: LayerSpec) -> StreamShape:
     """The shape of the stream a non-input layer emits from its in_shape;
     a ShapeError if the layer cannot read that stream."""
     cur = layer.in_shape
-
-    def spatial(h, w, k, s, p):
-        hp, wp = h + 2 * p, w + 2 * p
-        if hp < k or wp < k:
-            raise ShapeError("window %d exceeds padded input %dx%d" % (k, hp, wp))
-        return (hp - k) // s + 1, (wp - k) // s + 1
-
-    if layer.kind == "conv":
-        if cur.kind == "accum":
-            raise ShapeError("conv cannot consume raw accumulators")
-        oh, ow = spatial(cur.h, cur.w, layer.k, layer.s, layer.p)
-        if layer.fused:
-            return StreamShape(oh, ow, layer.o, "code", layer.act_bits)
-        return StreamShape(oh, ow, layer.o, "accum", ACCUM_BITS)
-    if layer.kind == "maxpool":
-        oh, ow = spatial(cur.h, cur.w, layer.k, layer.s, layer.p)
-        return StreamShape(oh, ow, cur.c, cur.kind, cur.bits)
-    if layer.kind == "avgpool":
-        oh, ow = spatial(cur.h, cur.w, layer.k, layer.s, layer.p)
-        return StreamShape(oh, ow, cur.c, "accum", ACCUM_BITS)
+    if layer.kind == "conv" and cur.kind == "accum":
+        raise ShapeError("conv cannot consume raw accumulators")
     if layer.kind == "resblock":
         if cur.kind != "code":
             raise ShapeError("resblock needs an activation-code input")
-        oh, ow = spatial(cur.h, cur.w, 3, layer.s, 1)
         changes = layer.s != 1 or layer.o != cur.c
         if changes and not layer.proj:
             raise ShapeError("resblock changes shape and must say proj")
@@ -275,11 +256,20 @@ def _layer_out_shape(layer: LayerSpec) -> StreamShape:
             raise ShapeError("proj on a shape-preserving resblock")
         if layer.o < cur.c:
             raise ShapeError("resblock cannot shrink channels")
-        return StreamShape(oh, ow, layer.o, "code", layer.act_bits)
-    # fc
+    if layer.kind == "fc":
+        oh = ow = 1
+    else:  # a window, 3 x 3 with pad 1 for a resblock (_FIXED)
+        k, hp, wp = layer.k, cur.h + 2 * layer.p, cur.w + 2 * layer.p
+        if hp < k or wp < k:
+            raise ShapeError("window %d exceeds padded input %dx%d" % (k, hp, wp))
+        oh, ow = (hp - k) // layer.s + 1, (wp - k) // layer.s + 1
+    if layer.kind == "maxpool":
+        return StreamShape(oh, ow, cur.c, cur.kind, cur.bits)
+    if layer.kind == "avgpool":
+        return StreamShape(oh, ow, cur.c, "accum", ACCUM_BITS)
     if layer.fused:
-        return StreamShape(1, 1, layer.o, "code", layer.act_bits)
-    return StreamShape(1, 1, layer.o, "accum", ACCUM_BITS)
+        return StreamShape(oh, ow, layer.o, "code", layer.act_bits)
+    return StreamShape(oh, ow, layer.o, "accum", ACCUM_BITS)
 
 
 def emit_netdesc(net: NetworkSpec) -> str:

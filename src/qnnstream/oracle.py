@@ -8,21 +8,22 @@ and range checks fire on exactly the values that would cross a 16-bit
 stream. Agreement with the engine is therefore evidence about the
 streaming logic, not a shared code path.
 
-Both sides decide an activation code by integer boundaries, but they
-derive them apart, each from the same per-layer BnParams arrays. The
-engine's thresholds come from fold_batchnorm, t0 + alpha * step rounded
-up: from float64 candidates with a rigorous error bound, and from exact
-integer ratios by one floor division each where a candidate is within
-its bound of an integer. The oracle's code floors come from one
-BnQuantizer per layer, which scales the rule batchnorm(a) >= k * d of
-every channel to integers A * a + C >= k * D by the channel's least
+Both sides decide an activation code by integer boundaries, each from
+the same per-layer BnParams arrays. The oracle's code floors come from
+one BnQuantizer per layer, which scales the rule batchnorm(a) >= k * d
+of every channel to integers A * a + C >= k * D by the channel's least
 power of two: code(a) >= k iff sign(A) * a >= ceil((k * D - C) / |A|),
-a (levels, C) matrix of floors from a few object-array operations.
-Only the count is shared: quantize_dense calls
-BnQuantizer.quantize_array, which hands that matrix to
-quant.count_code_floors, the counter the stages use too. This module
-imports nothing from kernels or engine and names none of the engine's
-thresholds, which tests/test_hygiene.py enforces.
+a (levels, C) matrix of floors from a few object-array operations. The
+engine's thresholds come from fold_batchnorm, t0 + alpha * step rounded
+up, from float64 candidates with a rigorous error bound; only the
+channels whose candidates lie within their bound of an integer take
+BnQuantizer's floors, so engine == oracle checks every other channel
+against a derivation it does not share (tests/reference.py's Fraction
+fold checks the rest). Past the floors only the count is shared:
+quantize_dense calls BnQuantizer.quantize_array, which hands that
+matrix to quant.count_code_floors, the counter the stages use too.
+This module imports nothing from kernels or engine and names none of
+the engine's thresholds, which tests/test_hygiene.py enforces.
 
 dense_conv builds the im2col matrix with a stride trick and multiplies;
 tests/reference.py keeps a deliberately naive nested-loop version as a

@@ -9,25 +9,26 @@ parameters' exact values give, so the integer decision procedure
 agrees with the mathematical definition on every integer accumulator
 value, not just away from boundaries.
 
-The engine's boundaries and the oracle's are derived apart, each a
-whole layer at once from the (C,) arrays of its BnParams.
-fold_batchnorm gives a layer's ThresholdSet, already in the
-(sign, ascending columns) form the stages count, as a filter and an
-exact fallback: each threshold is first a float64 candidate x with a
-rigorous bound err on its distance from the exact real threshold, and
-where ceil(x - err) == ceil(x + err), clamped, that ceil is the
-threshold. Only a channel with a candidate within its bound of an
-integer, or with a zero, subnormal or non-finite gamma * inv_std, is
-derived from exact integer ratios (float.as_integer_ratio), in Python
-ints in object arrays. Its docstring derives the bound. BnQuantizer
-gives its code floors from the dyadic mantissas and exponents of the
-parameters (np.frexp), in Python ints throughout. Neither derivation
-names the other. Both then count with count_code_floors: the code of a
-is the number of integer floors that sign * a reaches. It counts in the
-dtype the accumulators came in, int64 or the float32 or float64 an
-exact product came out in, with the floors rounded to that float once
-(floors_as), which decides every accumulator the float holds exactly as
-the integer floors do; check_floor_range refuses the rest. The codes
+The exact integer boundaries have one derivation, BnQuantizer's, a
+whole layer at once from the (C,) arrays of its BnParams: its code
+floors come from the dyadic mantissas and exponents of the parameters
+(np.frexp), in Python ints throughout. fold_batchnorm gives a layer's
+ThresholdSet, already in the (sign, ascending columns) form the stages
+count, as a filter in front of it: each threshold is first a float64
+candidate x with a rigorous bound err on its distance from the exact
+real threshold, and where ceil(x - err) == ceil(x + err), clamped, that
+ceil is the threshold. Only a channel with a candidate within its bound
+of an integer, or with a zero, subnormal or non-finite
+gamma * inv_std, takes BnQuantizer's floors instead; no channel of the
+builtins' random_params does. Its docstring derives the bound. So
+engine == oracle checks the filter on every channel it decides, and
+tests/reference.py's Fraction fold checks the channels it hands on.
+Both sides count with count_code_floors: the code of a is the number of
+integer floors that sign * a reaches. It counts in the dtype the
+accumulators came in, int64 or the float32 or float64 an exact product
+came out in, with the floors rounded to that float once (floors_as),
+which decides every accumulator the float holds exactly as the integer
+floors do; check_floor_range refuses the rest. The codes
 stay in the count's narrow dtype, uint8 for up to 8-bit codes.
 
 popcount_dot is the modelled XNOR/popcount datapath. A conv stage over
@@ -205,9 +206,6 @@ def popcount_dot(weights: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
     return acc - codes.sum(axis=-1, dtype=np.int64)[:, None]
 
 
-# float.as_integer_ratio element by element: (numerators, denominators)
-_integer_ratios = np.frompyfunc(float.as_integer_ratio, 1, 2)
-
 # fold_batchnorm's error bound: 2**-51 and 2**-50 are 4u and 8u for the
 # unit roundoff u = 2**-53, its absolute term counts least subnormals,
 # and it holds for a p from the least normal to the largest finite
@@ -315,21 +313,17 @@ def fold_batchnorm(bn: BnParams, d: float, n: int) -> ThresholdSet:
     candidates is ambiguous, or when p is zero, subnormal or not finite.
     A q, t or s that is not finite makes err_alpha infinite or NaN, and
     so ambiguous; a candidate that overflows from finite terms lies far
-    past the clamp and decides there. The exact derivation takes every
-    field by float.as_integer_ratio, element by element through
-    np.frompyfunc, so that sign * t_alpha = (t_num + alpha * s_num) / |den|
-    over integers, with s_num > 0, and threshold alpha is
-    ceil((t_num + alpha * s_num) / |den|): one floor division per value,
-    over object arrays of Python ints. It replaces whole columns, so each
-    column comes from one derivation and ascends.
+    past the clamp and decides there. The exact derivation is
+    BnQuantizer's, on those columns alone: its code floor for code k is
+    the least integer sign * a with batchnorm(a) >= k * d, which is
+    ceil(sign * t_alpha) for alpha = k, clamped alike. It refuses a zero
+    gamma * inv_std and a parameter or d that is not finite. It replaces
+    whole columns, so each column comes from one derivation and ascends.
     """
-    if d <= 0:
+    if not d > 0:
         raise QuantizationError("range size d must be positive")
     if n < 1:
         raise QuantizationError("activation bit-width must be >= 1")
-    # a product of two nonzero rationals is nonzero
-    if np.count_nonzero(bn.gamma) + np.count_nonzero(bn.inv_std) < 2 * len(bn.gamma):
-        raise QuantizationError("degenerate channel: gamma * inv_std is zero")
     alphas = np.arange(1.0, 1 << n)[:, None]
     lim = float(CODE_FLOOR_LIMIT)
     # overflow, division by zero and NaN reach only the columns that
@@ -353,21 +347,8 @@ def fold_batchnorm(bn: BnParams, d: float, n: int) -> ThresholdSet:
     abnormal = (mag < _NORMAL_MIN) | (mag > _FLOAT64_MAX)
     if np.count_nonzero(ambiguous) or np.count_nonzero(abnormal):
         cols = np.flatnonzero(np.logical_or.reduce(ambiguous, axis=0) | abnormal)
-        fields = np.array([bn.gamma, bn.inv_std, bn.mean, bn.bias], dtype=np.float64)
-        # numerators and denominators of gamma, inv_std, mean and bias
-        (gn, sn, mn, cn), (gd, sd, md, cd) = _integer_ratios(fields[:, cols])
-        pn, pd = gn * sn, gd * sd  # gamma * inv_std, pd > 0
-        dn, dd = d.as_integer_ratio()
-        # t0 = t_num / den and step = s_num / den, den of the sign of
-        # gamma * inv_std
-        mcd = md * cd
-        den = mcd * pn * dd
-        t_num = (mn * cd * pn - cn * pd * md) * dd
-        s_num = dn * pd * mcd
-        scale = np.abs(den)
-        levels = np.arange(1, 1 << n)[:, None]
-        exact = (t_num + scale - 1 + levels * s_num) // scale
-        values[:, cols] = np.minimum(np.maximum(exact, -CODE_FLOOR_LIMIT), CODE_FLOOR_LIMIT)
+        exact = BnParams(bn.gamma[cols], bn.mean[cols], bn.inv_std[cols], bn.bias[cols])
+        values[:, cols] = BnQuantizer(exact, d, n).floors
     return ThresholdSet(sign=orient.astype(np.int64), values=values, n=n)
 
 

@@ -8,9 +8,11 @@ form, for the tests to hold the fast paths to.
 - fold_batchnorm_fraction folds batchnorm in Fractions, one channel at
   a time, the plainest exact statement of the threshold rule.
   quant.fold_batchnorm, which folds a whole layer from float64
-  candidates and derives exactly only the channels they cannot decide,
-  must give the same ThresholdSet for every parameter set and raise the
-  same errors.
+  candidates and takes quant.BnQuantizer's floors only for the channels
+  they cannot decide, must give the same ThresholdSet for every
+  parameter set and raise the same errors. It is the one check of those
+  refined channels that shares no code with them: the oracle counts
+  the same BnQuantizer floors.
 - bn_code_fraction is the code of one accumulator under batchnorm and
   the uniform quantizer, in Fractions; bn_code_floors_fraction states
   one channel's code floors in Fractions. quant.BnQuantizer, which

@@ -16,11 +16,15 @@ name collides with another's (PlacementReport.devices and a
 Partition.devices, say, or str.partition and a .partition field) is
 invisible to it; such fields are found by reading the code.
 
-The engine's code boundaries and the oracle's are derived apart, and
-only their count is one function (quant.count_code_floors). So the
-oracle and the stages import nothing of each other, the stages name
-nothing of the oracle's quantizer, the oracle nothing of the engine's
-thresholds, and the threshold fold nothing of the quantizer.
+The exact integer boundaries are derived once, in BnQuantizer.__init__:
+it alone names float ratios or mantissas (as_integer_ratio, frexp).
+fold_batchnorm decides most thresholds from float64 candidates and
+hands the channels they cannot decide to BnQuantizer, taking its
+floors but never its count. Past that, the engine's thresholds and the
+oracle's code floors share one function only, their count
+(quant.count_code_floors). So the oracle and the stages import nothing
+of each other, the stages name nothing of the oracle's quantizer, and
+the oracle nothing of the engine's thresholds.
 """
 
 import ast
@@ -216,17 +220,27 @@ def _module_names(name):
     return _named(ast.parse((ROOT / "src/qnnstream" / name).read_text()))
 
 
-def test_fold_names_nothing_of_the_quantizer():
-    # the same holds inside quant.py: fold_batchnorm derives the engine's
-    # thresholds from the batchnorm parameters alone, not from the
-    # oracle's quantizer, its coefficients or its code floors
-    forbidden = {"BnQuantizer", "floors", "a_coef", "c_coef", "d_coef",
-                 "count_code_floors"}
+def test_one_exact_derivation():
+    # the exact derivation's tools, float ratios and dyadic mantissas,
+    # are named in BnQuantizer.__init__ alone
+    exact = {"as_integer_ratio", "frexp"}
+    outside = {}
+    for path, tree in _trees("src"):
+        for node, cls in list(_walk(tree)):
+            if cls == "BnQuantizer" and isinstance(node, ast.FunctionDef) \
+                    and node.name == "__init__":
+                node.body = []
+        if _named(tree) & exact:
+            outside[str(path)] = sorted(_named(tree) & exact)
+    assert not outside, "exact derivations outside BnQuantizer.__init__: %s" % outside
+    # fold_batchnorm refines through BnQuantizer and takes its floors,
+    # never its count
     tree = ast.parse((ROOT / "src/qnnstream/quant.py").read_text())
     fold, = [n for n in tree.body
              if isinstance(n, ast.FunctionDef) and n.name == "fold_batchnorm"]
     named = _named(fold)
-    assert "as_integer_ratio" in named
+    assert "BnQuantizer" in named
+    forbidden = {"count_code_floors", "quantize_array", "floors_as"}
     assert not named & forbidden, sorted(named & forbidden)
 
 

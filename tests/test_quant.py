@@ -762,6 +762,33 @@ def test_quantizer_subnormal_pair_is_not_degenerate():
     _layer_equals_fraction([p], 1.0, 2)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "neginf", "nan"])
+@pytest.mark.parametrize("field", ["gamma", "mean", "inv_std", "bias", "d"])
+def test_fold_refuses_non_finite(field, value):
+    # a QuantizationError, not the OverflowError or ValueError a float
+    # ratio of these raises
+    bad, d = ({}, value) if field == "d" else ({field: value}, 1.0)
+    with pytest.raises(QuantizationError):
+        fold_batchnorm(_layer_with_bad_last(bad), d, 2)
+
+
+def test_fold_clamps_candidates_alone(monkeypatch):
+    # thresholds past +/- CODE_FLOOR_LIMIT on every channel: the clamped
+    # float64 candidates decide each one, and the exact derivation is
+    # never asked
+    def refuse(*args):
+        raise AssertionError("refined a channel the clamp decides")
+
+    monkeypatch.setattr(quant, "BnQuantizer", refuse)
+    ps = [BnChannel(gamma=g, mean=m, inv_std=1.0, bias=0.0)
+          for g in (1.0, -1.0) for m in (1e30, -1e30)]
+    ts = fold_batchnorm(bn_layer(ps), 1.0, 2)
+    assert ts.sign.tolist() == [1, 1, -1, -1]
+    lim = CODE_FLOOR_LIMIT
+    assert ts.values.T.tolist() == [[lim] * 3, [-lim] * 3, [-lim] * 3, [lim] * 3]
+
+
 @pytest.mark.parametrize("block", [None, 7, 4 * 120], ids=["one", "per_level", "four"])
 def test_count_code_floors_255_levels(block, rng, monkeypatch):
     # 8-bit codes: 255 levels, the most a uint8 count holds; in one

@@ -75,15 +75,18 @@ class Fifo:
 
     The hop contract every stage relies on: push(arr) keeps the whole
     array, without a copy, and returns its length. held counts the
-    elements pushed and not yet popped; occ, the count pop may return,
-    is min(held, capacity), so a consumer never sees more than capacity
-    and the excess moves in as it pops. A producer whose push leaves
-    held above capacity waits until pops bring it back down
+    elements pushed and not yet popped; occ is min(held, capacity), the
+    most a consumer's one capacity-wide pop can take. A producer whose
+    push leaves held above capacity waits until pops bring it back down
     (kernels.Stage).
-    pop(want) returns the oldest min(want, occ) elements in push order:
+    pop(want) returns the oldest min(want, held) elements in push order:
     a slice of one pushed chunk when they lie in it, or one new array
-    joining the chunks they span. Neither call writes into an array it
-    is given. max_occ is the high-water mark of occ.
+    joining the chunks they span. Inside one step no other stage touches
+    the FIFO, so one pop of a total takes what back-to-back pops of occ
+    elements each would (the excess moving in as they pop); a stage
+    sizes such a pop from occ and capacity (kernels.Stage). Neither
+    call writes into an array it is given. max_occ is the high-water
+    mark of occ.
     """
 
     def __init__(self, capacity: int, name: str):
@@ -109,11 +112,12 @@ class Fifo:
         return n
 
     def pop(self, want: int) -> np.ndarray:
-        if want > self.occ:
-            want = self.occ
+        held = self.held
+        if want > held:
+            want = held
         if not want:
             return _EMPTY
-        held = self.held = self.held - want
+        held = self.held = held - want
         cap = self.capacity
         self.occ = held if held < cap else cap
         chunks, head = self.chunks, self.head
@@ -337,8 +341,19 @@ class StageCycles:
     fill: int
 
 
+class NamedStages:
+    """A report with one row per stage in stages, each with a name."""
+
+    def stage(self, name: str):
+        """The row named name; a KeyError if no stage has that name."""
+        for s in self.stages:
+            if s.name == name:
+                return s
+        raise KeyError(name)
+
+
 @dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedStages):
     stages: tuple
     total_cycles: int
     bottleneck: str
@@ -346,12 +361,6 @@ class CycleReport:
     wall_ms: float
     cin_mode: str
     stall_model: str
-
-    def stage(self, name: str) -> StageCycles:
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
 
 def analytic_counters(plans):

@@ -13,19 +13,23 @@ keeps all a stage emits into it and shows its consumer at most its
 capacity; a stage that leaves one over capacity stops until the
 consumer's pops bring it back down. The step loop is written once, in
 Stage; each stage kind supplies _advance(), which consumes one unit of
-input and emits what that unit completes. For a windowed stage the
-unit is a run of pixels inside one padded row, as many as the input
-FIFO shows: the run is written to the line buffer at once, and every
-window it completes is read as one slice of a strided view of the
-buffer and computed as one batch. Other stages take a chunk of
-elements. All cycle counters are structural (functions of shapes and
-the trigger rule alone), so they do not depend on scheduling order or
-on how input is batched.
+input and emits what that unit completes. The schedule is that of pops
+of at most capacity elements each; where an input holds more, a unit
+takes in one pop what such pops would take back to back before one of
+them can stop the step. Nothing else touches the FIFOs inside a step, so
+no other stage can tell the two apart. For a windowed stage the unit is
+a run of pixels inside one padded row: the run is written to the line
+buffer at once, and every window it completes is read as one slice of a
+strided view of the buffer and computed as one batch. Other stages take
+a chunk of elements. All cycle counters are structural (functions of
+shapes and the trigger rule alone), so they do not depend on scheduling
+order or on how input is batched.
 
-A conv, fc or join stage that emits codes ends in activation(): the
+A conv or fc stage that emits codes ends in activation(): the
 ThresholdSet that fold_batchnorm derived for its layer's channels,
 counted by quant.count_code_floors in the dtype of the stage's
-accumulators. The oracle counts with the same function against the
+accumulators. A join counts its sums against its ThresholdSet with the
+same function. The oracle counts with the same function against the
 code floors of BnQuantizer, through which fold_batchnorm also refines
 the few channels its float64 candidates cannot decide; nothing here
 names the oracle's quantizer.
@@ -162,19 +166,18 @@ class LineBuffer:
 
 
 def activation(thresholds, dtype):
-    """The epilogue of a conv, fc or join stage, as a function of its
+    """The epilogue of a conv or fc stage, as a function of its
     accumulators, which come in dtype: the dtype of the stage's dot
-    product, int64 for popcount_dot and a join's sums.
+    product, int64 for popcount_dot.
 
     With the layer's ThresholdSet it is the fused batchnorm + activation
     and emits codes, uint8 for up to 8 bits: its sign and values are
     rounded to dtype once, here (quant.floors_as), and each batch of
     accumulators is counted against them in its own dtype. Without, the
     accumulators pass on as range-checked 16-bit values. The codes are
-    exact without quant.check_floor_range: a join's sums are 16-bit, a
-    float product's accumulators stay below the first integer its float
-    cannot hold (float_signed_matrix), and popcount_dot's are int64
-    below 2**n * K.
+    exact without quant.check_floor_range: a float product's
+    accumulators stay below the first integer its float cannot hold
+    (float_signed_matrix), and popcount_dot's are int64 below 2**n * K.
     """
     if thresholds is None:
         return lambda accs: check_accum_array(accs).astype(np.int32)
@@ -193,9 +196,14 @@ class Stage:
     ingested. It returns whether anything moved, and never blocks. Each
     stage kind supplies only _advance(): consume one unit of input (a
     run of pixels, or a chunk of elements), emit what that unit
-    completes, and say whether it moved. A stage's state changes only
-    inside its own step, and a finished stage (input ingested, no FIFO
-    it feeds over capacity) stays finished.
+    completes, and say whether it moved. The schedule is that of units
+    that pop at most an input's occ elements each. An input may hold
+    more, and then one _advance takes, in one pop, what such pops would
+    take back to back up to the first whose emit could stop the step:
+    the step stops, returns and leaves every FIFO as those pops would.
+    A stage's state changes only inside its own step, and a finished
+    stage (input ingested, no FIFO it feeds over capacity) stays
+    finished.
 
     _emit pushes the whole array at once (engine.Fifo keeps it and shows
     the consumer at most capacity), and sets over when that leaves the
@@ -253,21 +261,24 @@ class Stage:
 class WindowedStage(Stage):
     """Common machinery for stages that slide a K x K window.
 
-    The ingest cursor walks the padded coordinate grid in scan order. The
-    unit of an _advance is a run of pixels inside one padded row: it
-    starts at the cursor and ends at the end of the row or where the
-    input FIFO runs dry. Pad positions inject zeros without consuming
-    input; they still cost one input unit each, since the real stream is
-    halted while the pad element is fed in. A run is one FIFO pop, one
-    line-buffer write, one gather of every window whose bottom-right
-    pixel the run completed (the trigger rule), one _compute over those
-    windows and one emitted array. The line buffer knows the window
-    geometry, so a gather names only the range of the windows' top-left
-    elements, s * C apart, and reads them as one view of the ring. All
-    counters are those of a pixel-at-a-time walk: fill_el is taken at
-    the first window fired. Each kind supplies _compute: the (N, K, K*C)
-    read-only view of N windows, K rows of K*C elements each, to
-    (N, out channels) outputs in a new array.
+    The ingest cursor walks the padded coordinate grid in scan order.
+    The unit of an _advance is a run of pixels inside one padded row: it
+    starts at the cursor and ends at the end of the row, where the input
+    FIFO runs dry, or at the end of the capacity-wide pop that completes
+    the first pixel from the cursor on that fires a window. Pops before
+    that one fire nothing, so they cannot stop a step, and the fire that
+    could is the run's last act. Pad positions inject zeros without
+    consuming input; they still cost one input unit each, since the real
+    stream is halted while the pad element is fed in. A run is one FIFO
+    pop, one line-buffer write, one gather of every window whose bottom-
+    right pixel the run completed (the trigger rule), one _compute over
+    those windows and one emitted array. The line buffer knows the
+    window geometry, so a gather names only the range of the windows'
+    top-left elements, s * C apart, and reads them as one view of the
+    ring. All counters are those of a pixel-at-a-time walk: fill_el is
+    taken at the first window fired. Each kind supplies _compute: the
+    (N, K, K*C) read-only view of N windows, K rows of K*C elements
+    each, to (N, out channels) outputs in a new array.
     """
 
     def __init__(self, name, in_shape, out_shape, k, s, p=0,
@@ -294,8 +305,10 @@ class WindowedStage(Stage):
         self.pad_row = np.zeros(self.wp * c, dtype=np.int32)
         self.cursor = 0  # padded pixel index
         self.total_px = self.hp * self.wp
-        # the padded pixel indices of the real rows
+        # the padded pixel indices of the real rows, and the padded rows
+        # whose pixels are the bottom-right corners of windows
         self.real_px = range(p * self.wp, (p + in_shape.h) * self.wp)
+        self.fire_rows = range(k - 1, self.hp, s)
 
     def _fire(self, pr: int, done_from: int, done_to: int):
         """Fire the windows whose bottom-right pixel is in padded row pr,
@@ -324,9 +337,20 @@ class WindowedStage(Stage):
         real_el, pad_el = self.real_el, self.pad_el
         pr, pc = divmod(cursor, wp)
         if real_row:
+            w = self.in_shape.w
             left = p - pc if pc < p else 0
-            want = (p + self.in_shape.w - pc - left) * c - real_el % c
-            run = got = self.in_fifo.pop(want)
+            want = (p + w - pc - left) * c - real_el % c
+            take = want
+            if pr in self.fire_rows:
+                # the first pixel from pc on that fires, padded column f,
+                # is complete need elements on: take to the end of the
+                # capacity-wide pop that completes it
+                k, s = self.k, self.s
+                f = -(-max(pc - k + 1, 0) // s) * s + k - 1
+                need = want - (p + w - 1 - f) * c
+                cap = self.in_fifo.capacity
+                take = min(want, -(-max(need, 1) // cap) * cap)
+            run = got = self.in_fifo.pop(take)
             right = p if len(got) == want else 0
             if left or right:
                 run = np.concatenate((pad_row[:left * c], got, pad_row[:right * c]))
@@ -492,6 +516,16 @@ class ElementwiseStage(Stage):
         super().__init__(name, in_shape)
         self.el_total = in_shape.elements
 
+    def _chunk(self, n: int, m: int) -> int:
+        """How many of n elements, n at most what each input holds, one
+        _advance takes: what pops of m each, m the smallest input
+        capacity, take back to back up to the first whose emit leaves an
+        output FIFO over capacity, where the step stops."""
+        for fifo in (self.out_fifo, self.skip_out_fifo):
+            if fifo is not None:
+                n = min(n, ((fifo.capacity - fifo.held) // m + 1) * m)
+        return n
+
     def _ingested(self, n: int):
         self.fill_el = 1
         self.real_el += n
@@ -504,6 +538,14 @@ class ResidualJoinStage(ElementwiseStage):
     The sum is split two ways: raw accumulators continue down the skip
     chain, and a thresholded copy feeds the next convolution. Both paths
     carry the identical sum. Consumption is pairwise elementwise.
+
+    A chunk is what both inputs hold, up to the rest of the frame, cut
+    by ElementwiseStage._chunk. Both inputs carry 16-bit values, so
+    their int32 sum is exact and passes on as it is, and its codes are
+    exact without quant.check_floor_range. A chunk inside one
+    pixel counts its codes against the floors of the channels it
+    covers, one of whole pixels as (pixels, C), and only one that
+    crosses a pixel boundary is zero padded to the pixels it touches.
 
     stalled_on_skip counts the steps whose _advance loop stops with
     regular data waiting and the skip FIFO empty, a step that summed
@@ -520,43 +562,52 @@ class ResidualJoinStage(ElementwiseStage):
     def __init__(self, name, shape, thresholds):
         super().__init__(name, shape)
         self.skip_fifo = None
-        self.activate = activation(thresholds, np.int64)
+        self.sign, self.floors = thresholds.sign, thresholds.values
         self.stalled_on_skip = 0
 
     def _advance(self) -> bool:
         in_fifo, skip_fifo = self.in_fifo, self.skip_fifo
-        n = min(in_fifo.occ, skip_fifo.occ, self.el_total - self.real_el)
+        n = min(in_fifo.held, skip_fifo.held, self.el_total - self.real_el)
         if not n:
             if in_fifo.occ:
                 self.stalled_on_skip += 1
             return False
-        reg = in_fifo.pop(n).astype(np.int64)
-        skip = skip_fifo.pop(n).astype(np.int64)
-        sums = check_accum_array(reg + skip)
-        # laid over the whole pixels it touches, zero padded, the chunk
-        # meets each channel's floors in place
-        c = self.in_shape.c
+        n = self._chunk(n, min(in_fifo.capacity, skip_fifo.capacity))
+        # both inputs are 16-bit, so their int32 sum is exact
+        sums = check_accum_array(np.add(in_fifo.pop(n), skip_fifo.pop(n),
+                                        dtype=np.int32))
+        c, sign, floors = self.in_shape.c, self.sign, self.floors
         head = self.real_el % c
-        pixels = np.zeros(-(-(head + n) // c) * c, dtype=np.int64)
-        pixels[head:head + n] = sums
-        codes = self.activate(pixels.reshape(-1, c))
+        if head + n <= c:  # inside one pixel
+            codes = count_code_floors(sums, sign[head:head + n],
+                                      floors[:, head:head + n])
+        else:  # whole pixels, zero padded where the chunk crosses into one
+            pixels = sums
+            if head or n % c:
+                pixels = np.zeros(-(-(head + n) // c) * c, dtype=np.int32)
+                pixels[head:head + n] = sums
+            codes = count_code_floors(pixels.reshape(-1, c), sign,
+                                      floors).reshape(-1)[head:head + n]
         self._ingested(n)
-        self._emit(self.skip_out_fifo, sums.astype(np.int32))
-        self._emit(self.out_fifo, codes.reshape(-1)[head:head + n])
+        self._emit(self.skip_out_fifo, sums)
+        self._emit(self.out_fifo, codes)
         return True
 
 
 class TeeWidenStage(ElementwiseStage):
     """Splits a code stream at the start of a residual run.
 
-    Codes pass through unchanged on the regular path; the same values,
-    widened to accumulators, seed the skip chain.
+    Codes pass through unchanged on the regular path; the same values
+    seed the skip chain. A chunk is what the input holds, up to the
+    rest of the frame, cut by ElementwiseStage._chunk.
     """
 
     def _advance(self) -> bool:
-        got = self.in_fifo.pop(self.el_total - self.real_el)
-        if not len(got):
+        in_fifo = self.in_fifo
+        n = min(in_fifo.held, self.el_total - self.real_el)
+        if not n:
             return False
+        got = in_fifo.pop(self._chunk(n, in_fifo.capacity))
         self._ingested(len(got))
         self._emit(self.skip_out_fifo, got)
         self._emit(self.out_fifo, got)
@@ -583,7 +634,7 @@ class SkipDownsampleStage(ElementwiseStage):
     def _advance(self) -> bool:
         c = self.in_shape.c
         px, have = divmod(self.real_el, c)
-        got = self.in_fifo.pop(c - have)
+        got = self.in_fifo.pop(min(c - have, self.in_fifo.occ))
         if not len(got):
             return False
         self._ingested(len(got))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .engine import (
     ModelConfig,
+    NamedStages,
     Partition,
     WEIGHTED_KINDS,
     WINDOWED_KINDS,
@@ -94,7 +95,7 @@ def stage_resources(plans):
 
 
 @dataclass(frozen=True)
-class ResourceReport:
+class ResourceReport(NamedStages):
     stages: tuple
 
     @property
@@ -108,12 +109,6 @@ class ResourceReport:
     @property
     def total_bram_bits(self) -> int:
         return sum(s.bram_bits for s in self.stages)
-
-    def stage(self, name: str) -> StageResources:
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
 
 def estimate_resources(net) -> ResourceReport:

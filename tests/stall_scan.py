@@ -13,7 +13,9 @@ order (schedule independent, so any two trees that compute the same
 streams print the same one), the total Stage.step calls, the count of
 runs whose output or error disagrees with dense_infer (0 on a correct
 tree; the oracle runs once per seed), and each (seed, capacity, join,
-kind of skip producer) whose stalled_on_skip is nonzero.
+kind of skip producer) whose stalled_on_skip is nonzero. Last come the
+total Fifo.pop and LineBuffer.push calls, which measure how much FIFO
+and line-buffer traffic a step batches, not the schedule.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ import hashlib
 import numpy as np
 
 from conftest import random_image, random_net
-from qnnstream import QnnError, dense_infer, kernels
+from qnnstream import QnnError, dense_infer, engine, kernels
 from qnnstream.engine import build_graph, run
 from qnnstream.kernels import ResidualJoinStage
 from qnnstream.netdesc import load_params, random_params
@@ -32,15 +34,24 @@ NAMED = [(671, c) for c in range(6, 13)] + [(1114, 8), (1114, 9), (854, 8),
                                             (854, 9), (72638, 5), (72638, 9)]
 
 
+def _count_calls(owner, attr, counts):
+    """Replace the method owner.attr with one that counts its calls in
+    counts[attr]."""
+    method = getattr(owner, attr)
+    counts[attr] = 0
+
+    def counted(self, *args):
+        counts[attr] += 1
+        return method(self, *args)
+
+    setattr(owner, attr, counted)
+
+
 def main():
-    steps = [0]
-    step = kernels.Stage.step
-
-    def counted(self):
-        steps[0] += 1
-        return step(self)
-
-    kernels.Stage.step = counted
+    calls = {}
+    _count_calls(kernels.Stage, "step", calls)
+    _count_calls(engine.Fifo, "pop", calls)
+    _count_calls(kernels.LineBuffer, "push", calls)
     digest = hashlib.sha256()
     stalls = []
     mismatches = 0
@@ -73,12 +84,14 @@ def main():
                                graph.plans[plan.skip_src].kind))
     print("runs %d" % len(pairs))
     print("sha256 %s" % digest.hexdigest())
-    print("Stage.step calls %d" % steps[0])
+    print("Stage.step calls %d" % calls["step"])
     print("dense_infer mismatches %d" % mismatches)
     print("stalling pairs %d" % len({(s, c) for s, c, *_ in stalls}))
     for seed, capacity, join, kind in stalls:
         print("  seed %d capacity %s %s skip from %s"
               % (seed, "default" if capacity is None else capacity, join, kind))
+    print("Fifo.pop calls %d" % calls["pop"])
+    print("LineBuffer.push calls %d" % calls["push"])
 
 
 if __name__ == "__main__":

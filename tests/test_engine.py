@@ -249,13 +249,13 @@ def test_fifo_capacity_below_one_rejected(res_case, capacity):
 @example(capacity=9, ops=[(True, 4), (False, 1), (False, 3), (True, 2),
                           (False, 2), (True, 3), (True, 3), (True, 2),
                           (False, 8), (False, 5)])
-# a push onto a full FIFO, whose elements move in as pops make room
+# a push onto a full FIFO, and pops of more than its capacity from it
 @example(capacity=3, ops=[(True, 3), (True, 4), (False, 2), (False, 5),
                           (False, 1)])
 def test_fifo_matches_list_model(capacity, ops):
     # Fifo against a plain list of elements: each op pushes a chunk of
     # fresh values, which the FIFO keeps whole, or pops up to that many
-    # of the capacity it shows
+    # of the elements it holds
     fifo, model, fresh, peak = Fifo(capacity, "f"), [], 0, 0
     for is_push, n in ops:
         if is_push:
@@ -264,9 +264,9 @@ def test_fifo_matches_list_model(capacity, ops):
             assert fifo.push(chunk) == n
             model += chunk.tolist()
         else:
-            shown = min(n, fifo.occ)
-            assert fifo.pop(n).tolist() == model[:shown]
-            del model[:shown]
+            taken = min(n, len(model))
+            assert fifo.pop(n).tolist() == model[:taken]
+            del model[:taken]
         assert fifo.held == len(model)
         assert fifo.occ == min(len(model), capacity)
         peak = max(peak, fifo.occ)

@@ -574,6 +574,135 @@ def test_two_output_stage_does_not_serialize():
 
 
 # ---------------------------------------------------------------------------
+# input FIFOs that hold more than their capacity
+
+def _drive_queued(stage, in_data, skip_data=None, capacity=1, out_capacity=None):
+    """Run one stage with its whole input pushed at once into input FIFOs
+    of the capacity, so that each holds more than it shows, and with
+    output FIFOs of out_capacity (capacity without it), drained between
+    steps by what they show. Returns (main output, skip output or None,
+    the (elements ingested before, elements taken) of each of the
+    stage's pops of its main input)."""
+    feeds = [("in_fifo", in_data)] + ([] if skip_data is None else [("skip_fifo", skip_data)])
+    outputs = {"out_fifo": []}
+    if isinstance(stage, (ResidualJoinStage, TeeWidenStage)):
+        outputs["skip_out_fifo"] = []
+    for attr, data in feeds:
+        setattr(stage, attr, Fifo(capacity, attr))
+        getattr(stage, attr).push(data)
+    for attr in outputs:
+        setattr(stage, attr, Fifo(out_capacity or capacity, attr))
+    pops, pop = [], stage.in_fifo.pop
+
+    def recorded(n):
+        got = pop(n)
+        pops.append((stage.real_el, len(got)))
+        return got
+    stage.in_fifo.pop = recorded
+    while not stage.finished or any(getattr(stage, a).held for a in outputs):
+        moved = stage.step()
+        for attr, got in outputs.items():
+            fifo = getattr(stage, attr)
+            if fifo.occ:
+                got.append(fifo.pop(fifo.occ))
+                moved = True
+        assert moved, "stage %s made no progress" % stage.name
+    joined = {a: np.concatenate(got or [np.empty(0)]) for a, got in outputs.items()}
+    return joined["out_fifo"], joined.get("skip_out_fifo"), [p for p in pops if p[1]]
+
+
+def _assert_windowed_counters(stage, h, w, c, k, p, compute):
+    hp, wp = h + 2 * p, w + 2 * p
+    assert stage.real_el == h * w * c
+    assert stage.pad_el == (hp * wp - h * w) * c
+    assert stage.compute_cycles == compute
+    assert stage.fill_el == line_buffer_capacity(c, wp, k)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_conv_takes_queued_input(rng, capacity):
+    # left-pad windows (k=1 p=1, k=3 p=3), rows that never fire (s=2) and
+    # runs longer than the capacity, taken in one pop each
+    taken = []
+    for k, s, p in ((1, 1, 0), (1, 1, 1), (3, 1, 1), (3, 2, 3), (5, 2, 0)):
+        for fused in (True, False):
+            make, x, ref = _conv_case(rng, k, s, p, fused)
+            stage = make()
+            out, _, pops = _drive_queued(stage, x.reshape(-1).astype(np.int32),
+                                         capacity=capacity)
+            assert np.array_equal(out, ref.reshape(-1))
+            h, w, c = x.shape
+            oh, ow = _out_hw(h, w, k, s, p)
+            _assert_windowed_counters(stage, h, w, c, k, p, oh * ow * stage.out_ch)
+            taken += [n for _, n in pops]
+    assert max(taken) > capacity
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_maxpool_takes_queued_input(rng, capacity):
+    for k, s, p in ((2, 2, 0), (3, 2, 1), (3, 1, 0)):
+        c = int(rng.integers(1, 4))
+        h, w = int(rng.integers(k + 1, 9)), int(rng.integers(k + 1, 9))
+        x = rng.integers(0, 8, size=(h, w, c)).astype(np.uint8)
+        oh, ow = _out_hw(h, w, k, s, p)
+        stage = MaxPoolStage("mp", StreamShape(h, w, c, "code", 3),
+                             StreamShape(oh, ow, c, "code", 3), k, s, p)
+        out, _, pops = _drive_queued(stage, x.reshape(-1), capacity=capacity)
+        assert np.array_equal(out, dense_maxpool(x, k, s, p).reshape(-1))
+        _assert_windowed_counters(stage, h, w, c, k, p, 0)
+        assert max(n for _, n in pops) > capacity
+
+
+def test_join_takes_queued_input(rng):
+    # chunks inside one pixel, of whole pixels and across a pixel
+    # boundary, over an int32 skip stream and a uint8 one (a tee's codes)
+    kinds = set()
+    for c in (1, 4, 5):
+        for capacity in (1, 2, 3):
+            for out_capacity in (None, 1, 1000):
+                for skip_codes in (False, True):
+                    n = 2
+                    shape = StreamShape(3, 2, c, "code", n)
+                    bns = _random_bn(rng, c)
+                    accs = rng.integers(-300, 300, size=(3, 2, c)).astype(np.int32)
+                    skip = rng.integers(0, 4, size=(3, 2, c)).astype(np.uint8) if skip_codes \
+                        else rng.integers(-300, 300, size=(3, 2, c)).astype(np.int32)
+                    stage = ResidualJoinStage("jn", shape, fold_batchnorm(bns, 1.5, n))
+                    out, skip_out, pops = _drive_queued(
+                        stage, accs.reshape(-1), skip.reshape(-1), capacity, out_capacity)
+                    total = accs.astype(np.int64) + skip
+                    assert skip_out.dtype == np.int32
+                    assert np.array_equal(skip_out, total.reshape(-1))
+                    assert np.array_equal(out, quantize_dense(total, bns, 1.5, n).reshape(-1))
+                    assert stage.real_el == total.size and stage.fill_el == 1
+                    assert stage.stalled_on_skip == 0
+                    for start, taken in pops:
+                        head = start % c
+                        kinds.add("inside" if head + taken <= c else
+                                  "whole" if not head and not taken % c else "across")
+    assert kinds == {"inside", "whole", "across"}
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_tee_takes_queued_input(rng, capacity):
+    shape = StreamShape(3, 4, 3, "code", 2)
+    x = rng.integers(0, 4, size=shape.elements).astype(np.uint8)
+    taken = []
+    for out_capacity in (None, 1, 5, 1000):
+        stage = TeeWidenStage("tee", shape)
+        out, skip_out, pops = _drive_queued(stage, x, capacity=capacity,
+                                            out_capacity=out_capacity)
+        assert np.array_equal(out, x) and np.array_equal(skip_out, x)
+        assert stage.real_el == shape.elements and stage.fill_el == 1
+        # a step stops on the capacity-wide pop whose emit leaves an
+        # output over capacity
+        assert all(n <= ((out_capacity or capacity) // capacity + 1) * capacity
+                   for _, n in pops)
+        taken += [n for _, n in pops]
+    assert max(taken) > capacity
+
+
+# ---------------------------------------------------------------------------
 # fully connected
 
 def test_float_signed_matrix_bound():

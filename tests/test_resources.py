@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_net
-from qnnstream.engine import ModelConfig, Partition, simulate_partition
+from qnnstream.engine import ModelConfig, Partition, estimate_cycles, simulate_partition
 from qnnstream.errors import PartitionError
 from qnnstream.netdesc import BUILTIN_BUILDERS, expand_layers, parse_netdesc
 from qnnstream.resources import (
@@ -91,6 +91,17 @@ def test_join_charges_skip_store():
     # join, 16 bits per element
     assert st.skip_bits == 4 * (12 + 2) * 16
     assert st.ff >= st.skip_bits
+
+
+def test_reports_look_stages_up_by_name():
+    # the cycle and the resource report share one lookup: every stage by
+    # its name, a KeyError for an unknown one
+    net = BUILTIN_BUILDERS["resnet18"]()
+    names = [p.name for p in expand_layers(net)]
+    for report in (estimate_cycles(net), estimate_resources(net)):
+        assert [report.stage(n) for n in names] == list(report.stages)
+        with pytest.raises(KeyError, match="no_such_stage"):
+            report.stage("no_such_stage")
 
 
 # ---------------------------------------------------------------------------

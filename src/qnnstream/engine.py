@@ -42,7 +42,7 @@ from .kernels import (
     line_buffer_capacity,
 )
 from .netdesc import expand_layers
-from .quant import check_input_array
+from .quant import ceil_div, check_input_array
 
 
 CIN_MODES = ("pixel", "element")
@@ -74,19 +74,21 @@ class Fifo:
     """Element FIFO carrying numpy chunks, bounded by what it shows.
 
     The hop contract every stage relies on: push(arr) keeps the whole
-    array, without a copy, and returns its length. held counts the
-    elements pushed and not yet popped; occ is min(held, capacity), the
-    most a consumer's one capacity-wide pop can take. A producer whose
-    push leaves held above capacity waits until pops bring it back down
-    (kernels.Stage).
+    array, without a copy, and returns its length. held, the elements
+    pushed and not yet popped, is the one count push and pop keep. occ
+    is derived from it, min(held, capacity): the most one capacity-wide
+    pop can take. Two readers need occ, the subsample, which pops at
+    most occ elements of a pixel at a time, and the deadlock report;
+    every other stage tests held. A producer whose push leaves held
+    above capacity waits until pops bring it back down (kernels.Stage).
     pop(want) returns the oldest min(want, held) elements in push order:
     a slice of one pushed chunk when they lie in it, or one new array
     joining the chunks they span. Inside one step no other stage touches
     the FIFO, so one pop of a total takes what back-to-back pops of occ
     elements each would (the excess moving in as they pop); a stage
-    sizes such a pop from occ and capacity (kernels.Stage). Neither
-    call writes into an array it is given. max_occ is the high-water
-    mark of occ.
+    sizes such a pop from held and capacity (kernels.Stage). Neither
+    call writes into an array it is given. max_occ, the high-water mark
+    of occ, is kept by push; run reads it to refuse a second frame.
     """
 
     def __init__(self, capacity: int, name: str):
@@ -97,18 +99,20 @@ class Fifo:
         self.chunks = deque()
         self.head = 0  # elements of chunks[0] already popped
         self.held = 0
-        self.occ = 0
         self.max_occ = 0
+
+    @property
+    def occ(self) -> int:
+        return min(self.held, self.capacity)
 
     def push(self, arr) -> int:
         n = len(arr)
         if n:
             self.chunks.append(arr)
             held = self.held = self.held + n
-            cap = self.capacity
-            occ = self.occ = held if held < cap else cap
-            if occ > self.max_occ:
-                self.max_occ = occ
+            if held > self.max_occ:
+                cap = self.capacity
+                self.max_occ = held if held < cap else cap
         return n
 
     def pop(self, want: int) -> np.ndarray:
@@ -117,9 +121,7 @@ class Fifo:
             want = held
         if not want:
             return _EMPTY
-        held = self.held = held - want
-        cap = self.capacity
-        self.occ = held if held < cap else cap
+        self.held = held - want
         chunks, head = self.chunks, self.head
         first = chunks[0]
         end = head + want  # where the pop ends, counted from first's start
@@ -226,8 +228,8 @@ def skip_store_elements(plans, join_plan) -> int:
     lead = sum(q.k - 1 - q.p for q in (conv_a, prev) if q.kind == "conv")
     h, w, s = conv_a.in_shape.h, conv_a.in_shape.w, conv_a.s
     mid = join_plan.in_shape
-    first = min(max(_ceil_div(h - lead, s), 0), mid.h)  # first whole-frame row
-    ahead = _ceil_div(lead, s) * mid.w + (lead % s == 0) * (min(lead, w - 1) // s + 1)
+    first = min(max(ceil_div(h - lead, s), 0), mid.h)  # first whole-frame row
+    ahead = ceil_div(lead, s) * mid.w + (lead % s == 0) * (min(lead, w - 1) // s + 1)
     return mid.c * max(ahead if first else 0, (mid.h - first) * mid.w)
 
 
@@ -368,18 +370,12 @@ def analytic_counters(plans):
     out = []
     for p in plans:
         ish = p.in_shape
+        pad_el, compute, fill_el, first = 0, 0, 1, 0
         if p.kind in WINDOWED_KINDS:
-            hp, wp = ish.h + 2 * p.p, ish.w + 2 * p.p
-            pad_el = (hp * wp - ish.h * ish.w) * ish.c
-            is_conv = p.kind in WEIGHTED_KINDS
-            compute = p.out_shape.pixels * p.out_ch if is_conv else 0
+            pad_el = ((ish.h + 2 * p.p) * (ish.w + 2 * p.p) - ish.pixels) * ish.c
             fill_el = _window_fill(p)
-            first = p.out_ch if is_conv else 0
-        else:  # join | tee | subsample
-            pad_el = 0
-            compute = 0
-            fill_el = 1
-            first = 0
+        if p.kind in WEIGHTED_KINDS:
+            compute, first = p.out_shape.pixels * p.out_ch, p.out_ch
         out.append(StageCounters(name=p.name, channels=ish.c,
                                  real_el=ish.elements, pad_el=pad_el,
                                  compute=compute, fill_el=fill_el,
@@ -401,10 +397,6 @@ def measured_counters(graph: StageGraph):
     return out
 
 
-def _ceil_div(a, b):
-    return -(-a // b)
-
-
 def assemble_report(counters, cfg: ModelConfig, partition=None) -> CycleReport:
     n = len(counters)
     in_units = []
@@ -412,17 +404,10 @@ def assemble_report(counters, cfg: ModelConfig, partition=None) -> CycleReport:
     fills = []
     computes = []
     for c in counters:
-        if cfg.cin_mode == "pixel":
-            iu = (c.real_el + c.pad_el) // c.channels
-            pu = c.pad_el // c.channels
-            fu = _ceil_div(c.fill_el, c.channels)
-        else:
-            iu = c.real_el + c.pad_el
-            pu = c.pad_el
-            fu = c.fill_el
-        in_units.append(iu)
-        pad_units.append(pu)
-        fills.append(fu + c.first_compute * cfg.c_mac)
+        unit = c.channels if cfg.cin_mode == "pixel" else 1  # elements per input unit
+        in_units.append((c.real_el + c.pad_el) // unit)
+        pad_units.append(c.pad_el // unit)
+        fills.append(ceil_div(c.fill_el, unit) + c.first_compute * cfg.c_mac)
         computes.append(c.compute * cfg.c_mac)
     busy = [iu + comp for iu, comp in zip(in_units, computes)]
     ranges = partition.ranges if partition is not None else ((0, n - 1),)

@@ -43,6 +43,7 @@ from .errors import BufferEvictionError, ShapeError
 from .quant import (
     FLOAT32_EXACT,
     FLOAT64_EXACT,
+    ceil_div,
     check_accum_array,
     count_code_floors,
     floors_as,
@@ -197,9 +198,9 @@ class Stage:
     stage kind supplies only _advance(): consume one unit of input (a
     run of pixels, or a chunk of elements), emit what that unit
     completes, and say whether it moved. The schedule is that of units
-    that pop at most an input's occ elements each. An input may hold
-    more, and then one _advance takes, in one pop, what such pops would
-    take back to back up to the first whose emit could stop the step:
+    that pop at most an input's capacity each. An input may hold more,
+    and then one _advance takes, in one pop, what such pops would take
+    back to back up to the first whose emit could stop the step:
     the step stops, returns and leaves every FIFO as those pops would.
     A stage's state changes only inside its own step, and a finished
     stage (input ingested, no FIFO it feeds over capacity) stays
@@ -262,23 +263,28 @@ class WindowedStage(Stage):
     """Common machinery for stages that slide a K x K window.
 
     The ingest cursor walks the padded coordinate grid in scan order.
-    The unit of an _advance is a run of pixels inside one padded row: it
-    starts at the cursor and ends at the end of the row, where the input
-    FIFO runs dry, or at the end of the capacity-wide pop that completes
-    the first pixel from the cursor on that fires a window. Pops before
-    that one fire nothing, so they cannot stop a step, and the fire that
-    could is the run's last act. Pad positions inject zeros without
-    consuming input; they still cost one input unit each, since the real
-    stream is halted while the pad element is fed in. A run is one FIFO
-    pop, one line-buffer write, one gather of every window whose bottom-
-    right pixel the run completed (the trigger rule), one _compute over
-    those windows and one emitted array. The line buffer knows the
-    window geometry, so a gather names only the range of the windows'
-    top-left elements, s * C apart, and reads them as one view of the
-    ring. All counters are those of a pixel-at-a-time walk: fill_el is
-    taken at the first window fired. Each kind supplies _compute: the
-    (N, K, K*C) read-only view of N windows, K rows of K*C elements
-    each, to (N, out channels) outputs in a new array.
+    The fire rule: a window fires once its bottom-right pixel is in, and
+    the rows that hold such pixels are fire_rows, k - 1 + j * s. In a
+    firing row the first window from cursor column pc on has left column
+    lo = ceil(max(pc - k + 1, 0) / s) * s; _advance finds it once per
+    run, sizes its take from it and passes it to _fire, which fires the
+    windows from lo on that the run completed. The unit of an _advance
+    is a run of pixels inside one padded row: it starts at the cursor
+    and ends at the end of the row, where the input FIFO runs dry, or at
+    the end of the capacity-wide pop that completes window lo's
+    bottom-right pixel. Pops before that one fire nothing, so they
+    cannot stop a step, and the fire that could is the run's last act.
+    Pad positions inject zeros without consuming input; they still cost
+    one input unit each, since the real stream is halted while the pad
+    element is fed in. A run is one FIFO pop, one line-buffer write, one
+    gather of every window it completed, one _compute over those windows
+    and one emitted array. The line buffer knows the window geometry, so
+    a gather names only the range of the windows' top-left elements,
+    s * C apart, and reads them as one view of the ring. All counters are
+    those of a pixel-at-a-time walk: fill_el is taken at the first
+    window fired. Each kind supplies _compute: the (N, K, K*C) read-only
+    view of N windows, K rows of K*C elements each, to (N, out channels)
+    outputs in a new array.
     """
 
     def __init__(self, name, in_shape, out_shape, k, s, p=0,
@@ -310,46 +316,42 @@ class WindowedStage(Stage):
         self.real_px = range(p * self.wp, (p + in_shape.h) * self.wp)
         self.fire_rows = range(k - 1, self.hp, s)
 
-    def _fire(self, pr: int, done_from: int, done_to: int):
-        """Fire the windows whose bottom-right pixel is in padded row pr,
-        columns done_from .. done_to - 1."""
-        k, s = self.k, self.s
-        r0 = pr - (k - 1)
-        if r0 < 0 or r0 % s:
-            return
-        lo = -(-max(done_from - (k - 1), 0) // s) * s
+    def _fire(self, pr: int, lo: int, done_to: int):
+        """Fire the windows of firing row pr from left column lo on whose
+        bottom-right pixel lies before padded column done_to."""
+        k = self.k
         hi = done_to - (k - 1)
         if lo >= hi:
             return
         c = self.in_shape.c
         if self.fill_el is None:
             self.fill_el = (pr * self.wp + lo + k) * c
-        row = r0 * self.wp
-        windows = self.lbuf.gather(range((row + lo) * c, (row + hi) * c, s * c))
+        row = (pr - k + 1) * self.wp
+        windows = self.lbuf.gather(range((row + lo) * c, (row + hi) * c, self.s * c))
         self._emit(self.out_fifo, self._compute(windows).reshape(-1))
 
     def _advance(self) -> bool:
         cursor = self.cursor
         real_row = cursor in self.real_px
-        if real_row and not self.in_fifo.occ:
+        if real_row and not self.in_fifo.held:
             return False
-        c, p, wp, pad_row = self.in_shape.c, self.p, self.wp, self.pad_row
+        c, p, k, wp, pad_row = self.in_shape.c, self.p, self.k, self.wp, self.pad_row
         real_el, pad_el = self.real_el, self.pad_el
         pr, pc = divmod(cursor, wp)
+        # the left column of the row's first window from pc on, if it fires
+        lo = ceil_div(max(pc - k + 1, 0), self.s) * self.s if pr in self.fire_rows else None
         if real_row:
             w = self.in_shape.w
             left = p - pc if pc < p else 0
             want = (p + w - pc - left) * c - real_el % c
             take = want
-            if pr in self.fire_rows:
-                # the first pixel from pc on that fires, padded column f,
-                # is complete need elements on: take to the end of the
-                # capacity-wide pop that completes it
-                k, s = self.k, self.s
-                f = -(-max(pc - k + 1, 0) // s) * s + k - 1
-                need = want - (p + w - 1 - f) * c
+            if lo is not None:
+                # that window's bottom-right pixel is complete need
+                # elements on: take to the end of the capacity-wide pop
+                # that completes it
+                need = want - (p + w - k - lo) * c
                 cap = self.in_fifo.capacity
-                take = min(want, -(-max(need, 1) // cap) * cap)
+                take = min(want, ceil_div(max(need, 1), cap) * cap)
             run = got = self.in_fifo.pop(take)
             right = p if len(got) == want else 0
             if left or right:
@@ -365,7 +367,8 @@ class WindowedStage(Stage):
         if done_to == pc:
             return True  # the run ended inside a pixel
         self.ingest_done = cursor == self.total_px
-        self._fire(pr, pc, done_to)
+        if lo is not None:
+            self._fire(pr, lo, done_to)
         return True
 
 
@@ -471,11 +474,10 @@ class ConvStage(WindowedStage):
         if signs is None:
             self.dot = lambda windows: popcount_dot(
                 weights.words, windows.reshape(len(windows), -1), in_shape.bits)
-            self.activate = activation(thresholds, np.int64)
         else:
             self.dot = lambda windows: windows.astype(signs.dtype).reshape(
                 len(windows), -1) @ signs
-            self.activate = activation(thresholds, signs.dtype)
+        self.activate = activation(thresholds, np.int64 if signs is None else signs.dtype)
 
     def _compute(self, windows):
         self.compute_cycles += len(windows) * self.out_ch
@@ -569,7 +571,7 @@ class ResidualJoinStage(ElementwiseStage):
         in_fifo, skip_fifo = self.in_fifo, self.skip_fifo
         n = min(in_fifo.held, skip_fifo.held, self.el_total - self.real_el)
         if not n:
-            if in_fifo.occ:
+            if in_fifo.held:
                 self.stalled_on_skip += 1
             return False
         n = self._chunk(n, min(in_fifo.capacity, skip_fifo.capacity))
@@ -584,7 +586,7 @@ class ResidualJoinStage(ElementwiseStage):
         else:  # whole pixels, zero padded where the chunk crosses into one
             pixels = sums
             if head or n % c:
-                pixels = np.zeros(-(-(head + n) // c) * c, dtype=np.int32)
+                pixels = np.zeros(ceil_div(head + n, c) * c, dtype=np.int32)
                 pixels[head:head + n] = sums
             codes = count_code_floors(pixels.reshape(-1, c), sign,
                                       floors).reshape(-1)[head:head + n]
@@ -620,6 +622,8 @@ class SkipDownsampleStage(ElementwiseStage):
     Keeps every stride-th pixel and zero fills the new channels. The
     16-bit skip datapath rules out a learned projection here; spatial
     subsampling plus zero padding is the standard parameter-free choice.
+    A unit is at most the rest of one pixel and at most the input's occ,
+    and a kept pixel passes on in those parts as they arrive.
     """
 
     def __init__(self, name, in_shape, out_shape, s):

@@ -97,7 +97,7 @@ def _kv_tokens(tokens, line_no, allowed, flags=()):
     return out
 
 
-def _int_field(kv, key, line_no, default=None, minimum=None):
+def _int_field(kv, key, line_no, default, minimum):
     if key not in kv:
         if default is None:
             raise NetdescError("missing required key %r" % key, line_no)
@@ -106,7 +106,7 @@ def _int_field(kv, key, line_no, default=None, minimum=None):
         val = int(kv[key])
     except ValueError:
         raise NetdescError("key %r wants an integer, got %r" % (key, kv[key]), line_no)
-    if minimum is not None and val < minimum:
+    if val < minimum:
         raise NetdescError("key %r must be >= %d" % (key, minimum), line_no)
     return val
 
@@ -303,11 +303,11 @@ class StagePlan:
     in_shape: StreamShape
     out_shape: StreamShape
     layer_index: int
-    role: str = ""
+    role: str = "main"  # a weighted plan's key in LayerParams.convs
     k: int = 1
     s: int = 1
     p: int = 0
-    fused: bool = False
+    fused: bool = False  # carries a batchnorm: a fused conv or fc, or a join
     main_src: int = -1  # plan index feeding the main input, -1 = network source
     skip_src: int = None  # joins: plan feeding the skip input
 
@@ -342,22 +342,16 @@ def expand_layers(net: NetworkSpec):
     for li, layer in enumerate(net.layers):
         if layer.kind == "input":
             continue
-        if layer.kind != "resblock":
-            skip_provider = None
         cur = layer.in_shape
-        if layer.kind in ("conv", "fc"):
+        if layer.kind != "resblock":  # conv, fc or a pool
+            skip_provider = None
+            weighted = layer.kind in ("conv", "fc")
             kind = "firstconv" if layer.kind == "conv" and cur.kind == "u8" else layer.kind
-            plan = add(name=conv_name(layer.kind), kind=kind,
+            prev = add(name=conv_name(layer.kind if weighted else "pool"), kind=kind,
                        in_shape=cur, out_shape=layer.out_shape, layer_index=li,
-                       role="main", k=layer.k, s=layer.s, p=layer.p,
-                       fused=layer.fused, main_src=prev)
-            prev = plan.index
-        elif layer.kind in ("maxpool", "avgpool"):
-            plan = add(name=conv_name("pool"), kind=layer.kind,
-                       in_shape=cur, out_shape=layer.out_shape, layer_index=li,
-                       k=layer.k, s=layer.s, p=layer.p, main_src=prev)
-            prev = plan.index
-        elif layer.kind == "resblock":
+                       k=layer.k, s=layer.s, p=layer.p,
+                       fused=weighted and layer.fused, main_src=prev).index
+        else:
             block_no += 1
             bname = "block%d" % block_no
             mid = StreamShape(layer.out_shape.h, layer.out_shape.w, layer.o,
@@ -365,27 +359,26 @@ def expand_layers(net: NetworkSpec):
             if skip_provider is None:
                 wide_in = StreamShape(cur.h, cur.w, cur.c, "accum", ACCUM_BITS)
                 tee = add(name=bname + "_tee", kind="tee",
-                          in_shape=cur, out_shape=cur, layer_index=li, role="tee",
-                          main_src=prev)
+                          in_shape=cur, out_shape=cur, layer_index=li, main_src=prev)
                 prev = tee.index
                 skip_provider = (tee.index, wide_in)
             conv_a = add(name=bname + "_a", kind="conv",
                          in_shape=cur, out_shape=mid, layer_index=li, role="a",
-                         k=3, s=layer.s, p=1, fused=False, main_src=prev)
+                         k=layer.k, s=layer.s, p=layer.p, main_src=prev)
             src_idx, src_shape = skip_provider
             if src_shape != mid:
                 ss = add(name=bname + "_ss", kind="subsample",
                          in_shape=src_shape, out_shape=mid, layer_index=li,
-                         role="ss", s=layer.s, main_src=src_idx)
+                         s=layer.s, main_src=src_idx)
                 src_idx, src_shape = ss.index, mid
             join = add(name=bname + "_join", kind="join",
                        in_shape=mid,
                        out_shape=StreamShape(mid.h, mid.w, mid.c, "code", layer.act_bits),
-                       layer_index=li, role="join",
+                       layer_index=li, fused=True,
                        main_src=conv_a.index, skip_src=src_idx)
             conv_b = add(name=bname + "_b", kind="conv",
                          in_shape=join.out_shape, out_shape=layer.out_shape,
-                         layer_index=li, role="b", k=3, s=1, p=1,
+                         layer_index=li, role="b", k=layer.k, p=layer.p,
                          fused=True, main_src=join.index)
             prev = conv_b.index
             skip_provider = (join.index, mid)
@@ -481,13 +474,13 @@ def blob_layout(layer: LayerSpec):
     (4, O) as gamma, mean, inv_std, bias. The keys are the ones
     save_params takes; parameterless layers give an empty list.
     """
-    cur, o = layer.in_shape, layer.o
+    cur, k, o = layer.in_shape, layer.k, layer.o
     if layer.kind in ("conv", "fc"):
-        k, i = (layer.k, cur.c) if layer.kind == "conv" else (1, cur.elements)
+        i = cur.c if layer.kind == "conv" else cur.elements
         return [("weights", (k, k, i, o))] + ([("bn", (4, o))] if layer.fused else [])
     if layer.kind == "resblock":
-        return [("weights_a", (3, 3, cur.c, o)), ("bn_join", (4, o)),
-                ("weights_b", (3, 3, o, o)), ("bn_b", (4, o))]
+        return [("weights_a", (k, k, cur.c, o)), ("bn_join", (4, o)),
+                ("weights_b", (k, k, o, o)), ("bn_b", (4, o))]
     return []
 
 

@@ -78,6 +78,11 @@ COUNT_BLOCK_BYTES = 1 << 22
 _EXP_OFFSETS = np.array([[53], [106], [0], [0]])
 
 
+def ceil_div(a, b):
+    """The ceiling of a / b for integers, b > 0."""
+    return -(-a // b)
+
+
 def check_floor_range(accums) -> np.ndarray:
     """accums as an array of its own dtype, refused with a
     QuantizationError where count_code_floors would not decide it
@@ -136,7 +141,7 @@ class WeightBlock:
     words: np.ndarray
 
     def __post_init__(self):
-        shape = (-(-self.entry_bits // 64), self.out_ch)
+        shape = (ceil_div(self.entry_bits, 64), self.out_ch)
         w = self.words
         if not isinstance(w, np.ndarray) or w.dtype != np.uint64 \
                 or w.shape != shape or not w.flags.c_contiguous:
@@ -175,7 +180,7 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
     packed = np.packbits(bits, axis=-1, bitorder="little")
     # a fresh zeroed buffer: packbits of a strided view may itself be
     # strided, and view() needs the bytes of a row to be contiguous
-    full = np.zeros(packed.shape[:-1] + (-(-bits.shape[-1] // 64) * 8,), dtype=np.uint8)
+    full = np.zeros(packed.shape[:-1] + (ceil_div(bits.shape[-1], 64) * 8,), dtype=np.uint8)
     full[..., :packed.shape[-1]] = packed
     return full.view("<u8")
 

@@ -31,7 +31,6 @@ from .engine import (
     Partition,
     WEIGHTED_KINDS,
     WINDOWED_KINDS,
-    _ceil_div,
     _window_fill,
     cut_links,
     skip_store_elements,
@@ -39,7 +38,7 @@ from .engine import (
 )
 from .errors import PartitionError, QnnError
 from .netdesc import expand_layers
-from .quant import ACCUM_BITS
+from .quant import ACCUM_BITS, ceil_div
 
 CACHE_DEPTH_GRANULE = 512
 M20K_DEPTH = 512
@@ -69,8 +68,8 @@ class StageResources:
 
 
 def _cache(rows_used: int, width: int):
-    rows = _ceil_div(rows_used, CACHE_DEPTH_GRANULE) * CACHE_DEPTH_GRANULE
-    blocks = _ceil_div(rows_used, M20K_DEPTH) * _ceil_div(width, M20K_WIDTH)
+    rows = ceil_div(rows_used, CACHE_DEPTH_GRANULE) * CACHE_DEPTH_GRANULE
+    blocks = ceil_div(rows_used, M20K_DEPTH) * ceil_div(width, M20K_WIDTH)
     return rows_used * width, rows * width, blocks
 
 
@@ -82,9 +81,9 @@ def stage_resources(plans):
             w_used, w_bits, m20k = _cache(p.out_ch, p.k * p.k * window_shape(p).c)
         elif p.kind == "join":
             skip_bits = skip_store_elements(plans, p) * p.in_shape.bits
-        if p.fused or p.kind == "join":
+        if p.fused:
             bn_bits = p.out_ch * 4 * ACCUM_BITS
-            m20k += 2 * _ceil_div(p.out_ch, M20K_DEPTH)
+            m20k += 2 * ceil_div(p.out_ch, M20K_DEPTH)
         # an fc's frame store is left uncharged (ROADMAP item 6, "The fc frame store")
         if p.kind in WINDOWED_KINDS and p.kind != "fc":
             buf_bits = _window_fill(p) * p.in_shape.bits

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -408,6 +409,32 @@ def test_negative_seed_exits_1(net_file, flag, seed, capsys):
     assert ei.value.code == 1
     assert "error: argument %s: a seed is a non-negative integer" % flag \
         in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: these commands print exactly what they printed when the
+# digest was taken, so a refactor that changes no behaviour keeps it
+
+_PINNED = (
+    [[cmd, "--builtin", net, "--format", fmt]
+     for cmd in ("estimate", "partition")
+     for net in ("resnet18", "alexnet", "vgg")
+     for fmt in ("human", "json")]
+    + [["estimate", "--builtin", "resnet18", "--stall-model", "isolated",
+        "--cin-mode", "element", "--clock-mhz", "100,105"]]
+    + [["run", "--builtin", "vgg", "--random-params", "1", "--random-image", "2",
+        "--format", fmt] for fmt in ("human", "json")]
+    + [["compare", "--builtin", "vgg", "--random-params", "1", "--random-image", "2"]]
+)
+_PINNED_DIGEST = "355417eee8b77be735aeee093c67c20d7b51c96ae41e22582b6712f1d8fde56d"
+
+
+def test_outputs_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in _PINNED:
+        rc = main(argv)
+        digest.update(repr((argv, rc, capsys.readouterr().out)).encode())
+    assert digest.hexdigest() == _PINNED_DIGEST
 
 
 # ---------------------------------------------------------------------------

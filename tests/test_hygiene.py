@@ -7,7 +7,8 @@ class's own lineage), and so must every method and property of its
 classes. Every public module-level function of the package has a
 caller in the package or the benchmark harness, or is exported; what
 only the tests call lives in tests/reference.py. No module of the
-package or the tests imports a name it never uses.
+package or the tests imports a name it never uses, and ceiling division
+is spelled once, in quant.ceil_div.
 
 The write-only gate matches attributes by bare name, not by the object
 that loads them: a field counts as read once any object loads an
@@ -277,3 +278,23 @@ def test_kernels_import_nothing_of_the_oracle():
     seen = _reached("qnnstream.kernels")
     assert "qnnstream.quant" in seen
     assert "qnnstream.oracle" not in seen, sorted(seen)
+
+
+def _is_ceil_div(node):
+    # -(-a // b)
+    return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) \
+        and isinstance(node.operand, ast.BinOp) \
+        and isinstance(node.operand.op, ast.FloorDiv) \
+        and isinstance(node.operand.left, ast.UnaryOp) \
+        and isinstance(node.operand.left.op, ast.USub)
+
+
+def test_one_ceiling_division():
+    # ceiling division is spelled once, in quant.ceil_div; every other
+    # ceiling quotient calls it
+    spelled = []
+    for path, tree in _trees("src"):
+        if path.name == "quant.py":
+            tree.body = [n for n in tree.body if getattr(n, "name", None) != "ceil_div"]
+        spelled += ["%s:%d" % (path, n.lineno) for n in ast.walk(tree) if _is_ceil_div(n)]
+    assert not spelled, "ceiling division outside quant.ceil_div: %s" % spelled

@@ -77,9 +77,8 @@ class Fifo:
     array, without a copy, and returns its length. held, the elements
     pushed and not yet popped, is the one count push and pop keep. occ
     is derived from it, min(held, capacity): the most one capacity-wide
-    pop can take. Two readers need occ, the subsample, which pops at
-    most occ elements of a pixel at a time, and the deadlock report;
-    every other stage tests held. A producer whose push leaves held
+    pop can take. Only the deadlock report reads occ; every stage
+    tests held and capacity. A producer whose push leaves held
     above capacity waits until pops bring it back down (kernels.Stage).
     pop(want) returns the oldest min(want, held) elements in push order:
     a slice of one pushed chunk when they lie in it, or one new array

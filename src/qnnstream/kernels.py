@@ -173,16 +173,19 @@ def activation(thresholds, dtype):
 
     With the layer's ThresholdSet it is the fused batchnorm + activation
     and emits codes, uint8 for up to 8 bits: its sign and values are
-    rounded to dtype once, here (quant.floors_as), and each batch of
-    accumulators is counted against them in its own dtype. Without, the
-    accumulators pass on as range-checked 16-bit values. The codes are
-    exact without quant.check_floor_range: a float product's
-    accumulators stay below the first integer its float cannot hold
-    (float_signed_matrix), and popcount_dot's are int64 below 2**n * K.
+    rounded to dtype once, here (quant.floors_as), and the values laid
+    out once as the C-contiguous (levels, 1, C) table that
+    quant.count_code_floors compares each (N, C) batch of accumulators
+    with as it is, in their own dtype. Without, the accumulators pass
+    on as range-checked 16-bit values. The codes are exact without
+    quant.check_floor_range: a float product's accumulators stay below
+    the first integer its float cannot hold (float_signed_matrix), and
+    popcount_dot's are int64 below 2**n * K.
     """
     if thresholds is None:
         return lambda accs: check_accum_array(accs).astype(np.int32)
     sign, values = floors_as(dtype, thresholds.sign, thresholds.values)
+    values = values.reshape(len(values), 1, -1)  # a view: values are C-contiguous
     return lambda accs: count_code_floors(accs, sign, values)
 
 
@@ -239,8 +242,9 @@ class Stage:
 
     def _still_over(self) -> bool:
         """Recheck over against the FIFOs the stage feeds."""
-        self.over = any(f is not None and f.held > f.capacity
-                        for f in (self.out_fifo, self.skip_out_fifo))
+        out, skip = self.out_fifo, self.skip_out_fifo
+        self.over = (out is not None and out.held > out.capacity
+                     or skip is not None and skip.held > skip.capacity)
         return self.over
 
     @property
@@ -489,7 +493,9 @@ class MaxPoolStage(WindowedStage):
     contributing input arrives, no compute halt."""
 
     def _compute(self, windows):
-        return windows.reshape(len(windows), self.k, self.k, -1).max(axis=(1, 2))
+        # the ufunc itself: ndarray.max goes through a Python wrapper
+        return np.maximum.reduce(windows.reshape(len(windows), self.k, self.k, -1),
+                                 axis=(1, 2))
 
 
 class AvgPoolStage(WindowedStage):
@@ -544,10 +550,12 @@ class ResidualJoinStage(ElementwiseStage):
     A chunk is what both inputs hold, up to the rest of the frame, cut
     by ElementwiseStage._chunk. Both inputs carry 16-bit values, so
     their int32 sum is exact and passes on as it is, and its codes are
-    exact without quant.check_floor_range. A chunk inside one
-    pixel counts its codes against the floors of the channels it
-    covers, one of whole pixels as (pixels, C), and only one that
-    crosses a pixel boundary is zero padded to the pixels it touches.
+    exact without quant.check_floor_range. The floors are laid out once,
+    as a (levels, 1, C) table. A chunk inside one pixel counts its codes
+    against a view of the table's columns for the channels it covers,
+    one of whole pixels as (pixels, C) against the whole table, and
+    only one that crosses a pixel boundary is zero padded to the pixels
+    it touches.
 
     stalled_on_skip counts the steps whose _advance loop stops with
     regular data waiting and the skip FIFO empty, a step that summed
@@ -564,7 +572,8 @@ class ResidualJoinStage(ElementwiseStage):
     def __init__(self, name, shape, thresholds):
         super().__init__(name, shape)
         self.skip_fifo = None
-        self.sign, self.floors = thresholds.sign, thresholds.values
+        values = thresholds.values
+        self.sign, self.floors = thresholds.sign, values.reshape(len(values), 1, -1)
         self.stalled_on_skip = 0
 
     def _advance(self) -> bool:
@@ -582,7 +591,7 @@ class ResidualJoinStage(ElementwiseStage):
         head = self.real_el % c
         if head + n <= c:  # inside one pixel
             codes = count_code_floors(sums, sign[head:head + n],
-                                      floors[:, head:head + n])
+                                      floors[:, 0, head:head + n])
         else:  # whole pixels, zero padded where the chunk crosses into one
             pixels = sums
             if head or n % c:
@@ -622,8 +631,14 @@ class SkipDownsampleStage(ElementwiseStage):
     Keeps every stride-th pixel and zero fills the new channels. The
     16-bit skip datapath rules out a learned projection here; spatial
     subsampling plus zero padding is the standard parameter-free choice.
-    A unit is at most the rest of one pixel and at most the input's occ,
-    and a kept pixel passes on in those parts as they arrive.
+    A unit is the rest of one pixel, or what the input holds of it, in
+    one pop, and a kept pixel passes on in those parts as they arrive.
+    A kept part is cut by ElementwiseStage._chunk at the end of the
+    capacity-wide pop whose emit leaves the output over capacity, where
+    pops of at most the input's capacity would stop the step; the zero
+    fill leaves with a pixel's last part, after which such pops would
+    take no more of it either way. A dropped part emits nothing, so it
+    is never cut.
     """
 
     def __init__(self, name, in_shape, out_shape, s):
@@ -636,14 +651,16 @@ class SkipDownsampleStage(ElementwiseStage):
         self.zero_fill = np.zeros(out_shape.c - in_shape.c, dtype=np.int32)
 
     def _advance(self) -> bool:
-        c = self.in_shape.c
+        c, in_fifo = self.in_shape.c, self.in_fifo
         px, have = divmod(self.real_el, c)
-        got = self.in_fifo.pop(min(c - have, self.in_fifo.occ))
-        if not len(got):
+        n = min(c - have, in_fifo.held)
+        if not n:
             return False
-        self._ingested(len(got))
         r, col = divmod(px, self.in_shape.w)
-        if r % self.s == 0 and col % self.s == 0:
+        kept = r % self.s == 0 and col % self.s == 0
+        got = in_fifo.pop(self._chunk(n, in_fifo.capacity) if kept else n)
+        self._ingested(len(got))
+        if kept:
             if have + len(got) == c and len(self.zero_fill):
                 got = np.concatenate([got, self.zero_fill])
             self._emit(self.out_fifo, got)

@@ -438,14 +438,18 @@ def count_code_floors(accums: np.ndarray, sign, floors) -> np.ndarray:
     The code of a is the count of floors f with sign * a >= f. sign and
     each floors[k] broadcast against accums: an int and a tuple of ints
     for one quantizer, or a (C,) vector and a (levels, C) matrix for the
-    channels of the last axis of an (..., C) map. The floors, made
-    C-contiguous (a transposed view compares several times slower) and
-    shaped (levels, 1, ..., 1, C), meet sign * accums in one broadcast
-    comparison summed over the levels axis. Where that comparison would
-    pass COUNT_BLOCK_BYTES it runs over blocks of levels that stay
-    within it. The sums are uint8 for up to 255 levels (n <= 8), which
-    cannot wrap, and int64 past that: returns codes of the shape of
-    accums in that count dtype, unwidened.
+    channels of the last axis of an (..., C) map. The floors, shaped
+    (levels, 1, ..., 1, C), meet sign * accums in one broadcast
+    comparison summed over the levels axis. Floors with one axis more
+    than accums are compared as they are, views included: each stage
+    lays its layer's table out so once, C-contiguous (a transposed view
+    compares several times slower), and a join's one-pixel column slice
+    of it is compared in place (kernels.activation, ResidualJoinStage).
+    Floors of any other form are made C-contiguous and reshaped on each
+    call. Where that comparison would pass COUNT_BLOCK_BYTES it runs
+    over blocks of levels that stay within it. The sums are uint8 for up
+    to 255 levels (n <= 8), which cannot wrap, and int64 past that:
+    returns codes of the shape of accums in that count dtype, unwidened.
 
     The comparison runs in the accumulators' own dtype: int64, or the
     float an exact product came out in, with sign and floors rounded to
@@ -468,9 +472,10 @@ def count_code_floors(accums: np.ndarray, sign, floors) -> np.ndarray:
     one-pixel calls of a narrow FIFO.
     """
     signed = accums * sign
-    floors = np.ascontiguousarray(floors)
-    floors = floors.reshape(floors.shape[:1] + (1,) * (signed.ndim + 1 - floors.ndim)
-                            + floors.shape[1:])
+    if getattr(floors, "ndim", None) != signed.ndim + 1:  # a tuple has no ndim
+        floors = np.ascontiguousarray(floors)
+        floors = floors.reshape(floors.shape[:1] + (1,) * (signed.ndim + 1 - floors.ndim)
+                                + floors.shape[1:])
     # np.add.reduce, not .sum: a one-pixel call pays no Python wrapper
     count = np.uint8 if len(floors) < 256 else np.int64
     if signed.size * len(floors) <= COUNT_BLOCK_BYTES:

@@ -702,6 +702,35 @@ def test_tee_takes_queued_input(rng, capacity):
     assert max(taken) > capacity
 
 
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_subsample_takes_queued_input(rng, capacity):
+    # a pop stays inside one pixel: a dropped pixel's rest is taken at
+    # once, a kept one's is cut at the capacity-wide pop whose emit leaves
+    # the output over capacity (out_capacity 1 makes that cut fire)
+    taken = []
+    for s, c, o in ((1, 4, 4), (2, 5, 7), (2, 3, 3), (1, 3, 6)):
+        h, w = 5, 4
+        x = rng.integers(-100, 100, size=(h, w, c)).astype(np.int32)
+        oh, ow = (h - 1) // s + 1, (w - 1) // s + 1
+        for out_capacity in (None, 1, 4, 1000):
+            stage = SkipDownsampleStage("ss", StreamShape(h, w, c, "accum", 16),
+                                        StreamShape(oh, ow, o, "accum", 16), s)
+            out, _, pops = _drive_queued(stage, x.reshape(-1), capacity=capacity,
+                                         out_capacity=out_capacity)
+            assert np.array_equal(out, dense_skip_adapt(x, s, o).reshape(-1))
+            assert stage.real_el == x.size and stage.fill_el == 1
+            room = out_capacity or capacity
+            for start, n in pops:
+                r, col = divmod(start // c, w)
+                rest = c - start % c
+                if r % s or col % s:
+                    assert n == rest
+                else:
+                    assert n <= min(rest, (room // capacity + 1) * capacity)
+            taken += [n for _, n in pops]
+    assert max(taken) > capacity
+
+
 # ---------------------------------------------------------------------------
 # fully connected
 

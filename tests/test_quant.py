@@ -532,6 +532,37 @@ def test_count_code_floors_in_blocks(rng, monkeypatch):
         assert quantize_dense(accs, bn_layer(ps), d, n).tolist() == want
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64],
+                         ids=["int64", "float32", "float64"])
+def test_count_ignores_floors_layout(rng, dtype):
+    # a conv's table comes laid out as (levels, 1, C), a join compares a
+    # column slice of it against a chunk inside one pixel, the oracle
+    # hands over (levels, C), and one quantizer an int and a tuple: every
+    # form counts the same codes in the same dtype
+    n, d = 3, 4.0
+    ps = _random_channels(rng, 6)
+    ts = fold_batchnorm(bn_layer(ps), d, n)
+    sign, floors = floors_as(dtype, ts.sign, ts.values)
+    held = rng.integers(-150, 150, size=(5, 6))
+    accs = held.astype(dtype)
+    want = count_code_floors(accs, sign, floors)
+    assert want.dtype == np.uint8
+    assert want.tolist() == [[bn_code_fraction(a, p, d, n) for a, p in zip(row, ps)]
+                             for row in held.tolist()]
+    shaped = floors.reshape(len(floors), 1, -1)
+    got = count_code_floors(accs, sign, shaped)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for head, size in ((0, 1), (2, 3), (5, 1), (0, 6)):
+        cols = slice(head, head + size)
+        for table in (floors[:, cols], shaped[:, 0, cols]):
+            assert table.flags.c_contiguous == (size == 6)
+            got = count_code_floors(accs[1, cols], sign[cols], table)
+            assert got.dtype == want.dtype and np.array_equal(got, want[1, cols])
+    for j in range(6):
+        got = count_code_floors(accs[:, j], sign[j].item(), tuple(floors[:, j].tolist()))
+        assert got.dtype == want.dtype and np.array_equal(got, want[:, j])
+
+
 @settings(max_examples=150, deadline=None)
 @given(p=wide_params_strategy(), d=_RANGE_SIZE, n=st.integers(min_value=1, max_value=8))
 # negative gamma: a descending ladder, stored inverted
